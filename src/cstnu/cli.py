@@ -156,7 +156,7 @@ def cmd_propagate(args):
 def cmd_check_dc(args):
     network = _load_network(args.network)
     try:
-        result = check_dc(network, grid=args.grid, seed=args.seed,
+        result = check_dc(network, grid=args.grid,
                           max_letters=args.max_letters, max_links=args.max_links)
     except ValueError as err:
         raise _InputError(str(err))
@@ -248,10 +248,6 @@ def build_parser():
                    help="sampled durations per contingent link")
     p.add_argument("--max-letters", type=int, default=6)
     p.add_argument("--max-links", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0,
-                   help="reserved for reproducibility; the search is deterministic")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for interface stability; runs sequentially")
 
     p = add("verify-strategy", cmd_verify_strategy,
             help="check a strategy for viability and dynamicity")

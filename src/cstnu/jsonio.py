@@ -68,7 +68,7 @@ def strategy_to_dict(strategy):
     entries = []
     for index in strategy.indices():
         entry = {}
-        if strategy.kind in ("cstn", "stn"):
+        if strategy.kind == "cstn":
             entry["scenario"] = {k: v for k, v in index.as_mapping().items()}
         elif strategy.kind == "stnu":
             entry["situation"] = [fmt(d) for d in index]
@@ -92,6 +92,9 @@ def strategy_from_dict(data):
             kind = "stnu"
         else:
             kind = "cstn"
+    elif kind not in ("cstn", "stnu", "cstnu"):
+        raise ValueError("unknown strategy kind %r; expected cstn, stnu or cstnu"
+                         % (kind,))
     table = {}
     for entry in entries:
         schedule = _schedule_from_dict(entry.get("schedule", {}))

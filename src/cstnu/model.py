@@ -165,13 +165,6 @@ class Network:
     def observation_point(self, letter):
         return self.observations[letter]
 
-    def letter_of(self, point_id):
-        """Letter observed at `point_id`, or None."""
-        for letter, point in self.observations.items():
-            if point == point_id:
-                return letter
-        return None
-
     def __eq__(self, other):
         return (isinstance(other, Network)
                 and self.timepoints == other.timepoints

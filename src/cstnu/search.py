@@ -4,24 +4,28 @@ The situation space is discretized (a duration grid per contingent link)
 and strategies are searched as observation-ordered decision trees: the
 same times are committed for every drama of an information set until
 their histories diverge, so the dynamic* property holds by construction.
-Viability is checked per leaf.  Verdicts are sound, not complete:
+One explorer walks these trees; greedy synthesis, the exhaustive witness
+search and the violation-mask enumeration are policies on top of it.
+Verdicts are sound, not complete:
 
 * an inconsistent sampled projection refutes controllability outright;
 * a synthesized strategy is independently re-certified before the
   "controllable" verdict is returned;
-* exhausting the decision-tree space over the candidate time grid yields
-  "not-controllable at the configured granularity" on small instances,
-  and "unknown" when the search bounds are hit first.
+* otherwise the verdict is "unknown", and its evidence names what stopped
+  the search: the candidate time grid was exhausted, the node budget ran
+  out, or the network was too large for the exhaustive search.
 """
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import Constraint, Stn, validate
-from .projection import (Drama, Scenario, drama_projection, enumerate_scenarios,
+from .projection import (Drama, drama_projection, enumerate_scenarios,
                          relevant_timepoints, sample_situations)
+from .rational import INF
 from .semantics import Strategy, is_dynamic_star, is_viable
-from .stn import check_solution, solve
+from .stn import solve
 
 
 @dataclass
@@ -75,6 +79,10 @@ class _Problem:
                     times[point] = times[act] + dur
                     changed = True
         return times
+
+    def schedules(self, dctxs, committed):
+        """The strategy table of a leaf: each drama's known times."""
+        return {d.drama: self.known_times(d, committed) for d in dctxs}
 
     def events(self, dctx, committed):
         """Observable history events with already-determined times."""
@@ -136,26 +144,21 @@ class _Problem:
         lb, ub = Fraction(0), None
         for d in dctxs:
             floor = d.matrix.distance(point, _ORIGIN)
-            if floor != _INF and -floor > lb:
+            if floor != INF and -floor > lb:
                 lb = -floor
             for anchor, t in committed.items():
                 if anchor not in d.relevant:
                     continue
                 fwd = d.matrix.distance(anchor, point)
                 back = d.matrix.distance(point, anchor)
-                if back != _INF and t - back > lb:
+                if back != INF and t - back > lb:
                     lb = t - back
-                if fwd != _INF:
+                if fwd != INF:
                     cap = t + fwd
                     if ub is None or cap < ub:
                         ub = cap
         return lb, ub
 
-    def schedule_of(self, dctx, committed):
-        return self.known_times(dctx, committed)
-
-
-_INF = float("inf")
 
 # Virtual origin pinned at time 0.  Every point is floored at it, so the
 # distance matrix yields absolute earliest times even before any real
@@ -171,69 +174,186 @@ def _with_origin(projection):
                frozenset(constraints))
 
 
+class _Budget(Exception):
+    pass
+
+
+def _explore(problem, moves, leaf, fold, join, commit=None, budget=None,
+             remember=None):
+    """Walk the observation-ordered decision trees of `problem`.
+
+    A node is an information set `dctxs` (dramas whose histories agree so
+    far), the times `committed` to it, the time `now` of the last step,
+    and `strict`, set when the node starts at a divergence at `now`, so
+    that nothing more may run at `now`.  A node with no point left to run
+    is a leaf, valued `leaf(dctxs, committed)`.  Any other node is valued
+    `fold(results)`, where `results` lazily yields the value of each
+    commit (point, t) proposed by `moves(dctxs, committed, now, strict,
+    ready, divergence)`, in order, and then the value of the split at the
+    next divergence, if there is one.  A commit's value is
+    `commit(dctxs, trial, point, descend)`, by default `descend()`, the
+    value of the node it leads to.  A split's value is `join` over its
+    groups' values, or the first falsy one: a group that fails fails the
+    split.
+
+    With a `budget`, every node entered is counted, before the memo is
+    looked up, and `_Budget` is raised once the count exceeds the budget.
+    With `remember`, the node values it accepts are memoized.  Greedy
+    synthesis passes neither: it follows a single path, so a memo would
+    only pay for the keys.
+    """
+    memo = {}
+    entered = 0
+
+    def node(dctxs, committed, now, strict):
+        nonlocal entered
+        if budget is not None:
+            entered += 1
+            if entered > budget:
+                raise _Budget()
+        if remember is not None:
+            key = (frozenset(d.idx for d in dctxs),
+                   tuple(sorted(committed.items())), now, strict)
+            if key in memo:
+                return memo[key]
+        ready, blocked = problem.ready_points(dctxs, committed)
+        if ready or blocked:
+            div = problem.next_divergence(dctxs, committed, now)
+            value = fold(alternatives(dctxs, committed, now, strict, ready, div))
+        else:
+            value = leaf(dctxs, committed)
+        if remember is not None and remember(value):
+            memo[key] = value
+        return value
+
+    def alternatives(dctxs, committed, now, strict, ready, div):
+        for point, t in moves(dctxs, committed, now, strict, ready, div):
+            trial = dict(committed)
+            trial[point] = t
+            if commit is None:
+                yield node(dctxs, trial, t, False)
+            else:
+                yield commit(dctxs, trial, point, lambda: node(dctxs, trial, t, False))
+        if div is not None:
+            t, groups = div
+            joined = None
+            for group in groups:
+                value = node(group, committed, t, True)
+                if not value:
+                    joined = value
+                    break
+                joined = value if joined is None else join(joined, value)
+            yield joined
+
+    return node(problem.dctxs, {}, Fraction(0), False)
+
+
+def _first(results):
+    return next(results, None)
+
+
+def _first_success(results):
+    return next(filter(None, results), None)
+
+
+def _merge(table, other):
+    return {**table, **other}
+
+
+def _earliest_commit(problem):
+    """Moves of greedy synthesis: the globally earliest feasible commit.
+
+    A point's time is the earliest in its shared window that is not
+    before `now`, and at a divergence later than `now`.  Commits past the
+    next divergence are not feasible: the information set must split
+    first.
+    """
+    epsilon = problem.network.epsilon
+
+    def moves(dctxs, committed, now, strict, ready, div):
+        floor = now + epsilon if strict else now
+        best = None
+        for point in ready:
+            lb, ub = problem.window(dctxs, committed, point)
+            t = max(lb, floor)
+            if ub is not None and t > ub:
+                if strict and lb <= now and ub > now:
+                    t = now + (ub - now) / 2   # epsilon tick overshot the window
+                    if t < lb:
+                        continue
+                else:
+                    continue
+            if div is not None and t > div[0]:
+                continue
+            if best is None or (t, point) < best:
+                best = (t, point)
+        return () if best is None else ((best[1], best[0]),)
+
+    return moves
+
+
+def _grid_commits(grid):
+    """Moves of the exhaustive searches: every point at every grid time
+    from `now` (after it, past a divergence) up to the next divergence."""
+
+    def moves(dctxs, committed, now, strict, ready, div):
+        for point in ready:
+            for t in grid:
+                if t < now or (strict and t == now):
+                    continue
+                if div is not None and t > div[0]:
+                    break
+                yield point, t
+
+    return moves
+
+
+def _by_point(constraints):
+    index = {}
+    for c in constraints:
+        index.setdefault(c.source, []).append(c)
+        index.setdefault(c.target, []).append(c)
+    return index
+
+
+def _violations(problem, index, dctxs, committed, point, full):
+    """Bit mask of the constraint sets that committing `point` violates.
+
+    `index[d.idx][i]` maps a point to drama d's constraints of set i on
+    it.  Only constraints on the points the commit makes known (`point`
+    and the contingent points it determines) are checked: every other
+    constraint between known points was checked when its later end became
+    known.  The check stops once every bit of `full` is set.
+    """
+    before = {p: t for p, t in committed.items() if p != point}
+    mask = 0
+    for d in dctxs:
+        times = problem.known_times(d, committed)
+        fresh = times.keys() - problem.known_times(d, before).keys()
+        for i, by_point in enumerate(index[d.idx]):
+            if mask & (1 << i):
+                continue
+            if any(c.source in times and c.target in times
+                   and times[c.target] - times[c.source] > c.delta
+                   for p in fresh for c in by_point.get(p, ())):
+                mask |= 1 << i
+        if mask == full:
+            break
+    return mask
+
+
 def _synthesize(problem):
     """Greedy earliest-first decision-tree synthesis.
 
     Returns {Drama: schedule} or None.  Within an information set the
     globally earliest feasible point is committed; when every feasible
     commitment would fall past the next history divergence, the search
-    waits, splits the information set, and recurses per branch.
+    waits, splits the information set, and recurses per branch.  It
+    follows a single path: the first alternative decides, so the split is
+    never tried after a failed commit.
     """
-    epsilon = problem.network.epsilon
-    table = {}
-
-    def step(dctxs, committed, now, strict):
-        while True:
-            ready, blocked = problem.ready_points(dctxs, committed)
-            div = problem.next_divergence(dctxs, committed, now)
-            floor = now + epsilon if strict else now
-
-            best = None
-            for point in ready:
-                lb, ub = problem.window(dctxs, committed, point)
-                t = max(lb, floor)
-                if ub is not None and t > ub:
-                    if strict and lb <= now and ub > now:
-                        t = now + (ub - now) / 2   # epsilon tick overshot the window
-                        if t < lb:
-                            continue
-                    else:
-                        continue
-                if div is not None and t > div[0]:
-                    continue
-                if best is None or (t, point) < best:
-                    best = (t, point)
-
-            if best is not None:
-                t, point = best
-                committed = dict(committed)
-                committed[point] = t
-                now, strict = t, False
-                continue
-
-            if not ready and not blocked:
-                for d in dctxs:
-                    schedule = problem.schedule_of(d, committed)
-                    if check_solution(d.projection, _restrict(schedule, d.relevant)):
-                        return False
-                    table[d.drama] = _restrict(schedule, d.relevant)
-                return True
-
-            if div is None:
-                return False
-            t, groups = div
-            for group in groups:
-                if not step(group, dict(committed), t, True):
-                    return False
-            return True
-
-    if step(problem.dctxs, {}, Fraction(0), False):
-        return table
-    return None
-
-
-def _restrict(schedule, points):
-    return {p: t for p, t in schedule.items() if p in points}
+    return _explore(problem, _earliest_commit(problem), problem.schedules,
+                    _first, _merge)
 
 
 def candidate_time_grid(network, situations, depth=3, cap=24):
@@ -265,104 +385,27 @@ def candidate_time_grid(network, situations, depth=3, cap=24):
     return tuple(sorted(grid)[:cap])
 
 
-class _Budget(Exception):
-    pass
-
-
 def _exhaustive_witness(problem, grid, budget):
     """Complete search of grid-valued decision-tree strategies.
 
-    Returns (table, exhausted): `table` is a viable dynamic strategy or
-    None; `exhausted` is True when the space was fully explored within
-    budget.  Only viable prefixes are expanded, so success needs no
-    further viability check (it is still re-certified by the caller).
+    Returns the first viable dynamic strategy table found, or None when
+    the space holds none; raises `_Budget` when more than `budget` nodes
+    are entered.  Commits that violate a constraint are pruned, so a leaf
+    is viable (it is still re-certified by the caller).
     """
-    counter = [0]
-    failed = set()
+    index = [[_by_point(d.projection.constraints)] for d in problem.dctxs]
 
-    def active_constraints(dctx):
-        return dctx.projection.constraints
-
-    by_point = {}
-    for d in problem.dctxs:
-        index = {}
-        for c in active_constraints(d):
-            index.setdefault(c.source, []).append(c)
-            index.setdefault(c.target, []).append(c)
-        by_point[d.idx] = index
-
-    def violates(dctx, committed, fresh):
-        times = problem.known_times(dctx, committed)
-        new = {p for p in fresh if p in times}
-        for point in sorted(times):
-            if point not in new:
-                continue
-            for c in by_point[dctx.idx].get(point, ()):
-                if c.source in times and c.target in times:
-                    if times[c.target] - times[c.source] > c.delta:
-                        return True
-        return False
-
-    def newly_known(dctx, committed, point):
-        before = set(problem.known_times(dctx, {p: t for p, t in committed.items()
-                                                if p != point}))
-        return set(problem.known_times(dctx, committed)) - before
-
-    def key_of(dctxs, committed, now, strict):
-        return (frozenset(d.idx for d in dctxs),
-                tuple(sorted(committed.items())), now, strict)
-
-    def step(dctxs, committed, now, strict):
-        counter[0] += 1
-        if counter[0] > budget:
-            raise _Budget()
-        key = key_of(dctxs, committed, now, strict)
-        if key in failed:
+    def commit(dctxs, trial, point, descend):
+        if _violations(problem, index, dctxs, trial, point, 1):
             return None
+        return descend()
 
-        ready, blocked = problem.ready_points(dctxs, committed)
-        div = problem.next_divergence(dctxs, committed, now)
-
-        if not ready and not blocked:
-            table = {}
-            for d in dctxs:
-                table[d.drama] = _restrict(problem.schedule_of(d, committed), d.relevant)
-            return table
-
-        for point in ready:
-            for t in grid:
-                if t < now or (strict and t == now):
-                    continue
-                if div is not None and t > div[0]:
-                    break
-                trial = dict(committed)
-                trial[point] = t
-                if any(violates(d, trial, newly_known(d, trial, point)) for d in dctxs):
-                    continue
-                result = step(dctxs, trial, t, False)
-                if result is not None:
-                    return result
-
-        if div is not None:
-            t, groups = div
-            merged = {}
-            for group in groups:
-                result = step(group, dict(committed), t, True)
-                if result is None:
-                    merged = None
-                    break
-                merged.update(result)
-            if merged is not None:
-                return merged
-
-        failed.add(key)
-        return None
-
-    try:
-        table = step(problem.dctxs, {}, Fraction(0), False)
-        return table, True
-    except _Budget:
-        return None, False
+    # Only failures are remembered: a success ends the search unless a
+    # sibling group fails, and keeping the tables of succeeded nodes raised
+    # the peak heap of the search on bench/gen.py's greedy trap from 15 MB
+    # to 22 MB.
+    return _explore(problem, _grid_commits(grid), problem.schedules,
+                    _first_success, _merge, commit, budget, operator.not_)
 
 
 def tree_strategy_masks(network, constraint_sets, grid, budget=2_000_000):
@@ -378,85 +421,23 @@ def tree_strategy_masks(network, constraint_sets, grid, budget=2_000_000):
     situations = sample_situations(network.links) if network.links else [()]
     dramas = [Drama(s, w) for s in scenarios for w in situations]
     problem = _Problem(network, dramas)
-    counter = [0]
-    memo = {}
-
-    active = {}
+    index = []
     for d in problem.dctxs:
         values = d.drama.scenario.as_mapping()
-        for i, constraints in enumerate(constraint_sets):
-            index = {}
-            for c in constraints:
-                if all(values.get(l) == s for l, s in c.label.literals):
-                    index.setdefault(c.source, []).append(c)
-                    index.setdefault(c.target, []).append(c)
-            active[(i, d.idx)] = index
+        index.append([_by_point(c for c in constraints
+                                if all(values.get(l) == s for l, s in c.label.literals))
+                      for constraints in constraint_sets])
+    full = (1 << len(constraint_sets)) - 1
 
-    def commit_mask(dctxs, committed, point):
-        mask = 0
-        for d in dctxs:
-            times = problem.known_times(dctx=d, committed=committed)
-            prior = set(problem.known_times(d, {p: t for p, t in committed.items()
-                                                if p != point}))
-            fresh = set(times) - prior
-            for i in range(len(constraint_sets)):
-                if mask & (1 << i):
-                    continue
-                hit = False
-                for p in fresh:
-                    for c in active[(i, d.idx)].get(p, ()):
-                        if c.source in times and c.target in times:
-                            if times[c.target] - times[c.source] > c.delta:
-                                hit = True
-                                break
-                    if hit:
-                        break
-                if hit:
-                    mask |= 1 << i
-        return mask
+    def commit(dctxs, trial, point, descend):
+        mask = _violations(problem, index, dctxs, trial, point, full)
+        return frozenset(mask | m for m in descend())
 
-    def step(dctxs, committed, now, strict):
-        counter[0] += 1
-        if counter[0] > budget:
-            raise _Budget()
-        key = (frozenset(d.idx for d in dctxs),
-               tuple(sorted(committed.items())), now, strict)
-        if key in memo:
-            return memo[key]
-
-        ready, blocked = problem.ready_points(dctxs, committed)
-        div = problem.next_divergence(dctxs, committed, now)
-        out = set()
-
-        if not ready and not blocked:
-            out.add(0)
-        else:
-            for point in ready:
-                for t in grid:
-                    if t < now or (strict and t == now):
-                        continue
-                    if div is not None and t > div[0]:
-                        break
-                    trial = dict(committed)
-                    trial[point] = t
-                    delta = commit_mask(dctxs, trial, point)
-                    out.update(delta | m for m in step(dctxs, trial, t, False))
-
-            if div is not None:
-                t, groups = div
-                combos = {0}
-                for group in groups:
-                    sub = step(group, dict(committed), t, True)
-                    combos = {m | s for m in combos for s in sub}
-                    if not combos:
-                        break
-                out.update(combos)
-
-        result = frozenset(out)
-        memo[key] = result
-        return result
-
-    return step(problem.dctxs, {}, Fraction(0), False)
+    return _explore(problem, _grid_commits(grid),
+                    lambda dctxs, committed: frozenset({0}),
+                    lambda results: frozenset().union(*results),
+                    lambda masks, other: frozenset(m | s for m in masks for s in other),
+                    commit, budget, lambda masks: True)
 
 
 @dataclass
@@ -489,12 +470,13 @@ def _strategy_from_table(network, table):
     return Strategy("cstnu", dict(table))
 
 
-def check_dc(network, grid=3, max_letters=6, max_links=6, seed=0,
+def check_dc(network, grid=3, max_letters=6, max_links=6,
              exhaustive_points=6, exhaustive_budget=200_000):
     """Dynamic-controllability check over the sampled drama set.
 
-    `seed` is accepted for CLI reproducibility; the search itself is
-    deterministic.
+    When greedy synthesis fails on a network of at most
+    `exhaustive_points` points, the candidate-time grid is searched
+    exhaustively, entering at most `exhaustive_budget` tree nodes.
     """
     report = validate(network)
     if not report.ok:
@@ -518,27 +500,36 @@ def check_dc(network, grid=3, max_letters=6, max_links=6, seed=0,
                         sample=sample)
 
     table = _synthesize(problem)
-    if table is not None:
-        strategy = _strategy_from_table(network, table)
-        if is_viable(network, strategy) and is_dynamic_star(network, strategy):
-            return DcResult("controllable", strategy=strategy, sample=sample)
-
-    if len(network.timepoints) <= exhaustive_points:
+    if table is None:
+        if len(network.timepoints) > exhaustive_points:
+            return DcResult(
+                "unknown",
+                evidence="exhaustive search skipped: %d points > exhaustive_points (%d)"
+                         % (len(network.timepoints), exhaustive_points),
+                sample=sample)
         times = candidate_time_grid(network, situations)
-        table, exhausted = _exhaustive_witness(problem, times, exhaustive_budget)
-        if table is not None:
-            strategy = _strategy_from_table(network, table)
-            if is_viable(network, strategy) and is_dynamic_star(network, strategy):
-                return DcResult("controllable", strategy=strategy, sample=sample)
-        if exhausted:
+        try:
+            table = _exhaustive_witness(problem, times, exhaustive_budget)
+        except _Budget:
+            return DcResult("unknown",
+                            evidence="budget of %d nodes exhausted" % exhaustive_budget,
+                            sample=sample)
+        if table is None:
             return DcResult(
                 "unknown",
                 evidence="no viable decision tree over %d candidate times; "
                          "the grid may be too coarse" % len(times),
                 sample=sample)
 
-    return DcResult("unknown", evidence="search bounds hit without a verdict",
-                    sample=sample)
+    # Both searches build dynamic, viable strategies by construction, so a
+    # strategy that fails re-certification is a bug, not a verdict.
+    strategy = _strategy_from_table(network, table)
+    for certify in (is_viable, is_dynamic_star):
+        outcome = certify(network, strategy)
+        if not outcome:
+            raise RuntimeError("search built a strategy that fails re-certification: %s"
+                               % outcome)
+    return DcResult("controllable", strategy=strategy, sample=sample)
 
 
 def verify_cstn_embedding(network, **kwargs):

@@ -151,7 +151,7 @@ class DynamicityResult:
 def is_dynamic_cstn(network, strategy):
     """Direct check of the dynamic property for CSTN strategies:
     Con(s1, scHst(X, s2, sigma)) forces equal execution times for X."""
-    if strategy.kind not in ("cstn", "stn"):
+    if strategy.kind != "cstn":
         raise ValueError("is_dynamic_cstn expects a CSTN strategy")
     scenarios = strategy.indices()
     for s1 in scenarios:

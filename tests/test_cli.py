@@ -132,6 +132,12 @@ def test_verify_strategy_round_trip(capsys, tmp_path):
     code, _, _ = run(capsys, "verify-strategy", str(net_path), str(strat_path))
     assert code in (1, 2)
 
+    # an unknown kind is bad input, not a CSTN strategy
+    strategy["kind"] = "foo"
+    strat_path.write_text(json.dumps(strategy))
+    code, _, err = run(capsys, "verify-strategy", str(net_path), str(strat_path))
+    assert code == 2 and "bad strategy file" in err and "cstn, stnu or cstnu" in err
+
 
 def test_compile_workflow_map(capsys, tmp_path, workflow_file):
     net_path = tmp_path / "net.json"

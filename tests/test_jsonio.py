@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from cstnu import Scenario, Strategy, check_dc, solve, to_stn
 from cstnu.fixtures import tight_contingent_stnu
 from cstnu.jsonio import (dumps, loads, network_from_dict, network_to_dict,
@@ -54,3 +56,9 @@ def test_strategy_round_trip_stnu_and_kind_inference():
     # kind can also be inferred from the entry shape
     data.pop("kind")
     assert strategy_from_dict(data).table == back.table
+
+
+@pytest.mark.parametrize("kind", ["foo", "stn", ""])
+def test_strategy_kind_must_be_known(kind):
+    with pytest.raises(ValueError, match="cstn, stnu or cstnu"):
+        strategy_from_dict({"kind": kind, "entries": []})

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from cstnu import (ContingentLink, LabeledConstraint, Network, TimePoint,
-                   candidate_time_grid, check_dc, is_dynamic_star, is_viable,
-                   parse_label, sample_situations, tree_strategy_masks,
-                   verify_cstn_embedding, verify_stnu_embedding)
+from cstnu import (ContingentLink, Drama, LabeledConstraint, Network, TimePoint,
+                   candidate_time_grid, check_dc, enumerate_scenarios,
+                   is_dynamic_star, is_viable, parse_label, sample_situations,
+                   search, tree_strategy_masks, verify_cstn_embedding,
+                   verify_stnu_embedding)
 from cstnu.fixtures import modification_study, tight_contingent_stnu
 from helpers import random_cstn, random_consistent_stn, random_stnu
 
@@ -149,3 +150,81 @@ def test_tightening_preserves_negative_verdicts():
             continue    # tightening a required link bound invalidates the net
         if base.verdict == "not-controllable":
             assert after.verdict != "controllable"
+
+
+def late_observation():
+    # X must commit before p is observed at Op: X <= Z+1 when not-p,
+    # X >= Z+2 when p, and Op comes at least 2 after Z.
+    return Network(
+        timepoints=[TimePoint("Op"), TimePoint("X"), TimePoint("Z")],
+        constraints=[
+            LabeledConstraint("Z", "X", Fraction(1), parse_label("!p")),
+            LabeledConstraint("X", "Z", Fraction(-2), parse_label("p")),
+            LabeledConstraint("Op", "Z", Fraction(-2)),
+            LabeledConstraint("Z", "Op", Fraction(5))],
+        letters=["p"], observations={"p": "Op"})
+
+
+def test_unknown_names_the_bound_that_stopped_the_search():
+    net = late_observation()
+    grid = candidate_time_grid(net, [()])
+    exhausted = check_dc(net)
+    assert exhausted.verdict == "unknown"
+    assert exhausted.evidence == ("no viable decision tree over %d candidate times; "
+                                  "the grid may be too coarse" % len(grid))
+    over_budget = check_dc(net, exhaustive_budget=50)
+    assert over_budget.verdict == "unknown"
+    assert over_budget.evidence == "budget of 50 nodes exhausted"
+    skipped = check_dc(net, exhaustive_points=2)
+    assert skipped.verdict == "unknown"
+    assert skipped.evidence == "exhaustive search skipped: 3 points > exhaustive_points (2)"
+
+
+def test_exhaustive_search_certifies_what_greedy_synthesis_misses():
+    # bench/gen.py's greedy trap with epsilon 1: Or, shared until observed,
+    # must wait for X3, and greedy synthesis runs X3 too early
+    lab = parse_label
+    net = Network(
+        timepoints=[TimePoint("Or"), TimePoint("X0", lab("r")), TimePoint("X1", lab("!r")),
+                    TimePoint("X2"), TimePoint("X3")],
+        constraints=[
+            LabeledConstraint("X0", "Or", Fraction(-1), lab("r")),
+            LabeledConstraint("X1", "Or", Fraction(-1), lab("!r")),
+            LabeledConstraint("Or", "X0", Fraction(4), lab("r")),
+            LabeledConstraint("X3", "X1", Fraction(5), lab("!r")),
+            LabeledConstraint("X0", "X2", Fraction(-12), lab("r")),
+            LabeledConstraint("X1", "X3", Fraction(3), lab("!r")),
+            LabeledConstraint("X2", "X3", Fraction(18))],
+        letters=["r"], observations={"r": "Or"}, epsilon=Fraction(1))
+    problem = search._Problem(net, [Drama(s, ()) for s in enumerate_scenarios(net.letters)])
+    assert search._synthesize(problem) is None
+    result = check_dc(net)
+    assert result.verdict == "controllable"
+    assert is_viable(net, result.strategy).ok
+    assert is_dynamic_star(net, result.strategy).ok
+
+
+def test_witness_search_and_masks_agree():
+    net = late_observation()
+    grid = candidate_time_grid(net, [()])
+    problem = search._Problem(net, [Drama(s, ()) for s in enumerate_scenarios(net.letters)])
+    masks = tree_strategy_masks(net, [net.constraints], grid)
+    assert masks == {1}
+    witness = search._exhaustive_witness(problem, grid, 200_000)
+    assert (witness is not None) == (0 in masks)
+
+
+def test_bad_witness_is_a_bug(monkeypatch):
+    real = search._synthesize
+
+    def corrupted(problem):
+        table = real(problem)
+        for schedule in table.values():
+            schedule["X"] += 1
+        return table
+
+    monkeypatch.setattr(search, "_synthesize", corrupted)
+    with pytest.raises(RuntimeError, match="re-certification"):
+        check_dc(Network(timepoints=["A", "X"],
+                         constraints=[LabeledConstraint("A", "X", Fraction(3)),
+                                      LabeledConstraint("X", "A", Fraction(-3))]))
