@@ -65,16 +65,16 @@ def _schedule_from_dict(data):
 
 
 def strategy_to_dict(strategy):
+    """Entries carry their drama's scenario (not for 'stnu' strategies)
+    and situation (not for 'cstn' ones) beside the schedule."""
     entries = []
     for index in strategy.indices():
+        drama = strategy.drama(index)
         entry = {}
-        if strategy.kind == "cstn":
-            entry["scenario"] = {k: v for k, v in index.as_mapping().items()}
-        elif strategy.kind == "stnu":
-            entry["situation"] = [fmt(d) for d in index]
-        else:
-            entry["scenario"] = {k: v for k, v in index.scenario.as_mapping().items()}
-            entry["situation"] = [fmt(d) for d in index.situation]
+        if strategy.kind != "stnu":
+            entry["scenario"] = drama.scenario.as_mapping()
+        if strategy.kind != "cstn":
+            entry["situation"] = [fmt(d) for d in drama.situation]
         entry["schedule"] = _schedule_to_dict(strategy.table[index])
         entries.append(entry)
     return {"kind": strategy.kind, "entries": entries}
@@ -92,21 +92,12 @@ def strategy_from_dict(data):
             kind = "stnu"
         else:
             kind = "cstn"
-    elif kind not in ("cstn", "stnu", "cstnu"):
-        raise ValueError("unknown strategy kind %r; expected cstn, stnu or cstnu"
-                         % (kind,))
     table = {}
     for entry in entries:
-        schedule = _schedule_from_dict(entry.get("schedule", {}))
-        if kind == "stnu":
-            index = tuple(rational(d) for d in entry.get("situation", ()))
-        elif kind == "cstnu":
-            index = Drama(Scenario(entry.get("scenario", {})),
-                          tuple(rational(d) for d in entry.get("situation", ())))
-        else:
-            index = Scenario(entry.get("scenario", {}))
-        table[index] = schedule
-    return Strategy(kind, table)
+        drama = Drama(Scenario(entry.get("scenario", {})),
+                      tuple(rational(d) for d in entry.get("situation", ())))
+        table[drama] = _schedule_from_dict(entry.get("schedule", {}))
+    return Strategy.from_dramas(kind, table)
 
 
 def dumps(data, **kwargs):

@@ -6,7 +6,7 @@ violation reports rather than failing fast, so the CLI can act as a
 diagnostic tool.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .labels import EMPTY, INCONSISTENT, Label, conjoin, sub
@@ -58,16 +58,11 @@ class ContingentLink:
 
 @dataclass(frozen=True)
 class Stn:
-    """Bare STN for the distance-graph engine.
-
-    `provenance` maps constraints back to the labeled constraint or link
-    they were projected from; it is diagnostic only and ignored by
-    equality.
-    """
+    """Bare STN for the distance-graph engine: point ids and unlabeled
+    constraints, with no record of where the constraints came from."""
 
     timepoints: frozenset
     constraints: frozenset
-    provenance: dict = field(default=None, compare=False, hash=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -100,9 +95,10 @@ class Network:
     """A CSTNU; STN/CSTN/STNU are the degenerate kinds.
 
     Immutable after construction.  Structural well-formedness (ids exist,
-    letters declared, bounds are rationals) is enforced here; the WD and
-    link conditions are checked by the validators, which report rather
-    than raise.
+    letters declared, bounds are rationals) is enforced here: constraint
+    deltas and link bounds pass through `rational()`, so floats and
+    non-numeric strings raise `ValueError`.  The WD and link conditions
+    are checked by the validators, which report rather than raise.
     """
 
     def __init__(self, timepoints, constraints=(), letters=(), observations=None,
@@ -117,8 +113,13 @@ class Network:
         self.timepoints = dict(sorted(tps.items()))
         self.letters = frozenset(letters)
         self.observations = dict(sorted((observations or {}).items()))
-        self.constraints = frozenset(constraints)
-        self.links = tuple(links)
+        self.constraints = frozenset(
+            c if isinstance(c.delta, Fraction) else replace(c, delta=rational(c.delta))
+            for c in constraints)
+        self.links = tuple(
+            link if isinstance(link.lower, Fraction) and isinstance(link.upper, Fraction)
+            else replace(link, lower=rational(link.lower), upper=rational(link.upper))
+            for link in links)
         self.epsilon = rational(epsilon)
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")

@@ -107,47 +107,42 @@ def relevant_timepoints(network, scenario):
                      if evaluate(tp.label, values))
 
 
+def _project(network, scenario, situation):
+    """The STN of a drama, with either half optional.
+
+    Without a scenario, every point stays and the constraints are
+    label-erased; with one, only its relevant points and the constraints
+    whose labels hold.  With a situation, each link whose two end-points
+    survive gets its rigid duration.
+    """
+    if situation is not None:
+        _check_bounds(network, situation)
+    if scenario is None:
+        points = frozenset(network.timepoints)
+        constraints = set(strip_labels(network.constraints))
+    else:
+        points = relevant_timepoints(network, scenario)
+        values = scenario.as_mapping()
+        constraints = {Constraint(c.source, c.target, c.delta)
+                       for c in network.constraints if evaluate(c.label, values)}
+    for d, link in zip(situation or (), network.links):
+        if link.activation in points and link.contingent in points:
+            constraints.add(Constraint(link.activation, link.contingent, d))
+            constraints.add(Constraint(link.contingent, link.activation, -d))
+    return Stn(points, frozenset(constraints))
+
+
 def scenario_projection(network, scenario):
     """STN over the relevant points, keeping constraints whose labels hold."""
-    _check_total(network, scenario)
-    values = scenario.as_mapping()
-    points = relevant_timepoints(network, scenario)
-    constraints = set()
-    provenance = {}
-    for c in network.constraints:
-        if evaluate(c.label, values):
-            plain = Constraint(c.source, c.target, c.delta)
-            constraints.add(plain)
-            provenance[plain] = "labeled constraint %s" % (c,)
-    return Stn(points, frozenset(constraints), provenance)
+    return _project(network, scenario, None)
 
 
 def situation_projection(network, situation):
     """STN over all points: original constraints plus rigid link durations."""
-    _check_bounds(network, situation)
-    constraints = set(strip_labels(network.constraints))
-    provenance = {c: "network constraint" for c in constraints}
-    for d, link in zip(situation, network.links):
-        upper = Constraint(link.activation, link.contingent, d)
-        lower = Constraint(link.contingent, link.activation, -d)
-        constraints.update((upper, lower))
-        provenance[upper] = provenance[lower] = (
-            "link (%s, %s) fixed at %s" % (link.activation, link.contingent, d))
-    return Stn(frozenset(network.timepoints), frozenset(constraints), provenance)
+    return _project(network, None, situation)
 
 
 def drama_projection(network, scenario, situation):
     """STN for a drama: scenario-selected constraints plus rigid durations
     for the links whose end-points survive the scenario."""
-    _check_bounds(network, situation)
-    base = scenario_projection(network, scenario)
-    constraints = set(base.constraints)
-    provenance = dict(base.provenance)
-    for d, link in zip(situation, network.links):
-        if link.activation in base.timepoints and link.contingent in base.timepoints:
-            upper = Constraint(link.activation, link.contingent, d)
-            lower = Constraint(link.contingent, link.activation, -d)
-            constraints.update((upper, lower))
-            provenance[upper] = provenance[lower] = (
-                "link (%s, %s) fixed at %s" % (link.activation, link.contingent, d))
-    return Stn(base.timepoints, frozenset(constraints), provenance)
+    return _project(network, scenario, situation)

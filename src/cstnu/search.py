@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .model import Constraint, Stn, validate
 from .projection import (Drama, drama_projection, enumerate_scenarios,
-                         relevant_timepoints, sample_situations)
+                         sample_situations)
 from .rational import INF
 from .semantics import Strategy, is_dynamic_star, is_viable
 from .stn import solve
@@ -51,8 +51,8 @@ class _Problem:
         self.activation = {link.contingent: link.activation for link in network.links}
         self.dctxs = []
         for i, drama in enumerate(dramas):
-            relevant = relevant_timepoints(network, drama.scenario)
             projection = drama_projection(network, drama.scenario, drama.situation)
+            relevant = projection.timepoints
             durations = {link.contingent: d
                          for link, d in zip(network.links, drama.situation)
                          if link.activation in relevant and link.contingent in relevant}
@@ -362,12 +362,12 @@ def candidate_time_grid(network, situations, depth=3, cap=24):
     base = {Fraction(0), network.epsilon}
     horizon = Fraction(1)
     for c in network.constraints:
-        base.add(abs(Fraction(c.delta)))
-        horizon += abs(Fraction(c.delta))
+        base.add(abs(c.delta))
+        horizon += abs(c.delta)
     for link in network.links:
-        base.add(Fraction(link.lower))
-        base.add(Fraction(link.upper))
-        horizon += Fraction(link.upper)
+        base.add(link.lower)
+        base.add(link.upper)
+        horizon += link.upper
     for situation in situations:
         base.update(Fraction(d) for d in situation)
     base = {v for v in base if 0 <= v <= horizon}
@@ -415,7 +415,8 @@ def tree_strategy_masks(network, constraint_sets, grid, budget=2_000_000):
     Bit i of a mask is set when the strategy violates some constraint of
     `constraint_sets[i]` in some drama whose scenario makes its label
     true.  The full mask set supports questions like "is every strategy
-    viable for set 0 also viable for set 1".
+    viable for set 0 also viable for set 1".  Raises `RuntimeError` when
+    more than `budget` tree nodes are entered.
     """
     scenarios = enumerate_scenarios(network.letters)
     situations = sample_situations(network.links) if network.links else [()]
@@ -433,11 +434,14 @@ def tree_strategy_masks(network, constraint_sets, grid, budget=2_000_000):
         mask = _violations(problem, index, dctxs, trial, point, full)
         return frozenset(mask | m for m in descend())
 
-    return _explore(problem, _grid_commits(grid),
-                    lambda dctxs, committed: frozenset({0}),
-                    lambda results: frozenset().union(*results),
-                    lambda masks, other: frozenset(m | s for m in masks for s in other),
-                    commit, budget, lambda masks: True)
+    try:
+        return _explore(problem, _grid_commits(grid),
+                        lambda dctxs, committed: frozenset({0}),
+                        lambda results: frozenset().union(*results),
+                        lambda masks, other: frozenset(m | s for m in masks for s in other),
+                        commit, budget, lambda masks: True)
+    except _Budget:
+        raise RuntimeError("budget of %d nodes exhausted" % budget) from None
 
 
 @dataclass
@@ -458,16 +462,6 @@ class DcResult:
         if self.sample:
             parts.append("(%s)" % self.sample)
         return "; ".join(parts)
-
-
-def _strategy_from_table(network, table):
-    """Convert the internal drama-indexed table to the kind-matching strategy."""
-    kind = network.kind
-    if kind in ("stn", "cstn"):
-        return Strategy("cstn", {drama.scenario: sched for drama, sched in table.items()})
-    if kind == "stnu":
-        return Strategy("stnu", {drama.situation: sched for drama, sched in table.items()})
-    return Strategy("cstnu", dict(table))
 
 
 def check_dc(network, grid=3, max_letters=6, max_links=6,
@@ -523,7 +517,7 @@ def check_dc(network, grid=3, max_letters=6, max_links=6,
 
     # Both searches build dynamic, viable strategies by construction, so a
     # strategy that fails re-certification is a bug, not a verdict.
-    strategy = _strategy_from_table(network, table)
+    strategy = Strategy.from_dramas("cstn" if network.kind == "stn" else network.kind, table)
     for certify in (is_viable, is_dynamic_star):
         outcome = certify(network, strategy)
         if not outcome:

@@ -10,17 +10,21 @@ observation at exactly time t is not part of t's history.
 from dataclasses import dataclass
 
 from .labels import Label, con
-from .projection import (Drama, Scenario, drama_projection, relevant_timepoints,
-                         scenario_projection, situation_projection)
+from .projection import Drama, Scenario, drama_projection
 from .stn import check_solution
+
+_NO_SCENARIO = Scenario({})
 
 
 @dataclass
 class Strategy:
     """Explicit strategy table.
 
-    kind 'cstn': Scenario -> schedule over the scenario's relevant points;
-    kind 'stnu': situation tuple -> schedule over all points;
+    Every index stands for a drama (`drama`):
+    kind 'cstn': Scenario -> schedule over the scenario's relevant points
+    (the drama's situation is empty);
+    kind 'stnu': situation tuple -> schedule over all points (the drama's
+    scenario is empty);
     kind 'cstnu': Drama -> schedule over the scenario's relevant points.
     """
 
@@ -33,22 +37,53 @@ class Strategy:
     def indices(self):
         return sorted(self.table, key=str)
 
+    def drama(self, index):
+        """The drama that `index` stands for."""
+        if self.kind == "cstn":
+            return Drama(index, ())
+        if self.kind == "stnu":
+            return Drama(_NO_SCENARIO, index)
+        if self.kind == "cstnu":
+            return index
+        raise _unknown_kind(self.kind)
+
+    @classmethod
+    def from_dramas(cls, kind, table):
+        """The `kind` strategy holding the schedules of `table`
+        (Drama -> schedule), each under the index that stands for its drama."""
+        if kind == "cstn":
+            return cls(kind, {drama.scenario: sched for drama, sched in table.items()})
+        if kind == "stnu":
+            return cls(kind, {drama.situation: sched for drama, sched in table.items()})
+        if kind == "cstnu":
+            return cls(kind, dict(table))
+        raise _unknown_kind(kind)
+
+
+def _unknown_kind(kind):
+    return ValueError("unknown strategy kind %r; expected cstn, stnu or cstnu" % (kind,))
+
 
 def history_label(history):
     """View a scenario history as the label its observations spell out."""
     return Label(history)
 
 
-def _check_domain(network, strategy, index):
-    schedule = strategy.table[index]
-    if strategy.kind == "stnu":
-        expected = frozenset(network.timepoints)
-    else:
-        scenario = index.scenario if strategy.kind == "cstnu" else index
-        expected = relevant_timepoints(network, scenario)
-    if frozenset(schedule) != expected:
-        raise ValueError("schedule domain for %s is not the expected point set" % (index,))
-    return schedule
+def _history(network, scenario, schedule, t):
+    """What is observable strictly before `t` under `schedule`: the
+    (letter, value) observations and the (activation, contingent,
+    duration) link completions, among the scheduled points."""
+    observations = frozenset(
+        (letter, scenario.value(letter))
+        for letter, obs in network.observations.items()
+        if obs in schedule and schedule[obs] < t)
+    durations = frozenset(
+        (link.activation, link.contingent,
+         schedule[link.contingent] - schedule[link.activation])
+        for link in network.links
+        if link.activation in schedule and link.contingent in schedule
+        and schedule[link.contingent] < t)
+    return observations, durations
 
 
 def sc_hst(network, scenario, strategy, point):
@@ -61,44 +96,18 @@ def sc_hst(network, scenario, strategy, point):
 
 def sc_hst_star(network, scenario, strategy, t):
     """Observations made strictly before numeric time `t` (scHst*)."""
-    schedule = strategy.table[scenario]
-    out = set()
-    for letter in network.letters:
-        obs = network.observation_point(letter)
-        if obs in schedule and schedule[obs] < t:
-            out.add((letter, scenario.value(letter)))
-    return frozenset(out)
+    return _history(network, scenario, strategy.table[scenario], t)[0]
 
 
 def sit_hst(network, situation, strategy, t):
     """Contingent completions strictly before `t`, with observed durations."""
-    schedule = strategy.table[situation]
-    out = set()
-    for link in network.links:
-        if schedule[link.contingent] < t:
-            out.add((link.activation, link.contingent,
-                     schedule[link.contingent] - schedule[link.activation]))
-    return frozenset(out)
+    return _history(network, _NO_SCENARIO, strategy.table[situation], t)[1]
 
 
 def dr_hst(network, scenario, situation, strategy, t):
     """Drama history: the (scenario history, situation history) pair,
     both restricted to the scenario's relevant points."""
-    drama = Drama(scenario, situation)
-    schedule = strategy.table[drama]
-    relevant = frozenset(schedule)
-    h_s = set()
-    for letter in network.letters:
-        obs = network.observation_point(letter)
-        if obs in relevant and schedule[obs] < t:
-            h_s.add((letter, scenario.value(letter)))
-    h_w = set()
-    for link in network.links:
-        if (link.activation in relevant and link.contingent in relevant
-                and schedule[link.contingent] < t):
-            h_w.add((link.activation, link.contingent,
-                     schedule[link.contingent] - schedule[link.activation]))
-    return frozenset(h_s), frozenset(h_w)
+    return _history(network, scenario, strategy.table[Drama(scenario, situation)], t)
 
 
 @dataclass
@@ -116,19 +125,16 @@ class ViabilityResult:
         return "not viable: %s violated for %s" % (self.constraint, self.index)
 
 
-def _projection_for(network, strategy, index):
-    if strategy.kind == "stnu":
-        return situation_projection(network, index)
-    if strategy.kind == "cstnu":
-        return drama_projection(network, index.scenario, index.situation)
-    return scenario_projection(network, index)
-
-
 def is_viable(network, strategy):
-    """Every indexed schedule must solve the corresponding projection."""
+    """Every indexed schedule must solve its drama's projection, over
+    exactly the projection's points."""
     for index in strategy.indices():
-        schedule = _check_domain(network, strategy, index)
-        violated = check_solution(_projection_for(network, strategy, index), schedule)
+        drama = strategy.drama(index)
+        projection = drama_projection(network, drama.scenario, drama.situation)
+        schedule = strategy.table[index]
+        if frozenset(schedule) != projection.timepoints:
+            raise ValueError("schedule domain for %s is not the expected point set" % (index,))
+        violated = check_solution(projection, schedule)
         if violated:
             return ViabilityResult(False, index, violated[0])
     return ViabilityResult(True)
@@ -172,23 +178,18 @@ def is_dynamic_star(network, strategy):
     """The history*-based dynamicity check (the dynamic* property).
 
     Equal histories at t = [sigma(i1)]_X force equal execution times.
-    For STNU/CSTNU strategies only non-contingent points are quantified:
-    the environment, not the strategy, sets contingent times.
+    Only non-contingent points are quantified: the environment, not the
+    strategy, sets contingent times.
     """
-    contingent = network.contingent_points if strategy.kind in ("stnu", "cstnu") else frozenset()
+    contingent = network.contingent_points
     indices = strategy.indices()
     history_cache = {}
 
     def history(index, t):
         key = (index, t)
         if key not in history_cache:
-            if strategy.kind == "stnu":
-                history_cache[key] = sit_hst(network, index, strategy, t)
-            elif strategy.kind == "cstnu":
-                history_cache[key] = dr_hst(network, index.scenario, index.situation,
-                                            strategy, t)
-            else:
-                history_cache[key] = sc_hst_star(network, index, strategy, t)
+            history_cache[key] = _history(network, strategy.drama(index).scenario,
+                                          strategy.table[index], t)
         return history_cache[key]
 
     for i1 in indices:

@@ -26,10 +26,6 @@ class DistanceMatrix:
         """Tightest implied bound on target - source (INF if unconstrained)."""
         return self._dist[self._index[source]][self._index[target]]
 
-    def row(self, source):
-        i = self._index[source]
-        return {t: self._dist[i][j] for j, t in enumerate(self.ids)}
-
 
 def solve(stn):
     """Shortest-path closure of `stn`; `consistent` is False on a negative cycle."""

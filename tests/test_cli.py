@@ -139,6 +139,15 @@ def test_verify_strategy_round_trip(capsys, tmp_path):
     assert code == 2 and "bad strategy file" in err and "cstn, stnu or cstnu" in err
 
 
+def test_verify_strategy_rejects_a_kind_the_network_cannot_hold(capsys, tmp_path,
+                                                               bad_stnu):
+    strat_path = tmp_path / "strategy.json"
+    strat_path.write_text(json.dumps({"kind": "cstn", "entries": [
+        {"scenario": {}, "schedule": {"A": "0", "C": "2"}}]}))
+    code, _, err = run(capsys, "verify-strategy", bad_stnu, str(strat_path))
+    assert code == 2 and "strategy does not match the network" in err
+
+
 def test_compile_workflow_map(capsys, tmp_path, workflow_file):
     net_path = tmp_path / "net.json"
     map_path = tmp_path / "map.json"

@@ -45,6 +45,24 @@ def test_structural_errors():
         Network(timepoints=["A"], epsilon=0)
 
 
+def test_numbers_are_exact_at_the_boundary():
+    with pytest.raises(ValueError):
+        Network(timepoints=["A", "B"], constraints=[LabeledConstraint("A", "B", 0.1)])
+    with pytest.raises(ValueError):
+        Network(timepoints=["A", "B"], constraints=[LabeledConstraint("A", "B", "soon")])
+    with pytest.raises(ValueError):
+        Network(timepoints=["A", "C"], links=[ContingentLink("A", 1.5, 3, "C")])
+    net = Network(timepoints=["A", "C"],
+                  constraints=[LabeledConstraint("A", "C", "3"),
+                               LabeledConstraint("C", "A", -1)],
+                  links=[ContingentLink("A", "1", "3", "C")])
+    assert {type(c.delta) for c in net.constraints} == {Fraction}
+    assert LabeledConstraint("A", "C", Fraction(3)) in net.constraints
+    assert net.links == (ContingentLink("A", Fraction(1), Fraction(3), "C"),)
+    assert type(net.links[0].lower) is Fraction
+    assert validate(net).ok
+
+
 def test_valid_cstn_passes():
     assert validate_cstn(small_cstn()).ok
 

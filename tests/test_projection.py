@@ -95,6 +95,22 @@ def test_drama_projection_drops_irrelevant_links():
     assert not any(c.source == "A" or c.target == "A" for c in off.constraints)
 
 
+def test_situation_projection_is_the_empty_scenario_drama():
+    rng = random.Random(21)
+    for _ in range(20):
+        net = random_stnu(rng)
+        for w in sample_situations(net.links):
+            assert drama_projection(net, Scenario({}), w) == situation_projection(net, w)
+
+
+def test_scenario_projection_is_the_empty_situation_drama():
+    rng = random.Random(22)
+    for _ in range(20):
+        net = random_cstn(rng)
+        for s in enumerate_scenarios(net.letters):
+            assert drama_projection(net, s, ()) == scenario_projection(net, s)
+
+
 def test_drama_is_hashable_index():
     d1 = Drama(Scenario({"p": True}), (Fraction(2),))
     d2 = Drama(Scenario({"p": 1}), (Fraction(2),))

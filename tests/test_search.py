@@ -131,6 +131,11 @@ def test_tree_strategy_masks_structure():
     assert all(bool(m & 1) == bool(m & 2) for m in masks)
 
 
+def test_tree_strategy_masks_budget_is_a_runtime_error():
+    with pytest.raises(RuntimeError, match="^budget of 5 nodes exhausted$"):
+        tree_strategy_masks(*modification_study(), budget=5)
+
+
 def test_tightening_preserves_negative_verdicts():
     # tightening a bound never turns not-controllable into controllable
     rng = random.Random(19)

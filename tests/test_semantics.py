@@ -86,6 +86,19 @@ def test_viability_rejects_wrong_domain():
         is_viable(net, strategy)
 
 
+def test_viability_rejects_a_kind_the_network_cannot_hold():
+    net = Network(
+        timepoints=["A", "C"],
+        constraints=[LabeledConstraint("A", "C", 3),
+                     LabeledConstraint("C", "A", -1)],
+        links=[ContingentLink("A", 1, 3, "C")])
+    # a CSTN strategy is a drama with an empty situation, which is not a
+    # situation of a network with a link, however it schedules C
+    strategy = Strategy("cstn", {Scenario({}): {"A": Fraction(0), "C": Fraction(5)}})
+    with pytest.raises(ValueError, match="0 durations for 1 links"):
+        is_viable(net, strategy)
+
+
 def test_dynamic_checks_agree_on_simple_cases():
     net = observation_network()
     # reacts only after observing: dynamic
