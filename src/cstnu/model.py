@@ -221,6 +221,39 @@ def validate_cstn(network):
     return Report(tuple(out))
 
 
+def depth_first(roots, successors):
+    """Iterative depth-first walk from each root not reached before.
+
+    Returns `(order, cyclic)`: the nodes reached, in post-order, and the
+    roots whose walk met an active node (one on an unfinished path) and
+    stopped there; the nodes on that path stay active and out of `order`.
+    """
+    active, done = set(), set()
+    order, cyclic = [], []
+    for root in roots:
+        if root in active or root in done:
+            continue
+        active.add(root)
+        stack = [(root, iter(successors(root)))]
+        while stack:
+            node, pending = stack[-1]
+            for nxt in pending:
+                if nxt not in done:
+                    break
+            else:
+                stack.pop()
+                active.remove(node)
+                done.add(node)
+                order.append(node)
+                continue
+            if nxt in active:
+                cyclic.append(root)
+                break
+            active.add(nxt)
+            stack.append((nxt, iter(successors(nxt))))
+    return order, cyclic
+
+
 def validate_stnu(network):
     """Check the contingent-link conditions on the unlabeled part."""
     out = []
@@ -246,21 +279,9 @@ def validate_stnu(network):
     edges = {}
     for link in network.links:
         edges.setdefault(link.activation, []).append(link.contingent)
-    state = {}
-
-    def cyclic(node):
-        state[node] = "active"
-        for nxt in edges.get(node, ()):
-            if state.get(nxt) == "active":
-                return True
-            if nxt not in state and cyclic(nxt):
-                return True
-        state[node] = "done"
-        return False
-
-    for node in sorted(edges):
-        if node not in state and cyclic(node):
-            out.append(Violation("LINK", "contingent links form a loop through %r" % (node,)))
+    _, cyclic = depth_first(sorted(edges), lambda node: edges.get(node, ()))
+    for node in cyclic:
+        out.append(Violation("LINK", "contingent links form a loop through %r" % (node,)))
     return Report(tuple(out))
 
 

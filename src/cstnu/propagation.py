@@ -102,6 +102,11 @@ def label_modification(letter, obs_point, obs_constraint, target_constraint):
                                       target_constraint)
     if failures:
         raise PreconditionError(failures)
+    return _modify(letter, obs_constraint, target_constraint)
+
+
+def _modify(letter, obs_constraint, target_constraint):
+    """`label_modification` on a pair known to meet its preconditions."""
     target_label = target_constraint.label.without({letter})
     shared = obs_constraint.label.letters & target_label.letters
     beta = Label((l, s) for l, s in obs_constraint.label.literals if l in shared)
@@ -175,7 +180,8 @@ def propagate_to_fixpoint(network, budget=5000):
         c = repair(c)
         if c is None or c in constraints:
             return False
-        if any(sub(c.label, dead) for dead in dead_labels):
+        # Negative self-loops stay: label modification may widen one to a refutation.
+        if c.source != c.target and any(sub(c.label, dead) for dead in dead_labels):
             return False    # only applies in scenarios already known dead
         if any(dominates(old, c) for old in constraints):
             return False
@@ -218,7 +224,7 @@ def propagate_to_fixpoint(network, budget=5000):
                         or _modification_failures(letter, obs_c.source,
                                                   obs_c, target_c)):
                     continue
-                result = label_modification(letter, obs_c.source, obs_c, target_c)
+                result = _modify(letter, obs_c, target_c)
                 for c in (result.derived,) + result.residuals:
                     if admit(c, "label-modification", (obs_c, target_c)):
                         changed = True

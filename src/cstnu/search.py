@@ -20,12 +20,12 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Constraint, Stn, validate
+from .model import depth_first, validate
 from .projection import (Drama, drama_projection, enumerate_scenarios,
                          sample_situations)
 from .rational import INF
 from .semantics import Strategy, is_dynamic_star, is_viable
-from .stn import solve
+from .stn import floored, solve
 
 
 @dataclass
@@ -49,6 +49,9 @@ class _Problem:
         self.noncontingent = sorted(set(network.timepoints) - self.contingent)
         self.obs_letter = {point: letter for letter, point in network.observations.items()}
         self.activation = {link.contingent: link.activation for link in network.links}
+        # Contingent points, each after the contingent point activating it.
+        activating = {c: [a] if a in self.activation else [] for c, a in self.activation.items()}
+        self.chain_order, _ = depth_first(sorted(activating), activating.__getitem__)
         self.dctxs = []
         for i, drama in enumerate(dramas):
             projection = drama_projection(network, drama.scenario, drama.situation)
@@ -57,7 +60,7 @@ class _Problem:
                          for link, d in zip(network.links, drama.situation)
                          if link.activation in relevant and link.contingent in relevant}
             self.dctxs.append(_DramaCtx(i, drama, relevant, durations,
-                                        projection, solve(_with_origin(projection))))
+                                        projection, solve(floored(projection, _ORIGIN))))
 
     def inconsistent_drama(self):
         for d in self.dctxs:
@@ -68,16 +71,10 @@ class _Problem:
     def known_times(self, dctx, committed):
         """Committed times plus the contingent times they determine."""
         times = {p: t for p, t in committed.items() if p in dctx.relevant}
-        changed = True
-        while changed:
-            changed = False
-            for point, dur in dctx.durations.items():
-                if point in times:
-                    continue
-                act = self.activation[point]
-                if act in times:
-                    times[point] = times[act] + dur
-                    changed = True
+        for point in self.chain_order:
+            act = self.activation[point]
+            if point in dctx.durations and act in times:
+                times[point] = times[act] + dctx.durations[point]
         return times
 
     def schedules(self, dctxs, committed):
@@ -164,14 +161,6 @@ class _Problem:
 # distance matrix yields absolute earliest times even before any real
 # point has been committed.
 _ORIGIN = "__origin__"
-
-
-def _with_origin(projection):
-    constraints = set(projection.constraints)
-    for point in projection.timepoints:
-        constraints.add(Constraint(point, _ORIGIN, 0))
-    return Stn(frozenset(projection.timepoints) | {_ORIGIN},
-               frozenset(constraints))
 
 
 class _Budget(Exception):
@@ -419,7 +408,7 @@ def tree_strategy_masks(network, constraint_sets, grid, budget=2_000_000):
     more than `budget` tree nodes are entered.
     """
     scenarios = enumerate_scenarios(network.letters)
-    situations = sample_situations(network.links) if network.links else [()]
+    situations = sample_situations(network.links)
     dramas = [Drama(s, w) for s in scenarios for w in situations]
     problem = _Problem(network, dramas)
     index = []
@@ -481,7 +470,7 @@ def check_dc(network, grid=3, max_letters=6, max_links=6,
         raise ValueError("link cap exceeded: %d > %d" % (len(network.links), max_links))
 
     scenarios = enumerate_scenarios(network.letters)
-    situations = sample_situations(network.links, grid) if network.links else [()]
+    situations = sample_situations(network.links, grid)
     dramas = [Drama(s, w) for s in scenarios for w in situations]
     sample = ("%d scenarios x %d sampled situations (duration grid %d per link)"
               % (len(scenarios), len(situations), grid))

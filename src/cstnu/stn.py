@@ -6,6 +6,7 @@ A Floyd-Warshall closure is used: networks here are desk scale and the
 matrix is reused by schedule checking and strategy synthesis.
 """
 
+from .model import Constraint, Stn
 from .rational import INF
 
 
@@ -56,6 +57,12 @@ def solve(stn):
     return DistanceMatrix(ids, dist, consistent)
 
 
+def floored(stn, origin):
+    """`stn` with `origin` added, if new, and every point at or after it."""
+    return Stn(stn.timepoints | {origin}, stn.constraints | {
+        Constraint(point, origin, 0) for point in stn.timepoints})
+
+
 def earliest_solution(stn, origin):
     """Earliest schedule relative to `origin` (origin itself at 0).
 
@@ -63,13 +70,9 @@ def earliest_solution(stn, origin):
     the least value compatible with every constraint.  Raises on
     inconsistent networks.
     """
-    from .model import Constraint, Stn
-
     if origin not in stn.timepoints:
         raise ValueError("unknown origin %r" % (origin,))
-    floored = Stn(stn.timepoints, stn.constraints | {
-        Constraint(point, origin, 0) for point in stn.timepoints})
-    matrix = solve(floored)
+    matrix = solve(floored(stn, origin))
     if not matrix.consistent:
         if solve(stn).consistent:
             raise ValueError("some point is forced before origin %r" % (origin,))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .labels import EMPTY, INCONSISTENT, Label, conjoin
 from .model import (DEFAULT_EPSILON, ContingentLink, LabeledConstraint, Network,
-                    TimePoint, validate)
+                    TimePoint, depth_first, validate)
 from .rational import rational
 
 
@@ -100,7 +100,7 @@ _PATTERNS = {
 def _parse_range(lo, hi, line):
     try:
         lo, hi = rational(lo), rational(hi)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise WorkflowError("bad range bounds [%s,%s]" % (lo, hi), line)
     if lo > hi:
         raise WorkflowError("empty range [%s,%s]" % (lo, hi), line)
@@ -220,19 +220,9 @@ def _validate_spec(spec, lines):
     succ = {}
     for flow in spec.flows:
         succ.setdefault(flow.source, []).append(flow.target)
-    state = {}
-
-    def cyclic(node):
-        state[node] = "active"
-        for nxt in succ.get(node, ()):
-            if state.get(nxt) == "active" or (nxt not in state and cyclic(nxt)):
-                return True
-        state[node] = "done"
-        return False
-
-    for node in sorted(nodes):
-        if node not in state and cyclic(node):
-            raise WorkflowError("flow graph has a cycle through %r" % (node,))
+    _, cyclic = depth_first(sorted(nodes), lambda node: succ.get(node, ()))
+    if cyclic:
+        raise WorkflowError("flow graph has a cycle through %r" % (cyclic[0],))
 
 
 @dataclass
@@ -256,18 +246,8 @@ def _topological(spec):
     incoming = {n: [] for n in nodes}
     for flow in spec.flows:
         incoming[flow.target].append(flow)
-    order, done = [], set()
-
-    def visit(node):
-        if node in done:
-            return
-        for flow in incoming[node]:
-            visit(flow.source)
-        done.add(node)
-        order.append(node)
-
-    for node in sorted(nodes):
-        visit(node)
+    order, _ = depth_first(sorted(nodes),
+                           lambda node: (flow.source for flow in incoming[node]))
     return order, incoming
 
 

@@ -134,6 +134,18 @@ def random_stnu(rng, max_links=2, extra_points=2, consistent=False):
     return Network(timepoints=points, constraints=constraints, links=links)
 
 
+def link_chain(points):
+    """An STNU whose contingent links form one chain P0 -> P1 -> ... through
+    `points` points; each link lasts between 1 and 2."""
+    ids = ["P%d" % i for i in range(points)]
+    constraints, links = [], []
+    for a, c in zip(ids, ids[1:]):
+        constraints += [LabeledConstraint(a, c, Fraction(2)),
+                        LabeledConstraint(c, a, Fraction(-1))]
+        links.append(ContingentLink(a, Fraction(1), Fraction(2), c))
+    return Network(timepoints=ids, constraints=constraints, links=links)
+
+
 def random_cstn_strategy(rng, network, grid=6):
     """An arbitrary scenario-indexed strategy over small integer times.
 

@@ -7,6 +7,7 @@ import pytest
 from cstnu.cli import main
 from cstnu.fixtures import branching_workflow_text, tight_contingent_stnu
 from cstnu.jsonio import dumps, network_to_dict
+from helpers import link_chain
 
 
 @pytest.fixture
@@ -31,6 +32,13 @@ def run(capsys, *argv):
 
 def test_validate_ok(capsys, bad_stnu):
     code, out, _ = run(capsys, "validate", bad_stnu)
+    assert code == 0 and "ok" in out
+
+
+def test_validate_long_link_chain(capsys, tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(dumps(network_to_dict(link_chain(1200))))
+    code, out, _ = run(capsys, "validate", str(path))
     assert code == 0 and "ok" in out
 
 

@@ -129,12 +129,16 @@ def test_stnu_link_conditions():
         links=[ContingentLink("A", 1, 3, "C"), ContingentLink("B", 1, 3, "C")])
     assert any("shared" in v.message for v in validate_stnu(shared).violations)
 
-    loop = Network(
-        timepoints=["A", "C"],
-        constraints=[LabeledConstraint("A", "C", 3), LabeledConstraint("C", "A", -1),
-                     LabeledConstraint("C", "A", 3), LabeledConstraint("A", "C", -1)],
-        links=[ContingentLink("A", 1, 3, "C"), ContingentLink("C", 1, 3, "A")])
-    assert any("loop" in v.message for v in validate_stnu(loop).violations)
+    # two disjoint loops: each is reported
+    pairs = [("A", "C"), ("C", "A"), ("B", "D"), ("D", "B")]
+    loops = Network(
+        timepoints=["A", "B", "C", "D"],
+        constraints=[c for a, b in pairs for c in (LabeledConstraint(a, b, 3),
+                                                   LabeledConstraint(b, a, -1))],
+        links=[ContingentLink(a, 1, 3, b) for a, b in pairs])
+    assert [v.message for v in validate_stnu(loops).violations] == [
+        "contingent links form a loop through 'A'",
+        "contingent links form a loop through 'B'"]
 
 
 def test_cstnu_needs_labeled_bounds_and_matching_labels():

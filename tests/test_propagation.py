@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from cstnu import (LabeledConstraint, Network, PreconditionError, TimePoint,
-                   compose, dominates, label_modification, parse_label,
-                   propagate_to_fixpoint, solve, to_stn)
+                   compile_workflow, compose, dominates, label_modification,
+                   parse_label, parse_workflow, propagate_to_fixpoint, solve, to_stn)
 from cstnu.fixtures import modification_pair
 from helpers import random_consistent_stn
 
@@ -159,3 +159,35 @@ def test_given_constraints_are_traced():
     net = Network(timepoints=["A", "B"], constraints=[lc("A", "B", 1)])
     result = propagate_to_fixpoint(net)
     assert result.trace[lc("A", "B", 1)] == ("given", ())
+
+
+def test_dead_labels_do_not_block_a_refutation():
+    # Both scenarios die (a and !a) before compose derives the a-labeled
+    # negative self-loop on S1_S; label modification needs that loop to
+    # derive the empty-label refutation.
+    text = """\
+task T1 [10,18]
+task T2 [2,6]
+flow T1 -> T2 [0,3]
+split S1 [2,3]
+join J1 [0,2]
+flow T2 -> S1 [2,6]
+task T3 [2,21]
+flow S1 -> T3 [3,6]
+task T4 [5,15]
+flow T3 -> T4 [0,5]
+branch S1 T3 +
+flow T4 -> J1 [1,5]
+task T5 [6,22]
+flow S1 -> T5 [3,7]
+branch S1 T5 -
+flow T5 -> J1 [3,9]
+task T6 [4,9]
+flow J1 -> T6 [3,5]
+constrain T1.S -> T6.E [0,33]
+"""
+    network, _ = compile_workflow(parse_workflow(text))
+    result = propagate_to_fixpoint(network)
+    assert result.refuted
+    assert result.refutation.source == result.refutation.target
+    assert result.refutation.delta < 0 and result.refutation.label.is_empty()

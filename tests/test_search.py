@@ -54,6 +54,21 @@ def test_relaxed_contingent_link_controllable():
     assert is_dynamic_star(net, result.strategy).ok
 
 
+def test_chained_links_listed_against_chain_order():
+    # A activates Y and Y activates X, but X's link is listed first
+    net = Network(
+        timepoints=["A", "X", "Y"],
+        constraints=[LabeledConstraint("A", "Y", 2), LabeledConstraint("Y", "A", -1),
+                     LabeledConstraint("Y", "X", 3), LabeledConstraint("X", "Y", -1)],
+        links=[ContingentLink("Y", 1, 3, "X"), ContingentLink("A", 1, 2, "Y")])
+    result = check_dc(net)
+    assert result.verdict == "controllable"
+    for index, schedule in result.strategy.table.items():
+        situation = result.strategy.drama(index).situation
+        for link, duration in zip(net.links, situation):
+            assert schedule[link.contingent] == schedule[link.activation] + duration
+
+
 def test_observation_branching_needs_dynamic_strategy():
     # X = 10 when p, 20 when not-p: impossible blind, fine after observing
     net = Network(

@@ -67,6 +67,14 @@ def test_cycle_rejected():
                        "flow A -> B [1,2]\nflow B -> A [1,2]\n")
 
 
+def test_long_task_chain_compiles():
+    lines = ["task T%d [1,2]" % i for i in range(1200)]
+    lines += ["flow T%d -> T%d [0,1]" % (i - 1, i) for i in range(1, 1200)]
+    network, cmap = compile_workflow(parse_workflow("\n".join(lines)))
+    assert len(network.links) == 1200
+    assert cmap.tasks["T1199"]["link"] == 1199
+
+
 def test_single_task_compiles_to_one_link():
     net, cmap = compile_workflow(parse_workflow("task T [2,4]\n"))
     assert net.kind == "stnu"
