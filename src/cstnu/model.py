@@ -224,9 +224,10 @@ def validate_cstn(network):
 def depth_first(roots, successors):
     """Iterative depth-first walk from each root not reached before.
 
-    Returns `(order, cyclic)`: the nodes reached, in post-order, and the
-    roots whose walk met an active node (one on an unfinished path) and
-    stopped there; the nodes on that path stay active and out of `order`.
+    Returns `(order, cyclic)`: the nodes reached, in post-order, and, for
+    each root whose walk met an active node (one on an unfinished path, so
+    on a cycle) and stopped there, the node it met; the nodes on that path
+    stay active and out of `order`.
     """
     active, done = set(), set()
     order, cyclic = [], []
@@ -247,7 +248,7 @@ def depth_first(roots, successors):
                 order.append(node)
                 continue
             if nxt in active:
-                cyclic.append(root)
+                cyclic.append(nxt)
                 break
             active.add(nxt)
             stack.append((nxt, iter(successors(nxt))))

@@ -7,6 +7,7 @@ what was observable strictly before a time: ties are excluded, an
 observation at exactly time t is not part of t's history.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .labels import Label, con
@@ -69,21 +70,49 @@ def history_label(history):
     return Label(history)
 
 
+def _events(network, scenario, schedule):
+    """Observable events of one execution, as (time, item) pairs among the
+    scheduled points: an ("obs", (letter, value)) item for each letter
+    observed and a ("link", (activation, contingent, duration)) item for
+    each contingent link completed."""
+    events = []
+    for letter, obs in network.observations.items():
+        if obs in schedule:
+            events.append((schedule[obs], ("obs", (letter, scenario.value(letter)))))
+    for link in network.links:
+        if link.activation in schedule and link.contingent in schedule:
+            done = schedule[link.contingent]
+            events.append((done, ("link", (link.activation, link.contingent,
+                                           done - schedule[link.activation]))))
+    return events
+
+
 def _history(network, scenario, schedule, t):
     """What is observable strictly before `t` under `schedule`: the
     (letter, value) observations and the (activation, contingent,
     duration) link completions, among the scheduled points."""
-    observations = frozenset(
-        (letter, scenario.value(letter))
-        for letter, obs in network.observations.items()
-        if obs in schedule and schedule[obs] < t)
-    durations = frozenset(
-        (link.activation, link.contingent,
-         schedule[link.contingent] - schedule[link.activation])
-        for link in network.links
-        if link.activation in schedule and link.contingent in schedule
-        and schedule[link.contingent] < t)
-    return observations, durations
+    seen = {"obs": set(), "link": set()}
+    for when, (kind, item) in _events(network, scenario, schedule):
+        if when < t:
+            seen[kind].add(item)
+    return frozenset(seen["obs"]), frozenset(seen["link"])
+
+
+def _timeline(network, scenario, schedule, rank, ids):
+    """(times, prefixes) of one execution: the ranks (`rank[time]`) of its
+    event times in order, and an id for the history after each prefix of
+    its events, so that the history strictly before a time of rank r has
+    id prefixes[bisect_left(times, r)].  `ids` numbers every distinct
+    history seen so far."""
+    events = sorted(((rank[when], item) for when, item in _events(network, scenario, schedule)),
+                    key=lambda e: e[0])
+    times = [when for when, _ in events]
+    seen = frozenset()
+    prefixes = [ids.setdefault(seen, len(ids))]
+    for _, item in events:
+        seen = seen | {item}
+        prefixes.append(ids.setdefault(seen, len(ids)))
+    return times, prefixes
 
 
 def sc_hst(network, scenario, strategy, point):
@@ -180,29 +209,49 @@ def is_dynamic_star(network, strategy):
     Equal histories at t = [sigma(i1)]_X force equal execution times.
     Only non-contingent points are quantified: the environment, not the
     strategy, sets contingent times.
+
+    The indices are bucketed by history rather than compared in pairs.
+    For each non-contingent point p and each distinct time t at which some
+    index runs p, the indices running p are grouped by their history
+    strictly before t; the strategy is not dynamic iff some group holds an
+    index with sigma(p) = t and one with sigma(p) != t.  Each index's
+    events are sorted once, so a history lookup is one bisection: the
+    cost is O(sum over p of T_p * N log E) for N indices, T_p distinct
+    times of p and E events per index, not O(N^2 * P).
+
+    The witness (i1, i2, point) is the least violating triple in the order
+    of `Strategy.indices()` positions, then point name: i1 runs the point
+    at t and i2 elsewhere, with equal histories before t.
     """
     contingent = network.contingent_points
     indices = strategy.indices()
-    history_cache = {}
-
-    def history(index, t):
-        key = (index, t)
-        if key not in history_cache:
-            history_cache[key] = _history(network, strategy.drama(index).scenario,
-                                          strategy.table[index], t)
-        return history_cache[key]
-
-    for i1 in indices:
-        sched1 = strategy.table[i1]
-        for i2 in indices:
-            sched2 = strategy.table[i2]
-            shared = frozenset(sched1) & frozenset(sched2)
-            for point in sorted(shared):
-                if point in contingent:
-                    continue
-                t = sched1[point]
-                if sched1[point] == sched2[point]:
-                    continue
-                if history(i1, t) == history(i2, t):
-                    return DynamicityResult(False, (i1, i2, point))
-    return DynamicityResult(True)
+    schedules = [strategy.table[index] for index in indices]
+    # Times are compared by rank: Fraction comparisons cost more than the
+    # rest of the check.
+    rank = {t: r for r, t in enumerate(sorted({t for s in schedules for t in s.values()}))}
+    ids = {}
+    timelines = [_timeline(network, strategy.drama(index).scenario, schedule, rank, ids)
+                 for index, schedule in zip(indices, schedules)]
+    points = sorted({p for schedule in schedules for p in schedule} - contingent)
+    witness = None
+    for point in points:
+        users = [(pos, rank[schedule[point]]) for pos, schedule in enumerate(schedules)
+                 if point in schedule]
+        for t in {when for _, when in users}:
+            # history id -> [least position with sigma(p) = t, least elsewhere]
+            groups = {}
+            for pos, when in users:
+                times, prefixes = timelines[pos]
+                least = groups.setdefault(prefixes[bisect_left(times, t)], [None, None])
+                side = 0 if when == t else 1
+                if least[side] is None:
+                    least[side] = pos
+            for at, elsewhere in groups.values():
+                if at is not None and elsewhere is not None:
+                    found = (at, elsewhere, point)
+                    if witness is None or found < witness:
+                        witness = found
+    if witness is None:
+        return DynamicityResult(True)
+    at, elsewhere, point = witness
+    return DynamicityResult(False, (indices[at], indices[elsewhere], point))

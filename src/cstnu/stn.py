@@ -4,7 +4,19 @@ distance graph, earliest-time schedules, and solution checking.
 All arithmetic is exact; infinity is the saturating `INF` sentinel.
 A Floyd-Warshall closure is used: networks here are desk scale and the
 matrix is reused by schedule checking and strategy synthesis.
+
+The closure runs on integers.  `solve` multiplies every delta by the
+least common denominator of the STN's deltas, so each becomes an `int`,
+and closes the scaled graph.  Shortest-path weights are sums of deltas,
+and scaling by a positive constant preserves sums and order, so the
+scaled closure is the closure of the original graph times that constant:
+nothing is rounded, and a cycle is negative in one exactly when it is
+negative in the other.  The scaled values stay inside `DistanceMatrix`,
+which divides by the constant on the way out.
 """
+
+from fractions import Fraction
+from math import lcm
 
 from .model import Constraint, Stn
 from .rational import INF
@@ -14,32 +26,50 @@ class DistanceMatrix:
     """Shortest-path closure of an STN's distance graph.
 
     When `consistent`, the diagonal is zero and the triangle inequality
-    holds; otherwise some negative-cost cycle exists.
+    holds; otherwise some negative-cost cycle exists.  `dist` holds the
+    closure scaled by `scale`, as integers (or `INF`).
     """
 
-    def __init__(self, ids, dist, consistent):
+    def __init__(self, ids, dist, scale, consistent):
         self.ids = tuple(ids)
         self._index = {t: i for i, t in enumerate(self.ids)}
         self._dist = dist
+        self._scale = scale
+        self._unscaled = {}     # scaled value -> Fraction, built on demand
         self.consistent = consistent
 
     def distance(self, source, target):
-        """Tightest implied bound on target - source (INF if unconstrained)."""
-        return self._dist[self._index[source]][self._index[target]]
+        """Tightest implied bound on target - source: a `Fraction`, `INF` if
+        unconstrained, and `0` from a point to itself on a consistent STN."""
+        i, j = self._index[source], self._index[target]
+        d = self._dist[i][j]
+        if d == INF or (i == j and d == 0):
+            return d
+        value = self._unscaled.get(d)
+        if value is None:
+            value = self._unscaled[d] = Fraction(d, self._scale)
+        return value
 
 
 def solve(stn):
-    """Shortest-path closure of `stn`; `consistent` is False on a negative cycle."""
+    """Shortest-path closure of `stn`; `consistent` is False on a negative cycle.
+
+    The deltas are scaled by their least common denominator and closed
+    over `int`, which is exact (see the module docstring) and several
+    times faster than closing over `Fraction`.
+    """
     ids = sorted(stn.timepoints)
     index = {t: i for i, t in enumerate(ids)}
     n = len(ids)
+    scale = lcm(*{c.delta.denominator for c in stn.constraints})
     dist = [[INF] * n for _ in range(n)]
     for i in range(n):
         dist[i][i] = 0
     for c in stn.constraints:
         i, j = index[c.source], index[c.target]
-        if c.delta < dist[i][j]:
-            dist[i][j] = c.delta
+        delta = c.delta.numerator * (scale // c.delta.denominator)
+        if delta < dist[i][j]:
+            dist[i][j] = delta
     for k in range(n):
         dk = dist[k]
         for i in range(n):
@@ -54,7 +84,7 @@ def solve(stn):
                 if alt < di[j]:
                     di[j] = alt
     consistent = all(dist[i][i] >= 0 for i in range(n))
-    return DistanceMatrix(ids, dist, consistent)
+    return DistanceMatrix(ids, dist, scale, consistent)
 
 
 def floored(stn, origin):

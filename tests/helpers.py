@@ -1,4 +1,4 @@
-"""Randomized generators shared by the test modules.
+"""Randomized generators and a reference check shared by the test modules.
 
 All generators take an explicit random.Random so tests stay reproducible.
 Consistent instances are built from a hidden random solution plus
@@ -10,8 +10,10 @@ from fractions import Fraction
 
 from cstnu import (Constraint, ContingentLink, Cstp, CstpEdge, Label,
                    LabeledConstraint, Network, Scenario, Stn, Strategy,
-                   TimePoint, conjoin, enumerate_scenarios, relevant_timepoints)
+                   TimePoint, conjoin, enumerate_scenarios, relevant_timepoints,
+                   sample_situations)
 from cstnu.labels import EMPTY, INCONSISTENT
+from cstnu.semantics import DynamicityResult, _history
 
 
 def frac(rng, lo=0, hi=20):
@@ -31,14 +33,18 @@ def random_consistent_stn(rng, max_points=8):
     return Stn(frozenset(ids), frozenset(constraints)), solution
 
 
-def random_stn(rng, max_points=6):
-    """An arbitrary STN; may or may not be consistent."""
+def random_stn(rng, max_points=6, fractions=None):
+    """An arbitrary STN; may or may not be consistent.  With `fractions`,
+    each delta is an integer plus one of them, drawn at random."""
     n = rng.randint(2, max_points)
     ids = ["N%d" % i for i in range(n)]
     constraints = set()
     for _ in range(rng.randint(1, 2 * n)):
         a, b = rng.sample(ids, 2)
-        constraints.add(Constraint(a, b, Fraction(rng.randint(-10, 10))))
+        delta = Fraction(rng.randint(-10, 10))
+        if fractions:
+            delta += rng.choice(fractions)
+        constraints.add(Constraint(a, b, delta))
     return Stn(frozenset(ids), frozenset(constraints))
 
 
@@ -165,3 +171,76 @@ def random_cstn_strategy(rng, network, grid=6):
             schedule = {p: frac(rng, 0, grid) for p in sorted(relevant)}
         table[s] = schedule
     return Strategy("cstn", table)
+
+
+def random_stnu_strategy(rng, network, grid=6):
+    """An arbitrary situation-indexed strategy over small integer times,
+    every contingent time its activation time plus the sampled duration.
+
+    Half the time every situation shares one schedule of the
+    non-contingent points (dynamic, since contingent points are exempt),
+    otherwise those times are drawn independently per situation.
+    """
+    contingent = network.contingent_points
+    constant = rng.random() < 0.5
+    shared = {p: frac(rng, 0, grid) for p in network.timepoints}
+    table = {}
+    for situation in sample_situations(network.links):
+        schedule = {p: shared[p] if constant else frac(rng, 0, grid)
+                    for p in sorted(network.timepoints) if p not in contingent}
+        for link, duration in zip(network.links, situation):
+            schedule[link.contingent] = schedule[link.activation] + duration
+        table[situation] = schedule
+    return Strategy("stnu", table)
+
+
+def pairwise_dynamic_star(network, strategy, around=None):
+    """Reference dynamic* check that compares every ordered pair of
+    indices: the first (i1, i2, point) in index order, then point name,
+    where i1 and i2 run a non-contingent point at different times although
+    their histories strictly before i1's time are equal.
+
+    With `around`, only the pairs with that index on one side are
+    compared.  When the strategy without that index's schedule is dynamic,
+    every violating pair has it on one side, so the result is the same.
+
+    Times and histories are compared by interned ids, and a history is
+    computed once per (index, time): hashing dramas and Fractions inside
+    the pair loop made this check take 30 s on the branching-workflow
+    fixture.
+    """
+    contingent = network.contingent_points
+    indices = strategy.indices()
+    times, time_ids, history_ids = [], {}, {}
+    rows = []
+    for index in indices:
+        row = {}
+        for point, t in strategy.table[index].items():
+            if t not in time_ids:
+                time_ids[t] = len(times)
+                times.append(t)
+            row[point] = time_ids[t]
+        rows.append(row)
+    histories = [{} for _ in indices]
+
+    def history(pos, tid):
+        if tid not in histories[pos]:
+            index = indices[pos]
+            seen = _history(network, strategy.drama(index).scenario,
+                            strategy.table[index], times[tid])
+            histories[pos][tid] = history_ids.setdefault(seen, len(history_ids))
+        return histories[pos][tid]
+
+    everyone = range(len(indices))
+    for pos1, row1 in enumerate(rows):
+        points = [(point, row1[point], history(pos1, row1[point]))
+                  for point in sorted(set(row1) - contingent)]
+        partners = everyone
+        if around is not None and indices[pos1] != around:
+            partners = [indices.index(around)]
+        for pos2 in partners:
+            row2 = rows[pos2]
+            for point, t, seen in points:
+                if row2.get(point, t) != t and history(pos2, t) == seen:
+                    return DynamicityResult(False, (indices[pos1], indices[pos2], point))
+    return DynamicityResult(True)

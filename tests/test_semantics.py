@@ -6,10 +6,13 @@ from fractions import Fraction
 import pytest
 
 from cstnu import (ContingentLink, Drama, LabeledConstraint, Network, Scenario,
-                   Strategy, TimePoint, enumerate_scenarios, history_label,
-                   is_dynamic_cstn, is_dynamic_star, is_viable, parse_label,
+                   Strategy, TimePoint, check_dc, compile_workflow,
+                   enumerate_scenarios, history_label, is_dynamic_cstn,
+                   is_dynamic_star, is_viable, parse_label, parse_workflow,
                    relevant_timepoints, sc_hst, sc_hst_star, sit_hst, dr_hst)
-from helpers import random_cstn, random_cstn_strategy
+from cstnu.fixtures import branching_workflow_text
+from helpers import (pairwise_dynamic_star, random_cstn, random_cstn_strategy,
+                     random_stnu, random_stnu_strategy)
 
 
 def observation_network():
@@ -184,3 +187,42 @@ def test_drama_history_restricts_to_relevant():
     assert h_s == {("p", False)}
     assert h_w == frozenset()
     assert is_dynamic_star(net, strategy).ok
+
+
+def test_bucketed_dynamic_star_matches_pairwise_on_random_strategies():
+    rng = random.Random(23)
+    outcomes = set()
+    for _ in range(150):
+        net = random_cstn(rng, max_letters=2, max_points=5)
+        strategy = random_cstn_strategy(rng, net)
+        result = is_dynamic_star(net, strategy)
+        assert result == pairwise_dynamic_star(net, strategy)
+        outcomes.add(result.ok)
+    for _ in range(100):
+        net = random_stnu(rng, max_links=2, extra_points=2)
+        strategy = random_stnu_strategy(rng, net)
+        result = is_dynamic_star(net, strategy)
+        assert result == pairwise_dynamic_star(net, strategy)
+        outcomes.add(result.ok)
+    assert outcomes == {True, False}
+
+
+def test_bucketed_dynamic_star_matches_pairwise_on_the_fixture():
+    net, _ = compile_workflow(parse_workflow(branching_workflow_text()))
+    strategy = check_dc(net).strategy
+    result = is_dynamic_star(net, strategy)
+    assert result.ok and result == pairwise_dynamic_star(net, strategy)
+    # Planted faults: one non-contingent time of one drama moved by 1.  The
+    # rest of the strategy is dynamic, so the pairwise check need only
+    # compare the moved drama with every drama.
+    rng = random.Random(6)
+    indices = strategy.indices()
+    for _ in range(20):
+        index = rng.choice(indices)
+        schedule = dict(strategy.table[index])
+        point = rng.choice(sorted(set(schedule) - net.contingent_points))
+        schedule[point] += rng.choice((-1, 1))
+        faulty = Strategy(strategy.kind, {**strategy.table, index: schedule})
+        result = is_dynamic_star(net, faulty)
+        assert result == pairwise_dynamic_star(net, faulty, around=index)
+        assert not result.ok

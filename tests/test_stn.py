@@ -63,16 +63,33 @@ def brute_consistent(stn):
 
 
 def test_solve_matches_path_oracle():
-    rng = random.Random(2)
-    for _ in range(30):
-        stn = random_stn(rng, max_points=4)
-        matrix = solve(stn)
-        assert matrix.consistent == brute_consistent(stn)
-        if not matrix.consistent:
-            continue
-        for a in stn.timepoints:
-            for b in stn.timepoints:
-                assert matrix.distance(a, b) == brute_distance(stn, a, b), (a, b)
+    # integral deltas, then deltas mixing thirds, sevenths and halves
+    for fractions in (None, (Fraction(1, 3), Fraction(1, 7), Fraction(5, 2))):
+        rng = random.Random(2)
+        verdicts = set()
+        for _ in range(30):
+            stn = random_stn(rng, max_points=4, fractions=fractions)
+            matrix = solve(stn)
+            assert matrix.consistent == brute_consistent(stn)
+            verdicts.add(matrix.consistent)
+            if not matrix.consistent:
+                continue
+            for a in stn.timepoints:
+                for b in stn.timepoints:
+                    assert matrix.distance(a, b) == brute_distance(stn, a, b), (a, b)
+        assert verdicts == {True, False}
+
+
+def test_distances_keep_their_types():
+    third = solve(Stn(frozenset("ABC"), frozenset({
+        Constraint("A", "B", Fraction(1, 3)), Constraint("B", "C", Fraction(5, 2))})))
+    assert repr(third.distance("A", "B")) == repr(Fraction(1, 3))
+    assert repr(third.distance("A", "C")) == repr(Fraction(17, 6))
+    assert third.distance("C", "A") == INF
+    assert repr(third.distance("A", "A")) == "0"
+    # integral deltas still come back as Fractions, not as ints
+    whole = solve(Stn(frozenset("AB"), frozenset({Constraint("A", "B", Fraction(2))})))
+    assert repr(whole.distance("A", "B")) == repr(Fraction(2))
 
 
 def test_triangle_inequality():

@@ -65,6 +65,10 @@ def test_cycle_rejected():
     with pytest.raises(WorkflowError, match="cycle"):
         parse_workflow("task A [1,2]\ntask B [1,2]\n"
                        "flow A -> B [1,2]\nflow B -> A [1,2]\n")
+    # the report names a point on the cycle, not the root of the walk
+    with pytest.raises(WorkflowError, match="cycle through 'B'"):
+        parse_workflow("task A [1,2]\ntask B [1,2]\ntask C [1,2]\n"
+                       "flow A -> B [1,2]\nflow B -> C [1,2]\nflow C -> B [1,2]\n")
 
 
 def test_long_task_chain_compiles():
