@@ -94,7 +94,10 @@ def cmd_solve(args):
             print("inconsistent: the distance graph has a negative cycle")
         return 1
     origin = args.origin or min(stn.timepoints)
-    schedule = earliest_solution(stn, origin)
+    try:
+        schedule = earliest_solution(stn, origin)
+    except ValueError as err:   # an unknown origin, or a point forced before it
+        raise _InputError(str(err))
     if args.json:
         _write(None, dumps({"consistent": True, "origin": origin,
                             "schedule": {p: fmt(t) for p, t in sorted(schedule.items())}}))

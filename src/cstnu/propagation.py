@@ -155,40 +155,76 @@ def propagate_to_fixpoint(network, budget=5000):
     whose repaired label is contradictory is dropped.  `budget` caps the
     number of admitted derivations; exceeding it returns with
     `saturated=False` (negative labeled cycles never saturate).
+
+    Admitted constraints are kept in buckets per edge `(source, target)`
+    and per source.  Dominance only relates constraints on one edge, so a
+    candidate is tested against its own edge's bucket (an equal constraint
+    already admitted dominates it).  Each round runs a compose pass over
+    the constraints present when the pass starts, in `str` order (each
+    key computed once, on admission), then a label-modification pass.
+
+    The compose pass is semi-naive: it skips every pair whose two members
+    were both present when the previous compose pass started, since that
+    pass composed them already.  This is exact.  The admitted constraints
+    and the dead labels only grow, a repaired label depends on the label
+    alone, and a rejected candidate leaves no trace, so a derivation
+    rejected once is rejected again and one admitted is still present.
+    The skipped pairs would admit nothing, and the rest are composed in
+    the same order as before, so every round admits the same constraints
+    in the same order, with the same `rounds`, `trace`, refutation and
+    budget cut-off as composing every pair.  Repaired labels are memoized
+    per call and label conjunctions per compose pass.
     """
     constraints = set(network.constraints)
     trace = {c: ("given", ()) for c in constraints}
+    key = {}                # constraint -> str sort key
+    ordinal = {}            # constraint -> admission number
+    on_edge = {}            # (source, target) -> admitted constraints
+    from_source = {}        # source -> admitted constraints
+
+    def index(c):
+        key[c] = str(c)
+        ordinal[c] = len(ordinal)
+        on_edge.setdefault((c.source, c.target), []).append(c)
+        from_source.setdefault(c.source, []).append(c)
+
+    for c in constraints:
+        index(c)
     obs_letter = {point: letter for letter, point in network.observations.items()}
     admitted = [0]
     refutation = [None]
     dead_labels = set()     # labels whose scenarios admit no schedule at all
+    repaired = {}           # literals -> label with its observation points' labels, or None
 
-    def repair(c):
-        label = c.label
+    def repair(label):
+        joint = label
         for q in sorted(label.letters):
-            joint = conjoin(label, network.label_of(network.observation_point(q)))
+            joint = conjoin(joint, network.label_of(network.observation_point(q)))
             if joint is INCONSISTENT:
                 return None
-            label = joint
-        if label == c.label:
-            return c
-        return LabeledConstraint(c.source, c.target, c.delta, label)
+        return joint
 
     def admit(c, rule, parents):
         if c.source == c.target and c.delta >= 0:
             return False    # vacuously true self-loop
-        c = repair(c)
-        if c is None or c in constraints:
+        literals = c.label.literals
+        if literals not in repaired:
+            repaired[literals] = repair(c.label)
+        label = repaired[literals]
+        if label is None:
             return False
+        if label != c.label:
+            c = LabeledConstraint(c.source, c.target, c.delta, label)
         # Negative self-loops stay: label modification may widen one to a refutation.
         if c.source != c.target and any(sub(c.label, dead) for dead in dead_labels):
             return False    # only applies in scenarios already known dead
-        if any(dominates(old, c) for old in constraints):
+        if any(dominates(old, c) for old in on_edge.get((c.source, c.target), ())):
             return False
         if admitted[0] >= budget:
             raise _Exhausted()
         constraints.add(c)
         trace[c] = (rule, tuple(parents))
+        index(c)
         admitted[0] += 1
         if c.source == c.target and c.delta < 0:
             if c.label == EMPTY:
@@ -197,32 +233,43 @@ def propagate_to_fixpoint(network, budget=5000):
             dead_labels.add(c.label)
         return True
 
-    def compose_pass():
+    def compose_pass(fresh):
+        """Compose the pairs with a member admitted as number `fresh` or later."""
         changed = False
-        by_source = {}
-        for c in constraints:
-            by_source.setdefault(c.source, []).append(c)
-        for first in sorted(constraints, key=str):
-            if first.source == first.target and first.delta < 0:
-                continue   # negative self-loops record a dead scenario; do not spin on them
-            for second in sorted(by_source.get(first.target, ()), key=str):
-                if second.source == second.target and second.delta < 0:
+        # Negative self-loops record a dead scenario; do not spin on them.
+        firsts = [c for c in sorted(constraints, key=key.__getitem__)
+                  if c.source != c.target or c.delta >= 0]
+        every, new = {}, {}     # source -> its (new) constraints, sorted
+        joints = {}             # literals of two labels -> their conjunction
+        for c in firsts:
+            every.setdefault(c.source, []).append(c)
+            if ordinal[c] >= fresh:
+                new.setdefault(c.source, []).append(c)
+        for first in firsts:
+            seconds = every if ordinal[first] >= fresh else new
+            literals = first.label.literals
+            for second in seconds.get(first.target, ()):
+                pair = (literals, second.label.literals)
+                if pair not in joints:
+                    joints[pair] = conjoin(first.label, second.label)
+                joint = joints[pair]
+                if joint is INCONSISTENT:
                     continue
-                derived = compose(first, second)
-                if derived is not None and admit(derived, "compose", (first, second)):
+                derived = LabeledConstraint(first.source, second.target,
+                                            first.delta + second.delta, joint)
+                if admit(derived, "compose", (first, second)):
                     changed = True
         return changed
 
     def modification_pass():
         changed = False
-        for obs_c in sorted(constraints, key=str):
+        for obs_c in sorted(constraints, key=key.__getitem__):
             letter = obs_letter.get(obs_c.source)
             if letter is None or obs_c.delta > 0:
                 continue
-            for target_c in sorted(constraints, key=str):
-                if (target_c.source != obs_c.target
-                        or _modification_failures(letter, obs_c.source,
-                                                  obs_c, target_c)):
+            for target_c in sorted(from_source.get(obs_c.target, ()),
+                                   key=key.__getitem__):
+                if _modification_failures(letter, obs_c.source, obs_c, target_c):
                     continue
                 result = _modify(letter, obs_c, target_c)
                 for c in (result.derived,) + result.residuals:
@@ -232,10 +279,13 @@ def propagate_to_fixpoint(network, budget=5000):
 
     rounds = 0
     saturated = True
+    fresh = 0
     try:
         while True:
             rounds += 1
-            changed = compose_pass()
+            start = len(ordinal)
+            changed = compose_pass(fresh)
+            fresh = start
             changed = modification_pass() or changed
             if not changed:
                 break

@@ -12,7 +12,9 @@ from cstnu import (Constraint, ContingentLink, Cstp, CstpEdge, Label,
                    LabeledConstraint, Network, Scenario, Stn, Strategy,
                    TimePoint, conjoin, enumerate_scenarios, relevant_timepoints,
                    sample_situations)
-from cstnu.labels import EMPTY, INCONSISTENT
+from cstnu.labels import EMPTY, INCONSISTENT, sub
+from cstnu.propagation import (PropagationResult, _Exhausted, _modification_failures,
+                               _modify, _Refuted, compose, dominates)
 from cstnu.semantics import DynamicityResult, _history
 
 
@@ -244,3 +246,101 @@ def pairwise_dynamic_star(network, strategy, around=None):
                 if row2.get(point, t) != t and history(pos2, t) == seen:
                     return DynamicityResult(False, (indices[pos1], indices[pos2], point))
     return DynamicityResult(True)
+
+
+def naive_propagate(network, budget=5000):
+    """Reference saturation loop for `propagate_to_fixpoint`: each round
+    composes every pair of constraints, and each candidate is tested for
+    dominance against every admitted constraint.  It admits the same
+    constraints in the same order, so every result field, and the order
+    of the derived trace entries, must match."""
+    constraints = set(network.constraints)
+    trace = {c: ("given", ()) for c in constraints}
+    obs_letter = {point: letter for letter, point in network.observations.items()}
+    admitted = [0]
+    refutation = [None]
+    dead_labels = set()     # labels whose scenarios admit no schedule at all
+
+    def repair(c):
+        label = c.label
+        for q in sorted(label.letters):
+            joint = conjoin(label, network.label_of(network.observation_point(q)))
+            if joint is INCONSISTENT:
+                return None
+            label = joint
+        if label == c.label:
+            return c
+        return LabeledConstraint(c.source, c.target, c.delta, label)
+
+    def admit(c, rule, parents):
+        if c.source == c.target and c.delta >= 0:
+            return False    # vacuously true self-loop
+        c = repair(c)
+        if c is None or c in constraints:
+            return False
+        # Negative self-loops stay: label modification may widen one to a refutation.
+        if c.source != c.target and any(sub(c.label, dead) for dead in dead_labels):
+            return False    # only applies in scenarios already known dead
+        if any(dominates(old, c) for old in constraints):
+            return False
+        if admitted[0] >= budget:
+            raise _Exhausted()
+        constraints.add(c)
+        trace[c] = (rule, tuple(parents))
+        admitted[0] += 1
+        if c.source == c.target and c.delta < 0:
+            if c.label == EMPTY:
+                refutation[0] = c
+                raise _Refuted()
+            dead_labels.add(c.label)
+        return True
+
+    def compose_pass():
+        changed = False
+        by_source = {}
+        for c in constraints:
+            by_source.setdefault(c.source, []).append(c)
+        for first in sorted(constraints, key=str):
+            if first.source == first.target and first.delta < 0:
+                continue   # negative self-loops record a dead scenario; do not spin on them
+            for second in sorted(by_source.get(first.target, ()), key=str):
+                if second.source == second.target and second.delta < 0:
+                    continue
+                derived = compose(first, second)
+                if derived is not None and admit(derived, "compose", (first, second)):
+                    changed = True
+        return changed
+
+    def modification_pass():
+        changed = False
+        for obs_c in sorted(constraints, key=str):
+            letter = obs_letter.get(obs_c.source)
+            if letter is None or obs_c.delta > 0:
+                continue
+            for target_c in sorted(constraints, key=str):
+                if (target_c.source != obs_c.target
+                        or _modification_failures(letter, obs_c.source,
+                                                  obs_c, target_c)):
+                    continue
+                result = _modify(letter, obs_c, target_c)
+                for c in (result.derived,) + result.residuals:
+                    if admit(c, "label-modification", (obs_c, target_c)):
+                        changed = True
+        return changed
+
+    rounds = 0
+    saturated = True
+    try:
+        while True:
+            rounds += 1
+            changed = compose_pass()
+            changed = modification_pass() or changed
+            if not changed:
+                break
+    except _Refuted:
+        return PropagationResult(frozenset(constraints), True, refutation[0],
+                                 saturated=False, rounds=rounds, trace=trace)
+    except _Exhausted:
+        saturated = False
+    return PropagationResult(frozenset(constraints), False,
+                             saturated=saturated, rounds=rounds, trace=trace)

@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, payloads, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cstnu
+from cstnu import compile_workflow, parse_workflow
 from cstnu.cli import main
 from cstnu.fixtures import branching_workflow_text, tight_contingent_stnu
 from cstnu.jsonio import dumps, network_to_dict
@@ -72,6 +77,34 @@ def test_solve(capsys, bad_stnu):
     assert payload["schedule"] == {"A": "0", "C": "1"}
 
 
+def stn_file(tmp_path, constraints):
+    points = sorted({p for c in constraints for p in (c["from"], c["to"])})
+    net = {"kind": "stn", "timepoints": [{"id": p} for p in points],
+           "constraints": [dict(c, label="[]") for c in constraints],
+           "letters": [], "observations": {}, "labels": {}, "links": [],
+           "epsilon": "1/1000"}
+    path = tmp_path / "stn.json"
+    path.write_text(json.dumps(net))
+    return str(path)
+
+
+def test_solve_point_forced_before_the_default_origin(capsys, tmp_path):
+    # B must run a unit before A, the least name and so the default origin
+    path = stn_file(tmp_path, [{"from": "A", "to": "B", "delta": "-1"}])
+    code, out, err = run(capsys, "solve", "--json", path)
+    assert code == 2 and out == ""
+    assert err == "error: some point is forced before origin 'A'\n"
+    code, out, _ = run(capsys, "solve", "--json", "--origin", "B", path)
+    assert code == 0
+    assert json.loads(out)["schedule"] == {"A": "1", "B": "0"}
+
+
+def test_solve_unknown_origin(capsys, bad_stnu):
+    code, out, err = run(capsys, "solve", "--origin", "Z", bad_stnu)
+    assert code == 2 and out == ""
+    assert err == "error: unknown origin 'Z'\n"
+
+
 def test_project_scenario(capsys, tmp_path, workflow_file):
     net_path = str(tmp_path / "net.json")
     assert main(["compile-workflow", workflow_file, "-o", net_path]) == 0
@@ -118,6 +151,24 @@ def test_propagate_trace(capsys, tmp_path):
     entries = json.loads(trace.read_text())["derivations"]
     assert any(e["rule"] == "compose" for e in entries)
     assert all(isinstance(p, int) for e in entries for p in e["parents"])
+
+
+def test_propagate_output_does_not_depend_on_string_hashing(tmp_path):
+    network, _ = compile_workflow(parse_workflow(branching_workflow_text()))
+    net_path = tmp_path / "net.json"
+    net_path.write_text(dumps(network_to_dict(network)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cstnu.__file__)))
+    outputs = []
+    for seed in ("0", "1"):
+        trace = tmp_path / ("trace%s.json" % seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "cstnu.cli", "propagate", "--json",
+             "--trace", str(trace), str(net_path)],
+            env=env, capture_output=True, check=True)
+        outputs.append((done.stdout, trace.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][0])["saturated"]
 
 
 def test_verify_strategy_round_trip(capsys, tmp_path):

@@ -8,8 +8,8 @@ import pytest
 from cstnu import (LabeledConstraint, Network, PreconditionError, TimePoint,
                    compile_workflow, compose, dominates, label_modification,
                    parse_label, parse_workflow, propagate_to_fixpoint, solve, to_stn)
-from cstnu.fixtures import modification_pair
-from helpers import random_consistent_stn
+from cstnu.fixtures import branching_workflow_text, modification_pair
+from helpers import naive_propagate, random_consistent_stn, random_cstn
 
 
 def lc(source, target, delta, label="[]"):
@@ -161,11 +161,7 @@ def test_given_constraints_are_traced():
     assert result.trace[lc("A", "B", 1)] == ("given", ())
 
 
-def test_dead_labels_do_not_block_a_refutation():
-    # Both scenarios die (a and !a) before compose derives the a-labeled
-    # negative self-loop on S1_S; label modification needs that loop to
-    # derive the empty-label refutation.
-    text = """\
+DEAD_BEFORE_REFUTATION = """\
 task T1 [10,18]
 task T2 [2,6]
 flow T1 -> T2 [0,3]
@@ -186,8 +182,39 @@ task T6 [4,9]
 flow J1 -> T6 [3,5]
 constrain T1.S -> T6.E [0,33]
 """
-    network, _ = compile_workflow(parse_workflow(text))
+
+
+def test_dead_labels_do_not_block_a_refutation():
+    # Both scenarios die (a and !a) before compose derives the a-labeled
+    # negative self-loop on S1_S; label modification needs that loop to
+    # derive the empty-label refutation.
+    network, _ = compile_workflow(parse_workflow(DEAD_BEFORE_REFUTATION))
     result = propagate_to_fixpoint(network)
     assert result.refuted
     assert result.refutation.source == result.refutation.target
     assert result.refutation.delta < 0 and result.refutation.label.is_empty()
+
+
+def derivations(result):
+    return [(c, rule, parents) for c, (rule, parents) in result.trace.items()
+            if rule != "given"]
+
+
+def test_fixpoint_matches_the_naive_loop():
+    # The semi-naive, edge-indexed loop must admit what composing every
+    # pair and scanning every constraint admits, in the same order, and
+    # stop at the same point when the budget runs out mid-round.
+    rng = random.Random(5)
+    networks = [random_cstn(rng, max_letters=3, max_points=7) for _ in range(40)]
+    for text in (branching_workflow_text(), DEAD_BEFORE_REFUTATION):
+        networks.append(compile_workflow(parse_workflow(text))[0])
+    for network in networks:
+        for budget in (1, 3, 10, 50, 200, 5000):
+            got = propagate_to_fixpoint(network, budget=budget)
+            want = naive_propagate(network, budget=budget)
+            assert ((got.constraints, got.refuted, got.refutation, got.saturated,
+                     got.rounds)
+                    == (want.constraints, want.refuted, want.refutation,
+                        want.saturated, want.rounds))
+            assert derivations(got) == derivations(want)
+            assert got.trace == want.trace
