@@ -15,7 +15,7 @@ from .jsonio import (dumps, loads, network_from_dict, network_to_dict,
                      stn_to_dict, strategy_from_dict, strategy_to_dict)
 from .model import to_stn, validate
 from .projection import Scenario, drama_projection, scenario_projection, situation_projection
-from .propagation import propagate_to_fixpoint
+from .propagation import DEFAULT_BUDGET, propagate_to_fixpoint
 from .rational import fmt, rational
 from .search import check_dc
 from .semantics import is_dynamic_star, is_viable
@@ -242,7 +242,8 @@ def build_parser():
 
     p = add("propagate", cmd_propagate, help="saturate the labeled constraints")
     p.add_argument("network")
-    p.add_argument("--budget", type=int, default=5000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="admitted derivations before giving up")
     p.add_argument("--trace", help="write the derivation trace to this file")
 
     p = add("check-dc", cmd_check_dc, help="dynamic-controllability check")

@@ -11,6 +11,11 @@ from dataclasses import dataclass
 from .labels import EMPTY, INCONSISTENT, Label, conjoin, sub
 from .model import LabeledConstraint
 
+# Admitted derivations before `propagate_to_fixpoint` gives up, also the
+# `cstnu propagate --budget` default.  Generated 34-point workflows need
+# more than 5000 to reach their refutation.
+DEFAULT_BUDGET = 50_000
+
 
 def compose(first, second):
     """Chain two labeled constraints through their shared middle point.
@@ -145,7 +150,7 @@ class PropagationResult:
         return lines
 
 
-def propagate_to_fixpoint(network, budget=5000):
+def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
     """Saturate the network's labeled constraints under composition and
     label modification.
 

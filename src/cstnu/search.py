@@ -19,6 +19,7 @@ Verdicts are sound, not complete:
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .model import depth_first, validate
 from .projection import (Drama, drama_projection, enumerate_scenarios,
@@ -38,6 +39,7 @@ class _DramaCtx:
     durations: dict          # contingent point -> sampled duration
     projection: object
     matrix: object
+    factor: int = 1          # the problem's scale over the matrix's scale
 
 
 class _Problem:
@@ -61,6 +63,11 @@ class _Problem:
                          if link.activation in relevant and link.contingent in relevant}
             self.dctxs.append(_DramaCtx(i, drama, relevant, durations,
                                         projection, solve(floored(projection, _ORIGIN))))
+        # One scale for every drama, so that `window` compares the closure
+        # entries of different dramas as integers.
+        self.scale = lcm(*(d.matrix.scale for d in self.dctxs))
+        for d in self.dctxs:
+            d.factor = self.scale // d.matrix.scale
 
     def inconsistent_drama(self):
         for d in self.dctxs:
@@ -132,29 +139,43 @@ class _Problem:
         return ready, blocked
 
     def window(self, dctxs, committed, point):
-        """Shared feasible interval for `point` across `dctxs`.
+        """Shared feasible interval (lb, ub) for `point` across `dctxs`;
+        `ub` is None when nothing bounds it from above.
 
         Uses STN decomposability: any value within the distance-matrix
         window of the committed anchors extends to a full solution of
-        each drama's projection.
+        each drama's projection.  The closure entries are read as
+        integers on the problem's `scale`, the least common multiple of
+        the dramas' closure scales: drama d's entry times `d.factor`.  For
+        the origin and for each committed anchor only the tightest entry
+        over `dctxs` is kept, and only then made a `Fraction`; committed
+        times stay `Fraction`s, since a commit may fall between two
+        multiples of 1/scale.
         """
-        lb, ub = Fraction(0), None
-        for d in dctxs:
-            floor = d.matrix.distance(point, _ORIGIN)
-            if floor != INF and -floor > lb:
-                lb = -floor
-            for anchor, t in committed.items():
-                if anchor not in d.relevant:
-                    continue
-                fwd = d.matrix.distance(anchor, point)
-                back = d.matrix.distance(point, anchor)
-                if back != INF and t - back > lb:
-                    lb = t - back
-                if fwd != INF:
-                    cap = t + fwd
-                    if ub is None or cap < ub:
-                        ub = cap
+        floor = _tightest(dctxs, point, _ORIGIN)
+        lb = Fraction(-floor, self.scale) if floor < 0 else Fraction(0)
+        ub = None
+        for anchor, t in committed.items():
+            sharing = [d for d in dctxs if anchor in d.relevant]
+            back = _tightest(sharing, point, anchor)
+            if back != INF:
+                lb = max(lb, t - Fraction(back, self.scale))
+            fwd = _tightest(sharing, anchor, point)
+            if fwd != INF:
+                cap = t + Fraction(fwd, self.scale)
+                ub = cap if ub is None else min(ub, cap)
         return lb, ub
+
+
+def _tightest(dctxs, source, target):
+    """Least closure entry for target - source over `dctxs`, on the
+    problem's scale: an `int`, or `INF`."""
+    best = INF
+    for d in dctxs:
+        entry = d.matrix.scaled(source, target)
+        if entry != INF and entry * d.factor < best:
+            best = entry * d.factor
+    return best
 
 
 # Virtual origin pinned at time 0.  Every point is floored at it, so the

@@ -11,8 +11,8 @@ and closes the scaled graph.  Shortest-path weights are sums of deltas,
 and scaling by a positive constant preserves sums and order, so the
 scaled closure is the closure of the original graph times that constant:
 nothing is rounded, and a cycle is negative in one exactly when it is
-negative in the other.  The scaled values stay inside `DistanceMatrix`,
-which divides by the constant on the way out.
+negative in the other.  `DistanceMatrix.distance` divides by the constant
+on the way out; `DistanceMatrix.scaled` reads the integer as it is.
 """
 
 from fractions import Fraction
@@ -26,17 +26,27 @@ class DistanceMatrix:
     """Shortest-path closure of an STN's distance graph.
 
     When `consistent`, the diagonal is zero and the triangle inequality
-    holds; otherwise some negative-cost cycle exists.  `dist` holds the
-    closure scaled by `scale`, as integers (or `INF`).
+    holds; otherwise some negative-cost cycle exists.  The closure is held
+    as integers scaled by `scale`, the least common denominator of the
+    STN's deltas (or `INF`), and is never copied.  `distance` makes the
+    `Fraction` of one entry; `scaled` reads the entry as it is, for
+    callers that compare entries of many matrices: they bring them to one
+    common multiple of the matrices' `scale`s and make `Fraction`s only
+    of the bounds they keep.
     """
 
     def __init__(self, ids, dist, scale, consistent):
         self.ids = tuple(ids)
         self._index = {t: i for i, t in enumerate(self.ids)}
         self._dist = dist
-        self._scale = scale
+        self.scale = scale
         self._unscaled = {}     # scaled value -> Fraction, built on demand
         self.consistent = consistent
+
+    def scaled(self, source, target):
+        """The tightest implied bound on target - source times `scale`: an
+        `int`, or `INF` if unconstrained."""
+        return self._dist[self._index[source]][self._index[target]]
 
     def distance(self, source, target):
         """Tightest implied bound on target - source: a `Fraction`, `INF` if
@@ -47,7 +57,7 @@ class DistanceMatrix:
             return d
         value = self._unscaled.get(d)
         if value is None:
-            value = self._unscaled[d] = Fraction(d, self._scale)
+            value = self._unscaled[d] = Fraction(d, self.scale)
         return value
 
 
@@ -115,8 +125,6 @@ def check_solution(stn, schedule):
     for point in stn.timepoints:
         if point not in schedule:
             raise ValueError("schedule misses time-point %r" % (point,))
-    violated = []
-    for c in sorted(stn.constraints, key=str):
-        if schedule[c.target] - schedule[c.source] > c.delta:
-            violated.append(c)
-    return violated
+    violated = [c for c in stn.constraints
+                if schedule[c.target] - schedule[c.source] > c.delta]
+    return sorted(violated, key=str)

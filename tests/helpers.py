@@ -15,6 +15,8 @@ from cstnu import (Constraint, ContingentLink, Cstp, CstpEdge, Label,
 from cstnu.labels import EMPTY, INCONSISTENT, sub
 from cstnu.propagation import (PropagationResult, _Exhausted, _modification_failures,
                                _modify, _Refuted, compose, dominates)
+from cstnu.rational import INF
+from cstnu.search import _ORIGIN
 from cstnu.semantics import DynamicityResult, _history
 
 
@@ -55,13 +57,14 @@ def random_label(rng, letters):
                  if rng.random() < 0.5)
 
 
-def random_cstn(rng, max_letters=2, max_points=5, consistent=False):
+def random_cstn(rng, max_letters=2, max_points=5, consistent=False, fractions=None):
     """A well-defined conditional network without contingent links.
 
     Observation points are unlabeled; regular points carry random labels
     with the observation-before-use edges added, and constraint labels
     conjoin their end-point labels, so the well-definedness validator
-    passes by construction.
+    passes by construction.  With `fractions` (positive), each random
+    constraint's delta gains one of them, drawn at random.
     """
     letters = sorted(rng.sample("pqr", rng.randint(1, max_letters)))
     observations = {l: "O%s" % l for l in letters}
@@ -89,6 +92,8 @@ def random_cstn(rng, max_letters=2, max_points=5, consistent=False):
             delta = solution[b] - solution[a] + frac(rng, 0, 5)
         else:
             delta = Fraction(rng.randint(-10, 15))
+        if fractions:
+            delta += rng.choice(fractions)
         constraints.add(LabeledConstraint(a, b, delta, label))
     return Network(
         timepoints=[TimePoint(p, l) for p, l in points.items()],
@@ -120,15 +125,21 @@ def random_cstp(rng, max_letters=2, max_points=4):
                 edges=tuple(edges))
 
 
-def random_stnu(rng, max_links=2, extra_points=2, consistent=False):
-    """An STNU with the required link-range constraints in place."""
+def random_stnu(rng, max_links=2, extra_points=2, consistent=False, fractions=None):
+    """An STNU with the required link-range constraints in place.  With
+    `fractions` (positive), each link bound and each extra constraint's
+    delta gains one of them, drawn at random."""
+
+    def plus(value):
+        return value + rng.choice(fractions) if fractions else value
+
     links = []
     constraints = set()
     points = []
     for i in range(rng.randint(1, max_links)):
         a, c = "A%d" % i, "C%d" % i
-        lo = frac(rng, 1, 5)
-        hi = lo + frac(rng, 1, 5)
+        lo = plus(frac(rng, 1, 5))
+        hi = plus(lo + frac(rng, 1, 5))
         links.append(ContingentLink(a, lo, hi, c))
         constraints.add(LabeledConstraint(a, c, hi))
         constraints.add(LabeledConstraint(c, a, -lo))
@@ -138,7 +149,7 @@ def random_stnu(rng, max_links=2, extra_points=2, consistent=False):
     for _ in range(rng.randint(0, 3)):
         a, b = rng.sample(points, 2)
         lo = 0 if consistent else -10
-        constraints.add(LabeledConstraint(a, b, Fraction(rng.randint(lo, 15))))
+        constraints.add(LabeledConstraint(a, b, plus(Fraction(rng.randint(lo, 15)))))
     return Network(timepoints=points, constraints=constraints, links=links)
 
 
@@ -246,6 +257,29 @@ def pairwise_dynamic_star(network, strategy, around=None):
                 if row2.get(point, t) != t and history(pos2, t) == seen:
                     return DynamicityResult(False, (indices[pos1], indices[pos2], point))
     return DynamicityResult(True)
+
+
+def fraction_window(dctxs, committed, point):
+    """`search._Problem.window` as it was before it read the closures as
+    integers: every entry through `DistanceMatrix.distance`, as a
+    `Fraction`.  Kept as the reference for the integer window."""
+    lb, ub = Fraction(0), None
+    for d in dctxs:
+        floor = d.matrix.distance(point, _ORIGIN)
+        if floor != INF and -floor > lb:
+            lb = -floor
+        for anchor, t in committed.items():
+            if anchor not in d.relevant:
+                continue
+            fwd = d.matrix.distance(anchor, point)
+            back = d.matrix.distance(point, anchor)
+            if back != INF and t - back > lb:
+                lb = t - back
+            if fwd != INF:
+                cap = t + fwd
+                if ub is None or cap < ub:
+                    ub = cap
+    return lb, ub
 
 
 def naive_propagate(network, budget=5000):

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, payloads, reproducibility."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,9 +10,10 @@ import pytest
 
 import cstnu
 from cstnu import compile_workflow, parse_workflow
-from cstnu.cli import main
+from cstnu.cli import build_parser, main
 from cstnu.fixtures import branching_workflow_text, tight_contingent_stnu
 from cstnu.jsonio import dumps, network_to_dict
+from cstnu.propagation import DEFAULT_BUDGET, propagate_to_fixpoint
 from helpers import link_chain
 
 
@@ -169,6 +171,28 @@ def test_propagate_output_does_not_depend_on_string_hashing(tmp_path):
         outputs.append((done.stdout, trace.read_bytes()))
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0][0])["saturated"]
+
+
+def test_propagate_budget_default_is_the_module_constant():
+    args = build_parser().parse_args(["propagate", "net.json"])
+    assert args.budget == DEFAULT_BUDGET
+    assert propagate_to_fixpoint.__defaults__ == (DEFAULT_BUDGET,)
+
+
+# sha256 of `cstnu check-dc --json` on the branching-workflow fixture.  It
+# pins the verdict, the strategy and the JSON layout: a change that should
+# leave them alone (a speed-up, say) must leave this digest alone too; only
+# a change meant to alter that output may re-pin it.
+CHECK_DC_FIXTURE_SHA256 = "af647058e9e2357bfebdc0355b49862cdd672b76928a9f88520c1e3e90100b38"
+
+
+def test_check_dc_json_on_the_fixture_is_pinned(capsys, tmp_path):
+    network, _ = compile_workflow(parse_workflow(branching_workflow_text()))
+    net_path = tmp_path / "net.json"
+    net_path.write_text(dumps(network_to_dict(network)))
+    code, out, _ = run(capsys, "check-dc", "--json", str(net_path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_DC_FIXTURE_SHA256
 
 
 def test_verify_strategy_round_trip(capsys, tmp_path):

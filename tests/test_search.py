@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 from cstnu import (ContingentLink, Drama, LabeledConstraint, Network, TimePoint,
-                   candidate_time_grid, check_dc, enumerate_scenarios,
-                   is_dynamic_star, is_viable, parse_label, sample_situations,
-                   search, tree_strategy_masks, verify_cstn_embedding,
-                   verify_stnu_embedding)
-from cstnu.fixtures import modification_study, tight_contingent_stnu
-from helpers import random_cstn, random_consistent_stn, random_stnu
+                   candidate_time_grid, check_dc, compile_workflow, enumerate_scenarios,
+                   is_dynamic_star, is_viable, parse_label, parse_workflow,
+                   sample_situations, search, tree_strategy_masks,
+                   verify_cstn_embedding, verify_stnu_embedding)
+from cstnu.fixtures import (branching_workflow_text, modification_study,
+                            tight_contingent_stnu)
+from helpers import fraction_window, random_cstn, random_consistent_stn, random_stnu
 
 
 def test_consistent_stn_is_controllable():
@@ -248,3 +249,28 @@ def test_bad_witness_is_a_bug(monkeypatch):
         check_dc(Network(timepoints=["A", "X"],
                          constraints=[LabeledConstraint("A", "X", Fraction(3)),
                                       LabeledConstraint("X", "A", Fraction(-3))]))
+
+
+def test_integer_window_matches_fraction_window(monkeypatch):
+    # Every window of greedy synthesis, on the fixture and on random
+    # networks whose deltas mix thirds, sevenths and halves, so that the
+    # dramas of one problem close on different scales.
+    real = search._Problem.window
+    seen = {"calls": 0, "mixed": 0}
+
+    def checked(problem, dctxs, committed, point):
+        got = real(problem, dctxs, committed, point)
+        assert repr(got) == repr(fraction_window(dctxs, committed, point))
+        seen["calls"] += 1
+        seen["mixed"] += len({d.matrix.scale for d in dctxs}) > 1
+        return got
+
+    monkeypatch.setattr(search._Problem, "window", checked)
+    check_dc(compile_workflow(parse_workflow(branching_workflow_text()))[0])
+    fractions = (Fraction(1, 3), Fraction(1, 7), Fraction(5, 2))
+    rng = random.Random(8)
+    for _ in range(100):
+        check_dc(random_cstn(rng, fractions=fractions))
+        check_dc(random_stnu(rng, fractions=fractions))
+    assert seen["calls"] > 1000
+    assert seen["mixed"] > 200

@@ -90,6 +90,11 @@ def test_distances_keep_their_types():
     # integral deltas still come back as Fractions, not as ints
     whole = solve(Stn(frozenset("AB"), frozenset({Constraint("A", "B", Fraction(2))})))
     assert repr(whole.distance("A", "B")) == repr(Fraction(2))
+    # the scaled entries are the ints the distances are made from
+    assert third.scale == 6 and whole.scale == 1
+    assert repr(third.scaled("A", "C")) == "17"
+    assert third.scaled("C", "A") == INF
+    assert repr(whole.scaled("A", "B")) == "2"
 
 
 def test_triangle_inequality():
