@@ -11,8 +11,9 @@ import argparse
 import sys
 
 from . import __version__
-from .jsonio import (dumps, loads, network_from_dict, network_to_dict,
-                     stn_to_dict, strategy_from_dict, strategy_to_dict)
+from .jsonio import (_constraint_to_dict, _schedule_to_dict, dumps, loads,
+                     network_from_dict, network_to_dict, stn_to_dict,
+                     strategy_from_dict, strategy_to_dict)
 from .model import to_stn, validate
 from .projection import Scenario, drama_projection, scenario_projection, situation_projection
 from .propagation import DEFAULT_BUDGET, propagate_to_fixpoint
@@ -93,6 +94,8 @@ def cmd_solve(args):
         else:
             print("inconsistent: the distance graph has a negative cycle")
         return 1
+    if not args.origin and not stn.timepoints:
+        raise _InputError("network has no time-points")
     origin = args.origin or min(stn.timepoints)
     try:
         schedule = earliest_solution(stn, origin)
@@ -100,7 +103,7 @@ def cmd_solve(args):
         raise _InputError(str(err))
     if args.json:
         _write(None, dumps({"consistent": True, "origin": origin,
-                            "schedule": {p: fmt(t) for p, t in sorted(schedule.items())}}))
+                            "schedule": _schedule_to_dict(schedule)}))
     else:
         print("consistent; earliest schedule from %s:" % origin)
         for point, t in sorted(schedule.items()):
@@ -112,17 +115,20 @@ def cmd_project(args):
     network = _load_network(args.network)
     scenario = _parse_scenario(args.scenario) if args.scenario is not None else None
     situation = None
-    if args.situation is not None:
-        situation = tuple(rational(d) for d in args.situation.split(",")) \
-            if args.situation else ()
-    if scenario is not None and situation is not None:
-        stn = drama_projection(network, scenario, situation)
-    elif scenario is not None:
-        stn = scenario_projection(network, scenario)
-    elif situation is not None:
-        stn = situation_projection(network, situation)
-    else:
-        raise _InputError("project needs --scenario and/or --situation")
+    try:   # a bad duration, or a scenario or situation that misfits the network
+        if args.situation is not None:
+            situation = tuple(rational(d) for d in args.situation.split(",")) \
+                if args.situation else ()
+        if scenario is not None and situation is not None:
+            stn = drama_projection(network, scenario, situation)
+        elif scenario is not None:
+            stn = scenario_projection(network, scenario)
+        elif situation is not None:
+            stn = situation_projection(network, situation)
+        else:
+            raise _InputError("project needs --scenario and/or --situation")
+    except ValueError as err:
+        raise _InputError(str(err))
     _write(args.output, dumps(stn_to_dict(stn)))
     return 0
 
@@ -136,16 +142,12 @@ def cmd_propagate(args):
         entries = []
         for c in ordered:
             rule, parents = result.trace[c]
-            entries.append({"constraint": {"from": c.source, "to": c.target,
-                                           "delta": fmt(c.delta), "label": str(c.label)},
-                            "rule": rule,
+            entries.append({"constraint": _constraint_to_dict(c), "rule": rule,
                             "parents": [index[p] for p in parents]})
         _write(args.trace, dumps({"derivations": entries}))
     payload = {"refuted": result.refuted, "saturated": result.saturated,
                "rounds": result.rounds,
-               "constraints": [{"from": c.source, "to": c.target,
-                                "delta": fmt(c.delta), "label": str(c.label)}
-                               for c in ordered]}
+               "constraints": [_constraint_to_dict(c) for c in ordered]}
     if args.json:
         _write(None, dumps(payload))
     else:

@@ -23,13 +23,16 @@ def network_to_dict(network):
         "timepoints": [{"id": tp.id, "label": str(tp.label)}
                        for tp in network.timepoints.values()],
         "observations": dict(network.observations),
-        "constraints": [{"from": c.source, "to": c.target,
-                         "delta": fmt(c.delta), "label": str(c.label)}
+        "constraints": [_constraint_to_dict(c)
                         for c in sorted(network.constraints, key=str)],
         "links": [{"activation": l.activation, "lower": fmt(l.lower),
                    "upper": fmt(l.upper), "contingent": l.contingent}
                   for l in network.links],
     }
+
+
+def _constraint_to_dict(c):
+    return {"from": c.source, "to": c.target, "delta": fmt(c.delta), "label": str(c.label)}
 
 
 def network_from_dict(data):

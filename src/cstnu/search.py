@@ -25,7 +25,7 @@ from .model import depth_first, validate
 from .projection import (Drama, drama_projection, enumerate_scenarios,
                          sample_situations)
 from .rational import INF
-from .semantics import Strategy, is_dynamic_star, is_viable
+from .semantics import Strategy, _events, is_dynamic_star, is_viable
 from .stn import floored, solve
 
 
@@ -49,7 +49,6 @@ class _Problem:
         self.network = network
         self.contingent = network.contingent_points
         self.noncontingent = sorted(set(network.timepoints) - self.contingent)
-        self.obs_letter = {point: letter for letter, point in network.observations.items()}
         self.activation = {link.contingent: link.activation for link in network.links}
         # Contingent points, each after the contingent point activating it.
         activating = {c: [a] if a in self.activation else [] for c, a in self.activation.items()}
@@ -88,35 +87,22 @@ class _Problem:
         """The strategy table of a leaf: each drama's known times."""
         return {d.drama: self.known_times(d, committed) for d in dctxs}
 
-    def events(self, dctx, committed):
-        """Observable history events with already-determined times."""
-        times = self.known_times(dctx, committed)
-        out = []
-        for point, letter in self.obs_letter.items():
-            if point in dctx.relevant and point in times:
-                out.append((times[point], ("obs", letter),
-                            dctx.drama.scenario.value(letter)))
-        for point, dur in dctx.durations.items():
-            if point in times:
-                out.append((times[point], ("link", self.activation[point], point), dur))
-        return out
-
     def next_divergence(self, dctxs, committed, now):
         """Earliest time >= now at which the histories of `dctxs` split.
 
-        Returns (time, groups) where groups partitions dctxs by the
-        content of their events at that time, or None.
+        Returns (time, groups) where groups partitions dctxs by their
+        events at that time, as `semantics` reads them off each drama's
+        known times, or None.
         """
         per_time = []
-        times = set()
         for d in dctxs:
             table = {}
-            for t, key, content in self.events(d, committed):
+            for t, item in _events(self.network, d.drama.scenario,
+                                   self.known_times(d, committed)):
                 if t >= now:
-                    table.setdefault(t, set()).add((key, content))
-                    times.add(t)
+                    table.setdefault(t, set()).add(item)
             per_time.append(table)
-        for t in sorted(times):
+        for t in sorted(set().union(*per_time)):
             contents = [frozenset(table.get(t, ())) for table in per_time]
             if any(c != contents[0] for c in contents):
                 groups = {}

@@ -74,7 +74,9 @@ def _events(network, scenario, schedule):
     """Observable events of one execution, as (time, item) pairs among the
     scheduled points: an ("obs", (letter, value)) item for each letter
     observed and a ("link", (activation, contingent, duration)) item for
-    each contingent link completed."""
+    each contingent link completed.  Search splits its information sets
+    on these same events, so the strategies it builds pass the dynamic*
+    check."""
     events = []
     for letter, obs in network.observations.items():
         if obs in schedule:

@@ -40,7 +40,6 @@ class DistanceMatrix:
         self._index = {t: i for i, t in enumerate(self.ids)}
         self._dist = dist
         self.scale = scale
-        self._unscaled = {}     # scaled value -> Fraction, built on demand
         self.consistent = consistent
 
     def scaled(self, source, target):
@@ -55,10 +54,7 @@ class DistanceMatrix:
         d = self._dist[i][j]
         if d == INF or (i == j and d == 0):
             return d
-        value = self._unscaled.get(d)
-        if value is None:
-            value = self._unscaled[d] = Fraction(d, self.scale)
-        return value
+        return Fraction(d, self.scale)
 
 
 def solve(stn):

@@ -101,6 +101,26 @@ def test_solve_point_forced_before_the_default_origin(capsys, tmp_path):
     assert json.loads(out)["schedule"] == {"A": "1", "B": "0"}
 
 
+@pytest.mark.parametrize("network, argv", [
+    ("stn", ("project", "--situation", "1,2")),       # two durations, no link
+    ("stnu", ("project", "--situation", "5")),        # outside the link's [1, 3]
+    ("stnu", ("project", "--situation", "x")),        # not a rational
+    ("stn", ("project", "--scenario", "a=1")),        # no letter a
+    ("empty", ("solve",)),                            # no point to be the origin
+], ids=["situation-count", "situation-range", "situation-syntax",
+        "scenario-domain", "solve-no-points"])
+def test_bad_input_exits_2_without_a_traceback(tmp_path, bad_stnu, network, argv):
+    paths = {"stn": stn_file(tmp_path, [{"from": "A", "to": "B", "delta": "3"}]),
+             "stnu": bad_stnu, "empty": str(tmp_path / "empty.json")}
+    (tmp_path / "empty.json").write_text("{}")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cstnu.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "cstnu.cli", argv[0], paths[network], *argv[1:]],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+
+
 def test_solve_unknown_origin(capsys, bad_stnu):
     code, out, err = run(capsys, "solve", "--origin", "Z", bad_stnu)
     assert code == 2 and out == ""
@@ -179,20 +199,36 @@ def test_propagate_budget_default_is_the_module_constant():
     assert propagate_to_fixpoint.__defaults__ == (DEFAULT_BUDGET,)
 
 
-# sha256 of `cstnu check-dc --json` on the branching-workflow fixture.  It
-# pins the verdict, the strategy and the JSON layout: a change that should
-# leave them alone (a speed-up, say) must leave this digest alone too; only
-# a change meant to alter that output may re-pin it.
-CHECK_DC_FIXTURE_SHA256 = "af647058e9e2357bfebdc0355b49862cdd672b76928a9f88520c1e3e90100b38"
+# sha256 of CLI outputs on the branching-workflow fixture.  They pin the
+# verdict, the strategy, the derivations, the schedule and the JSON
+# layouts: a change that should leave them alone (a speed-up, say) must
+# leave these digests alone too; only a change meant to alter an output
+# may re-pin its digest.  The fixture's label-erased STN is inconsistent,
+# so `solve` runs on its a=0 projection, which `project` writes.
+PROPAGATE = ("propagate", "--json", "--trace", "trace.json", "net.json")
 
 
-def test_check_dc_json_on_the_fixture_is_pinned(capsys, tmp_path):
+@pytest.mark.parametrize("argv, written, digest", [
+    (("check-dc", "--json", "net.json"), None,
+     "af647058e9e2357bfebdc0355b49862cdd672b76928a9f88520c1e3e90100b38"),
+    (PROPAGATE, None, "f01a2b5969a4301a12450ef8637ab2ce6cae5ce827bfbdb3e87bbb0f62cb8b8d"),
+    (PROPAGATE, "trace.json",
+     "940ca9be60fa218fae5110bbba6a7254e6b7241a05b798f56cdf6e8e7fe06782"),
+    (("project", "net.json", "--scenario", "a=0"), None,
+     "7c59d64d6b6df31ec353b61f27f0125bd0ee6be046b79d0648ada6745a52e4a1"),
+    (("solve", "--json", "--origin", "T1_S", "a0.json"), None,
+     "804dfd4979387a6e5a4ecaa513a13f295619e203d67f5b92bcbf77fb1ae5cf98"),
+], ids=["check-dc", "propagate", "propagate-trace", "project", "solve"])
+def test_cli_output_on_the_fixture_is_pinned(capsys, tmp_path, monkeypatch,
+                                            argv, written, digest):
+    monkeypatch.chdir(tmp_path)
     network, _ = compile_workflow(parse_workflow(branching_workflow_text()))
-    net_path = tmp_path / "net.json"
-    net_path.write_text(dumps(network_to_dict(network)))
-    code, out, _ = run(capsys, "check-dc", "--json", str(net_path))
+    (tmp_path / "net.json").write_text(dumps(network_to_dict(network)))
+    assert main(["project", "net.json", "--scenario", "a=0", "-o", "a0.json"]) == 0
+    code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_DC_FIXTURE_SHA256
+    text = out if written is None else (tmp_path / written).read_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_verify_strategy_round_trip(capsys, tmp_path):

@@ -12,6 +12,7 @@ from cstnu import (ContingentLink, Drama, LabeledConstraint, Network, TimePoint,
                    verify_cstn_embedding, verify_stnu_embedding)
 from cstnu.fixtures import (branching_workflow_text, modification_study,
                             tight_contingent_stnu)
+from cstnu.semantics import _events, _history
 from helpers import fraction_window, random_cstn, random_consistent_stn, random_stnu
 
 
@@ -274,3 +275,42 @@ def test_integer_window_matches_fraction_window(monkeypatch):
         check_dc(random_stnu(rng, fractions=fractions))
     assert seen["calls"] > 1000
     assert seen["mixed"] > 200
+
+
+def test_search_splits_where_semantics_says_histories_differ(monkeypatch):
+    # Every divergence greedy synthesis and the exhaustive search split on,
+    # on the fixture and on random networks, read back through the
+    # semantics' own history of each drama's known times.
+    real = search._Problem.next_divergence
+    seen = {"splits": 0, "at_now": 0}
+
+    def checked(problem, dctxs, committed, now):
+        found = real(problem, dctxs, committed, now)
+        network = problem.network
+
+        def known(d):
+            return d.drama.scenario, problem.known_times(d, committed)
+
+        if found is None:   # no split ahead: the executions look alike throughout
+            assert len({frozenset(_events(network, *known(d))) for d in dctxs}) == 1
+            return found
+        t, groups = found
+        assert t >= now
+        assert sorted(d.idx for g in groups for d in g) == sorted(d.idx for d in dctxs)
+        assert len({_history(network, *known(d), t) for d in dctxs}) == 1
+        at_t = [{frozenset(item for when, item in _events(network, *known(d)) if when == t)
+                 for d in group} for group in groups]
+        assert all(len(contents) == 1 for contents in at_t)
+        assert len(set().union(*at_t)) == len(groups)
+        seen["splits"] += 1
+        seen["at_now"] += t == now
+        return found
+
+    monkeypatch.setattr(search._Problem, "next_divergence", checked)
+    check_dc(compile_workflow(parse_workflow(branching_workflow_text()))[0])
+    rng = random.Random(9)
+    for _ in range(100):
+        check_dc(random_cstn(rng))
+        check_dc(random_stnu(rng))
+    assert seen["splits"] > 1000
+    assert seen["at_now"] > 100
