@@ -58,6 +58,17 @@ def _load_network(path):
         raise _InputError("bad network file %s: %s" % (path, err))
 
 
+def _count(text):
+    """argparse type of a count flag: a non-negative int."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("not a non-negative integer: %r" % (text,))
+
+
 def _parse_scenario(text):
     values = {}
     if text:
@@ -244,7 +255,7 @@ def build_parser():
 
     p = add("propagate", cmd_propagate, help="saturate the labeled constraints")
     p.add_argument("network")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
                    help="admitted derivations before giving up")
     p.add_argument("--trace", help="write the derivation trace to this file")
 
@@ -252,8 +263,8 @@ def build_parser():
     p.add_argument("network")
     p.add_argument("--grid", type=int, default=3,
                    help="sampled durations per contingent link")
-    p.add_argument("--max-letters", type=int, default=6)
-    p.add_argument("--max-links", type=int, default=6)
+    p.add_argument("--max-letters", type=_count, default=6)
+    p.add_argument("--max-links", type=_count, default=6)
 
     p = add("verify-strategy", cmd_verify_strategy,
             help="check a strategy for viability and dynamicity")

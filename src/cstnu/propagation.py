@@ -7,8 +7,10 @@ definitive about controllability.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
-from .labels import EMPTY, INCONSISTENT, Label, conjoin, sub
+from .labels import INCONSISTENT, Label, conjoin, sub
 from .model import LabeledConstraint
 
 # Admitted derivations before `propagate_to_fixpoint` gives up, also the
@@ -161,45 +163,57 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
     number of admitted derivations; exceeding it returns with
     `saturated=False` (negative labeled cycles never saturate).
 
-    Admitted constraints are kept in buckets per edge `(source, target)`
-    and per source.  Dominance only relates constraints on one edge, so a
-    candidate is tested against its own edge's bucket (an equal constraint
-    already admitted dominates it).  Each round runs a compose pass over
-    the constraints present when the pass starts, in `str` order (each
-    key computed once, on admission), then a label-modification pass.
+    Candidates are judged as integers.  `scale` is the least common
+    multiple of the given deltas' denominators, and every admitted
+    constraint carries its delta times `scale` as an `int`.  Composition
+    adds two of them and label modification keeps the target's, so every
+    derived delta is a sum of given deltas and lies on the 1/`scale`
+    lattice: nothing is rounded, and scaling by a positive constant keeps
+    sums and order, so every test reads the same on the integers.  A
+    candidate is judged from its parts (end-points, scaled delta, label);
+    only an admitted one becomes a `LabeledConstraint`, with delta
+    `Fraction(d, scale)`.
+
+    Admitted constraints are kept in buckets per edge `(source, target)`,
+    as (scaled delta, literal set) pairs, and per source.  Dominance only
+    relates constraints on one edge, so a candidate is tested against its
+    own edge's bucket (an equal constraint already admitted dominates it).
+    Each admission leaves a record (`str` key, admission number,
+    constraint, scaled delta); the givens are numbered in `str` order, so
+    no order depends on string hashing.  Each round runs a compose pass
+    over the records present when it starts, sorted, then a
+    label-modification pass.
 
     The compose pass is semi-naive: it skips every pair whose two members
     were both present when the previous compose pass started, since that
-    pass composed them already.  This is exact.  The admitted constraints
+    pass composed them already.  This is exact: the admitted constraints
     and the dead labels only grow, a repaired label depends on the label
-    alone, and a rejected candidate leaves no trace, so a derivation
-    rejected once is rejected again and one admitted is still present.
-    The skipped pairs would admit nothing, and the rest are composed in
-    the same order as before, so every round admits the same constraints
-    in the same order, with the same `rounds`, `trace`, refutation and
-    budget cut-off as composing every pair.  Repaired labels are memoized
-    per call and label conjunctions per compose pass.
+    alone, and a rejected candidate leaves no trace, so a pair rejected
+    once is rejected again and one admitted is still present.  Every round
+    admits the same constraints in the same order, with the same `rounds`,
+    `trace`, refutation and budget cut-off as composing every pair.
+    Repaired labels are memoized per call and label conjunctions per
+    compose pass.
     """
-    constraints = set(network.constraints)
-    trace = {c: ("given", ()) for c in constraints}
-    key = {}                # constraint -> str sort key
-    ordinal = {}            # constraint -> admission number
-    on_edge = {}            # (source, target) -> admitted constraints
-    from_source = {}        # source -> admitted constraints
+    given = sorted(network.constraints, key=str)
+    scale = lcm(*(c.delta.denominator for c in given))
+    trace = {c: ("given", ()) for c in given}
+    records = []            # (str key, admission number, constraint, delta * scale)
+    on_edge = {}            # (source, target) -> [(delta * scale, literal set)]
+    from_source = {}        # source -> records of its admitted constraints
 
-    def index(c):
-        key[c] = str(c)
-        ordinal[c] = len(ordinal)
-        on_edge.setdefault((c.source, c.target), []).append(c)
-        from_source.setdefault(c.source, []).append(c)
+    def index(c, d, literals):
+        record = (str(c), len(records), c, d)
+        records.append(record)
+        on_edge.setdefault((c.source, c.target), []).append((d, literals))
+        from_source.setdefault(c.source, []).append(record)
 
-    for c in constraints:
-        index(c)
+    for c in given:
+        index(c, c.delta.numerator * (scale // c.delta.denominator),
+              frozenset(c.label.literals))
     obs_letter = {point: letter for letter, point in network.observations.items()}
-    admitted = [0]
-    refutation = [None]
-    dead_labels = set()     # labels whose scenarios admit no schedule at all
-    repaired = {}           # literals -> label with its observation points' labels, or None
+    dead_labels = set()     # literal sets of labels whose scenarios admit no schedule
+    repaired = {}           # literals -> (repaired label, its literal set), or None
 
     def repair(label):
         joint = label
@@ -207,78 +221,74 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
             joint = conjoin(joint, network.label_of(network.observation_point(q)))
             if joint is INCONSISTENT:
                 return None
-        return joint
+        return joint, frozenset(joint.literals)
 
-    def admit(c, rule, parents):
-        if c.source == c.target and c.delta >= 0:
+    def admit(source, target, d, label, rule, parents):
+        if source == target and d >= 0:
             return False    # vacuously true self-loop
-        literals = c.label.literals
+        literals = label.literals
         if literals not in repaired:
-            repaired[literals] = repair(c.label)
-        label = repaired[literals]
-        if label is None:
+            repaired[literals] = repair(label)
+        if repaired[literals] is None:
             return False
-        if label != c.label:
-            c = LabeledConstraint(c.source, c.target, c.delta, label)
+        label, literals = repaired[literals]
         # Negative self-loops stay: label modification may widen one to a refutation.
-        if c.source != c.target and any(sub(c.label, dead) for dead in dead_labels):
+        if source != target and any(dead <= literals for dead in dead_labels):
             return False    # only applies in scenarios already known dead
-        if any(dominates(old, c) for old in on_edge.get((c.source, c.target), ())):
-            return False
-        if admitted[0] >= budget:
+        for old, old_literals in on_edge.get((source, target), ()):
+            if old <= d and old_literals <= literals:
+                return False
+        if len(records) - len(given) >= budget:
             raise _Exhausted()
-        constraints.add(c)
+        c = LabeledConstraint(source, target, Fraction(d, scale), label)
         trace[c] = (rule, tuple(parents))
-        index(c)
-        admitted[0] += 1
-        if c.source == c.target and c.delta < 0:
-            if c.label == EMPTY:
-                refutation[0] = c
-                raise _Refuted()
-            dead_labels.add(c.label)
+        index(c, d, literals)
+        if source == target:
+            if not literals:
+                raise _Refuted(c)
+            dead_labels.add(literals)
         return True
 
     def compose_pass(fresh):
         """Compose the pairs with a member admitted as number `fresh` or later."""
         changed = False
         # Negative self-loops record a dead scenario; do not spin on them.
-        firsts = [c for c in sorted(constraints, key=key.__getitem__)
-                  if c.source != c.target or c.delta >= 0]
-        every, new = {}, {}     # source -> its (new) constraints, sorted
+        firsts = [r for r in sorted(records) if r[2].source != r[2].target or r[3] >= 0]
+        every, new = {}, {}     # source -> its (new) records, sorted
         joints = {}             # literals of two labels -> their conjunction
-        for c in firsts:
-            every.setdefault(c.source, []).append(c)
-            if ordinal[c] >= fresh:
-                new.setdefault(c.source, []).append(c)
-        for first in firsts:
-            seconds = every if ordinal[first] >= fresh else new
+        for r in firsts:
+            every.setdefault(r[2].source, []).append(r)
+            if r[1] >= fresh:
+                new.setdefault(r[2].source, []).append(r)
+        for _, number, first, d1 in firsts:
+            seconds = every if number >= fresh else new
             literals = first.label.literals
-            for second in seconds.get(first.target, ()):
+            for _, _, second, d2 in seconds.get(first.target, ()):
                 pair = (literals, second.label.literals)
                 if pair not in joints:
                     joints[pair] = conjoin(first.label, second.label)
                 joint = joints[pair]
                 if joint is INCONSISTENT:
                     continue
-                derived = LabeledConstraint(first.source, second.target,
-                                            first.delta + second.delta, joint)
-                if admit(derived, "compose", (first, second)):
+                if admit(first.source, second.target, d1 + d2, joint,
+                         "compose", (first, second)):
                     changed = True
         return changed
 
     def modification_pass():
         changed = False
-        for obs_c in sorted(constraints, key=key.__getitem__):
+        for _, _, obs_c, obs_d in sorted(records):
             letter = obs_letter.get(obs_c.source)
-            if letter is None or obs_c.delta > 0:
+            if letter is None or obs_d > 0:
                 continue
-            for target_c in sorted(from_source.get(obs_c.target, ()),
-                                   key=key.__getitem__):
-                if _modification_failures(letter, obs_c.source, obs_c, target_c):
+            for _, _, target_c, d in sorted(from_source.get(obs_c.target, ())):
+                if d > -obs_d or _modification_failures(letter, obs_c.source,
+                                                        obs_c, target_c):
                     continue
                 result = _modify(letter, obs_c, target_c)
                 for c in (result.derived,) + result.residuals:
-                    if admit(c, "label-modification", (obs_c, target_c)):
+                    if admit(c.source, c.target, d, c.label,
+                             "label-modification", (obs_c, target_c)):
                         changed = True
         return changed
 
@@ -288,18 +298,18 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
     try:
         while True:
             rounds += 1
-            start = len(ordinal)
+            start = len(records)
             changed = compose_pass(fresh)
             fresh = start
             changed = modification_pass() or changed
             if not changed:
                 break
-    except _Refuted:
-        return PropagationResult(frozenset(constraints), True, refutation[0],
+    except _Refuted as refuted:
+        return PropagationResult(frozenset(trace), True, refuted.args[0],
                                  saturated=False, rounds=rounds, trace=trace)
     except _Exhausted:
         saturated = False
-    return PropagationResult(frozenset(constraints), False,
+    return PropagationResult(frozenset(trace), False,
                              saturated=saturated, rounds=rounds, trace=trace)
 
 

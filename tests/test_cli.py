@@ -193,6 +193,15 @@ def test_propagate_output_does_not_depend_on_string_hashing(tmp_path):
     assert json.loads(outputs[0][0])["saturated"]
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("propagate", "--budget"), ("check-dc", "--max-letters"),
+    ("check-dc", "--max-links")])
+def test_negative_counts_are_usage_errors(capsys, bad_stnu, command, flag):
+    code, out, err = run(capsys, command, bad_stnu, flag, "-1")
+    assert code == 2 and out == ""
+    assert "argument %s: not a non-negative integer: '-1'" % flag in err
+
+
 def test_propagate_budget_default_is_the_module_constant():
     args = build_parser().parse_args(["propagate", "net.json"])
     assert args.budget == DEFAULT_BUDGET

@@ -1,10 +1,14 @@
 """Constraint composition, label modification, and the saturation loop."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import cstnu
 from cstnu import (LabeledConstraint, Network, PreconditionError, TimePoint,
                    compile_workflow, compose, dominates, label_modification,
                    parse_label, parse_workflow, propagate_to_fixpoint, solve, to_stn)
@@ -203,9 +207,13 @@ def derivations(result):
 def test_fixpoint_matches_the_naive_loop():
     # The semi-naive, edge-indexed loop must admit what composing every
     # pair and scanning every constraint admits, in the same order, and
-    # stop at the same point when the budget runs out mid-round.
+    # stop at the same point when the budget runs out mid-round.  Deltas
+    # with denominators 1, 3, 7 and 2 check the integer scaling.
     rng = random.Random(5)
     networks = [random_cstn(rng, max_letters=3, max_points=7) for _ in range(40)]
+    mixed = (Fraction(1, 3), Fraction(1, 7), Fraction(5, 2))
+    networks += [random_cstn(rng, max_letters=3, max_points=7, fractions=mixed)
+                 for _ in range(20)]
     for text in (branching_workflow_text(), DEAD_BEFORE_REFUTATION):
         networks.append(compile_workflow(parse_workflow(text))[0])
     for network in networks:
@@ -218,3 +226,17 @@ def test_fixpoint_matches_the_naive_loop():
                         want.saturated, want.rounds))
             assert derivations(got) == derivations(want)
             assert got.trace == want.trace
+            assert all(type(c.delta) is Fraction for c in got.constraints)
+
+
+def test_trace_order_does_not_depend_on_string_hashing():
+    script = ("from cstnu import compile_workflow, parse_workflow, propagate_to_fixpoint; "
+              "from cstnu.fixtures import branching_workflow_text as text; "
+              "net = compile_workflow(parse_workflow(text()))[0]; "
+              "print([str(c) for c in propagate_to_fixpoint(net).trace])")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cstnu.__file__)))
+    outputs = [subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+                              check=True, text=True).stdout
+               for seed in ("0", "1")]
+    assert outputs[0] == outputs[1] and outputs[0].startswith("['(")
