@@ -2,9 +2,9 @@
 verify-strategy, and compile-workflow over the JSON and workflow formats.
 
 Exit codes: 0 for a positive result, 1 for a negative verdict or
-violation report, 2 for usage or input errors.  `--json` switches the
-report to machine-readable output; given identical inputs and flags the
-output is byte-identical.
+violation report, 2 for usage or input errors.  project and
+compile-workflow write JSON; `--json` switches the other reports to it.
+Given identical inputs and flags the output is byte-identical.
 """
 
 import argparse
@@ -15,7 +15,7 @@ from .jsonio import (_constraint_to_dict, _schedule_to_dict, dumps, loads,
                      network_from_dict, network_to_dict, stn_to_dict,
                      strategy_from_dict, strategy_to_dict)
 from .model import to_stn, validate
-from .projection import Scenario, drama_projection, scenario_projection, situation_projection
+from .projection import Scenario, _project
 from .propagation import DEFAULT_BUDGET, propagate_to_fixpoint
 from .rational import fmt, rational
 from .search import check_dc
@@ -49,13 +49,13 @@ def _write(path, text):
         raise _InputError("cannot write %s: %s" % (path, err))
 
 
-def _load_network(path):
+def _load(path, what, parse):
+    """`parse` of the JSON in file `path`, which holds a `what`."""
+    text = _read(path)
     try:
-        return network_from_dict(loads(_read(path)))
-    except _InputError:
-        raise
+        return parse(loads(text))
     except Exception as err:
-        raise _InputError("bad network file %s: %s" % (path, err))
+        raise _InputError("bad %s file %s: %s" % (what, path, err))
 
 
 def _count(text):
@@ -83,7 +83,7 @@ def _parse_scenario(text):
 
 
 def cmd_validate(args):
-    network = _load_network(args.network)
+    network = _load(args.network, "network", network_from_dict)
     report = validate(network)
     if args.json:
         payload = {"kind": network.kind, "ok": report.ok,
@@ -96,7 +96,7 @@ def cmd_validate(args):
 
 
 def cmd_solve(args):
-    network = _load_network(args.network)
+    network = _load(args.network, "network", network_from_dict)
     stn = to_stn(network)
     matrix = solve(stn)
     if not matrix.consistent:
@@ -123,21 +123,15 @@ def cmd_solve(args):
 
 
 def cmd_project(args):
-    network = _load_network(args.network)
+    network = _load(args.network, "network", network_from_dict)
+    if args.scenario is None and args.situation is None:
+        raise _InputError("project needs --scenario and/or --situation")
     scenario = _parse_scenario(args.scenario) if args.scenario is not None else None
-    situation = None
+    situation = args.situation
     try:   # a bad duration, or a scenario or situation that misfits the network
-        if args.situation is not None:
-            situation = tuple(rational(d) for d in args.situation.split(",")) \
-                if args.situation else ()
-        if scenario is not None and situation is not None:
-            stn = drama_projection(network, scenario, situation)
-        elif scenario is not None:
-            stn = scenario_projection(network, scenario)
-        elif situation is not None:
-            stn = situation_projection(network, situation)
-        else:
-            raise _InputError("project needs --scenario and/or --situation")
+        if situation is not None:
+            situation = tuple(rational(d) for d in situation.split(",")) if situation else ()
+        stn = _project(network, scenario, situation)
     except ValueError as err:
         raise _InputError(str(err))
     _write(args.output, dumps(stn_to_dict(stn)))
@@ -145,7 +139,7 @@ def cmd_project(args):
 
 
 def cmd_propagate(args):
-    network = _load_network(args.network)
+    network = _load(args.network, "network", network_from_dict)
     result = propagate_to_fixpoint(network, budget=args.budget)
     ordered = sorted(result.constraints, key=str)
     if args.trace:
@@ -170,7 +164,7 @@ def cmd_propagate(args):
 
 
 def cmd_check_dc(args):
-    network = _load_network(args.network)
+    network = _load(args.network, "network", network_from_dict)
     try:
         result = check_dc(network, grid=args.grid,
                           max_letters=args.max_letters, max_links=args.max_links)
@@ -188,13 +182,8 @@ def cmd_check_dc(args):
 
 
 def cmd_verify_strategy(args):
-    network = _load_network(args.network)
-    try:
-        strategy = strategy_from_dict(loads(_read(args.strategy)))
-    except _InputError:
-        raise
-    except Exception as err:
-        raise _InputError("bad strategy file %s: %s" % (args.strategy, err))
+    network = _load(args.network, "network", network_from_dict)
+    strategy = _load(args.strategy, "strategy", strategy_from_dict)
     try:
         viable = is_viable(network, strategy)
         dynamic = is_dynamic_star(network, strategy)
@@ -232,11 +221,12 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, func, json=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
-        p.add_argument("--json", action="store_true",
-                       help="emit machine-readable JSON")
+        if json:
+            p.add_argument("--json", action="store_true",
+                           help="emit machine-readable JSON")
         return p
 
     p = add("validate", cmd_validate, help="check well-definedness conditions")
@@ -247,7 +237,7 @@ def build_parser():
     p.add_argument("network")
     p.add_argument("--origin", help="reference time-point (default: first id)")
 
-    p = add("project", cmd_project, help="project onto a scenario/situation")
+    p = add("project", cmd_project, help="project onto a scenario/situation", json=False)
     p.add_argument("network")
     p.add_argument("--scenario", help="e.g. a=1,b=0")
     p.add_argument("--situation", help="comma-separated durations in link order")
@@ -272,7 +262,7 @@ def build_parser():
     p.add_argument("strategy")
 
     p = add("compile-workflow", cmd_compile_workflow,
-            help="compile workflow text to a network")
+            help="compile workflow text to a network", json=False)
     p.add_argument("workflow")
     p.add_argument("-o", "--output", help="network JSON output (default stdout)")
     p.add_argument("--map", help="write the compilation map to this file")

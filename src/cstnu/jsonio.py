@@ -8,9 +8,9 @@ the always-true label).
 
 import json
 
-from .labels import EMPTY, parse_label
+from .labels import parse_label
 from .model import (DEFAULT_EPSILON, ContingentLink, LabeledConstraint, Network,
-                    Stn, TimePoint)
+                    TimePoint, embed_stn)
 from .projection import Drama, Scenario
 from .rational import fmt, rational
 from .semantics import Strategy
@@ -35,28 +35,35 @@ def _constraint_to_dict(c):
     return {"from": c.source, "to": c.target, "delta": fmt(c.delta), "label": str(c.label)}
 
 
+def _object(data):
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object, got %s" % type(data).__name__)
+    return data
+
+
 def network_from_dict(data):
-    return Network(
-        timepoints=[TimePoint(tp["id"], parse_label(tp.get("label", "[]")))
-                    for tp in data.get("timepoints", ())],
-        constraints=[LabeledConstraint(c["from"], c["to"], rational(c["delta"]),
-                                       parse_label(c.get("label", "[]")))
-                     for c in data.get("constraints", ())],
-        letters=data.get("letters", ()),
-        observations=data.get("observations") or {},
-        links=[ContingentLink(l["activation"], rational(l["lower"]),
-                              rational(l["upper"]), l["contingent"])
-               for l in data.get("links", ())],
-        epsilon=rational(data.get("epsilon", DEFAULT_EPSILON)))
+    data = _object(data)
+    try:
+        return Network(
+            timepoints=[TimePoint(tp["id"], parse_label(tp.get("label", "[]")))
+                        for tp in data.get("timepoints", ())],
+            constraints=[LabeledConstraint(c["from"], c["to"], rational(c["delta"]),
+                                           parse_label(c.get("label", "[]")))
+                         for c in data.get("constraints", ())],
+            letters=data.get("letters", ()),
+            observations=data.get("observations") or {},
+            links=[ContingentLink(l["activation"], rational(l["lower"]),
+                                  rational(l["upper"]), l["contingent"])
+                   for l in data.get("links", ())],
+            epsilon=rational(data.get("epsilon", DEFAULT_EPSILON)))
+    except KeyError as err:
+        raise ValueError("missing key %s" % err) from None
 
 
 def stn_to_dict(stn):
     """Plain STNs reuse the network layout with the conditional and
     uncertain parts empty."""
-    return network_to_dict(Network(
-        timepoints=[TimePoint(t) for t in sorted(stn.timepoints)],
-        constraints=[LabeledConstraint(c.source, c.target, c.delta)
-                     for c in stn.constraints]))
+    return network_to_dict(embed_stn(stn))
 
 
 def _schedule_to_dict(schedule):
@@ -84,7 +91,7 @@ def strategy_to_dict(strategy):
 
 
 def strategy_from_dict(data):
-    entries = data.get("entries", ())
+    entries = _object(data).get("entries", ())
     kind = data.get("kind")
     if kind is None:
         has_scenario = any("scenario" in e for e in entries)
@@ -103,10 +110,8 @@ def strategy_from_dict(data):
     return Strategy.from_dramas(kind, table)
 
 
-def dumps(data, **kwargs):
-    kwargs.setdefault("indent", 2)
-    kwargs.setdefault("sort_keys", True)
-    return json.dumps(data, **kwargs) + "\n"
+def dumps(data):
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def loads(text):

@@ -107,6 +107,8 @@ class Network:
         for tp in timepoints:
             if not isinstance(tp, TimePoint):
                 tp = TimePoint(str(tp))
+            if not isinstance(tp.id, str):
+                raise ValueError("time-point id %r is not a string" % (tp.id,))
             if tp.id in tps:
                 raise ValueError("duplicate time-point id %r" % (tp.id,))
             tps[tp.id] = tp
@@ -348,16 +350,15 @@ class CstpError(ValueError):
     """A reasonability assumption (A1 or A2) fails for a CSTP."""
 
 
-def embed_cstp(cstp, epsilon=DEFAULT_EPSILON):
+def embed_cstp(cstp):
     """Compile a CSTP into a CSTN per the interval-edge construction.
 
     Each edge a <= Y - X <= b becomes the labeled pair with label
     L(X) and L(Y) conjoined.  A1 (consistent end-point labels) and A2
-    (observation executed early enough, at least `epsilon` before) are
-    errors, reported with the offending element.
+    (observation executed early enough, at least DEFAULT_EPSILON before)
+    are errors, reported with the offending element.
     """
     labels = dict(cstp.timepoints)
-    epsilon = rational(epsilon)
     constraints = []
     for edge in cstp.edges:
         joint = conjoin(labels[edge.source], labels[edge.target])
@@ -376,20 +377,20 @@ def embed_cstp(cstp, epsilon=DEFAULT_EPSILON):
                 raise CstpError(
                     "A2 violation: label of %r does not subsume the label of "
                     "the observation point of %r" % (point, letter))
-            ok = any(e.source == obs and e.target == point and rational(e.lower) >= epsilon
+            ok = any(e.source == obs and e.target == point
+                     and rational(e.lower) >= DEFAULT_EPSILON
                      for e in cstp.edges)
             if not ok:
                 raise CstpError(
                     "A2 violation: no edge placing the observation of %r at "
-                    "least %s before %r" % (letter, epsilon, point))
+                    "least %s before %r" % (letter, DEFAULT_EPSILON, point))
             constraints.append(LabeledConstraint(point, cstp.observations[letter],
-                                                 -epsilon, label))
+                                                 -DEFAULT_EPSILON, label))
     return Network(
         timepoints=[TimePoint(i, l) for i, l in sorted(labels.items())],
         constraints=constraints,
         letters=cstp.letters,
-        observations=cstp.observations,
-        epsilon=epsilon)
+        observations=cstp.observations)
 
 
 def embed_stnu(network):

@@ -135,12 +135,18 @@ def _modify(letter, obs_constraint, target_constraint):
 
 @dataclass
 class PropagationResult:
-    constraints: frozenset
-    refuted: bool
+    trace: dict
     refutation: LabeledConstraint = None
     saturated: bool = True
     rounds: int = 0
-    trace: dict = None
+
+    @property
+    def constraints(self):
+        return frozenset(self.trace)
+
+    @property
+    def refuted(self):
+        return self.refutation is not None
 
     def explain(self, constraint):
         """Derivation chain of `constraint`, innermost first."""
@@ -305,12 +311,10 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
             if not changed:
                 break
     except _Refuted as refuted:
-        return PropagationResult(frozenset(trace), True, refuted.args[0],
-                                 saturated=False, rounds=rounds, trace=trace)
+        return PropagationResult(trace, refuted.args[0], saturated=False, rounds=rounds)
     except _Exhausted:
         saturated = False
-    return PropagationResult(frozenset(trace), False,
-                             saturated=saturated, rounds=rounds, trace=trace)
+    return PropagationResult(trace, saturated=saturated, rounds=rounds)
 
 
 class _Refuted(Exception):

@@ -21,12 +21,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .model import depth_first, validate
+from .model import depth_first, embed_cstn, embed_stnu, validate
 from .projection import (Drama, drama_projection, enumerate_scenarios,
                          sample_situations)
 from .rational import INF
 from .semantics import Strategy, _events, is_dynamic_star, is_viable
 from .stn import floored, solve
+
+# Search bounds; see `check_dc`, `tree_strategy_masks`, `candidate_time_grid`.
+EXHAUSTIVE_POINTS = 6
+EXHAUSTIVE_BUDGET = 200_000
+MASKS_BUDGET = 2_000_000
+GRID_DEPTH = 3
+GRID_CAP = 24
 
 
 @dataclass
@@ -352,9 +359,9 @@ def _synthesize(problem):
                     _first, _merge)
 
 
-def candidate_time_grid(network, situations, depth=3, cap=24):
+def candidate_time_grid(network, situations):
     """Candidate execution times: sums and differences of the network's
-    constants, closed to `depth`, truncated to the `cap` smallest."""
+    constants, closed to GRID_DEPTH, truncated to the GRID_CAP smallest."""
     base = {Fraction(0), network.epsilon}
     horizon = Fraction(1)
     for c in network.constraints:
@@ -368,7 +375,7 @@ def candidate_time_grid(network, situations, depth=3, cap=24):
         base.update(Fraction(d) for d in situation)
     base = {v for v in base if 0 <= v <= horizon}
     grid = set(base)
-    for _ in range(depth - 1):
+    for _ in range(GRID_DEPTH - 1):
         new = set()
         for a in grid:
             for b in base:
@@ -376,9 +383,9 @@ def candidate_time_grid(network, situations, depth=3, cap=24):
                     if 0 <= v <= horizon:
                         new.add(v)
         grid |= new
-        if len(grid) > 4 * cap:
+        if len(grid) > 4 * GRID_CAP:
             break
-    return tuple(sorted(grid)[:cap])
+    return tuple(sorted(grid)[:GRID_CAP])
 
 
 def _exhaustive_witness(problem, grid, budget):
@@ -404,7 +411,7 @@ def _exhaustive_witness(problem, grid, budget):
                     _first_success, _merge, commit, budget, operator.not_)
 
 
-def tree_strategy_masks(network, constraint_sets, grid, budget=2_000_000):
+def tree_strategy_masks(network, constraint_sets, grid):
     """Achievable violation masks over all grid-valued decision-tree
     strategies of `network`'s drama set.
 
@@ -412,7 +419,7 @@ def tree_strategy_masks(network, constraint_sets, grid, budget=2_000_000):
     `constraint_sets[i]` in some drama whose scenario makes its label
     true.  The full mask set supports questions like "is every strategy
     viable for set 0 also viable for set 1".  Raises `RuntimeError` when
-    more than `budget` tree nodes are entered.
+    more than MASKS_BUDGET tree nodes are entered.
     """
     scenarios = enumerate_scenarios(network.letters)
     situations = sample_situations(network.links)
@@ -435,9 +442,9 @@ def tree_strategy_masks(network, constraint_sets, grid, budget=2_000_000):
                         lambda dctxs, committed: frozenset({0}),
                         lambda results: frozenset().union(*results),
                         lambda masks, other: frozenset(m | s for m in masks for s in other),
-                        commit, budget, lambda masks: True)
+                        commit, MASKS_BUDGET, lambda masks: True)
     except _Budget:
-        raise RuntimeError("budget of %d nodes exhausted" % budget) from None
+        raise RuntimeError("budget of %d nodes exhausted" % MASKS_BUDGET) from None
 
 
 @dataclass
@@ -460,13 +467,12 @@ class DcResult:
         return "; ".join(parts)
 
 
-def check_dc(network, grid=3, max_letters=6, max_links=6,
-             exhaustive_points=6, exhaustive_budget=200_000):
+def check_dc(network, grid=3, max_letters=6, max_links=6):
     """Dynamic-controllability check over the sampled drama set.
 
     When greedy synthesis fails on a network of at most
-    `exhaustive_points` points, the candidate-time grid is searched
-    exhaustively, entering at most `exhaustive_budget` tree nodes.
+    EXHAUSTIVE_POINTS points, the candidate-time grid is searched
+    exhaustively, entering at most EXHAUSTIVE_BUDGET tree nodes.
     """
     report = validate(network)
     if not report.ok:
@@ -491,18 +497,18 @@ def check_dc(network, grid=3, max_letters=6, max_links=6,
 
     table = _synthesize(problem)
     if table is None:
-        if len(network.timepoints) > exhaustive_points:
+        if len(network.timepoints) > EXHAUSTIVE_POINTS:
             return DcResult(
                 "unknown",
                 evidence="exhaustive search skipped: %d points > exhaustive_points (%d)"
-                         % (len(network.timepoints), exhaustive_points),
+                         % (len(network.timepoints), EXHAUSTIVE_POINTS),
                 sample=sample)
         times = candidate_time_grid(network, situations)
         try:
-            table = _exhaustive_witness(problem, times, exhaustive_budget)
+            table = _exhaustive_witness(problem, times, EXHAUSTIVE_BUDGET)
         except _Budget:
             return DcResult("unknown",
-                            evidence="budget of %d nodes exhausted" % exhaustive_budget,
+                            evidence="budget of %d nodes exhausted" % EXHAUSTIVE_BUDGET,
                             sample=sample)
         if table is None:
             return DcResult(
@@ -522,23 +528,19 @@ def check_dc(network, grid=3, max_letters=6, max_links=6,
     return DcResult("controllable", strategy=strategy, sample=sample)
 
 
-def verify_cstn_embedding(network, **kwargs):
+def verify_cstn_embedding(network):
     """A CSTN and its link-free lifting get the same verdict."""
-    from .model import embed_cstn
-
     if network.kind not in ("stn", "cstn"):
         raise ValueError("expected a network without contingent links")
-    direct = check_dc(network, **kwargs)
-    lifted = check_dc(embed_cstn(network), **kwargs)
+    direct = check_dc(network)
+    lifted = check_dc(embed_cstn(network))
     return direct.verdict == lifted.verdict
 
 
-def verify_stnu_embedding(network, **kwargs):
+def verify_stnu_embedding(network):
     """An STNU and its empty-label lifting get the same verdict."""
-    from .model import embed_stnu
-
     if network.kind not in ("stn", "stnu"):
         raise ValueError("expected a network without observation letters")
-    direct = check_dc(network, **kwargs)
-    lifted = check_dc(embed_stnu(network), **kwargs)
+    direct = check_dc(network)
+    lifted = check_dc(embed_stnu(network))
     return direct.verdict == lifted.verdict

@@ -32,9 +32,6 @@ class Strategy:
     kind: str
     table: dict
 
-    def schedule(self, index):
-        return self.table[index]
-
     def indices(self):
         return sorted(self.table, key=str)
 

@@ -278,7 +278,7 @@ def _branch_codes(spec):
     return letters, codes
 
 
-def compile_workflow(spec, epsilon=DEFAULT_EPSILON):
+def compile_workflow(spec):
     """Compile a workflow into a conditional network with contingent links.
 
     Returns (network, CompilationMap).  Each task T yields points T_S and
@@ -379,11 +379,11 @@ def compile_workflow(spec, epsilon=DEFAULT_EPSILON):
     for tp in timepoints:
         for letter in sorted(tp.label.letters):
             constraints.append(LabeledConstraint(tp.id, observations[letter],
-                                                 -rational(epsilon), tp.label))
+                                                 -DEFAULT_EPSILON, tp.label))
 
     network = Network(timepoints=timepoints, constraints=constraints,
                       letters=all_letters, observations=observations,
-                      links=links, epsilon=epsilon)
+                      links=links)
     report = validate(network)
     if not report.ok:
         raise WorkflowError("compiled network fails validation:\n%s\nmap: %s"

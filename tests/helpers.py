@@ -372,9 +372,7 @@ def naive_propagate(network, budget=5000):
             if not changed:
                 break
     except _Refuted:
-        return PropagationResult(frozenset(constraints), True, refutation[0],
-                                 saturated=False, rounds=rounds, trace=trace)
+        return PropagationResult(trace, refutation[0], saturated=False, rounds=rounds)
     except _Exhausted:
         saturated = False
-    return PropagationResult(frozenset(constraints), False,
-                             saturated=saturated, rounds=rounds, trace=trace)
+    return PropagationResult(trace, saturated=saturated, rounds=rounds)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, payloads, reproducibility."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -70,6 +71,36 @@ def test_malformed_json_is_usage_error(capsys, tmp_path):
     path.write_text("{nope")
     code, _, err = run(capsys, "validate", str(path))
     assert code == 2
+
+
+NET = {"timepoints": [{"id": "A"}, {"id": "B"}],
+       "constraints": [{"from": "A", "to": "B", "delta": "3"}]}
+
+
+@pytest.mark.parametrize("command, network, strategy, message", [
+    ("check-dc", {"timepoints": [{"id": 5}, {"id": 7}],
+                  "constraints": [{"from": 5, "to": 7, "delta": "3"}]}, None,
+     "time-point id 5 is not a string"),
+    ("validate", [NET], None, "expected a JSON object, got list"),
+    ("validate", {"timepoints": [{}]}, None, "missing key 'id'"),
+    ("validate", dict(NET, constraints=[{"from": "A", "delta": "3"}]), None,
+     "missing key 'to'"),
+    ("validate", dict(NET, links=[{"activation": "A", "lower": "1", "upper": "2"}]), None,
+     "missing key 'contingent'"),
+    ("verify-strategy", NET, [], "expected a JSON object, got list"),
+], ids=["integer-ids", "network-list", "no-id", "no-to", "no-contingent",
+        "strategy-list"])
+def test_malformed_files_name_the_problem(capsys, tmp_path, command, network,
+                                          strategy, message):
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps(network))
+    argv = [command, str(net_path)]
+    if strategy is not None:
+        (tmp_path / "strategy.json").write_text(json.dumps(strategy))
+        argv.append(str(tmp_path / "strategy.json"))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad ") and err.endswith(": %s\n" % message)
 
 
 def test_solve(capsys, bad_stnu):
@@ -298,6 +329,47 @@ def test_json_output_is_reproducible(capsys, bad_stnu):
     _, first, _ = run(capsys, "propagate", "--json", bad_stnu)
     _, second, _ = run(capsys, "propagate", "--json", bad_stnu)
     assert first == second
+
+
+# Arguments of each subcommand on a controllable STNU: those that take
+# `--json` print JSON with it, and project and compile-workflow, which
+# always write JSON, refuse it.
+JSON_ARGV = {
+    "validate": ("net.json",),
+    "solve": ("net.json",),
+    "propagate": ("net.json",),
+    "check-dc": ("net.json",),
+    "verify-strategy": ("net.json", "strategy.json"),
+}
+NO_JSON_ARGV = {
+    "project": ("net.json", "--situation", "2"),
+    "compile-workflow": ("flow.wf",),
+}
+
+
+def subcommands():
+    actions = build_parser()._actions
+    return sorted(next(a for a in actions
+                       if isinstance(a, argparse._SubParsersAction)).choices)
+
+
+@pytest.mark.parametrize("command", subcommands())
+def test_json_flag_only_where_it_is_read(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    net = network_to_dict(tight_contingent_stnu())
+    net["constraints"] = [c for c in net["constraints"] if c["delta"] != "2"]
+    (tmp_path / "net.json").write_text(dumps(net))
+    (tmp_path / "flow.wf").write_text(branching_workflow_text())
+    _, out, _ = run(capsys, "check-dc", "--json", "net.json")
+    (tmp_path / "strategy.json").write_text(dumps(json.loads(out)["strategy"]))
+    if command in JSON_ARGV:
+        code, out, _ = run(capsys, command, "--json", *JSON_ARGV[command])
+        assert code == 0
+        json.loads(out)
+    else:
+        code, out, err = run(capsys, command, "--json", *NO_JSON_ARGV[command])
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --json" in err
 
 
 def test_unknown_command_exits_2(capsys):

@@ -32,6 +32,8 @@ def test_kind_inference():
 def test_structural_errors():
     with pytest.raises(ValueError):
         Network(timepoints=[TimePoint("A"), TimePoint("A")])
+    with pytest.raises(ValueError, match="^time-point id 5 is not a string$"):
+        Network(timepoints=[TimePoint(5)])
     with pytest.raises(ValueError):
         Network(timepoints=["A"], constraints=[LabeledConstraint("A", "B", 1)])
     with pytest.raises(ValueError):

@@ -148,9 +148,10 @@ def test_tree_strategy_masks_structure():
     assert all(bool(m & 1) == bool(m & 2) for m in masks)
 
 
-def test_tree_strategy_masks_budget_is_a_runtime_error():
+def test_tree_strategy_masks_budget_is_a_runtime_error(monkeypatch):
+    monkeypatch.setattr(search, "MASKS_BUDGET", 5)
     with pytest.raises(RuntimeError, match="^budget of 5 nodes exhausted$"):
-        tree_strategy_masks(*modification_study(), budget=5)
+        tree_strategy_masks(*modification_study())
 
 
 def test_tightening_preserves_negative_verdicts():
@@ -187,17 +188,19 @@ def late_observation():
         letters=["p"], observations={"p": "Op"})
 
 
-def test_unknown_names_the_bound_that_stopped_the_search():
+def test_unknown_names_the_bound_that_stopped_the_search(monkeypatch):
     net = late_observation()
     grid = candidate_time_grid(net, [()])
     exhausted = check_dc(net)
     assert exhausted.verdict == "unknown"
     assert exhausted.evidence == ("no viable decision tree over %d candidate times; "
                                   "the grid may be too coarse" % len(grid))
-    over_budget = check_dc(net, exhaustive_budget=50)
+    monkeypatch.setattr(search, "EXHAUSTIVE_BUDGET", 50)
+    over_budget = check_dc(net)
     assert over_budget.verdict == "unknown"
     assert over_budget.evidence == "budget of 50 nodes exhausted"
-    skipped = check_dc(net, exhaustive_points=2)
+    monkeypatch.setattr(search, "EXHAUSTIVE_POINTS", 2)
+    skipped = check_dc(net)
     assert skipped.verdict == "unknown"
     assert skipped.evidence == "exhaustive search skipped: 3 points > exhaustive_points (2)"
 
