@@ -125,11 +125,20 @@ def _project(network, scenario, situation):
         values = scenario.as_mapping()
         constraints = {Constraint(c.source, c.target, c.delta)
                        for c in network.constraints if evaluate(c.label, values)}
-    for d, link in zip(situation or (), network.links):
+    return Stn(points, frozenset(constraints | _rigid_durations(network, points, situation or ())))
+
+
+def _rigid_durations(network, points, situation):
+    """The constraints that fix each link with both end-points in `points`
+    to its duration in `situation`.  A drama's projection is its
+    scenario's projection plus these, so a caller projecting many
+    situations of one scenario selects the scenario's constraints once."""
+    rigid = set()
+    for d, link in zip(situation, network.links):
         if link.activation in points and link.contingent in points:
-            constraints.add(Constraint(link.activation, link.contingent, d))
-            constraints.add(Constraint(link.contingent, link.activation, -d))
-    return Stn(points, frozenset(constraints))
+            rigid.add(Constraint(link.activation, link.contingent, d))
+            rigid.add(Constraint(link.contingent, link.activation, -d))
+    return rigid
 
 
 def scenario_projection(network, scenario):

@@ -17,15 +17,16 @@ Verdicts are sound, not complete:
 """
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .model import depth_first, embed_cstn, embed_stnu, validate
-from .projection import (Drama, drama_projection, enumerate_scenarios,
-                         sample_situations)
+from .model import Stn, depth_first, embed_cstn, embed_stnu, validate
+from .projection import (Drama, _rigid_durations, enumerate_scenarios,
+                         sample_situations, scenario_projection)
 from .rational import INF
-from .semantics import Strategy, _events, is_dynamic_star, is_viable
+from .semantics import Strategy, _check_viable, _commit_events, is_dynamic_star
 from .stn import floored, solve
 
 # Search bounds; see `check_dc`, `tree_strategy_masks`, `candidate_time_grid`.
@@ -49,6 +50,39 @@ class _DramaCtx:
     factor: int = 1          # the problem's scale over the matrix's scale
 
 
+class _InfoSet(list):
+    """An information set: the dramas, in problem order, whose histories
+    agree so far.  `bounds` keeps the tightest closure entries over them
+    that `_Problem.window` has read, for every node of the set."""
+
+    __slots__ = ("bounds",)
+
+    def __init__(self, dctxs):
+        super().__init__(dctxs)
+        self.bounds = {}
+
+
+@dataclass(eq=False)
+class _Node:
+    """A node of the decision-tree walk: the information set `dctxs`, the
+    times `committed` to it, the time `now` of the last step, and
+    `strict`, set when the node starts at a divergence at `now`, so that
+    nothing more may run at `now`.
+
+    It also carries the state of its path that divergence needs: the
+    events each drama has seen (`events`: drama index -> (time, item)
+    pairs) and the sorted times at which the histories of `dctxs` differ
+    (`splits`).  A child shares or extends its parent's, so the state is
+    dropped with the path."""
+
+    dctxs: _InfoSet
+    committed: dict
+    now: Fraction
+    strict: bool
+    events: dict
+    splits: list
+
+
 class _Problem:
     """A network plus its sampled drama set, ready for tree search."""
 
@@ -60,15 +94,23 @@ class _Problem:
         # Contingent points, each after the contingent point activating it.
         activating = {c: [a] if a in self.activation else [] for c, a in self.activation.items()}
         self.chain_order, _ = depth_first(sorted(activating), activating.__getitem__)
+        # A drama's projection is its scenario's plus the rigid link
+        # durations of its situation, so each scenario is projected once.
+        scenarios = {}
         self.dctxs = []
         for i, drama in enumerate(dramas):
-            projection = drama_projection(network, drama.scenario, drama.situation)
-            relevant = projection.timepoints
+            if drama.scenario not in scenarios:
+                base = scenario_projection(network, drama.scenario)
+                scenarios[drama.scenario] = base, floored(base, _ORIGIN)
+            base, floor = scenarios[drama.scenario]
+            relevant = base.timepoints
+            rigid = _rigid_durations(network, relevant, drama.situation)
             durations = {link.contingent: d
                          for link, d in zip(network.links, drama.situation)
                          if link.activation in relevant and link.contingent in relevant}
             self.dctxs.append(_DramaCtx(i, drama, relevant, durations,
-                                        projection, solve(floored(projection, _ORIGIN))))
+                                        Stn(relevant, base.constraints | rigid),
+                                        solve(Stn(floor.timepoints, floor.constraints | rigid))))
         # One scale for every drama, so that `window` compares the closure
         # entries of different dramas as integers.
         self.scale = lcm(*(d.matrix.scale for d in self.dctxs))
@@ -94,29 +136,52 @@ class _Problem:
         """The strategy table of a leaf: each drama's known times."""
         return {d.drama: self.known_times(d, committed) for d in dctxs}
 
-    def next_divergence(self, dctxs, committed, now):
-        """Earliest time >= now at which the histories of `dctxs` split.
+    def root(self):
+        """The node of every drama, before anything runs."""
+        return _Node(_InfoSet(self.dctxs), {}, Fraction(0), False, {}, [])
 
-        Returns (time, groups) where groups partitions dctxs by their
-        events at that time, as `semantics` reads them off each drama's
-        known times, or None.
+    def advance(self, node, committed, point, t):
+        """The child of `node` that runs `point` at `t`; `committed` is
+        `node.committed` plus that commit.
+
+        Each drama's events grow by the events of this commit alone
+        (`semantics._commit_events`).  No two commits produce the same
+        item, so the histories of the child's dramas differ at a time just
+        when the events of some commit on the path differ there: the
+        child's split times are its parent's plus those of this commit.
         """
-        per_time = []
-        for d in dctxs:
-            table = {}
-            for t, item in _events(self.network, d.drama.scenario,
-                                   self.known_times(d, committed)):
-                if t >= now:
-                    table.setdefault(t, set()).add(item)
-            per_time.append(table)
-        for t in sorted(set().union(*per_time)):
-            contents = [frozenset(table.get(t, ())) for table in per_time]
-            if any(c != contents[0] for c in contents):
-                groups = {}
-                for d, c in zip(dctxs, contents):
-                    groups.setdefault(c, []).append(d)
-                return t, [groups[k] for k in sorted(groups, key=sorted)]
-        return None
+        fresh = [_commit_events(self.network, d.drama.scenario, d.durations, point, t)
+                 for d in node.dctxs]
+        events, splits = node.events, node.splits
+        if any(fresh):
+            events = dict(events)
+            for d, produced in zip(node.dctxs, fresh):
+                if produced:
+                    events[d.idx] = events.get(d.idx, ()) + tuple(produced)
+            splits = sorted(set(splits).union(_diverging(fresh)))
+        return _Node(node.dctxs, committed, t, False, events, splits)
+
+    def next_divergence(self, node):
+        """Earliest time >= `node.now` at which the histories of
+        `node.dctxs` split, or None."""
+        i = bisect_left(node.splits, node.now)
+        return node.splits[i] if i < len(node.splits) else None
+
+    def split(self, node, t):
+        """The children of `node` at its divergence `t`: its dramas grouped
+        by their events at `t`, each group a new information set that
+        starts at `t`, strictly.  The groups come in the order of their
+        sorted events."""
+        groups = {}
+        for d in node.dctxs:
+            at_t = frozenset(item for when, item in node.events.get(d.idx, ()) if when == t)
+            groups.setdefault(at_t, []).append(d)
+        children = []
+        for key in sorted(groups, key=sorted):
+            dctxs = _InfoSet(groups[key])
+            splits = sorted(_diverging([node.events.get(d.idx, ()) for d in dctxs]))
+            children.append(_Node(dctxs, node.committed, t, True, node.events, splits))
+        return children
 
     def ready_points(self, dctxs, committed):
         """Uncommitted non-contingent points, split into uniformly-relevant
@@ -137,27 +202,41 @@ class _Problem:
 
         Uses STN decomposability: any value within the distance-matrix
         window of the committed anchors extends to a full solution of
-        each drama's projection.  The closure entries are read as
-        integers on the problem's `scale`, the least common multiple of
-        the dramas' closure scales: drama d's entry times `d.factor`.  For
-        the origin and for each committed anchor only the tightest entry
-        over `dctxs` is kept, and only then made a `Fraction`; committed
-        times stay `Fraction`s, since a commit may fall between two
-        multiples of 1/scale.
+        each drama's projection.  For the origin and for each committed
+        anchor only the tightest entry over `dctxs` is kept (`_bounds`);
+        committed times stay `Fraction`s, since a commit may fall between
+        two multiples of 1/scale.
         """
-        floor = _tightest(dctxs, point, _ORIGIN)
-        lb = Fraction(-floor, self.scale) if floor < 0 else Fraction(0)
+        floor, _ = self._bounds(dctxs, point, _ORIGIN)
+        lb = -floor if floor is not None and floor < 0 else Fraction(0)
         ub = None
         for anchor, t in committed.items():
-            sharing = [d for d in dctxs if anchor in d.relevant]
-            back = _tightest(sharing, point, anchor)
-            if back != INF:
-                lb = max(lb, t - Fraction(back, self.scale))
-            fwd = _tightest(sharing, anchor, point)
-            if fwd != INF:
-                cap = t + Fraction(fwd, self.scale)
+            back, fwd = self._bounds(dctxs, point, anchor)
+            if back is not None:
+                lb = max(lb, t - back)
+            if fwd is not None:
+                cap = t + fwd
                 ub = cap if ub is None else min(ub, cap)
         return lb, ub
+
+    def _bounds(self, dctxs, point, anchor):
+        """(back, fwd): the least closure entries for anchor - point and
+        for point - anchor over the dramas of `dctxs` that run `anchor`, as
+        `Fraction`s, or None where unbounded.
+
+        The entries are compared as integers on the problem's `scale`, the
+        least common multiple of the dramas' closure scales: drama d's
+        entry times `d.factor`.  They depend on the information set alone,
+        so each pair is read once per set and kept in `dctxs.bounds`.
+        """
+        found = dctxs.bounds.get((point, anchor))
+        if found is None:
+            sharing = dctxs if anchor == _ORIGIN else [d for d in dctxs if anchor in d.relevant]
+            found = tuple(None if entry == INF else Fraction(entry, self.scale)
+                          for entry in (_tightest(sharing, point, anchor),
+                                        _tightest(sharing, anchor, point)))
+            dctxs.bounds[(point, anchor)] = found
+        return found
 
 
 def _tightest(dctxs, source, target):
@@ -171,6 +250,26 @@ def _tightest(dctxs, source, target):
     return best
 
 
+def _diverging(per_drama):
+    """The times at which the event lists `per_drama`, one per drama, do
+    not all hold the same items."""
+    distinct = {frozenset(events) for events in per_drama}
+    if len(distinct) == 1:
+        return set()
+    tables = []
+    for events in distinct:
+        table = {}
+        for when, item in events:
+            table.setdefault(when, set()).add(item)
+        tables.append(table)
+    first = tables[0]
+    times = set()
+    for table in tables[1:]:
+        times |= first.keys() ^ table.keys()
+        times.update(when for when in first.keys() & table.keys() if first[when] != table[when])
+    return times
+
+
 # Virtual origin pinned at time 0.  Every point is floored at it, so the
 # distance matrix yields absolute earliest times even before any real
 # point has been committed.
@@ -181,82 +280,125 @@ class _Budget(Exception):
     pass
 
 
+# What a node's alternatives generator asks of `_explore`: the value of a
+# child node, or to fold in the value of one alternative.
+_ENTER, _VALUE = "enter", "value"
+_OPEN = object()
+
+
 def _explore(problem, moves, leaf, fold, join, commit=None, budget=None,
              remember=None):
     """Walk the observation-ordered decision trees of `problem`.
 
-    A node is an information set `dctxs` (dramas whose histories agree so
-    far), the times `committed` to it, the time `now` of the last step,
-    and `strict`, set when the node starts at a divergence at `now`, so
-    that nothing more may run at `now`.  A node with no point left to run
-    is a leaf, valued `leaf(dctxs, committed)`.  Any other node is valued
-    `fold(results)`, where `results` lazily yields the value of each
-    commit (point, t) proposed by `moves(dctxs, committed, now, strict,
-    ready, divergence)`, in order, and then the value of the split at the
-    next divergence, if there is one.  A commit's value is
-    `commit(dctxs, trial, point, descend)`, by default `descend()`, the
-    value of the node it leads to.  A split's value is `join` over its
-    groups' values, or the first falsy one: a group that fails fails the
-    split.
+    A node (`_Node`) is an information set `dctxs` (dramas whose histories
+    agree so far), the times `committed` to it, the time `now` of the last
+    step, and `strict`.  A node with no point left to run is a leaf,
+    valued `leaf(dctxs, committed)`.  Any other node folds the values of
+    its alternatives, in order: each commit (point, t) proposed by
+    `moves(node, ready, divergence)`, and then the split at the next
+    divergence, if there is one.  `fold` is (initial, step): the node's
+    value starts at `initial`, and `step(value, alternative's value)`
+    returns (value, stop); no later alternative is valued once `stop` is
+    true.  A commit's value is the value of the node it leads to, passed
+    through `commit(dctxs, trial, point)` when that is given: it returns
+    the function to apply, or None to value the commit None without
+    entering its node.  A split's value is `join` over its groups' values,
+    or the first falsy one: a group that fails fails the split.
 
     With a `budget`, every node entered is counted, before the memo is
     looked up, and `_Budget` is raised once the count exceeds the budget.
     With `remember`, the node values it accepts are memoized.  Greedy
     synthesis passes neither: it follows a single path, so a memo would
     only pay for the keys.
+
+    The walk keeps its own stack, one frame per open node, so its depth
+    is not bounded by the interpreter's recursion limit.
     """
+    initial, step = fold
     memo = {}
+    stack = []          # [alternatives, memo key, folded value] per open node
     entered = 0
 
-    def node(dctxs, committed, now, strict):
+    def enter(node):
+        """The value of `node` if it is a leaf or remembered; otherwise
+        `_OPEN`, with the node's frame pushed."""
         nonlocal entered
         if budget is not None:
             entered += 1
             if entered > budget:
                 raise _Budget()
+        key = None
         if remember is not None:
-            key = (frozenset(d.idx for d in dctxs),
-                   tuple(sorted(committed.items())), now, strict)
+            key = (frozenset(d.idx for d in node.dctxs),
+                   tuple(sorted(node.committed.items())), node.now, node.strict)
             if key in memo:
                 return memo[key]
-        ready, blocked = problem.ready_points(dctxs, committed)
+        ready, blocked = problem.ready_points(node.dctxs, node.committed)
         if ready or blocked:
-            div = problem.next_divergence(dctxs, committed, now)
-            value = fold(alternatives(dctxs, committed, now, strict, ready, div))
-        else:
-            value = leaf(dctxs, committed)
+            stack.append([alternatives(node, ready), key, initial])
+            return _OPEN
+        return close(key, leaf(node.dctxs, node.committed))
+
+    def close(key, value):
         if remember is not None and remember(value):
             memo[key] = value
         return value
 
-    def alternatives(dctxs, committed, now, strict, ready, div):
-        for point, t in moves(dctxs, committed, now, strict, ready, div):
-            trial = dict(committed)
+    def alternatives(node, ready):
+        div = problem.next_divergence(node)
+        for point, t in moves(node, ready, div):
+            trial = dict(node.committed)
             trial[point] = t
-            if commit is None:
-                yield node(dctxs, trial, t, False)
+            finish = _same if commit is None else commit(node.dctxs, trial, point)
+            if finish is None:
+                yield _VALUE, None
             else:
-                yield commit(dctxs, trial, point, lambda: node(dctxs, trial, t, False))
+                value = yield _ENTER, problem.advance(node, trial, point, t)
+                yield _VALUE, finish(value)
         if div is not None:
-            t, groups = div
             joined = None
-            for group in groups:
-                value = node(group, committed, t, True)
+            for group in problem.split(node, div):
+                value = yield _ENTER, group
                 if not value:
                     joined = value
                     break
                 joined = value if joined is None else join(joined, value)
-            yield joined
+            yield _VALUE, joined
 
-    return node(problem.dctxs, {}, Fraction(0), False)
+    value = enter(problem.root())
+    incoming = None     # what the innermost open node's generator is sent next
+    while stack:
+        frame = stack[-1]
+        try:
+            kind, payload = frame[0].send(incoming)
+        except StopIteration:
+            value = frame[2]
+        else:
+            incoming = None
+            if kind is _ENTER:
+                child = enter(payload)
+                if child is not _OPEN:
+                    incoming = child
+                continue
+            frame[2], stop = step(frame[2], payload)
+            if not stop:
+                continue
+            value = frame[2]
+        stack.pop()
+        incoming = value = close(frame[1], value)
+    return value
 
 
-def _first(results):
-    return next(results, None)
+def _same(value):
+    return value
 
 
-def _first_success(results):
-    return next(filter(None, results), None)
+def _first(value, alternative):
+    return alternative, True
+
+
+def _first_success(value, alternative):
+    return (alternative, True) if alternative else (value, False)
 
 
 def _merge(table, other):
@@ -273,11 +415,12 @@ def _earliest_commit(problem):
     """
     epsilon = problem.network.epsilon
 
-    def moves(dctxs, committed, now, strict, ready, div):
+    def moves(node, ready, div):
+        now, strict = node.now, node.strict
         floor = now + epsilon if strict else now
         best = None
         for point in ready:
-            lb, ub = problem.window(dctxs, committed, point)
+            lb, ub = problem.window(node.dctxs, node.committed, point)
             t = max(lb, floor)
             if ub is not None and t > ub:
                 if strict and lb <= now and ub > now:
@@ -286,7 +429,7 @@ def _earliest_commit(problem):
                         continue
                 else:
                     continue
-            if div is not None and t > div[0]:
+            if div is not None and t > div:
                 continue
             if best is None or (t, point) < best:
                 best = (t, point)
@@ -299,12 +442,12 @@ def _grid_commits(grid):
     """Moves of the exhaustive searches: every point at every grid time
     from `now` (after it, past a divergence) up to the next divergence."""
 
-    def moves(dctxs, committed, now, strict, ready, div):
+    def moves(node, ready, div):
         for point in ready:
             for t in grid:
-                if t < now or (strict and t == now):
+                if t < node.now or (node.strict and t == node.now):
                     continue
-                if div is not None and t > div[0]:
+                if div is not None and t > div:
                     break
                 yield point, t
 
@@ -328,11 +471,13 @@ def _violations(problem, index, dctxs, committed, point, full):
     constraint between known points was checked when its later end became
     known.  The check stops once every bit of `full` is set.
     """
-    before = {p: t for p, t in committed.items() if p != point}
     mask = 0
     for d in dctxs:
         times = problem.known_times(d, committed)
-        fresh = times.keys() - problem.known_times(d, before).keys()
+        fresh = [point]
+        for c in problem.chain_order:     # each after the contingent point activating it
+            if c in times and problem.activation[c] in fresh:
+                fresh.append(c)
         for i, by_point in enumerate(index[d.idx]):
             if mask & (1 << i):
                 continue
@@ -356,7 +501,7 @@ def _synthesize(problem):
     never tried after a failed commit.
     """
     return _explore(problem, _earliest_commit(problem), problem.schedules,
-                    _first, _merge)
+                    (None, _first), _merge)
 
 
 def candidate_time_grid(network, situations):
@@ -398,17 +543,15 @@ def _exhaustive_witness(problem, grid, budget):
     """
     index = [[_by_point(d.projection.constraints)] for d in problem.dctxs]
 
-    def commit(dctxs, trial, point, descend):
-        if _violations(problem, index, dctxs, trial, point, 1):
-            return None
-        return descend()
+    def commit(dctxs, trial, point):
+        return None if _violations(problem, index, dctxs, trial, point, 1) else _same
 
     # Only failures are remembered: a success ends the search unless a
     # sibling group fails, and keeping the tables of succeeded nodes raised
     # the peak heap of the search on bench/gen.py's greedy trap from 15 MB
     # to 22 MB.
     return _explore(problem, _grid_commits(grid), problem.schedules,
-                    _first_success, _merge, commit, budget, operator.not_)
+                    (None, _first_success), _merge, commit, budget, operator.not_)
 
 
 def tree_strategy_masks(network, constraint_sets, grid):
@@ -433,14 +576,14 @@ def tree_strategy_masks(network, constraint_sets, grid):
                       for constraints in constraint_sets])
     full = (1 << len(constraint_sets)) - 1
 
-    def commit(dctxs, trial, point, descend):
+    def commit(dctxs, trial, point):
         mask = _violations(problem, index, dctxs, trial, point, full)
-        return frozenset(mask | m for m in descend())
+        return lambda masks: frozenset(mask | m for m in masks)
 
     try:
         return _explore(problem, _grid_commits(grid),
                         lambda dctxs, committed: frozenset({0}),
-                        lambda results: frozenset().union(*results),
+                        (frozenset(), lambda masks, other: (masks | other, False)),
                         lambda masks, other: frozenset(m | s for m in masks for s in other),
                         commit, MASKS_BUDGET, lambda masks: True)
     except _Budget:
@@ -518,13 +661,15 @@ def check_dc(network, grid=3, max_letters=6, max_links=6):
                 sample=sample)
 
     # Both searches build dynamic, viable strategies by construction, so a
-    # strategy that fails re-certification is a bug, not a verdict.
+    # strategy that fails re-certification is a bug, not a verdict.  The
+    # viability check reads the projections the search was built on.
     strategy = Strategy.from_dramas("cstn" if network.kind == "stn" else network.kind, table)
-    for certify in (is_viable, is_dynamic_star):
-        outcome = certify(network, strategy)
-        if not outcome:
-            raise RuntimeError("search built a strategy that fails re-certification: %s"
-                               % outcome)
+    outcome = _check_viable(strategy, {d.drama: d.projection for d in problem.dctxs})
+    if outcome:
+        outcome = is_dynamic_star(network, strategy)
+    if not outcome:
+        raise RuntimeError("search built a strategy that fails re-certification: %s"
+                           % outcome)
     return DcResult("controllable", strategy=strategy, sample=sample)
 
 

@@ -67,22 +67,50 @@ def history_label(history):
     return Label(history)
 
 
+def _commit_events(network, scenario, durations, point, t):
+    """Observable events that running `point` at `t` produces in one drama,
+    as (time, item) pairs: an ("obs", (letter, value)) item if `point`
+    observes a letter, and for each contingent link it activates whose
+    duration the drama samples (`durations`: contingent point -> duration)
+    a ("link", (activation, contingent, duration)) item when the link
+    completes, followed by the events of that completion in turn."""
+    events = []
+    pending = [(point, t)]
+    while pending:
+        point, t = pending.pop()
+        for letter, obs in network.observations.items():
+            if obs == point:
+                events.append((t, ("obs", (letter, scenario.value(letter)))))
+        for link in network.links:
+            if link.activation == point and link.contingent in durations:
+                duration = durations[link.contingent]
+                done = t + duration
+                events.append((done, ("link", (point, link.contingent, duration))))
+                pending.append((link.contingent, done))
+    return events
+
+
 def _events(network, scenario, schedule):
     """Observable events of one execution, as (time, item) pairs among the
-    scheduled points: an ("obs", (letter, value)) item for each letter
-    observed and a ("link", (activation, contingent, duration)) item for
-    each contingent link completed.  Search splits its information sets
-    on these same events, so the strategies it builds pass the dynamic*
-    check."""
+    scheduled points: the union of `_commit_events` over the points that
+    no scheduled activation determines, with each completed link's
+    duration read off the schedule.
+
+    An ("obs", (letter, value)) item can only come from running its
+    letter's observation point, and a ("link", ...) item only from running
+    its activation, so the events of different commits never share an
+    item.  Search therefore keeps each drama's events along the path of a
+    decision tree, adding `_commit_events` at each commit, and splits its
+    information sets where those events differ; the strategies it builds
+    pass the dynamic* check, which reads these same events."""
+    durations = {link.contingent: schedule[link.contingent] - schedule[link.activation]
+                 for link in network.links
+                 if link.activation in schedule and link.contingent in schedule}
+    emitters = set(network.observations.values()) | {link.activation for link in network.links}
     events = []
-    for letter, obs in network.observations.items():
-        if obs in schedule:
-            events.append((schedule[obs], ("obs", (letter, scenario.value(letter)))))
-    for link in network.links:
-        if link.activation in schedule and link.contingent in schedule:
-            done = schedule[link.contingent]
-            events.append((done, ("link", (link.activation, link.contingent,
-                                           done - schedule[link.activation]))))
+    for point, t in schedule.items():
+        if point in emitters and point not in durations:
+            events += _commit_events(network, scenario, durations, point, t)
     return events
 
 
@@ -156,9 +184,19 @@ class ViabilityResult:
 def is_viable(network, strategy):
     """Every indexed schedule must solve its drama's projection, over
     exactly the projection's points."""
+    projections = {}
     for index in strategy.indices():
         drama = strategy.drama(index)
-        projection = drama_projection(network, drama.scenario, drama.situation)
+        projections[drama] = drama_projection(network, drama.scenario, drama.situation)
+    return _check_viable(strategy, projections)
+
+
+def _check_viable(strategy, projections):
+    """`is_viable` with the projections given: `projections` maps each
+    drama of `strategy` to its projection.  `check_dc` passes the ones its
+    search has already built."""
+    for index in strategy.indices():
+        projection = projections[strategy.drama(index)]
         schedule = strategy.table[index]
         if frozenset(schedule) != projection.timepoints:
             raise ValueError("schedule domain for %s is not the expected point set" % (index,))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 
 from .model import Constraint, Stn
-from .rational import INF
+from .rational import INF, rational
 
 
 class DistanceMatrix:
@@ -117,10 +117,19 @@ def earliest_solution(stn, origin):
 
 
 def check_solution(stn, schedule):
-    """Constraints violated by `schedule` (empty list means it is a solution)."""
+    """Constraints violated by `schedule` (empty list means it is a solution).
+
+    Times and deltas are compared as integers, each multiplied by the
+    least common denominator of all of them: scaling both sides of
+    `target - source > delta` by one positive constant keeps its truth.
+    """
     for point in stn.timepoints:
         if point not in schedule:
             raise ValueError("schedule misses time-point %r" % (point,))
+    times = {point: rational(t) for point, t in schedule.items()}
+    scale = lcm(*{t.denominator for t in times.values()},
+                *{c.delta.denominator for c in stn.constraints})
+    at = {point: t.numerator * (scale // t.denominator) for point, t in times.items()}
     violated = [c for c in stn.constraints
-                if schedule[c.target] - schedule[c.source] > c.delta]
+                if at[c.target] - at[c.source] > c.delta.numerator * (scale // c.delta.denominator)]
     return sorted(violated, key=str)

@@ -282,6 +282,47 @@ def fraction_window(dctxs, committed, point):
     return lb, ub
 
 
+def naive_events(network, scenario, schedule):
+    """`semantics._events` as it was before it became the union of
+    per-commit events: each observation point and each completed link
+    read straight off the schedule, every duration a subtraction."""
+    events = []
+    for letter, obs in network.observations.items():
+        if obs in schedule:
+            events.append((schedule[obs], ("obs", (letter, scenario.value(letter)))))
+    for link in network.links:
+        if link.activation in schedule and link.contingent in schedule:
+            done = schedule[link.contingent]
+            events.append((done, ("link", (link.activation, link.contingent,
+                                           done - schedule[link.activation]))))
+    return events
+
+
+def naive_next_divergence(problem, dctxs, committed, now):
+    """`search._Problem.next_divergence` as it was before search kept each
+    drama's events along the path: every drama's known times and events
+    rebuilt from `committed`.  Returns (time, groups), the earliest time
+    >= now at which the events of `dctxs` differ and the dramas grouped by
+    their events then, or None.  Kept as the reference for the per-commit
+    divergence."""
+    per_time = []
+    for d in dctxs:
+        table = {}
+        for t, item in naive_events(problem.network, d.drama.scenario,
+                                    problem.known_times(d, committed)):
+            if t >= now:
+                table.setdefault(t, set()).add(item)
+        per_time.append(table)
+    for t in sorted(set().union(*per_time)):
+        contents = [frozenset(table.get(t, ())) for table in per_time]
+        if any(c != contents[0] for c in contents):
+            groups = {}
+            for d, c in zip(dctxs, contents):
+                groups.setdefault(c, []).append(d)
+            return t, [groups[k] for k in sorted(groups, key=sorted)]
+    return None
+
+
 def naive_propagate(network, budget=5000):
     """Reference saturation loop for `propagate_to_fixpoint`: each round
     composes every pair of constraints, and each candidate is tested for

@@ -1,19 +1,25 @@
 """Dynamic-controllability checking on small networks."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from cstnu import (ContingentLink, Drama, LabeledConstraint, Network, TimePoint,
-                   candidate_time_grid, check_dc, compile_workflow, enumerate_scenarios,
-                   is_dynamic_star, is_viable, parse_label, parse_workflow,
-                   sample_situations, search, tree_strategy_masks,
+import cstnu
+from cstnu import (ContingentLink, Drama, LabeledConstraint, Network, Scenario, TimePoint,
+                   candidate_time_grid, check_dc, compile_workflow, drama_projection,
+                   enumerate_scenarios, is_dynamic_star, is_viable, parse_label,
+                   parse_workflow, sample_situations, search, tree_strategy_masks,
                    verify_cstn_embedding, verify_stnu_embedding)
 from cstnu.fixtures import (branching_workflow_text, modification_study,
                             tight_contingent_stnu)
-from cstnu.semantics import _events, _history
-from helpers import fraction_window, random_cstn, random_consistent_stn, random_stnu
+from cstnu.semantics import _check_viable, _events, _history
+from helpers import (fraction_window, link_chain, naive_events, naive_next_divergence,
+                     random_cstn, random_cstn_strategy, random_consistent_stn, random_stnu,
+                     random_stnu_strategy)
 
 
 def test_consistent_stn_is_controllable():
@@ -57,12 +63,7 @@ def test_relaxed_contingent_link_controllable():
 
 
 def test_chained_links_listed_against_chain_order():
-    # A activates Y and Y activates X, but X's link is listed first
-    net = Network(
-        timepoints=["A", "X", "Y"],
-        constraints=[LabeledConstraint("A", "Y", 2), LabeledConstraint("Y", "A", -1),
-                     LabeledConstraint("Y", "X", 3), LabeledConstraint("X", "Y", -1)],
-        links=[ContingentLink("Y", 1, 3, "X"), ContingentLink("A", 1, 2, "Y")])
+    net = chained_links()
     result = check_dc(net)
     assert result.verdict == "controllable"
     for index, schedule in result.strategy.table.items():
@@ -287,9 +288,9 @@ def test_search_splits_where_semantics_says_histories_differ(monkeypatch):
     real = search._Problem.next_divergence
     seen = {"splits": 0, "at_now": 0}
 
-    def checked(problem, dctxs, committed, now):
-        found = real(problem, dctxs, committed, now)
-        network = problem.network
+    def checked(problem, node):
+        found = real(problem, node)
+        network, dctxs, committed, now = problem.network, node.dctxs, node.committed, node.now
 
         def known(d):
             return d.drama.scenario, problem.known_times(d, committed)
@@ -297,7 +298,8 @@ def test_search_splits_where_semantics_says_histories_differ(monkeypatch):
         if found is None:   # no split ahead: the executions look alike throughout
             assert len({frozenset(_events(network, *known(d))) for d in dctxs}) == 1
             return found
-        t, groups = found
+        t = found
+        groups = [child.dctxs for child in problem.split(node, t)]
         assert t >= now
         assert sorted(d.idx for g in groups for d in g) == sorted(d.idx for d in dctxs)
         assert len({_history(network, *known(d), t) for d in dctxs}) == 1
@@ -317,3 +319,123 @@ def test_search_splits_where_semantics_says_histories_differ(monkeypatch):
         check_dc(random_stnu(rng))
     assert seen["splits"] > 1000
     assert seen["at_now"] > 100
+
+
+def chained_links():
+    # A activates Y and Y activates X, but X's link is listed first
+    return Network(
+        timepoints=["A", "X", "Y"],
+        constraints=[LabeledConstraint("A", "Y", 2), LabeledConstraint("Y", "A", -1),
+                     LabeledConstraint("Y", "X", 3), LabeledConstraint("X", "Y", -1)],
+        links=[ContingentLink("Y", 1, 3, "X"), ContingentLink("A", 1, 2, "Y")])
+
+
+def test_divergence_matches_naive_next_divergence(monkeypatch):
+    # At every node of every search, the split times kept along the path
+    # and the groups made at the next one equal the divergence rebuilt from
+    # each drama's known times, on the fixture, on chained links and on
+    # random networks, half of them with deltas of mixed denominators.
+    real = search._Problem.next_divergence
+    seen = {"nodes": 0, "splits": 0, "mixed": 0}
+
+    def checked(problem, node):
+        found = real(problem, node)
+        expected = naive_next_divergence(problem, node.dctxs, node.committed, node.now)
+        if expected is None:
+            assert found is None
+        else:
+            t, groups = expected
+            assert found == t
+            children = problem.split(node, t)
+            assert ([[d.idx for d in child.dctxs] for child in children]
+                    == [[d.idx for d in group] for group in groups])
+            assert all(child.now == t and child.strict for child in children)
+            seen["splits"] += 1
+            seen["mixed"] += t.denominator not in (1, 1000)   # not an integer or epsilon step
+        seen["nodes"] += 1
+        return found
+
+    monkeypatch.setattr(search._Problem, "next_divergence", checked)
+    check_dc(compile_workflow(parse_workflow(branching_workflow_text()))[0])
+    check_dc(chained_links())
+    check_dc(link_chain(4))
+    fractions = (Fraction(1, 3), Fraction(1, 7), Fraction(5, 2))
+    rng = random.Random(10)
+    for i in range(200):
+        mixed = fractions if i % 2 else None
+        check_dc(random_cstn(rng, fractions=mixed))
+        check_dc(random_stnu(rng, fractions=mixed))
+    assert seen["nodes"] > 1000
+    assert seen["splits"] > 400
+    assert seen["mixed"] > 100
+
+
+def test_events_are_the_union_of_commit_events():
+    # `_events` gathers per-commit events; the direct reading of each
+    # observation and link completion off the schedule gives the same.
+    rng = random.Random(11)
+    for _ in range(100):
+        net = random_cstn(rng)
+        strategy = random_cstn_strategy(rng, net)
+        for s, schedule in strategy.table.items():
+            assert sorted(_events(net, s, schedule)) == sorted(naive_events(net, s, schedule))
+    nets = [random_stnu(rng) for _ in range(100)] + [chained_links(), link_chain(4)]
+    for net in nets:
+        result = check_dc(net)
+        strategy = result.strategy if result.controllable else random_stnu_strategy(rng, net)
+        for index, schedule in strategy.table.items():
+            s = strategy.drama(index).scenario
+            assert sorted(_events(net, s, schedule)) == sorted(naive_events(net, s, schedule))
+
+
+def _corrupted(rng, strategy):
+    table = {index: dict(schedule) for index, schedule in strategy.table.items()}
+    schedule = table[rng.choice(sorted(table, key=str))]
+    schedule[rng.choice(sorted(schedule))] += rng.choice((-1, 1))
+    return type(strategy)(strategy.kind, table)
+
+
+def test_viability_over_search_projections_matches_is_viable():
+    # check_dc certifies through `_check_viable` over the projections its
+    # search built; the public `is_viable` projects each drama itself.
+    # Both must give the same verdict and the same first violation, on
+    # random strategies, on synthesized ones and on corrupted copies.
+    rng = random.Random(12)
+    verdicts = {True: 0, False: 0}
+    for i in range(120):
+        if i % 2:
+            net = random_cstn(rng, consistent=i % 4 == 1)
+            dramas = [Drama(s, ()) for s in enumerate_scenarios(net.letters)]
+            strategies = [random_cstn_strategy(rng, net)]
+        else:
+            net = random_stnu(rng, consistent=i % 4 == 0)
+            dramas = [Drama(Scenario({}), w) for w in sample_situations(net.links)]
+            strategies = [random_stnu_strategy(rng, net)]
+        result = check_dc(net)
+        if result.controllable:
+            strategies += [result.strategy, _corrupted(rng, result.strategy)]
+        problem = search._Problem(net, dramas)
+        projections = {d.drama: d.projection for d in problem.dctxs}
+        for d in problem.dctxs:
+            assert d.projection == drama_projection(net, d.drama.scenario, d.drama.situation)
+        for strategy in strategies:
+            got = _check_viable(strategy, projections)
+            want = is_viable(net, strategy)
+            assert (got.ok, got.index, got.constraint) == (want.ok, want.index, want.constraint)
+            verdicts[got.ok] += 1
+    assert verdicts[True] > 30 and verdicts[False] > 60
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # A 70-point chain STN is one greedy path of 70 commits; under a
+    # recursion limit of 200 the walk used to raise RecursionError.
+    script = ("import sys; from cstnu import LabeledConstraint, Network, check_dc; "
+              "ids = ['P%d' % i for i in range(70)]; "
+              "net = Network(timepoints=ids, constraints=[c for a, b in zip(ids, ids[1:]) "
+              "for c in (LabeledConstraint(a, b, 2), LabeledConstraint(b, a, -1))]); "
+              "sys.setrecursionlimit(200); "
+              "print(check_dc(net).verdict)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cstnu.__file__)))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert done.stdout.strip() == "controllable", done.stderr[-2000:]
