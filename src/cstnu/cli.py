@@ -15,10 +15,10 @@ from .jsonio import (_constraint_to_dict, _schedule_to_dict, dumps, loads,
                      network_from_dict, network_to_dict, stn_to_dict,
                      strategy_from_dict, strategy_to_dict)
 from .model import to_stn, validate
-from .projection import Scenario, _project
+from .projection import DEFAULT_GRID, Scenario, _project
 from .propagation import DEFAULT_BUDGET, propagate_to_fixpoint
 from .rational import fmt, rational
-from .search import check_dc
+from .search import MAX_LETTERS, MAX_LINKS, check_dc
 from .semantics import is_dynamic_star, is_viable
 from .stn import earliest_solution, solve
 from .workflow import WorkflowError, compile_workflow, parse_workflow
@@ -251,10 +251,10 @@ def build_parser():
 
     p = add("check-dc", cmd_check_dc, help="dynamic-controllability check")
     p.add_argument("network")
-    p.add_argument("--grid", type=int, default=3,
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID,
                    help="sampled durations per contingent link")
-    p.add_argument("--max-letters", type=_count, default=6)
-    p.add_argument("--max-links", type=_count, default=6)
+    p.add_argument("--max-letters", type=_count, default=MAX_LETTERS)
+    p.add_argument("--max-links", type=_count, default=MAX_LINKS)
 
     p = add("verify-strategy", cmd_verify_strategy,
             help="check a strategy for viability and dynamicity")

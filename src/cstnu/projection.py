@@ -8,6 +8,9 @@ from .labels import Label, evaluate
 from .model import Constraint, Stn, strip_labels
 from .rational import rational
 
+# Sampled durations per contingent link; see `sample_situations`.
+DEFAULT_GRID = 3
+
 
 class Scenario:
     """Total truth assignment over the network's letter set."""
@@ -67,11 +70,11 @@ def enumerate_scenarios(letters):
             for bits in product((True, False), repeat=len(names))]
 
 
-def sample_situations(links, grid=3):
+def sample_situations(links, grid=DEFAULT_GRID):
     """Cartesian product of `grid` evenly spaced durations per link.
 
     The situation space is infinite; checking discretizes it.  grid=3
-    samples {x, (x+y)/2, y} for each link.
+    (DEFAULT_GRID) samples {x, (x+y)/2, y} for each link.
     """
     if grid < 2:
         raise ValueError("grid must sample at least both bounds")

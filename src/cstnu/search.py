@@ -17,19 +17,21 @@ Verdicts are sound, not complete:
 """
 
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from .labels import evaluate
 from .model import Stn, depth_first, embed_cstn, embed_stnu, validate
-from .projection import (Drama, _rigid_durations, enumerate_scenarios,
+from .projection import (DEFAULT_GRID, Drama, _rigid_durations, enumerate_scenarios,
                          sample_situations, scenario_projection)
 from .rational import INF
 from .semantics import Strategy, _check_viable, _commit_events, is_dynamic_star
 from .stn import floored, solve
 
 # Search bounds; see `check_dc`, `tree_strategy_masks`, `candidate_time_grid`.
+MAX_LETTERS = 6
+MAX_LINKS = 6
 EXHAUSTIVE_POINTS = 6
 EXHAUSTIVE_BUDGET = 200_000
 MASKS_BUDGET = 2_000_000
@@ -50,37 +52,29 @@ class _DramaCtx:
     factor: int = 1          # the problem's scale over the matrix's scale
 
 
-class _InfoSet(list):
-    """An information set: the dramas, in problem order, whose histories
-    agree so far.  `bounds` keeps the tightest closure entries over them
-    that `_Problem.window` has read, for every node of the set."""
-
-    __slots__ = ("bounds",)
-
-    def __init__(self, dctxs):
-        super().__init__(dctxs)
-        self.bounds = {}
-
-
 @dataclass(eq=False)
 class _Node:
-    """A node of the decision-tree walk: the information set `dctxs`, the
-    times `committed` to it, the time `now` of the last step, and
-    `strict`, set when the node starts at a divergence at `now`, so that
-    nothing more may run at `now`.
+    """A node of the decision-tree walk, and the only state the search
+    keeps for its path: the information set `dctxs` (the dramas, in
+    problem order, whose histories agree so far), the times `committed`
+    to it, the time `now` of the last step, and `strict`, set when the
+    node starts at a divergence at `now`, so that nothing more may run at
+    `now`.
 
-    It also carries the state of its path that divergence needs: the
-    events each drama has seen (`events`: drama index -> (time, item)
-    pairs) and the sorted times at which the histories of `dctxs` differ
-    (`splits`).  A child shares or extends its parent's, so the state is
-    dropped with the path."""
+    `events[i]` holds the (time, item) events drama `dctxs[i]` has seen on
+    the path, `splits` the times at which the histories of `dctxs`
+    differ, and `bounds` the tightest closure entries over `dctxs` that
+    `_Problem.window` has read.  A commit's child shares its parent's
+    `bounds` and shares or extends its `events` and `splits`; each group
+    of a split starts with empty `bounds`."""
 
-    dctxs: _InfoSet
+    dctxs: list
     committed: dict
     now: Fraction
     strict: bool
-    events: dict
-    splits: list
+    events: list
+    splits: frozenset
+    bounds: dict
 
 
 class _Problem:
@@ -117,12 +111,6 @@ class _Problem:
         for d in self.dctxs:
             d.factor = self.scale // d.matrix.scale
 
-    def inconsistent_drama(self):
-        for d in self.dctxs:
-            if not d.matrix.consistent:
-                return d
-        return None
-
     def known_times(self, dctx, committed):
         """Committed times plus the contingent times they determine."""
         times = {p: t for p, t in committed.items() if p in dctx.relevant}
@@ -132,13 +120,14 @@ class _Problem:
                 times[point] = times[act] + dctx.durations[point]
         return times
 
-    def schedules(self, dctxs, committed):
+    def schedules(self, node):
         """The strategy table of a leaf: each drama's known times."""
-        return {d.drama: self.known_times(d, committed) for d in dctxs}
+        return {d.drama: self.known_times(d, node.committed) for d in node.dctxs}
 
     def root(self):
         """The node of every drama, before anything runs."""
-        return _Node(_InfoSet(self.dctxs), {}, Fraction(0), False, {}, [])
+        return _Node(self.dctxs, {}, Fraction(0), False, [()] * len(self.dctxs),
+                     frozenset(), {})
 
     def advance(self, node, committed, point, t):
         """The child of `node` that runs `point` at `t`; `committed` is
@@ -154,18 +143,14 @@ class _Problem:
                  for d in node.dctxs]
         events, splits = node.events, node.splits
         if any(fresh):
-            events = dict(events)
-            for d, produced in zip(node.dctxs, fresh):
-                if produced:
-                    events[d.idx] = events.get(d.idx, ()) + tuple(produced)
-            splits = sorted(set(splits).union(_diverging(fresh)))
-        return _Node(node.dctxs, committed, t, False, events, splits)
+            events = [seen + tuple(produced) for seen, produced in zip(events, fresh)]
+            splits = splits | _diverging(fresh)
+        return _Node(node.dctxs, committed, t, False, events, splits, node.bounds)
 
     def next_divergence(self, node):
         """Earliest time >= `node.now` at which the histories of
         `node.dctxs` split, or None."""
-        i = bisect_left(node.splits, node.now)
-        return node.splits[i] if i < len(node.splits) else None
+        return min((t for t in node.splits if t >= node.now), default=None)
 
     def split(self, node, t):
         """The children of `node` at its divergence `t`: its dramas grouped
@@ -173,45 +158,44 @@ class _Problem:
         starts at `t`, strictly.  The groups come in the order of their
         sorted events."""
         groups = {}
-        for d in node.dctxs:
-            at_t = frozenset(item for when, item in node.events.get(d.idx, ()) if when == t)
-            groups.setdefault(at_t, []).append(d)
-        children = []
-        for key in sorted(groups, key=sorted):
-            dctxs = _InfoSet(groups[key])
-            splits = sorted(_diverging([node.events.get(d.idx, ()) for d in dctxs]))
-            children.append(_Node(dctxs, node.committed, t, True, node.events, splits))
-        return children
+        for d, seen in zip(node.dctxs, node.events):
+            dctxs, events = groups.setdefault(
+                frozenset(item for when, item in seen if when == t), ([], []))
+            dctxs.append(d)
+            events.append(seen)
+        return [_Node(dctxs, node.committed, t, True, events, _diverging(events), {})
+                for dctxs, events in (groups[key] for key in sorted(groups, key=sorted))]
 
-    def ready_points(self, dctxs, committed):
-        """Uncommitted non-contingent points, split into uniformly-relevant
-        (executable) and relevance-blocked ones."""
+    def ready_points(self, node):
+        """Uncommitted non-contingent points of `node`, split into
+        uniformly-relevant (executable) and relevance-blocked ones."""
         ready, blocked = [], []
         for point in self.noncontingent:
-            if point in committed:
+            if point in node.committed:
                 continue
-            flags = [point in d.relevant for d in dctxs]
+            flags = [point in d.relevant for d in node.dctxs]
             if not any(flags):
                 continue
             (ready if all(flags) else blocked).append(point)
         return ready, blocked
 
-    def window(self, dctxs, committed, point):
-        """Shared feasible interval (lb, ub) for `point` across `dctxs`;
-        `ub` is None when nothing bounds it from above.
+    def window(self, node, point):
+        """Shared feasible interval (lb, ub) for `point` across the dramas
+        of `node`, given its committed times; `ub` is None when nothing
+        bounds it from above.
 
         Uses STN decomposability: any value within the distance-matrix
         window of the committed anchors extends to a full solution of
         each drama's projection.  For the origin and for each committed
-        anchor only the tightest entry over `dctxs` is kept (`_bounds`);
+        anchor only the tightest entry over the dramas is kept (`_bounds`);
         committed times stay `Fraction`s, since a commit may fall between
         two multiples of 1/scale.
         """
-        floor, _ = self._bounds(dctxs, point, _ORIGIN)
+        floor, _ = self._bounds(node, point, _ORIGIN)
         lb = -floor if floor is not None and floor < 0 else Fraction(0)
         ub = None
-        for anchor, t in committed.items():
-            back, fwd = self._bounds(dctxs, point, anchor)
+        for anchor, t in node.committed.items():
+            back, fwd = self._bounds(node, point, anchor)
             if back is not None:
                 lb = max(lb, t - back)
             if fwd is not None:
@@ -219,23 +203,24 @@ class _Problem:
                 ub = cap if ub is None else min(ub, cap)
         return lb, ub
 
-    def _bounds(self, dctxs, point, anchor):
+    def _bounds(self, node, point, anchor):
         """(back, fwd): the least closure entries for anchor - point and
-        for point - anchor over the dramas of `dctxs` that run `anchor`, as
+        for point - anchor over the dramas of `node` that run `anchor`, as
         `Fraction`s, or None where unbounded.
 
         The entries are compared as integers on the problem's `scale`, the
         least common multiple of the dramas' closure scales: drama d's
         entry times `d.factor`.  They depend on the information set alone,
-        so each pair is read once per set and kept in `dctxs.bounds`.
+        so each pair is read once per set and kept in `node.bounds`.
         """
-        found = dctxs.bounds.get((point, anchor))
+        found = node.bounds.get((point, anchor))
         if found is None:
+            dctxs = node.dctxs
             sharing = dctxs if anchor == _ORIGIN else [d for d in dctxs if anchor in d.relevant]
             found = tuple(None if entry == INF else Fraction(entry, self.scale)
                           for entry in (_tightest(sharing, point, anchor),
                                         _tightest(sharing, anchor, point)))
-            dctxs.bounds[(point, anchor)] = found
+            node.bounds[(point, anchor)] = found
         return found
 
 
@@ -252,22 +237,11 @@ def _tightest(dctxs, source, target):
 
 def _diverging(per_drama):
     """The times at which the event lists `per_drama`, one per drama, do
-    not all hold the same items."""
-    distinct = {frozenset(events) for events in per_drama}
-    if len(distinct) == 1:
-        return set()
-    tables = []
-    for events in distinct:
-        table = {}
-        for when, item in events:
-            table.setdefault(when, set()).add(item)
-        tables.append(table)
-    first = tables[0]
-    times = set()
-    for table in tables[1:]:
-        times |= first.keys() ^ table.keys()
-        times.update(when for when in first.keys() & table.keys() if first[when] != table[when])
-    return times
+    not all hold the same items: those of the events some drama has and
+    another lacks."""
+    distinct = {frozenset(events) for events in per_drama}   # few: most dramas agree
+    return frozenset(when for when, _ in frozenset.union(*distinct)
+                     - frozenset.intersection(*distinct))
 
 
 # Virtual origin pinned at time 0.  Every point is floored at it, so the
@@ -293,8 +267,8 @@ def _explore(problem, moves, leaf, fold, join, commit=None, budget=None,
     A node (`_Node`) is an information set `dctxs` (dramas whose histories
     agree so far), the times `committed` to it, the time `now` of the last
     step, and `strict`.  A node with no point left to run is a leaf,
-    valued `leaf(dctxs, committed)`.  Any other node folds the values of
-    its alternatives, in order: each commit (point, t) proposed by
+    valued `leaf(node)`.  Any other node folds the values of its
+    alternatives, in order: each commit (point, t) proposed by
     `moves(node, ready, divergence)`, and then the split at the next
     divergence, if there is one.  `fold` is (initial, step): the node's
     value starts at `initial`, and `step(value, alternative's value)`
@@ -333,11 +307,11 @@ def _explore(problem, moves, leaf, fold, join, commit=None, budget=None,
                    tuple(sorted(node.committed.items())), node.now, node.strict)
             if key in memo:
                 return memo[key]
-        ready, blocked = problem.ready_points(node.dctxs, node.committed)
+        ready, blocked = problem.ready_points(node)
         if ready or blocked:
             stack.append([alternatives(node, ready), key, initial])
             return _OPEN
-        return close(key, leaf(node.dctxs, node.committed))
+        return close(key, leaf(node))
 
     def close(key, value):
         if remember is not None and remember(value):
@@ -420,15 +394,12 @@ def _earliest_commit(problem):
         floor = now + epsilon if strict else now
         best = None
         for point in ready:
-            lb, ub = problem.window(node.dctxs, node.committed, point)
+            lb, ub = problem.window(node, point)
             t = max(lb, floor)
             if ub is not None and t > ub:
-                if strict and lb <= now and ub > now:
-                    t = now + (ub - now) / 2   # epsilon tick overshot the window
-                    if t < lb:
-                        continue
-                else:
+                if not (strict and lb <= now < ub):
                     continue
+                t = now + (ub - now) / 2   # epsilon tick overshot the window
             if div is not None and t > div:
                 continue
             if best is None or (t, point) < best:
@@ -561,8 +532,9 @@ def tree_strategy_masks(network, constraint_sets, grid):
     Bit i of a mask is set when the strategy violates some constraint of
     `constraint_sets[i]` in some drama whose scenario makes its label
     true.  The full mask set supports questions like "is every strategy
-    viable for set 0 also viable for set 1".  Raises `RuntimeError` when
-    more than MASKS_BUDGET tree nodes are entered.
+    viable for set 0 also viable for set 1".  Raises `ValueError` when a
+    label names a letter the network lacks, and `RuntimeError` when more
+    than MASKS_BUDGET tree nodes are entered.
     """
     scenarios = enumerate_scenarios(network.letters)
     situations = sample_situations(network.links)
@@ -571,8 +543,7 @@ def tree_strategy_masks(network, constraint_sets, grid):
     index = []
     for d in problem.dctxs:
         values = d.drama.scenario.as_mapping()
-        index.append([_by_point(c for c in constraints
-                                if all(values.get(l) == s for l, s in c.label.literals))
+        index.append([_by_point(c for c in constraints if evaluate(c.label, values))
                       for constraints in constraint_sets])
     full = (1 << len(constraint_sets)) - 1
 
@@ -582,7 +553,7 @@ def tree_strategy_masks(network, constraint_sets, grid):
 
     try:
         return _explore(problem, _grid_commits(grid),
-                        lambda dctxs, committed: frozenset({0}),
+                        lambda node: frozenset({0}),
                         (frozenset(), lambda masks, other: (masks | other, False)),
                         lambda masks, other: frozenset(m | s for m in masks for s in other),
                         commit, MASKS_BUDGET, lambda masks: True)
@@ -610,7 +581,7 @@ class DcResult:
         return "; ".join(parts)
 
 
-def check_dc(network, grid=3, max_letters=6, max_links=6):
+def check_dc(network, grid=DEFAULT_GRID, max_letters=MAX_LETTERS, max_links=MAX_LINKS):
     """Dynamic-controllability check over the sampled drama set.
 
     When greedy synthesis fails on a network of at most
@@ -632,7 +603,7 @@ def check_dc(network, grid=3, max_letters=6, max_links=6):
               % (len(scenarios), len(situations), grid))
     problem = _Problem(network, dramas)
 
-    bad = problem.inconsistent_drama()
+    bad = next((d for d in problem.dctxs if not d.matrix.consistent), None)
     if bad is not None:
         return DcResult("not-controllable",
                         evidence="projection for drama %s is inconsistent" % (bad.drama,),

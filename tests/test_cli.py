@@ -14,7 +14,9 @@ from cstnu import compile_workflow, parse_workflow
 from cstnu.cli import build_parser, main
 from cstnu.fixtures import branching_workflow_text, tight_contingent_stnu
 from cstnu.jsonio import dumps, network_to_dict
+from cstnu.projection import DEFAULT_GRID, sample_situations
 from cstnu.propagation import DEFAULT_BUDGET, propagate_to_fixpoint
+from cstnu.search import MAX_LETTERS, MAX_LINKS, check_dc
 from helpers import link_chain
 
 
@@ -29,6 +31,15 @@ def bad_stnu(tmp_path):
 def workflow_file(tmp_path):
     path = tmp_path / "flow.wf"
     path.write_text(branching_workflow_text())
+    return str(path)
+
+
+@pytest.fixture
+def fixture_network(tmp_path):
+    """The branching-workflow fixture compiled to a network file."""
+    path = tmp_path / "net.json"
+    path.write_text(dumps(network_to_dict(
+        compile_workflow(parse_workflow(branching_workflow_text()))[0])))
     return str(path)
 
 
@@ -119,6 +130,36 @@ def stn_file(tmp_path, constraints):
     path = tmp_path / "stn.json"
     path.write_text(json.dumps(net))
     return str(path)
+
+
+def test_solve_reports_an_inconsistent_network(capsys, fixture_network):
+    # the fixture's label-erased STN has a negative cycle
+    code, out, _ = run(capsys, "solve", "--json", fixture_network)
+    assert code == 1 and json.loads(out) == {"consistent": False}
+    code, out, _ = run(capsys, "solve", fixture_network)
+    assert code == 1 and out == "inconsistent: the distance graph has a negative cycle\n"
+
+
+def test_text_reports(capsys, bad_stnu, fixture_network):
+    code, out, _ = run(capsys, "solve", bad_stnu)
+    assert code == 0 and out == "consistent; earliest schedule from A:\n  A = 0\n  C = 1\n"
+    code, out, _ = run(capsys, "propagate", bad_stnu)
+    assert code == 0 and out == "3 constraints after 1 rounds (saturated)\n"
+    code, out, _ = run(capsys, "check-dc", bad_stnu)
+    assert code == 1 and out == ("not-controllable; projection for drama s={} w=(3) is "
+                                 "inconsistent; (1 scenarios x 3 sampled situations "
+                                 "(duration grid 3 per link))\n")
+    code, out, _ = run(capsys, "check-dc", fixture_network)
+    assert code == 0 and out == ("controllable; (2 scenarios x 243 sampled situations "
+                                 "(duration grid 3 per link))\n")
+
+
+def test_propagate_reports_an_exhausted_budget(capsys, fixture_network):
+    code, out, _ = run(capsys, "propagate", "--budget", "3", fixture_network)
+    assert code == 0 and out == "37 constraints after 1 rounds (budget exhausted)\n"
+    code, out, _ = run(capsys, "propagate", "--json", "--budget", "3", fixture_network)
+    payload = json.loads(out)
+    assert code == 0 and not payload["saturated"] and not payload["refuted"]
 
 
 def test_solve_point_forced_before_the_default_origin(capsys, tmp_path):
@@ -237,6 +278,13 @@ def test_propagate_budget_default_is_the_module_constant():
     args = build_parser().parse_args(["propagate", "net.json"])
     assert args.budget == DEFAULT_BUDGET
     assert propagate_to_fixpoint.__defaults__ == (DEFAULT_BUDGET,)
+
+
+def test_check_dc_defaults_are_the_module_constants():
+    args = build_parser().parse_args(["check-dc", "net.json"])
+    assert (args.grid, args.max_letters, args.max_links) == (DEFAULT_GRID, MAX_LETTERS, MAX_LINKS)
+    assert check_dc.__defaults__ == (DEFAULT_GRID, MAX_LETTERS, MAX_LINKS)
+    assert sample_situations.__defaults__ == (DEFAULT_GRID,)
 
 
 # sha256 of CLI outputs on the branching-workflow fixture.  They pin the

@@ -155,6 +155,16 @@ def test_tree_strategy_masks_budget_is_a_runtime_error(monkeypatch):
         tree_strategy_masks(*modification_study())
 
 
+def test_tree_strategy_masks_reject_an_undeclared_letter():
+    # Y - X <= -100 fails every strategy, but only where its label holds
+    net, _, grid = modification_study()
+    unlabeled = LabeledConstraint("X", "Y", Fraction(-100))
+    assert tree_strategy_masks(net, [[unlabeled]], grid) == {1}
+    undeclared = LabeledConstraint("X", "Y", Fraction(-100), parse_label("z"))
+    with pytest.raises(ValueError, match="letter 'z' not assigned"):
+        tree_strategy_masks(net, [[undeclared]], grid)
+
+
 def test_tightening_preserves_negative_verdicts():
     # tightening a bound never turns not-controllable into controllable
     rng = random.Random(19)
@@ -263,11 +273,11 @@ def test_integer_window_matches_fraction_window(monkeypatch):
     real = search._Problem.window
     seen = {"calls": 0, "mixed": 0}
 
-    def checked(problem, dctxs, committed, point):
-        got = real(problem, dctxs, committed, point)
-        assert repr(got) == repr(fraction_window(dctxs, committed, point))
+    def checked(problem, node, point):
+        got = real(problem, node, point)
+        assert repr(got) == repr(fraction_window(node.dctxs, node.committed, point))
         seen["calls"] += 1
-        seen["mixed"] += len({d.matrix.scale for d in dctxs}) > 1
+        seen["mixed"] += len({d.matrix.scale for d in node.dctxs}) > 1
         return got
 
     monkeypatch.setattr(search._Problem, "window", checked)
