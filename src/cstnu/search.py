@@ -27,7 +27,7 @@ from .projection import (DEFAULT_GRID, Drama, _rigid_durations, enumerate_scenar
                          sample_situations, scenario_projection)
 from .rational import INF
 from .semantics import Strategy, _check_viable, _commit_events, is_dynamic_star
-from .stn import floored, solve
+from .stn import DistanceMatrix, _insert, floored, solve
 
 # Search bounds; see `check_dc`, `tree_strategy_masks`, `candidate_time_grid`.
 MAX_LETTERS = 6
@@ -48,8 +48,7 @@ class _DramaCtx:
     relevant: frozenset
     durations: dict          # contingent point -> sampled duration
     projection: object
-    matrix: object
-    factor: int = 1          # the problem's scale over the matrix's scale
+    matrix: object           # closure of the floored projection; see `_Problem`
 
 
 @dataclass(eq=False)
@@ -78,7 +77,25 @@ class _Node:
 
 
 class _Problem:
-    """A network plus its sampled drama set, ready for tree search."""
+    """A network plus its sampled drama set, ready for tree search.
+
+    Each drama's `matrix` closes its projection floored at `_ORIGIN`.
+    Every matrix has the same ids, the network's points and the origin, and
+    the same `scale`, so `_bounds` reads the entries of all dramas at one
+    pair of positions and compares them as integers.  A point that a
+    scenario drops is an isolated row and column: `INF` off the diagonal.
+
+    Each scenario's floored projection is closed once (`stn.solve`), and
+    brought to the problem's `scale`, the least common multiple of those
+    closures' scales and of every sampled duration's denominator.  A
+    drama's projection adds, for each link whose two end-points are
+    relevant, the rigid edges c - a <= d and a - c <= -d; they are
+    inserted one edge at a time (`stn._insert`) into the scenario's
+    closure, in link order.  Dramas whose relevant links agree on a prefix
+    of durations share that prefix's closure, and an inserted edge shares
+    every row it cannot change.  The flag of an inconsistent drama is
+    exact, but its rows mean nothing.
+    """
 
     def __init__(self, network, dramas):
         self.network = network
@@ -89,27 +106,62 @@ class _Problem:
         activating = {c: [a] if a in self.activation else [] for c, a in self.activation.items()}
         self.chain_order, _ = depth_first(sorted(activating), activating.__getitem__)
         # A drama's projection is its scenario's plus the rigid link
-        # durations of its situation, so each scenario is projected once.
-        scenarios = {}
-        self.dctxs = []
-        for i, drama in enumerate(dramas):
+        # durations of its situation, so each scenario is projected and
+        # closed once, over every point of the network and the origin.
+        points = frozenset(network.timepoints) | {_ORIGIN}
+        scenarios = {}          # Scenario -> (projection, closure)
+        for drama in dramas:
             if drama.scenario not in scenarios:
                 base = scenario_projection(network, drama.scenario)
-                scenarios[drama.scenario] = base, floored(base, _ORIGIN)
-            base, floor = scenarios[drama.scenario]
-            relevant = base.timepoints
-            rigid = _rigid_durations(network, relevant, drama.situation)
-            durations = {link.contingent: d
-                         for link, d in zip(network.links, drama.situation)
-                         if link.activation in relevant and link.contingent in relevant}
-            self.dctxs.append(_DramaCtx(i, drama, relevant, durations,
-                                        Stn(relevant, base.constraints | rigid),
-                                        solve(Stn(floor.timepoints, floor.constraints | rigid))))
-        # One scale for every drama, so that `window` compares the closure
-        # entries of different dramas as integers.
-        self.scale = lcm(*(d.matrix.scale for d in self.dctxs))
-        for d in self.dctxs:
-            d.factor = self.scale // d.matrix.scale
+                floor = floored(base, _ORIGIN)
+                scenarios[drama.scenario] = base, solve(Stn(points, floor.constraints))
+        self.scale = lcm(*(closure.scale for _, closure in scenarios.values()),
+                         *{d.denominator for drama in dramas for d in drama.situation})
+        tries = {}              # Scenario -> (relevant links, root [closure, children])
+        for scenario, (base, closure) in scenarios.items():
+            factor = self.scale // closure.scale
+            if factor != 1:
+                closure = DistanceMatrix(closure.ids, [[entry * factor for entry in row]
+                                                       for row in closure.rows],
+                                         self.scale, closure.consistent)
+            index = closure.index
+            links = [(k, link.contingent, index[link.activation], index[link.contingent])
+                     for k, link in enumerate(network.links)
+                     if link.activation in base.timepoints and link.contingent in base.timepoints]
+            tries[scenario] = links, [closure, {}]
+        self.index = index
+        positions = [{} for _ in network.links]     # per link: duration -> position
+        self.dctxs = []
+        for i, drama in enumerate(dramas):
+            base, _ = scenarios[drama.scenario]
+            links, node = tries[drama.scenario]
+            for k, _, activation, contingent in links:
+                d = drama.situation[k]
+                position = positions[k].setdefault(d, len(positions[k]))
+                child = node[1].get(position)
+                if child is None:
+                    child = node[1][position] = [
+                        self._with_link(node[0], activation, contingent, d), {}]
+                node = child
+            self.dctxs.append(_DramaCtx(
+                i, drama, base.timepoints,
+                {contingent: drama.situation[k] for k, contingent, _, _ in links},
+                Stn(base.timepoints, base.constraints | _rigid_durations(
+                    network, base.timepoints, drama.situation)),
+                node[0]))
+
+    def _with_link(self, matrix, activation, contingent, duration):
+        """`matrix` with the rigid edges that fix contingent - activation
+        (row positions) to `duration` inserted.  A matrix that is, or that
+        the edges make, inconsistent keeps its rows, flagged."""
+        if not matrix.consistent:
+            return matrix
+        weight = duration.numerator * (self.scale // duration.denominator)
+        rows = _insert(matrix.rows, activation, contingent, weight)
+        if rows is not None:
+            rows = _insert(rows, contingent, activation, -weight)
+        return DistanceMatrix(matrix.ids, matrix.rows if rows is None else rows,
+                              self.scale, rows is not None)
 
     def known_times(self, dctx, committed):
         """Committed times plus the contingent times they determine."""
@@ -205,34 +257,24 @@ class _Problem:
 
     def _bounds(self, node, point, anchor):
         """(back, fwd): the least closure entries for anchor - point and
-        for point - anchor over the dramas of `node` that run `anchor`, as
-        `Fraction`s, or None where unbounded.
+        for point - anchor over the dramas of `node`, as `Fraction`s, or
+        None where unbounded.
 
-        The entries are compared as integers on the problem's `scale`, the
-        least common multiple of the dramas' closure scales: drama d's
-        entry times `d.factor`.  They depend on the information set alone,
-        so each pair is read once per set and kept in `node.bounds`.
+        Every matrix has the problem's ids and `scale`, so the entries are
+        read at one pair of positions and compared as integers.  A drama
+        that does not run `anchor` has `INF` there, so it never wins.  The
+        entries depend on the information set alone, so each pair is read
+        once per set and kept in `node.bounds`.
         """
         found = node.bounds.get((point, anchor))
         if found is None:
-            dctxs = node.dctxs
-            sharing = dctxs if anchor == _ORIGIN else [d for d in dctxs if anchor in d.relevant]
+            p, a = self.index[point], self.index[anchor]
+            back = min(d.matrix.rows[p][a] for d in node.dctxs)
+            fwd = min(d.matrix.rows[a][p] for d in node.dctxs)
             found = tuple(None if entry == INF else Fraction(entry, self.scale)
-                          for entry in (_tightest(sharing, point, anchor),
-                                        _tightest(sharing, anchor, point)))
+                          for entry in (back, fwd))
             node.bounds[(point, anchor)] = found
         return found
-
-
-def _tightest(dctxs, source, target):
-    """Least closure entry for target - source over `dctxs`, on the
-    problem's scale: an `int`, or `INF`."""
-    best = INF
-    for d in dctxs:
-        entry = d.matrix.scaled(source, target)
-        if entry != INF and entry * d.factor < best:
-            best = entry * d.factor
-    return best
 
 
 def _diverging(per_drama):

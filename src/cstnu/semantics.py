@@ -7,7 +7,7 @@ what was observable strictly before a time: ties are excluded, an
 observation at exactly time t is not part of t's history.
 """
 
-from bisect import bisect_left
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .labels import Label, con
@@ -125,21 +125,22 @@ def _history(network, scenario, schedule, t):
     return frozenset(seen["obs"]), frozenset(seen["link"])
 
 
-def _timeline(network, scenario, schedule, rank, ids):
-    """(times, prefixes) of one execution: the ranks (`rank[time]`) of its
-    event times in order, and an id for the history after each prefix of
-    its events, so that the history strictly before a time of rank r has
-    id prefixes[bisect_left(times, r)].  `ids` numbers every distinct
-    history seen so far."""
+def _changes(network, scenario, schedule, rank, ids, pos):
+    """The history changes of one execution, index `pos` of a strategy, as
+    (rank, pos, id) triples: at the times ranked above `rank`, up to its
+    next change, the history of `pos` strictly before them has id `id`.
+    Simultaneous events make one change.  `rank` maps times to their
+    ranks; `ids` numbers every distinct history seen so far, the empty one
+    0."""
     events = sorted(((rank[when], item) for when, item in _events(network, scenario, schedule)),
                     key=lambda e: e[0])
-    times = [when for when, _ in events]
+    changes = []
     seen = frozenset()
-    prefixes = [ids.setdefault(seen, len(ids))]
-    for _, item in events:
+    for k, (when, item) in enumerate(events):
         seen = seen | {item}
-        prefixes.append(ids.setdefault(seen, len(ids)))
-    return times, prefixes
+        if k + 1 == len(events) or events[k + 1][0] != when:
+            changes.append((when, pos, ids.setdefault(seen, len(ids))))
+    return changes
 
 
 def sc_hst(network, scenario, strategy, point):
@@ -247,14 +248,19 @@ def is_dynamic_star(network, strategy):
     Only non-contingent points are quantified: the environment, not the
     strategy, sets contingent times.
 
-    The indices are bucketed by history rather than compared in pairs.
-    For each non-contingent point p and each distinct time t at which some
-    index runs p, the indices running p are grouped by their history
-    strictly before t; the strategy is not dynamic iff some group holds an
-    index with sigma(p) = t and one with sigma(p) != t.  Each index's
-    events are sorted once, so a history lookup is one bisection: the
-    cost is O(sum over p of T_p * N log E) for N indices, T_p distinct
-    times of p and E events per index, not O(N^2 * P).
+    The indices are grouped by history rather than compared in pairs, in
+    one sweep per non-contingent point p over the distinct times at which
+    some index runs p.  The sweep keeps each index's current history id,
+    applying the history changes (`_changes`) of rank below t in (rank,
+    position) order, and for each history the count of the indices running
+    p that hold it, by their time for p.  The strategy violates dynamic*
+    at (p, t) iff some history holds an index running p at t and one
+    running it elsewhere; only then are the indices running p bucketed by
+    history, to find the least witness.  Strategies built by the DC search
+    are dynamic, so for them the bucketing never runs.  The cost is
+    O(sum over p of (C + N_p)) for C history changes in all and N_p indices
+    running p, plus O(N_p) per violating (p, t), after sorting each index's
+    events once; it is not O(N^2 * P).
 
     The witness (i1, i2, point) is the least violating triple in the order
     of `Strategy.indices()` positions, then point name: i1 runs the point
@@ -266,29 +272,59 @@ def is_dynamic_star(network, strategy):
     # Times are compared by rank: Fraction comparisons cost more than the
     # rest of the check.
     rank = {t: r for r, t in enumerate(sorted({t for s in schedules for t in s.values()}))}
-    ids = {}
-    timelines = [_timeline(network, strategy.drama(index).scenario, schedule, rank, ids)
-                 for index, schedule in zip(indices, schedules)]
+    ids = {frozenset(): 0}
+    changes = []
+    for pos, (index, schedule) in enumerate(zip(indices, schedules)):
+        changes += _changes(network, strategy.drama(index).scenario, schedule, rank, ids, pos)
+    changes.sort()
     points = sorted({p for schedule in schedules for p in schedule} - contingent)
     witness = None
     for point in points:
-        users = [(pos, rank[schedule[point]]) for pos, schedule in enumerate(schedules)
-                 if point in schedule]
-        for t in {when for _, when in users}:
-            # history id -> [least position with sigma(p) = t, least elsewhere]
-            groups = {}
-            for pos, when in users:
-                times, prefixes = timelines[pos]
-                least = groups.setdefault(prefixes[bisect_left(times, t)], [None, None])
-                side = 0 if when == t else 1
-                if least[side] is None:
-                    least[side] = pos
-            for at, elsewhere in groups.values():
-                if at is not None and elsewhere is not None:
-                    found = (at, elsewhere, point)
-                    if witness is None or found < witness:
-                        witness = found
+        when = [rank[schedule[point]] if point in schedule else None for schedule in schedules]
+        users = {}                              # time -> positions running `point` then
+        for pos, t in enumerate(when):
+            if t is not None:
+                users.setdefault(t, []).append(pos)
+        if len(users) < 2:
+            continue
+        current = [0] * len(schedules)
+        # history id -> time -> how many indices hold it and run `point` then
+        counts = defaultdict(Counter, {0: Counter({t: len(group) for t, group in users.items()})})
+        totals = Counter({0: sum(len(group) for group in users.values())})
+        step = 0
+        for t in sorted(users):
+            while step < len(changes) and changes[step][0] < t:
+                _, pos, new = changes[step]
+                step += 1
+                at = when[pos]
+                if at is None:
+                    continue
+                old = current[pos]
+                current[pos] = new
+                counts[old][at] -= 1
+                totals[old] -= 1
+                counts[new][at] += 1
+                totals[new] += 1
+            if any(counts[current[pos]][t] < totals[current[pos]] for pos in users[t]):
+                found = _least_violation(when, current, t, point)
+                if witness is None or found < witness:
+                    witness = found
     if witness is None:
         return DynamicityResult(True)
     at, elsewhere, point = witness
     return DynamicityResult(False, (indices[at], indices[elsewhere], point))
+
+
+def _least_violation(when, current, t, point):
+    """The least (at, elsewhere, point) among positions with the same
+    current history, `at` running `point` at time rank `t` and `elsewhere`
+    at another: the indices running `point` bucketed by history."""
+    groups = {}                 # history id -> [least position at t, least elsewhere]
+    for pos, at in enumerate(when):
+        if at is not None:
+            least = groups.setdefault(current[pos], [None, None])
+            side = 0 if at == t else 1
+            if least[side] is None:
+                least[side] = pos
+    return min((at, elsewhere, point) for at, elsewhere in groups.values()
+               if at is not None and elsewhere is not None)

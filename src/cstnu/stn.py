@@ -13,6 +13,16 @@ scaled closure is the closure of the original graph times that constant:
 nothing is rounded, and a cycle is negative in one exactly when it is
 negative in the other.  `DistanceMatrix.distance` divides by the constant
 on the way out; `DistanceMatrix.scaled` reads the integer as it is.
+
+A closure that differs from a known one by a single edge `v - u <= w` is
+not closed again.  If `D` is the closure of a consistent graph, the graph
+plus that edge has a negative cycle iff `w + D[v][u] < 0`: a cycle through
+the new edge weighs at least w plus the shortest v-u path.  Otherwise a
+shortest path uses the edge at most once, so the new closure is
+`D'[i][j] = min(D[i][j], D[i][u] + w + D[v][j])`, an O(n^2) update
+(`_insert`).  The closure of a consistent graph is unique, so this is the
+matrix `solve` would return for the larger graph; `solve` stays the only
+full closure, and tests hold `_insert` against it.
 """
 
 from fractions import Fraction
@@ -28,30 +38,30 @@ class DistanceMatrix:
     When `consistent`, the diagonal is zero and the triangle inequality
     holds; otherwise some negative-cost cycle exists.  The closure is held
     as integers scaled by `scale`, the least common denominator of the
-    STN's deltas (or `INF`), and is never copied.  `distance` makes the
-    `Fraction` of one entry; `scaled` reads the entry as it is, for
-    callers that compare entries of many matrices: they bring them to one
-    common multiple of the matrices' `scale`s and make `Fraction`s only
-    of the bounds they keep.
+    STN's deltas (or `INF`): `rows[index[source]][index[target]]` bounds
+    target - source times `scale`.  `distance` makes the `Fraction` of one
+    entry; `scaled` reads the entry as it is.  Callers that compare the
+    entries of many matrices over one id list (the DC search) read `rows`
+    on one common scale and make `Fraction`s only of the bounds they keep.
     """
 
-    def __init__(self, ids, dist, scale, consistent):
+    def __init__(self, ids, rows, scale, consistent):
         self.ids = tuple(ids)
-        self._index = {t: i for i, t in enumerate(self.ids)}
-        self._dist = dist
+        self.index = {t: i for i, t in enumerate(self.ids)}
+        self.rows = rows
         self.scale = scale
         self.consistent = consistent
 
     def scaled(self, source, target):
         """The tightest implied bound on target - source times `scale`: an
         `int`, or `INF` if unconstrained."""
-        return self._dist[self._index[source]][self._index[target]]
+        return self.rows[self.index[source]][self.index[target]]
 
     def distance(self, source, target):
         """Tightest implied bound on target - source: a `Fraction`, `INF` if
         unconstrained, and `0` from a point to itself on a consistent STN."""
-        i, j = self._index[source], self._index[target]
-        d = self._dist[i][j]
+        i, j = self.index[source], self.index[target]
+        d = self.rows[i][j]
         if d == INF or (i == j and d == 0):
             return d
         return Fraction(d, self.scale)
@@ -62,7 +72,9 @@ def solve(stn):
 
     The deltas are scaled by their least common denominator and closed
     over `int`, which is exact (see the module docstring) and several
-    times faster than closing over `Fraction`.
+    times faster than closing over `Fraction`.  A point no constraint
+    touches stays an isolated row and column, `INF` off the diagonal, so
+    the loops visit only the points the constraints name.
     """
     ids = sorted(stn.timepoints)
     index = {t: i for i, t in enumerate(ids)}
@@ -71,19 +83,22 @@ def solve(stn):
     dist = [[INF] * n for _ in range(n)]
     for i in range(n):
         dist[i][i] = 0
+    touched = set()
     for c in stn.constraints:
         i, j = index[c.source], index[c.target]
+        touched.update((i, j))
         delta = c.delta.numerator * (scale // c.delta.denominator)
         if delta < dist[i][j]:
             dist[i][j] = delta
-    for k in range(n):
+    touched = sorted(touched)
+    for k in touched:
         dk = dist[k]
-        for i in range(n):
+        for i in touched:
             dik = dist[i][k]
             if dik == INF:
                 continue
             di = dist[i]
-            for j in range(n):
+            for j in touched:
                 if dk[j] == INF:
                     continue
                 alt = dik + dk[j]
@@ -91,6 +106,33 @@ def solve(stn):
                     di[j] = alt
     consistent = all(dist[i][i] >= 0 for i in range(n))
     return DistanceMatrix(ids, dist, scale, consistent)
+
+
+def _insert(rows, source, target, weight):
+    """`rows`, the closure of a consistent graph, with the edge
+    target - source <= weight added (see the module docstring): new rows,
+    or None when the edge closes a negative cycle.  `source` and `target`
+    are row positions and `weight` an `int` on the rows' scale.  Rows the
+    edge cannot change are shared with `rows`, not copied."""
+    back = rows[target][source]
+    if back != INF and weight + back < 0:
+        return None
+    if weight >= rows[source][target]:
+        return rows                             # already implied
+    via = [(j, weight + entry) for j, entry in enumerate(rows[target]) if entry != INF]
+    out = list(rows)
+    for i, row in enumerate(rows):
+        lead = row[source]
+        if lead == INF:
+            continue
+        new = None
+        for j, tail in via:
+            alt = lead + tail
+            if alt < row[j]:
+                if new is None:
+                    new = out[i] = row[:]
+                new[j] = alt
+    return out
 
 
 def floored(stn, origin):

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -13,10 +14,11 @@ from cstnu import (ContingentLink, Drama, LabeledConstraint, Network, Scenario, 
                    candidate_time_grid, check_dc, compile_workflow, drama_projection,
                    enumerate_scenarios, is_dynamic_star, is_viable, parse_label,
                    parse_workflow, sample_situations, search, tree_strategy_masks,
-                   verify_cstn_embedding, verify_stnu_embedding)
+                   solve, verify_cstn_embedding, verify_stnu_embedding)
 from cstnu.fixtures import (branching_workflow_text, modification_study,
                             tight_contingent_stnu)
 from cstnu.semantics import _check_viable, _events, _history
+from cstnu.stn import floored
 from helpers import (fraction_window, link_chain, naive_events, naive_next_divergence,
                      random_cstn, random_cstn_strategy, random_consistent_stn, random_stnu,
                      random_stnu_strategy)
@@ -269,7 +271,8 @@ def test_bad_witness_is_a_bug(monkeypatch):
 def test_integer_window_matches_fraction_window(monkeypatch):
     # Every window of greedy synthesis, on the fixture and on random
     # networks whose deltas mix thirds, sevenths and halves, so that the
-    # dramas of one problem close on different scales.
+    # projections of one information set have deltas of different
+    # denominators.
     real = search._Problem.window
     seen = {"calls": 0, "mixed": 0}
 
@@ -277,7 +280,8 @@ def test_integer_window_matches_fraction_window(monkeypatch):
         got = real(problem, node, point)
         assert repr(got) == repr(fraction_window(node.dctxs, node.committed, point))
         seen["calls"] += 1
-        seen["mixed"] += len({d.matrix.scale for d in node.dctxs}) > 1
+        seen["mixed"] += len({lcm(*(c.delta.denominator for c in d.projection.constraints))
+                              for d in node.dctxs}) > 1
         return got
 
     monkeypatch.setattr(search._Problem, "window", checked)
@@ -289,6 +293,31 @@ def test_integer_window_matches_fraction_window(monkeypatch):
         check_dc(random_stnu(rng, fractions=fractions))
     assert seen["calls"] > 1000
     assert seen["mixed"] > 200
+
+
+def test_incremental_closures_match_solve():
+    # Every drama's closure, made from its scenario's by inserting the
+    # rigid link edges, against a full closure of its floored projection:
+    # the same flag and, when consistent, the same distances among its
+    # relevant points and the origin.
+    networks = [compile_workflow(parse_workflow(branching_workflow_text()))[0]]
+    fractions = (Fraction(1, 3), Fraction(1, 7), Fraction(5, 2))
+    rng = random.Random(14)
+    for _ in range(100):
+        networks += [random_cstn(rng, fractions=fractions), random_stnu(rng, fractions=fractions)]
+    flags = set()
+    for net in networks:
+        dramas = [Drama(s, w) for s in enumerate_scenarios(net.letters)
+                  for w in sample_situations(net.links)]
+        for d in search._Problem(net, dramas).dctxs:
+            want = solve(floored(d.projection, search._ORIGIN))
+            assert d.matrix.consistent == want.consistent
+            flags.add(want.consistent)
+            if want.consistent:
+                for a in want.ids:
+                    for b in want.ids:
+                        assert d.matrix.distance(a, b) == want.distance(a, b)
+    assert flags == {True, False}
 
 
 def test_search_splits_where_semantics_says_histories_differ(monkeypatch):

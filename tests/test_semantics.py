@@ -1,6 +1,7 @@
 """Strategies, histories, viability, and the dynamicity checks."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,10 @@ from cstnu import (ContingentLink, Drama, LabeledConstraint, Network, Scenario,
                    Strategy, TimePoint, check_dc, compile_workflow,
                    enumerate_scenarios, history_label, is_dynamic_cstn,
                    is_dynamic_star, is_viable, parse_label, parse_workflow,
-                   relevant_timepoints, sc_hst, sc_hst_star, sit_hst, dr_hst)
+                   relevant_timepoints, sample_situations, sc_hst, sc_hst_star, sit_hst,
+                   dr_hst)
 from cstnu.fixtures import branching_workflow_text
+from cstnu.semantics import _events, _history
 from helpers import (pairwise_dynamic_star, random_cstn, random_cstn_strategy,
                      random_stnu, random_stnu_strategy)
 
@@ -226,3 +229,93 @@ def test_bucketed_dynamic_star_matches_pairwise_on_the_fixture():
         result = is_dynamic_star(net, faulty)
         assert result == pairwise_dynamic_star(net, faulty, around=index)
         assert not result.ok
+
+
+def simultaneous_events_network():
+    """An observation and two contingent links whose events can coincide:
+    Op observes p, A -> C and B -> D each last 1 to 3, and X and Y are
+    free."""
+    return Network(
+        timepoints=["Op", "A", "C", "B", "D", "X", "Y"],
+        constraints=[LabeledConstraint("A", "C", 3), LabeledConstraint("C", "A", -1),
+                     LabeledConstraint("B", "D", 3), LabeledConstraint("D", "B", -1)],
+        letters=["p"], observations={"p": "Op"},
+        links=[ContingentLink("A", 1, 3, "C"), ContingentLink("B", 1, 3, "D")])
+
+
+def simultaneous_events_strategy(rng, net):
+    """A drama-indexed strategy whose Op, A and B times are shared, so that
+    an observation and a completion, or two completions, often fall at one
+    time.  X and Y each run at a decision time plus an offset that depends
+    on the history before that time alone, which is dynamic; then a few
+    dramas get X or Y moved by 1, which usually is not."""
+    shared = {point: Fraction(rng.randint(0, 2)) for point in ("Op", "A", "B")}
+    decide = {point: Fraction(rng.randint(1, 5)) for point in ("X", "Y")}
+    offsets = {}
+    table = {}
+    for scenario in enumerate_scenarios(net.letters):
+        for situation in sample_situations(net.links):
+            drama = Drama(scenario, situation)
+            schedule = dict(shared)
+            schedule["C"] = shared["A"] + situation[0]
+            schedule["D"] = shared["B"] + situation[1]
+            for point, t in decide.items():
+                seen = _history(net, scenario, schedule, t)
+                offset = offsets.setdefault((point, seen), rng.randint(0, 2))
+                schedule[point] = t + offset
+            table[drama] = schedule
+    for _ in range(rng.choice((0, 1, 2, 4))):
+        schedule = table[rng.choice(sorted(table, key=str))]
+        schedule[rng.choice(("X", "Y"))] += 1
+    return Strategy("cstnu", table)
+
+
+def violating_pairs(net, strategy):
+    """The (point, time) pairs at which `strategy` violates dynamic*,
+    read off the semantics' histories pair by pair."""
+    indices = strategy.indices()
+    histories = {}
+
+    def history(index, t):
+        if (index, t) not in histories:
+            histories[index, t] = _history(net, strategy.drama(index).scenario,
+                                           strategy.table[index], t)
+        return histories[index, t]
+
+    pairs = set()
+    for i1 in indices:
+        for point, t in strategy.table[i1].items():
+            if point in net.contingent_points:
+                continue
+            for i2 in indices:
+                other = strategy.table[i2].get(point, t)
+                if other != t and history(i1, t) == history(i2, t):
+                    pairs.add((point, t))
+    return pairs
+
+
+def test_dynamic_star_with_simultaneous_events_matches_pairwise():
+    # Simultaneous events at one index are one step of its history: the
+    # history strictly after their time holds all of them.  Strategies
+    # that violate dynamic* at several (point, time) pairs must still give
+    # the least witness.
+    net = simultaneous_events_network()
+    rng = random.Random(31)
+    seen = Counter()
+    for _ in range(150):
+        strategy = simultaneous_events_strategy(rng, net)
+        result = is_dynamic_star(net, strategy)
+        assert result == pairwise_dynamic_star(net, strategy)
+        coinciding = set()
+        for index in strategy.indices():
+            kinds = {}
+            for t, (kind, _) in _events(net, strategy.drama(index).scenario,
+                                        strategy.table[index]):
+                kinds.setdefault(t, []).append(kind)
+            coinciding.update(tuple(sorted(at)) for at in kinds.values() if len(at) > 1)
+        seen.update(coinciding)
+        seen["dynamic"] += result.ok
+        seen["several"] += len(violating_pairs(net, strategy)) > 1
+    assert seen[("link", "obs")] > 50 and seen[("link", "link")] > 50
+    assert 20 < seen["dynamic"] < 130
+    assert seen["several"] > 20

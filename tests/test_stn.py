@@ -3,10 +3,12 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import pytest
 
 from cstnu import Constraint, Stn, check_solution, earliest_solution, solve
+from cstnu.stn import _insert
 from helpers import random_consistent_stn, random_stn
 
 INF = float("inf")
@@ -95,6 +97,45 @@ def test_distances_keep_their_types():
     assert repr(third.scaled("A", "C")) == "17"
     assert third.scaled("C", "A") == INF
     assert repr(whole.scaled("A", "B")) == "2"
+
+
+def test_insert_matches_solve():
+    # One edge into the closure of a consistent random STN, against solve
+    # on the STN plus that edge: loose, implied, tight and cycle-closing
+    # edges, on whole and on mixed-denominator deltas.
+    rng = random.Random(5)
+    seen = {"consistent": 0, "inconsistent": 0, "implied": 0}
+    for i in range(300):
+        fractions = (Fraction(1, 3), Fraction(1, 7), Fraction(5, 2)) if i % 2 else None
+        stn = random_stn(rng, max_points=6, fractions=fractions)
+        matrix = solve(stn)
+        if not matrix.consistent:
+            continue
+        source, target = rng.choice(matrix.ids), rng.choice(matrix.ids)
+        back = matrix.distance(target, source)
+        weight = Fraction(rng.randint(-10, 10)) + rng.choice((0, Fraction(1, 4)))
+        if back != INF and rng.random() < 0.5:
+            weight = -back - rng.choice((0, 0, Fraction(1, 4)))   # a zero or negative cycle
+        scale = lcm(matrix.scale, weight.denominator)
+        rows = [[entry * (scale // matrix.scale) for entry in row] for row in matrix.rows]
+        s, t = matrix.index[source], matrix.index[target]
+        got = _insert(rows, s, t, weight.numerator * (scale // weight.denominator))
+        want = solve(Stn(stn.timepoints, stn.constraints | {Constraint(source, target, weight)}))
+        assert (got is not None) == want.consistent
+        if got is None:
+            seen["inconsistent"] += 1
+            continue
+        seen["consistent"] += 1
+        seen["implied"] += got is rows
+        for a in matrix.ids:
+            for b in matrix.ids:
+                entry = got[matrix.index[a]][matrix.index[b]]
+                assert (INF if entry == INF else Fraction(entry, scale)) == want.distance(a, b)
+        # a row that cannot reach the edge's source is shared, not copied
+        for i, row in enumerate(rows):
+            if row[s] == INF:
+                assert got[i] is row
+    assert min(seen.values()) > 10, seen
 
 
 def test_triangle_inequality():
