@@ -25,7 +25,7 @@ from .labels import evaluate
 from .model import Stn, depth_first, embed_cstn, embed_stnu, validate
 from .projection import (DEFAULT_GRID, Drama, _rigid_durations, enumerate_scenarios,
                          sample_situations, scenario_projection)
-from .rational import INF
+from .rational import INF, rational
 from .semantics import Strategy, _check_viable, _commit_events, is_dynamic_star
 from .stn import DistanceMatrix, _insert, floored, solve
 
@@ -46,7 +46,7 @@ class _DramaCtx:
     idx: int
     drama: Drama
     relevant: frozenset
-    durations: dict          # contingent point -> sampled duration
+    durations: dict          # contingent point -> sampled duration, in ticks
     projection: object
     matrix: object           # closure of the floored projection; see `_Problem`
 
@@ -58,18 +58,19 @@ class _Node:
     problem order, whose histories agree so far), the times `committed`
     to it, the time `now` of the last step, and `strict`, set when the
     node starts at a divergence at `now`, so that nothing more may run at
-    `now`.
+    `now`.  Every time is an `int` on the problem's lattice: a count of
+    1/`_Problem.tick`.
 
     `events[i]` holds the (time, item) events drama `dctxs[i]` has seen on
     the path, `splits` the times at which the histories of `dctxs`
     differ, and `bounds` the tightest closure entries over `dctxs` that
-    `_Problem.window` has read.  A commit's child shares its parent's
-    `bounds` and shares or extends its `events` and `splits`; each group
-    of a split starts with empty `bounds`."""
+    `_Problem.window` has read, in ticks.  A commit's child shares its
+    parent's `bounds` and shares or extends its `events` and `splits`;
+    each group of a split starts with empty `bounds`."""
 
     dctxs: list
     committed: dict
-    now: Fraction
+    now: int
     strict: bool
     events: list
     splits: frozenset
@@ -95,9 +96,30 @@ class _Problem:
     of durations share that prefix's closure, and an inserted edge shares
     every row it cannot change.  The flag of an inconsistent drama is
     exact, but its rows mean nothing.
+
+    The search runs on one integer time lattice: every time it commits,
+    compares or hashes is an `int` count of 1/`tick`.  `tick` is 2**n, for
+    n non-contingent points, times the least common multiple of `scale`,
+    of epsilon's denominator, of the denominators of every constraint
+    delta and link bound, and of those of `values`, the other rationals a
+    caller commits or compares (a grid, a constraint set).  Every closure
+    entry, sampled duration, epsilon, delta and candidate grid time (sums
+    and differences of these) is then a multiple of 2**n ticks.  A time
+    that greedy synthesis commits is such a sum plus a time committed
+    before it on its path, except where `_earliest_commit` halves the gap
+    from `now` to a window's upper bound.  A path commits each of its n
+    points at most once, one per step, and halves at most once per
+    commit.  So, by induction on j, after j commits every committed time,
+    contingent time, window bound, divergence and `now` on the path is a
+    multiple of 2**(n - j) ticks: the next commit comes with j < n, so the
+    gap `ub - now` is even, `(ub - now) // 2` is exact, and the time it
+    commits is a multiple of 2**(n - j - 1).  Sums, differences and the
+    order of lattice points are those of the times they stand for, so the
+    search takes the steps it would take on `Fraction`s; only `schedules`
+    turns a time back into one.
     """
 
-    def __init__(self, network, dramas):
+    def __init__(self, network, dramas, values=()):
         self.network = network
         self.contingent = network.contingent_points
         self.noncontingent = sorted(set(network.timepoints) - self.contingent)
@@ -130,6 +152,14 @@ class _Problem:
                      if link.activation in base.timepoints and link.contingent in base.timepoints]
             tries[scenario] = links, [closure, {}]
         self.index = index
+        lattice = lcm(self.scale, network.epsilon.denominator,
+                      *{c.delta.denominator for c in network.constraints},
+                      *{b.denominator for link in network.links for b in (link.lower, link.upper)},
+                      *{rational(v).denominator for v in values})
+        self.tick = lattice * 2 ** len(self.noncontingent)
+        self.unit = self.tick // self.scale         # ticks per closure unit
+        self.epsilon = self.ticks(network.epsilon)
+        self.fractions = {}                         # tick count -> its Fraction
         positions = [{} for _ in network.links]     # per link: duration -> position
         self.dctxs = []
         for i, drama in enumerate(dramas):
@@ -145,7 +175,7 @@ class _Problem:
                 node = child
             self.dctxs.append(_DramaCtx(
                 i, drama, base.timepoints,
-                {contingent: drama.situation[k] for k, contingent, _, _ in links},
+                {contingent: self.ticks(drama.situation[k]) for k, contingent, _, _ in links},
                 Stn(base.timepoints, base.constraints | _rigid_durations(
                     network, base.timepoints, drama.situation)),
                 node[0]))
@@ -163,6 +193,12 @@ class _Problem:
         return DistanceMatrix(matrix.ids, matrix.rows if rows is None else rows,
                               self.scale, rows is not None)
 
+    def ticks(self, value):
+        """The rational `value`, which must lie on the lattice, in ticks."""
+        if self.tick % value.denominator:
+            raise ValueError("%s is not a multiple of 1/%d" % (value, self.tick))
+        return value.numerator * (self.tick // value.denominator)
+
     def known_times(self, dctx, committed):
         """Committed times plus the contingent times they determine."""
         times = {p: t for p, t in committed.items() if p in dctx.relevant}
@@ -173,12 +209,23 @@ class _Problem:
         return times
 
     def schedules(self, node):
-        """The strategy table of a leaf: each drama's known times."""
-        return {d.drama: self.known_times(d, node.committed) for d in node.dctxs}
+        """The strategy table of a leaf: each drama's known times, as
+        `Fraction`s.  Each distinct time becomes a `Fraction` once per
+        problem, and every schedule holding it shares that object."""
+        made = self.fractions
+        table = {}
+        for d in node.dctxs:
+            schedule = table[d.drama] = {}
+            for point, t in self.known_times(d, node.committed).items():
+                exact = made.get(t)
+                if exact is None:
+                    exact = made[t] = Fraction(t, self.tick)
+                schedule[point] = exact
+        return table
 
     def root(self):
         """The node of every drama, before anything runs."""
-        return _Node(self.dctxs, {}, Fraction(0), False, [()] * len(self.dctxs),
+        return _Node(self.dctxs, {}, 0, False, [()] * len(self.dctxs),
                      frozenset(), {})
 
     def advance(self, node, committed, point, t):
@@ -239,12 +286,12 @@ class _Problem:
         Uses STN decomposability: any value within the distance-matrix
         window of the committed anchors extends to a full solution of
         each drama's projection.  For the origin and for each committed
-        anchor only the tightest entry over the dramas is kept (`_bounds`);
-        committed times stay `Fraction`s, since a commit may fall between
-        two multiples of 1/scale.
+        anchor only the tightest entry over the dramas is kept (`_bounds`).
+        Committed times and closure entries are both in ticks, so the
+        bounds are `int` sums and comparisons; no `Fraction` is made.
         """
         floor, _ = self._bounds(node, point, _ORIGIN)
-        lb = -floor if floor is not None and floor < 0 else Fraction(0)
+        lb = -floor if floor is not None and floor < 0 else 0
         ub = None
         for anchor, t in node.committed.items():
             back, fwd = self._bounds(node, point, anchor)
@@ -257,11 +304,12 @@ class _Problem:
 
     def _bounds(self, node, point, anchor):
         """(back, fwd): the least closure entries for anchor - point and
-        for point - anchor over the dramas of `node`, as `Fraction`s, or
-        None where unbounded.
+        for point - anchor over the dramas of `node`, in ticks, or None
+        where unbounded.
 
         Every matrix has the problem's ids and `scale`, so the entries are
-        read at one pair of positions and compared as integers.  A drama
+        read at one pair of positions, compared as integers, and the least
+        multiplied by `unit`, the ticks per 1/scale.  A drama
         that does not run `anchor` has `INF` there, so it never wins.  The
         entries depend on the information set alone, so each pair is read
         once per set and kept in `node.bounds`.
@@ -271,7 +319,7 @@ class _Problem:
             p, a = self.index[point], self.index[anchor]
             back = min(d.matrix.rows[p][a] for d in node.dctxs)
             fwd = min(d.matrix.rows[a][p] for d in node.dctxs)
-            found = tuple(None if entry == INF else Fraction(entry, self.scale)
+            found = tuple(None if entry == INF else entry * self.unit
                           for entry in (back, fwd))
             node.bounds[(point, anchor)] = found
         return found
@@ -429,7 +477,7 @@ def _earliest_commit(problem):
     next divergence are not feasible: the information set must split
     first.
     """
-    epsilon = problem.network.epsilon
+    epsilon = problem.epsilon
 
     def moves(node, ready, div):
         now, strict = node.now, node.strict
@@ -441,7 +489,7 @@ def _earliest_commit(problem):
             if ub is not None and t > ub:
                 if not (strict and lb <= now < ub):
                     continue
-                t = now + (ub - now) / 2   # epsilon tick overshot the window
+                t = now + (ub - now) // 2   # epsilon overshot the window; exact, see _Problem
             if div is not None and t > div:
                 continue
             if best is None or (t, point) < best:
@@ -451,9 +499,11 @@ def _earliest_commit(problem):
     return moves
 
 
-def _grid_commits(grid):
-    """Moves of the exhaustive searches: every point at every grid time
-    from `now` (after it, past a divergence) up to the next divergence."""
+def _grid_commits(problem, grid):
+    """Moves of the exhaustive searches: every point at every time of the
+    sorted `grid` from `now` (after it, past a divergence) up to the next
+    divergence."""
+    grid = [problem.ticks(t) for t in grid]
 
     def moves(node, ready, div):
         for point in ready:
@@ -467,11 +517,14 @@ def _grid_commits(grid):
     return moves
 
 
-def _by_point(constraints):
+def _by_point(problem, constraints):
+    """Point -> the (source, target, delta) of the constraints on it, the
+    delta in ticks."""
     index = {}
     for c in constraints:
-        index.setdefault(c.source, []).append(c)
-        index.setdefault(c.target, []).append(c)
+        entry = c.source, c.target, problem.ticks(c.delta)
+        index.setdefault(c.source, []).append(entry)
+        index.setdefault(c.target, []).append(entry)
     return index
 
 
@@ -479,10 +532,11 @@ def _violations(problem, index, dctxs, committed, point, full):
     """Bit mask of the constraint sets that committing `point` violates.
 
     `index[d.idx][i]` maps a point to drama d's constraints of set i on
-    it.  Only constraints on the points the commit makes known (`point`
-    and the contingent points it determines) are checked: every other
-    constraint between known points was checked when its later end became
-    known.  The check stops once every bit of `full` is set.
+    it (`_by_point`), and `committed` holds ticks.  Only constraints on
+    the points the commit makes known (`point` and the contingent points
+    it determines) are checked: every other constraint between known
+    points was checked when its later end became known.  The check stops
+    once every bit of `full` is set.
     """
     mask = 0
     for d in dctxs:
@@ -494,9 +548,9 @@ def _violations(problem, index, dctxs, committed, point, full):
         for i, by_point in enumerate(index[d.idx]):
             if mask & (1 << i):
                 continue
-            if any(c.source in times and c.target in times
-                   and times[c.target] - times[c.source] > c.delta
-                   for p in fresh for c in by_point.get(p, ())):
+            if any(source in times and target in times
+                   and times[target] - times[source] > delta
+                   for p in fresh for source, target, delta in by_point.get(p, ())):
                 mask |= 1 << i
         if mask == full:
             break
@@ -554,7 +608,7 @@ def _exhaustive_witness(problem, grid, budget):
     are entered.  Commits that violate a constraint are pruned, so a leaf
     is viable (it is still re-certified by the caller).
     """
-    index = [[_by_point(d.projection.constraints)] for d in problem.dctxs]
+    index = [[_by_point(problem, d.projection.constraints)] for d in problem.dctxs]
 
     def commit(dctxs, trial, point):
         return None if _violations(problem, index, dctxs, trial, point, 1) else _same
@@ -563,7 +617,7 @@ def _exhaustive_witness(problem, grid, budget):
     # sibling group fails, and keeping the tables of succeeded nodes raised
     # the peak heap of the search on bench/gen.py's greedy trap from 15 MB
     # to 22 MB.
-    return _explore(problem, _grid_commits(grid), problem.schedules,
+    return _explore(problem, _grid_commits(problem, grid), problem.schedules,
                     (None, _first_success), _merge, commit, budget, operator.not_)
 
 
@@ -581,11 +635,12 @@ def tree_strategy_masks(network, constraint_sets, grid):
     scenarios = enumerate_scenarios(network.letters)
     situations = sample_situations(network.links)
     dramas = [Drama(s, w) for s in scenarios for w in situations]
-    problem = _Problem(network, dramas)
+    problem = _Problem(network, dramas,
+                       (*grid, *(c.delta for constraints in constraint_sets for c in constraints)))
     index = []
     for d in problem.dctxs:
         values = d.drama.scenario.as_mapping()
-        index.append([_by_point(c for c in constraints if evaluate(c.label, values))
+        index.append([_by_point(problem, (c for c in constraints if evaluate(c.label, values)))
                       for constraints in constraint_sets])
     full = (1 << len(constraint_sets)) - 1
 
@@ -594,7 +649,7 @@ def tree_strategy_masks(network, constraint_sets, grid):
         return lambda masks: frozenset(mask | m for m in masks)
 
     try:
-        return _explore(problem, _grid_commits(grid),
+        return _explore(problem, _grid_commits(problem, grid),
                         lambda node: frozenset({0}),
                         (frozenset(), lambda masks, other: (masks | other, False)),
                         lambda masks, other: frozenset(m | s for m in masks for s in other),

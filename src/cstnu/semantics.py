@@ -9,9 +9,11 @@ observation at exactly time t is not part of t's history.
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from math import lcm
 
 from .labels import Label, con
 from .projection import Drama, Scenario, drama_projection
+from .rational import rational
 from .stn import check_solution
 
 _NO_SCENARIO = Scenario({})
@@ -125,15 +127,13 @@ def _history(network, scenario, schedule, t):
     return frozenset(seen["obs"]), frozenset(seen["link"])
 
 
-def _changes(network, scenario, schedule, rank, ids, pos):
+def _changes(network, scenario, schedule, ids, pos):
     """The history changes of one execution, index `pos` of a strategy, as
-    (rank, pos, id) triples: at the times ranked above `rank`, up to its
-    next change, the history of `pos` strictly before them has id `id`.
-    Simultaneous events make one change.  `rank` maps times to their
-    ranks; `ids` numbers every distinct history seen so far, the empty one
-    0."""
-    events = sorted(((rank[when], item) for when, item in _events(network, scenario, schedule)),
-                    key=lambda e: e[0])
+    (time, pos, id) triples: at the times after `time`, up to its next
+    change, the history of `pos` strictly before them has id `id`.
+    Simultaneous events make one change.  `ids` numbers every distinct
+    history seen so far, the empty one 0."""
+    events = sorted(_events(network, scenario, schedule), key=lambda e: e[0])
     changes = []
     seen = frozenset()
     for k, (when, item) in enumerate(events):
@@ -251,8 +251,8 @@ def is_dynamic_star(network, strategy):
     The indices are grouped by history rather than compared in pairs, in
     one sweep per non-contingent point p over the distinct times at which
     some index runs p.  The sweep keeps each index's current history id,
-    applying the history changes (`_changes`) of rank below t in (rank,
-    position) order, and for each history the count of the indices running
+    applying the history changes (`_changes`) before t in (time, position)
+    order, and for each history the count of the indices running
     p that hold it, by their time for p.  The strategy violates dynamic*
     at (p, t) iff some history holds an index running p at t and one
     running it elsewhere; only then are the indices running p bucketed by
@@ -262,32 +262,48 @@ def is_dynamic_star(network, strategy):
     running p, plus O(N_p) per violating (p, t), after sorting each index's
     events once; it is not O(N^2 * P).
 
+    Every time is scaled once to an `int`, by the least common multiple of
+    the times' denominators, and the check runs on those: `Fraction`
+    hashes and comparisons would cost more than the rest of it, and
+    scaling keeps sums and order.  A time that is not rational (a
+    `float`, say) raises `ValueError`.  The events are rebuilt from the
+    strategy's own schedules, not taken from the search that built it, so
+    the check stays independent of that search.
+
     The witness (i1, i2, point) is the least violating triple in the order
     of `Strategy.indices()` positions, then point name: i1 runs the point
     at t and i2 elsewhere, with equal histories before t.
     """
     contingent = network.contingent_points
     indices = strategy.indices()
-    schedules = [strategy.table[index] for index in indices]
-    # Times are compared by rank: Fraction comparisons cost more than the
-    # rest of the check.
-    rank = {t: r for r, t in enumerate(sorted({t for s in schedules for t in s.values()}))}
+    scale = lcm(*{rational(t).denominator for index in indices
+                  for t in strategy.table[index].values()})
     ids = {frozenset(): 0}
     changes = []
-    for pos, (index, schedule) in enumerate(zip(indices, schedules)):
-        changes += _changes(network, strategy.drama(index).scenario, schedule, rank, ids, pos)
+    runs = {}       # non-contingent point -> each position's scaled time for it, or None
+    shared = {}     # scaled time -> one int for it, so equal times share an object
+    for pos, index in enumerate(indices):
+        schedule = {}
+        for point, t in strategy.table[index].items():
+            t = rational(t)
+            t = t.numerator * (scale // t.denominator)
+            schedule[point] = t = shared.setdefault(t, t)
+            if point not in contingent:
+                if point not in runs:
+                    runs[point] = [None] * len(indices)
+                runs[point][pos] = t
+        changes += _changes(network, strategy.drama(index).scenario, schedule, ids, pos)
     changes.sort()
-    points = sorted({p for schedule in schedules for p in schedule} - contingent)
     witness = None
-    for point in points:
-        when = [rank[schedule[point]] if point in schedule else None for schedule in schedules]
+    for point in sorted(runs):
+        when = runs[point]
         users = {}                              # time -> positions running `point` then
         for pos, t in enumerate(when):
             if t is not None:
                 users.setdefault(t, []).append(pos)
         if len(users) < 2:
             continue
-        current = [0] * len(schedules)
+        current = [0] * len(indices)
         # history id -> time -> how many indices hold it and run `point` then
         counts = defaultdict(Counter, {0: Counter({t: len(group) for t, group in users.items()})})
         totals = Counter({0: sum(len(group) for group in users.values())})
@@ -317,7 +333,7 @@ def is_dynamic_star(network, strategy):
 
 def _least_violation(when, current, t, point):
     """The least (at, elsewhere, point) among positions with the same
-    current history, `at` running `point` at time rank `t` and `elsewhere`
+    current history, `at` running `point` at scaled time `t` and `elsewhere`
     at another: the indices running `point` bucketed by history."""
     groups = {}                 # history id -> [least position at t, least elsewhere]
     for pos, at in enumerate(when):

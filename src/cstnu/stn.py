@@ -42,7 +42,7 @@ class DistanceMatrix:
     target - source times `scale`.  `distance` makes the `Fraction` of one
     entry; `scaled` reads the entry as it is.  Callers that compare the
     entries of many matrices over one id list (the DC search) read `rows`
-    on one common scale and make `Fraction`s only of the bounds they keep.
+    on one common scale and keep the bounds as integers.
     """
 
     def __init__(self, ids, rows, scale, consistent):

@@ -301,15 +301,19 @@ def naive_events(network, scenario, schedule):
 def naive_next_divergence(problem, dctxs, committed, now):
     """`search._Problem.next_divergence` as it was before search kept each
     drama's events along the path: every drama's known times and events
-    rebuilt from `committed`.  Returns (time, groups), the earliest time
-    >= now at which the events of `dctxs` differ and the dramas grouped by
-    their events then, or None.  Kept as the reference for the per-commit
-    divergence."""
+    rebuilt from `committed`.  `committed` and `now` are in the problem's
+    ticks, as a node holds them; the known times are turned into
+    `Fraction`s, and the events built and compared on those.  Returns
+    (time, groups), the earliest time >= now, a `Fraction`, at which the
+    events of `dctxs` differ and the dramas grouped by their events then,
+    or None.  Kept as the reference for the per-commit divergence."""
+    now = Fraction(now, problem.tick)
     per_time = []
     for d in dctxs:
         table = {}
-        for t, item in naive_events(problem.network, d.drama.scenario,
-                                    problem.known_times(d, committed)):
+        known = {p: Fraction(t, problem.tick)
+                 for p, t in problem.known_times(d, committed).items()}
+        for t, item in naive_events(problem.network, d.drama.scenario, known):
             if t >= now:
                 table.setdefault(t, set()).add(item)
         per_time.append(table)

@@ -294,7 +294,9 @@ def test_check_dc_defaults_are_the_module_constants():
 # may re-pin its digest.  The fixture's label-erased STN is inconsistent,
 # so `solve` runs on its a=0 projection, which `project` writes.  At
 # grid 4 check-dc samples 2048 dramas, 1024 per scenario, so their
-# closures share link-duration prefixes up to all five links deep.
+# closures share link-duration prefixes up to all five links deep.  The
+# grid-5 digest (6250 dramas) is also checked by the CI step that runs
+# the installed `cstnu check-dc --json --grid 5`.
 PROPAGATE = ("propagate", "--json", "--trace", "trace.json", "net.json")
 
 
@@ -303,6 +305,8 @@ PROPAGATE = ("propagate", "--json", "--trace", "trace.json", "net.json")
      "af647058e9e2357bfebdc0355b49862cdd672b76928a9f88520c1e3e90100b38"),
     (("check-dc", "--json", "--grid", "4", "net.json"), None,
      "510681fcfdff89adfd5ceb8dc181c8abc9aae5c979c2a3d4a1983b3a389dbf54"),
+    (("check-dc", "--json", "--grid", "5", "net.json"), None,
+     "21c3a01b30cbc4726a0f26364c1c764f974fe1e296b31c73c032d6a2ddede0fa"),
     (PROPAGATE, None, "f01a2b5969a4301a12450ef8637ab2ce6cae5ce827bfbdb3e87bbb0f62cb8b8d"),
     (PROPAGATE, "trace.json",
      "940ca9be60fa218fae5110bbba6a7254e6b7241a05b798f56cdf6e8e7fe06782"),
@@ -310,7 +314,8 @@ PROPAGATE = ("propagate", "--json", "--trace", "trace.json", "net.json")
      "7c59d64d6b6df31ec353b61f27f0125bd0ee6be046b79d0648ada6745a52e4a1"),
     (("solve", "--json", "--origin", "T1_S", "a0.json"), None,
      "804dfd4979387a6e5a4ecaa513a13f295619e203d67f5b92bcbf77fb1ae5cf98"),
-], ids=["check-dc", "check-dc-grid-4", "propagate", "propagate-trace", "project", "solve"])
+], ids=["check-dc", "check-dc-grid-4", "check-dc-grid-5", "propagate", "propagate-trace",
+        "project", "solve"])
 def test_cli_output_on_the_fixture_is_pinned(capsys, tmp_path, monkeypatch,
                                             argv, written, digest):
     monkeypatch.chdir(tmp_path)

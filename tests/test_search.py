@@ -106,6 +106,32 @@ def test_pre_observation_conflict_is_not_certified():
     assert result.verdict != "controllable"
 
 
+def test_epsilon_overshoot_halves_the_gap_to_the_window():
+    # When p, X must run within 1/2000 of O, where p is observed, but an
+    # epsilon step past the divergence at O lands at 1/1000: greedy
+    # synthesis halves the gap instead.  With a second letter q, observed
+    # by X, one path halves twice: Y must run within 1/20000 of X.
+    one = [LabeledConstraint("O", "X", Fraction(1, 2000), parse_label("p")),
+           LabeledConstraint("X", "O", Fraction(-1), parse_label("!p"))]
+    two = [LabeledConstraint("X", "Y", Fraction(1, 20000), parse_label("q")),
+           LabeledConstraint("Y", "X", Fraction(-1), parse_label("!q"))]
+    cases = [
+        (Network(timepoints=["O", "X"], constraints=one, letters=["p"],
+                 observations={"p": "O"}, epsilon=Fraction(1, 1000)),
+         {"p=0": {"O": "0", "X": "1"}, "p=1": {"O": "0", "X": "1/4000"}}),
+        (Network(timepoints=["O", "X", "Y"], constraints=one + two, letters=["p", "q"],
+                 observations={"p": "O", "q": "X"}, epsilon=Fraction(1, 1000)),
+         {"p=0,q=0": {"O": "0", "X": "1", "Y": "2"},
+          "p=0,q=1": {"O": "0", "X": "1", "Y": "40001/40000"},
+          "p=1,q=0": {"O": "0", "X": "1/4000", "Y": "4001/4000"},
+          "p=1,q=1": {"O": "0", "X": "1/4000", "Y": "11/40000"}})]
+    for net, want in cases:
+        result = check_dc(net)
+        assert result.verdict == "controllable"
+        assert {str(s): {p: str(t) for p, t in schedule.items()}
+                for s, schedule in result.strategy.table.items()} == want
+
+
 def test_caps_enforced():
     net = random_cstn(random.Random(3))
     with pytest.raises(ValueError):
@@ -278,7 +304,10 @@ def test_integer_window_matches_fraction_window(monkeypatch):
 
     def checked(problem, node, point):
         got = real(problem, node, point)
-        assert repr(got) == repr(fraction_window(node.dctxs, node.committed, point))
+        lb, ub = got
+        exact = Fraction(lb, problem.tick), None if ub is None else Fraction(ub, problem.tick)
+        committed = {p: Fraction(t, problem.tick) for p, t in node.committed.items()}
+        assert repr(exact) == repr(fraction_window(node.dctxs, committed, point))
         seen["calls"] += 1
         seen["mixed"] += len({lcm(*(c.delta.denominator for c in d.projection.constraints))
                               for d in node.dctxs}) > 1
@@ -384,11 +413,11 @@ def test_divergence_matches_naive_next_divergence(monkeypatch):
             assert found is None
         else:
             t, groups = expected
-            assert found == t
-            children = problem.split(node, t)
+            assert Fraction(found, problem.tick) == t
+            children = problem.split(node, found)
             assert ([[d.idx for d in child.dctxs] for child in children]
                     == [[d.idx for d in group] for group in groups])
-            assert all(child.now == t and child.strict for child in children)
+            assert all(child.now == found and child.strict for child in children)
             seen["splits"] += 1
             seen["mixed"] += t.denominator not in (1, 1000)   # not an integer or epsilon step
         seen["nodes"] += 1

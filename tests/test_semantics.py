@@ -92,6 +92,17 @@ def test_viability_rejects_wrong_domain():
         is_viable(net, strategy)
 
 
+def test_dynamic_star_rejects_float_times():
+    # Times go through `rational()` on their way to integers, as in
+    # `check_solution`: a float is an input error, not silent float maths.
+    net = observation_network()
+    strategy = Strategy("cstn", {Scenario({"p": True}): {"Op": Fraction(1), "X": 2.5},
+                                 Scenario({"p": False}): {"Op": Fraction(1), "X": Fraction(5, 2)}})
+    with pytest.raises(ValueError, match="not a rational"):
+        is_dynamic_star(net, strategy)
+    assert is_dynamic_star(net, two_scenario_strategy(Fraction(5, 2), 3)).ok
+
+
 def test_viability_rejects_a_kind_the_network_cannot_hold():
     net = Network(
         timepoints=["A", "C"],
