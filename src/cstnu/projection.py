@@ -1,7 +1,7 @@
 """Projections: fixing a scenario, a situation, or a drama turns a
 conditional/uncertain network into a plain STN."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .labels import Label, evaluate
@@ -54,10 +54,20 @@ class Scenario:
 
 @dataclass(frozen=True)
 class Drama:
-    """A scenario paired with a situation (one duration per link, in link order)."""
+    """A scenario paired with a situation (one duration per link, in link order).
+
+    Dramas key the search's and the certifier's tables, so the hash of the
+    situation's `Fraction`s is taken once, at construction."""
 
     scenario: Scenario
     situation: tuple
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.scenario, self.situation)))
+
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
         return "s=%s w=(%s)" % (self.scenario, ",".join(str(d) for d in self.situation))

@@ -9,6 +9,7 @@ definitive about controllability.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 
 from .labels import INCONSISTENT, Label, conjoin, sub
 from .model import LabeledConstraint
@@ -139,6 +140,7 @@ class PropagationResult:
     refutation: LabeledConstraint = None
     saturated: bool = True
     rounds: int = 0
+    live: frozenset = frozenset()
 
     @property
     def constraints(self):
@@ -162,64 +164,75 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
     """Saturate the network's labeled constraints under composition and
     label modification.
 
-    Dominated derivations are discarded on admission.  Labels of derived
-    constraints are conjoined with the labels of the observation points of
-    their letters, so saturation preserves well-definedness; a derivation
-    whose repaired label is contradictory is dropped.  `budget` caps the
-    number of admitted derivations; exceeding it returns with
-    `saturated=False` (negative labeled cycles never saturate).
+    Labels of derived constraints are conjoined with the labels of the
+    observation points of their letters (a contradiction drops the
+    derivation), so saturation preserves well-definedness.  `budget` caps
+    the admitted derivations; exceeding it returns `saturated=False`
+    (negative labeled cycles never saturate).
 
-    Candidates are judged as integers.  `scale` is the least common
-    multiple of the given deltas' denominators, and every admitted
-    constraint carries its delta times `scale` as an `int`.  Composition
-    adds two of them and label modification keeps the target's, so every
-    derived delta is a sum of given deltas and lies on the 1/`scale`
-    lattice: nothing is rounded, and scaling by a positive constant keeps
-    sums and order, so every test reads the same on the integers.  A
-    candidate is judged from its parts (end-points, scaled delta, label);
-    only an admitted one becomes a `LabeledConstraint`, with delta
-    `Fraction(d, scale)`.
+    Candidates are judged as integers, deltas times `scale` (the lcm of
+    the given deltas' denominators): every derived delta is a sum of
+    given ones, so nothing is rounded.  Only an admitted candidate becomes
+    a `LabeledConstraint`, with delta `Fraction(d, scale)`.
 
-    Admitted constraints are kept in buckets per edge `(source, target)`,
-    as (scaled delta, literal set) pairs, and per source.  Dominance only
-    relates constraints on one edge, so a candidate is tested against its
-    own edge's bucket (an equal constraint already admitted dominates it).
-    Each admission leaves a record (`str` key, admission number,
-    constraint, scaled delta); the givens are numbered in `str` order, so
-    no order depends on string hashing.  Each round runs a compose pass
-    over the records present when it starts, sorted, then a
-    label-modification pass.
+    One store holds each edge's live values, keyed by literal set, as
+    records [`str` key, admission number, constraint, scaled delta,
+    literal set, live flag].  A candidate that a live value on its edge
+    dominates is rejected; a given or admitted value removes (and clears
+    the flag of) the live values it dominates.  `trace` keeps every
+    admitted value, so `explain()` works on a removed one; `live` is the
+    final store.  Givens are numbered in `str` order, so no order depends
+    on string hashing.  A round runs a compose pass over the values live
+    at its start, sorted, then a label-modification pass; both skip a
+    value removed before its use.  A removed value is never needed: its
+    dominator composes at least as tightly (a bound no larger, a subset
+    label, a monotone `repair`), and meets label modification's
+    preconditions or dominates its results.  So refutation and saturation
+    are those of keeping every value, from fewer derivations; `rounds`
+    may differ (3 of the 2000 networks of `bench/gen.py`'s
+    `small_nets(1..2)`).
 
-    The compose pass is semi-naive: it skips every pair whose two members
-    were both present when the previous compose pass started, since that
-    pass composed them already.  This is exact: the admitted constraints
-    and the dead labels only grow, a repaired label depends on the label
-    alone, and a rejected candidate leaves no trace, so a pair rejected
-    once is rejected again and one admitted is still present.  Every round
-    admits the same constraints in the same order, with the same `rounds`,
-    `trace`, refutation and budget cut-off as composing every pair.
-    Repaired labels are memoized per call and label conjunctions per
-    compose pass.
+    The compose pass is semi-naive: it skips every pair whose members
+    were both admitted before the previous compose pass started.  This is
+    exact.  Removal is permanent, so two such values live now were live
+    when that pass reached them, and it, or by induction an earlier one,
+    composed them.  A candidate rejected then is rejected again (a live
+    value dominates what dominated it; dead labels only grow), and one
+    admitted then is dominated by a live value now.  So every round
+    admits what composing every live pair would, in the same order, with
+    the same `rounds`, refutation and budget cut-off.  Label repairs are
+    memoized per call and label conjunctions per compose pass.
     """
     given = sorted(network.constraints, key=str)
     scale = lcm(*(c.delta.denominator for c in given))
     trace = {c: ("given", ()) for c in given}
-    records = []            # (str key, admission number, constraint, delta * scale)
-    on_edge = {}            # (source, target) -> [(delta * scale, literal set)]
-    from_source = {}        # source -> records of its admitted constraints
-
-    def index(c, d, literals):
-        record = (str(c), len(records), c, d)
-        records.append(record)
-        on_edge.setdefault((c.source, c.target), []).append((d, literals))
-        from_source.setdefault(c.source, []).append(record)
-
-    for c in given:
-        index(c, c.delta.numerator * (scale // c.delta.denominator),
-              frozenset(c.label.literals))
+    live = {}               # source -> target -> {literal set: record}
     obs_letter = {point: letter for letter, point in network.observations.items()}
     dead_labels = set()     # literal sets of labels whose scenarios admit no schedule
     repaired = {}           # literals -> (repaired label, its literal set), or None
+    is_live = itemgetter(5)
+
+    def dominated(source, target, d, literals):
+        for _, _, _, old, old_literals, _ in live.get(source, {}).get(target, {}).values():
+            if old <= d and old_literals <= literals:
+                return True
+        return False
+
+    def place(c, d, literals, number):
+        edge = live.setdefault(c.source, {}).setdefault(c.target, {})
+        for old in [k for k, r in edge.items() if d <= r[3] and literals <= k]:
+            edge.pop(old)[5] = False
+        edge[literals] = [str(c), number, c, d, literals, True]
+
+    def records(sources):
+        return sorted(r for s in sources for edge in live.get(s, {}).values()
+                      for r in edge.values())
+
+    for number, c in enumerate(given):
+        d = c.delta.numerator * (scale // c.delta.denominator)
+        literals = frozenset(c.label.literals)
+        if not dominated(c.source, c.target, d, literals):
+            place(c, d, literals, number)
 
     def repair(label):
         joint = label
@@ -241,14 +254,13 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
         # Negative self-loops stay: label modification may widen one to a refutation.
         if source != target and any(dead <= literals for dead in dead_labels):
             return False    # only applies in scenarios already known dead
-        for old, old_literals in on_edge.get((source, target), ()):
-            if old <= d and old_literals <= literals:
-                return False
-        if len(records) - len(given) >= budget:
+        if dominated(source, target, d, literals):
+            return False
+        if len(trace) - len(given) >= budget:
             raise _Exhausted()
         c = LabeledConstraint(source, target, Fraction(d, scale), label)
+        place(c, d, literals, len(trace))
         trace[c] = (rule, tuple(parents))
-        index(c, d, literals)
         if source == target:
             if not literals:
                 raise _Refuted(c)
@@ -256,20 +268,20 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
         return True
 
     def compose_pass(fresh):
-        """Compose the pairs with a member admitted as number `fresh` or later."""
+        """Compose the live pairs with a member admitted as number `fresh` or later."""
         changed = False
         # Negative self-loops record a dead scenario; do not spin on them.
-        firsts = [r for r in sorted(records) if r[2].source != r[2].target or r[3] >= 0]
+        firsts = [r for r in records(live) if r[2].source != r[2].target or r[3] >= 0]
         every, new = {}, {}     # source -> its (new) records, sorted
         joints = {}             # literals of two labels -> their conjunction
         for r in firsts:
             every.setdefault(r[2].source, []).append(r)
             if r[1] >= fresh:
                 new.setdefault(r[2].source, []).append(r)
-        for _, number, first, d1 in firsts:
-            seconds = every if number >= fresh else new
+        for _, number, first, d1, _, _ in filter(is_live, firsts):
             literals = first.label.literals
-            for _, _, second, d2 in seconds.get(first.target, ()):
+            seconds = (every if number >= fresh else new).get(first.target, ())
+            for _, _, second, d2, _, _ in filter(is_live, seconds):
                 pair = (literals, second.label.literals)
                 if pair not in joints:
                     joints[pair] = conjoin(first.label, second.label)
@@ -283,13 +295,14 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
 
     def modification_pass():
         changed = False
-        for _, _, obs_c, obs_d in sorted(records):
+        for obs in records(live):
+            _, _, obs_c, obs_d, _, _ = obs
             letter = obs_letter.get(obs_c.source)
             if letter is None or obs_d > 0:
                 continue
-            for _, _, target_c, d in sorted(from_source.get(obs_c.target, ())):
-                if d > -obs_d or _modification_failures(letter, obs_c.source,
-                                                        obs_c, target_c):
+            for _, _, target_c, d, _, _ in filter(is_live, records((obs_c.target,))):
+                if (d > -obs_d or not is_live(obs)
+                        or _modification_failures(letter, obs_c.source, obs_c, target_c)):
                     continue
                 result = _modify(letter, obs_c, target_c)
                 for c in (result.derived,) + result.residuals:
@@ -298,23 +311,20 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
                         changed = True
         return changed
 
-    rounds = 0
-    saturated = True
-    fresh = 0
+    rounds, fresh, saturated, refutation = 0, 0, True, None
     try:
         while True:
             rounds += 1
-            start = len(records)
-            changed = compose_pass(fresh)
-            fresh = start
+            fresh, changed = len(trace), compose_pass(fresh)
             changed = modification_pass() or changed
             if not changed:
                 break
     except _Refuted as refuted:
-        return PropagationResult(trace, refuted.args[0], saturated=False, rounds=rounds)
+        refutation, saturated = refuted.args[0], False
     except _Exhausted:
         saturated = False
-    return PropagationResult(trace, saturated=saturated, rounds=rounds)
+    return PropagationResult(trace, refutation, saturated, rounds,
+                             frozenset(r[2] for r in records(live)))
 
 
 class _Refuted(Exception):

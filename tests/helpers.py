@@ -13,8 +13,9 @@ from cstnu import (Constraint, ContingentLink, Cstp, CstpEdge, Label,
                    TimePoint, conjoin, enumerate_scenarios, relevant_timepoints,
                    sample_situations)
 from cstnu.labels import EMPTY, INCONSISTENT, sub
-from cstnu.propagation import (PropagationResult, _Exhausted, _modification_failures,
-                               _modify, _Refuted, compose, dominates)
+from cstnu.propagation import (DEFAULT_BUDGET, PropagationResult, _Exhausted,
+                               _modification_failures, _modify, _Refuted, compose,
+                               dominates)
 from cstnu.rational import INF
 from cstnu.search import _ORIGIN
 from cstnu.semantics import DynamicityResult, _history
@@ -327,18 +328,34 @@ def naive_next_divergence(problem, dctxs, committed, now):
     return None
 
 
-def naive_propagate(network, budget=5000):
+def naive_propagate(network, budget=DEFAULT_BUDGET, keep_everything=False):
     """Reference saturation loop for `propagate_to_fixpoint`: each round
-    composes every pair of constraints, and each candidate is tested for
-    dominance against every admitted constraint.  It admits the same
-    constraints in the same order, so every result field, and the order
-    of the derived trace entries, must match."""
-    constraints = set(network.constraints)
-    trace = {c: ("given", ()) for c in constraints}
+    composes every pair of live constraints, and each candidate is tested
+    for dominance against every live constraint.  A given or newly
+    admitted constraint removes the live constraints it dominates, and a
+    pass skips a pair with a member removed before its use.  It admits the
+    same constraints in the same order, so every result field, and the
+    order of the derived trace entries, must match.
+
+    With `keep_everything`, nothing is removed: every admitted constraint
+    stays live.  That loop admits more, and its trace and `rounds` differ,
+    but refutation, saturation and the presence of a negative self-loop
+    must agree with `propagate_to_fixpoint`'s."""
+    trace = {c: ("given", ()) for c in network.constraints}
+    live = set()
     obs_letter = {point: letter for letter, point in network.observations.items()}
     admitted = [0]
     refutation = [None]
     dead_labels = set()     # labels whose scenarios admit no schedule at all
+
+    def place(c):
+        if not keep_everything:
+            live.difference_update([old for old in live if dominates(c, old)])
+        live.add(c)
+
+    for c in network.constraints:
+        if keep_everything or not any(dominates(old, c) for old in live):
+            place(c)
 
     def repair(c):
         label = c.label
@@ -355,16 +372,16 @@ def naive_propagate(network, budget=5000):
         if c.source == c.target and c.delta >= 0:
             return False    # vacuously true self-loop
         c = repair(c)
-        if c is None or c in constraints:
+        if c is None or c in trace:
             return False
         # Negative self-loops stay: label modification may widen one to a refutation.
         if c.source != c.target and any(sub(c.label, dead) for dead in dead_labels):
             return False    # only applies in scenarios already known dead
-        if any(dominates(old, c) for old in constraints):
+        if any(dominates(old, c) for old in live):
             return False
         if admitted[0] >= budget:
             raise _Exhausted()
-        constraints.add(c)
+        place(c)
         trace[c] = (rule, tuple(parents))
         admitted[0] += 1
         if c.source == c.target and c.delta < 0:
@@ -376,14 +393,17 @@ def naive_propagate(network, budget=5000):
 
     def compose_pass():
         changed = False
+        snapshot = sorted(live, key=str)
         by_source = {}
-        for c in constraints:
+        for c in snapshot:
             by_source.setdefault(c.source, []).append(c)
-        for first in sorted(constraints, key=str):
+        for first in snapshot:
             if first.source == first.target and first.delta < 0:
                 continue   # negative self-loops record a dead scenario; do not spin on them
-            for second in sorted(by_source.get(first.target, ()), key=str):
+            for second in by_source.get(first.target, ()):
                 if second.source == second.target and second.delta < 0:
+                    continue
+                if first not in live or second not in live:
                     continue
                 derived = compose(first, second)
                 if derived is not None and admit(derived, "compose", (first, second)):
@@ -392,12 +412,13 @@ def naive_propagate(network, budget=5000):
 
     def modification_pass():
         changed = False
-        for obs_c in sorted(constraints, key=str):
+        for obs_c in sorted(live, key=str):
             letter = obs_letter.get(obs_c.source)
             if letter is None or obs_c.delta > 0:
                 continue
-            for target_c in sorted(constraints, key=str):
+            for target_c in sorted(live, key=str):
                 if (target_c.source != obs_c.target
+                        or obs_c not in live or target_c not in live
                         or _modification_failures(letter, obs_c.source,
                                                   obs_c, target_c)):
                     continue
@@ -416,8 +437,6 @@ def naive_propagate(network, budget=5000):
             changed = modification_pass() or changed
             if not changed:
                 break
-    except _Refuted:
-        return PropagationResult(trace, refutation[0], saturated=False, rounds=rounds)
-    except _Exhausted:
+    except (_Refuted, _Exhausted):
         saturated = False
-    return PropagationResult(trace, saturated=saturated, rounds=rounds)
+    return PropagationResult(trace, refutation[0], saturated, rounds, frozenset(live))

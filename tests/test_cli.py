@@ -296,7 +296,8 @@ def test_check_dc_defaults_are_the_module_constants():
 # grid 4 check-dc samples 2048 dramas, 1024 per scenario, so their
 # closures share link-duration prefixes up to all five links deep.  The
 # grid-5 digest (6250 dramas) is also checked by the CI step that runs
-# the installed `cstnu check-dc --json --grid 5`.
+# the installed `cstnu check-dc --json --grid 5`, and the two `propagate`
+# digests by the one that runs the installed `cstnu propagate`.
 PROPAGATE = ("propagate", "--json", "--trace", "trace.json", "net.json")
 
 
@@ -307,9 +308,9 @@ PROPAGATE = ("propagate", "--json", "--trace", "trace.json", "net.json")
      "510681fcfdff89adfd5ceb8dc181c8abc9aae5c979c2a3d4a1983b3a389dbf54"),
     (("check-dc", "--json", "--grid", "5", "net.json"), None,
      "21c3a01b30cbc4726a0f26364c1c764f974fe1e296b31c73c032d6a2ddede0fa"),
-    (PROPAGATE, None, "f01a2b5969a4301a12450ef8637ab2ce6cae5ce827bfbdb3e87bbb0f62cb8b8d"),
+    (PROPAGATE, None, "2f8122a2e1876632b676b4ad8dcffeb29e72ced25a105459bbaa7f25361ce82b"),
     (PROPAGATE, "trace.json",
-     "940ca9be60fa218fae5110bbba6a7254e6b7241a05b798f56cdf6e8e7fe06782"),
+     "0da6686fbe37f59a858c4a1567d44f14a98037bba3df4956b034d30a8e8b7545"),
     (("project", "net.json", "--scenario", "a=0"), None,
      "7c59d64d6b6df31ec353b61f27f0125bd0ee6be046b79d0648ada6745a52e4a1"),
     (("solve", "--json", "--origin", "T1_S", "a0.json"), None,

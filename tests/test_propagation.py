@@ -13,6 +13,7 @@ from cstnu import (LabeledConstraint, Network, PreconditionError, TimePoint,
                    compile_workflow, compose, dominates, label_modification,
                    parse_label, parse_workflow, propagate_to_fixpoint, solve, to_stn)
 from cstnu.fixtures import branching_workflow_text, modification_pair
+from cstnu.propagation import DEFAULT_BUDGET
 from helpers import naive_propagate, random_consistent_stn, random_cstn
 
 
@@ -204,11 +205,10 @@ def derivations(result):
             if rule != "given"]
 
 
-def test_fixpoint_matches_the_naive_loop():
-    # The semi-naive, edge-indexed loop must admit what composing every
-    # pair and scanning every constraint admits, in the same order, and
-    # stop at the same point when the budget runs out mid-round.  Deltas
-    # with denominators 1, 3, 7 and 2 check the integer scaling.
+def naive_loop_networks():
+    """Random CSTNs, some with deltas of denominators 1, 3, 7 and 2 (to
+    check the integer scaling), the fixture, DEAD_BEFORE_REFUTATION and a
+    network whose observation-side value dies before its use."""
     rng = random.Random(5)
     networks = [random_cstn(rng, max_letters=3, max_points=7) for _ in range(40)]
     mixed = (Fraction(1, 3), Fraction(1, 7), Fraction(5, 2))
@@ -216,17 +216,73 @@ def test_fixpoint_matches_the_naive_loop():
                  for _ in range(20)]
     for text in (branching_workflow_text(), DEAD_BEFORE_REFUTATION):
         networks.append(compile_workflow(parse_workflow(text))[0])
-    for network in networks:
-        for budget in (1, 3, 10, 50, 200, 5000):
+    # Label modification through Oq - Or <= 0 removes the r-labeled
+    # Or - Oq <= 0 before the pass reaches it as the observation side of q.
+    networks.append(Network(
+        timepoints=["Oq", "Or", "X"],
+        constraints=[lc("Or", "Oq", 0), lc("Oq", "Or", 0, "r"), lc("Or", "X", 0, "q")],
+        letters=["q", "r"], observations={"q": "Oq", "r": "Or"}))
+    return networks
+
+
+BUDGETS = (1, 3, 10, 50, 200, 5000)
+
+
+def test_fixpoint_matches_the_naive_loop():
+    # The semi-naive, edge-indexed loop must admit and remove what
+    # composing every live pair and scanning every live constraint does,
+    # in the same order, and stop at the same point when the budget runs
+    # out mid-round.
+    for network in naive_loop_networks():
+        for budget in BUDGETS:
             got = propagate_to_fixpoint(network, budget=budget)
             want = naive_propagate(network, budget=budget)
             assert ((got.constraints, got.refuted, got.refutation, got.saturated,
-                     got.rounds)
+                     got.rounds, got.live)
                     == (want.constraints, want.refuted, want.refutation,
-                        want.saturated, want.rounds))
+                        want.saturated, want.rounds, want.live))
             assert derivations(got) == derivations(want)
             assert got.trace == want.trace
             assert all(type(c.delta) is Fraction for c in got.constraints)
+
+
+def outcome(result):
+    return (result.refuted, result.saturated,
+            any(c.source == c.target and c.delta < 0 for c in result.constraints))
+
+
+def test_removing_dominated_values_keeps_the_outcome():
+    # Keeping every admitted value must refute, saturate and derive a
+    # negative self-loop exactly when the minimal store does.  Where the
+    # budget cuts the keep-everything loop short, the store, which admits
+    # fewer values, may still finish, so only a finished run is compared.
+    for network in naive_loop_networks():
+        for budget in BUDGETS + (DEFAULT_BUDGET,):
+            want = naive_propagate(network, budget=budget, keep_everything=True)
+            if want.refuted or want.saturated:
+                assert outcome(propagate_to_fixpoint(network, budget=budget)) == outcome(want)
+            else:
+                assert budget != DEFAULT_BUDGET
+
+
+def test_the_store_is_minimal_and_covers_the_trace():
+    rng = random.Random(16)
+    networks = [compile_workflow(parse_workflow(branching_workflow_text()))[0]]
+    networks += [random_cstn(rng, max_letters=3, max_points=7) for _ in range(30)]
+    networks += [random_cstn(rng, max_letters=3, max_points=7,
+                             fractions=(Fraction(1, 3), Fraction(5, 2)))
+                 for _ in range(30)]
+    removed = 0
+    for network in networks:
+        result = propagate_to_fixpoint(network)
+        assert result.live <= result.constraints
+        for c in result.live:
+            assert not any(dominates(other, c) for other in result.live if other != c)
+        for c in result.constraints - result.live:
+            assert any(dominates(other, c) for other in result.live)
+            assert result.explain(c)[-1].startswith(str(c))
+            removed += 1
+    assert removed > 100
 
 
 def test_trace_order_does_not_depend_on_string_hashing():
