@@ -17,6 +17,7 @@ Verdicts are sound, not complete:
 """
 
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -517,6 +518,23 @@ def _grid_commits(problem, grid):
     return moves
 
 
+def _window_commits(problem, grid):
+    """Moves of the witness search: those of `_grid_commits`, in the same
+    order, less every time outside the point's window (`_Problem.window`)."""
+    grid = [problem.ticks(t) for t in grid]
+
+    def moves(node, ready, div):
+        first = (bisect_right if node.strict else bisect_left)(grid, node.now)
+        last = len(grid) if div is None else bisect_right(grid, div)
+        for point in ready:
+            lb, ub = problem.window(node, point)
+            stop = last if ub is None else min(last, bisect_right(grid, ub))
+            for t in grid[max(first, bisect_left(grid, lb)):stop]:
+                yield point, t
+
+    return moves
+
+
 def _by_point(problem, constraints):
     """Point -> the (source, target, delta) of the constraints on it, the
     delta in ticks."""
@@ -605,20 +623,28 @@ def _exhaustive_witness(problem, grid, budget):
 
     Returns the first viable dynamic strategy table found, or None when
     the space holds none; raises `_Budget` when more than `budget` nodes
-    are entered.  Commits that violate a constraint are pruned, so a leaf
-    is viable (it is still re-certified by the caller).
+    are entered.  A point is committed only at the grid times inside its
+    window over the information set (`_window_commits`).
+
+    That prunes no viable leaf and admits no violation.  Each drama's
+    matrix is the closure of its floored projection with the rigid link
+    edges, so it is decomposable (Dechter, Meiri & Pearl, 1991): times for
+    some of its points that meet every closure entry between them extend
+    to a solution.  The window meets the entries between the point and
+    the origin and every committed point, in every drama of the set, and
+    the contingent times the commits determine follow from the rigid
+    edges, whose entries make their bounds those of their activations.
+    By induction on the path, the known times of every drama stay
+    extendable, so they violate no constraint, and a leaf is viable (it
+    is still re-certified by the caller).  A time outside the window
+    leaves some drama's known times without a solution; every leaf below
+    holds them, so no leaf below is viable.  The search therefore finds
+    the first witness, or None, that a walk of the whole grid would.
     """
-    index = [[_by_point(problem, d.projection.constraints)] for d in problem.dctxs]
-
-    def commit(dctxs, trial, point):
-        return None if _violations(problem, index, dctxs, trial, point, 1) else _same
-
     # Only failures are remembered: a success ends the search unless a
-    # sibling group fails, and keeping the tables of succeeded nodes raised
-    # the peak heap of the search on bench/gen.py's greedy trap from 15 MB
-    # to 22 MB.
-    return _explore(problem, _grid_commits(problem, grid), problem.schedules,
-                    (None, _first_success), _merge, commit, budget, operator.not_)
+    # sibling group fails.
+    return _explore(problem, _window_commits(problem, grid), problem.schedules,
+                    (None, _first_success), _merge, None, budget, operator.not_)
 
 
 def tree_strategy_masks(network, constraint_sets, grid):

@@ -5,6 +5,8 @@ Consistent instances are built from a hidden random solution plus
 non-negative slack, so consistency is guaranteed by construction.
 """
 
+import operator
+import os
 import random
 from fractions import Fraction
 
@@ -12,13 +14,26 @@ from cstnu import (Constraint, ContingentLink, Cstp, CstpEdge, Label,
                    LabeledConstraint, Network, Scenario, Stn, Strategy,
                    TimePoint, conjoin, enumerate_scenarios, relevant_timepoints,
                    sample_situations)
+from cstnu.jsonio import loads, network_from_dict
 from cstnu.labels import EMPTY, INCONSISTENT, sub
 from cstnu.propagation import (DEFAULT_BUDGET, PropagationResult, _Exhausted,
                                _modification_failures, _modify, _Refuted, compose,
                                dominates)
 from cstnu.rational import INF
-from cstnu.search import _ORIGIN
+from cstnu.search import (_ORIGIN, _by_point, _explore, _first_success, _grid_commits,
+                          _merge, _same, _violations)
 from cstnu.semantics import DynamicityResult, _history
+
+
+# bench/gen.py's greedy trap with epsilon 1, as a network file: Or,
+# shared until observed, must wait for X3, and greedy synthesis runs X3
+# too early, so only the exhaustive witness search finds its strategy.
+GREEDY_TRAP = os.path.join(os.path.dirname(os.path.abspath(__file__)), "greedy_trap.json")
+
+
+def greedy_trap():
+    with open(GREEDY_TRAP) as f:
+        return network_from_dict(loads(f.read()))
 
 
 def frac(rng, lo=0, hi=20):
@@ -281,6 +296,22 @@ def fraction_window(dctxs, committed, point):
                 if ub is None or cap < ub:
                     ub = cap
     return lb, ub
+
+
+def grid_witness(problem, grid, budget):
+    """`search._exhaustive_witness` as it was before it read each point's
+    window: every time of the grid (`search._grid_commits`), a commit
+    pruned only when it violates a constraint between known points
+    (`search._violations`).  Raises `search._Budget` when more than
+    `budget` nodes are entered.  Kept as the reference for the windowed
+    witness search."""
+    index = [[_by_point(problem, d.projection.constraints)] for d in problem.dctxs]
+
+    def commit(dctxs, trial, point):
+        return None if _violations(problem, index, dctxs, trial, point, 1) else _same
+
+    return _explore(problem, _grid_commits(problem, grid), problem.schedules,
+                    (None, _first_success), _merge, commit, budget, operator.not_)
 
 
 def naive_events(network, scenario, schedule):

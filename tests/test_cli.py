@@ -17,7 +17,7 @@ from cstnu.jsonio import dumps, network_to_dict
 from cstnu.projection import DEFAULT_GRID, sample_situations
 from cstnu.propagation import DEFAULT_BUDGET, propagate_to_fixpoint
 from cstnu.search import MAX_LETTERS, MAX_LINKS, check_dc
-from helpers import link_chain
+from helpers import GREEDY_TRAP, link_chain
 
 
 @pytest.fixture
@@ -327,6 +327,19 @@ def test_cli_output_on_the_fixture_is_pinned(capsys, tmp_path, monkeypatch,
     assert code == 0
     text = out if written is None else (tmp_path / written).read_text()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of `check-dc --json` on tests/greedy_trap.json, whose strategy
+# only the exhaustive witness search finds: it pins that search's first
+# witness.  The CI step that runs the installed `cstnu check-dc` on the
+# file checks its output against this line.
+GREEDY_TRAP_DIGEST = "cfb9aa4440d19e3b75da9e892466c5d7c03adb78bf56d0bbadcfbe6535f27fd4"
+
+
+def test_check_dc_on_the_greedy_trap_is_pinned(capsys):
+    code, out, _ = run(capsys, "check-dc", "--json", GREEDY_TRAP)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GREEDY_TRAP_DIGEST
 
 
 def test_verify_strategy_round_trip(capsys, tmp_path):

@@ -19,9 +19,9 @@ from cstnu.fixtures import (branching_workflow_text, modification_study,
                             tight_contingent_stnu)
 from cstnu.semantics import _check_viable, _events, _history
 from cstnu.stn import floored
-from helpers import (fraction_window, link_chain, naive_events, naive_next_divergence,
-                     random_cstn, random_cstn_strategy, random_consistent_stn, random_stnu,
-                     random_stnu_strategy)
+from helpers import (fraction_window, greedy_trap, grid_witness, link_chain, naive_events,
+                     naive_next_divergence, random_cstn, random_cstn_strategy,
+                     random_consistent_stn, random_stnu, random_stnu_strategy)
 
 
 def test_consistent_stn_is_controllable():
@@ -214,16 +214,16 @@ def test_tightening_preserves_negative_verdicts():
             assert after.verdict != "controllable"
 
 
-def late_observation():
-    # X must commit before p is observed at Op: X <= Z+1 when not-p,
-    # X >= Z+2 when p, and Op comes at least 2 after Z.
+def late_observation(a=1, late=2, c=2, span=3):
+    # X must commit before p is observed at Op: X <= Z+a when not-p,
+    # X >= Z+late when p, and Op comes at least c >= late after Z.
     return Network(
         timepoints=[TimePoint("Op"), TimePoint("X"), TimePoint("Z")],
         constraints=[
-            LabeledConstraint("Z", "X", Fraction(1), parse_label("!p")),
-            LabeledConstraint("X", "Z", Fraction(-2), parse_label("p")),
-            LabeledConstraint("Op", "Z", Fraction(-2)),
-            LabeledConstraint("Z", "Op", Fraction(5))],
+            LabeledConstraint("Z", "X", Fraction(a), parse_label("!p")),
+            LabeledConstraint("X", "Z", Fraction(-late), parse_label("p")),
+            LabeledConstraint("Op", "Z", Fraction(-c)),
+            LabeledConstraint("Z", "Op", Fraction(c + span))],
         letters=["p"], observations={"p": "Op"})
 
 
@@ -245,27 +245,64 @@ def test_unknown_names_the_bound_that_stopped_the_search(monkeypatch):
 
 
 def test_exhaustive_search_certifies_what_greedy_synthesis_misses():
-    # bench/gen.py's greedy trap with epsilon 1: Or, shared until observed,
-    # must wait for X3, and greedy synthesis runs X3 too early
-    lab = parse_label
-    net = Network(
-        timepoints=[TimePoint("Or"), TimePoint("X0", lab("r")), TimePoint("X1", lab("!r")),
-                    TimePoint("X2"), TimePoint("X3")],
-        constraints=[
-            LabeledConstraint("X0", "Or", Fraction(-1), lab("r")),
-            LabeledConstraint("X1", "Or", Fraction(-1), lab("!r")),
-            LabeledConstraint("Or", "X0", Fraction(4), lab("r")),
-            LabeledConstraint("X3", "X1", Fraction(5), lab("!r")),
-            LabeledConstraint("X0", "X2", Fraction(-12), lab("r")),
-            LabeledConstraint("X1", "X3", Fraction(3), lab("!r")),
-            LabeledConstraint("X2", "X3", Fraction(18))],
-        letters=["r"], observations={"r": "Or"}, epsilon=Fraction(1))
+    net = greedy_trap()
     problem = search._Problem(net, [Drama(s, ()) for s in enumerate_scenarios(net.letters)])
     assert search._synthesize(problem) is None
     result = check_dc(net)
     assert result.verdict == "controllable"
     assert is_viable(net, result.strategy).ok
     assert is_dynamic_star(net, result.strategy).ok
+
+
+def test_witness_search_finds_the_greedy_trap_strategy_within_1000_nodes():
+    # The walk of the whole grid enters 7683 nodes before it finds the
+    # greedy trap's witness; the windowed search needs 750.
+    net = greedy_trap()
+    problem = search._Problem(net, [Drama(s, ()) for s in enumerate_scenarios(net.letters)])
+    grid = candidate_time_grid(net, [()])
+    assert search._exhaustive_witness(problem, grid, 1000) is not None
+
+
+def _witness_problems():
+    """(name, problem, grid) for networks of at most EXHAUSTIVE_POINTS
+    points whose projections are consistent and whose greedy synthesis
+    fails, so `check_dc` searches them exhaustively: the greedy trap, late
+    observations, and the few such random STNUs (about 1 in 400; random
+    CSTNs of `random_cstn` pass greedy synthesis or have an inconsistent
+    projection)."""
+    rng = random.Random(17)
+    nets = [("trap", greedy_trap())]
+    for i in range(8):
+        late = rng.randint(2, 9)
+        nets.append(("late %d" % i, late_observation(
+            rng.randint(1, late - 1), late, late + rng.randint(0, 8), rng.randint(1, 10))))
+    nets += [("stnu %d" % i, random_stnu(rng)) for i in range(4000)]
+    for name, net in nets:
+        if len(net.timepoints) > search.EXHAUSTIVE_POINTS:
+            continue
+        situations = sample_situations(net.links)
+        problem = search._Problem(net, [Drama(s, w) for s in enumerate_scenarios(net.letters)
+                                        for w in situations])
+        if (all(d.matrix.consistent for d in problem.dctxs)
+                and search._synthesize(problem) is None):
+            yield name, problem, candidate_time_grid(net, situations)
+
+
+def test_windowed_witness_matches_the_grid_walk():
+    # Pruning the grid to each window drops only subtrees without a viable
+    # leaf, so the first witness, or None, is the one the walk of the
+    # whole grid finds, within the same budget.
+    budget = 10_000
+    seen = {"found": 0, "none": 0, "random": 0}
+    for name, problem, grid in _witness_problems():
+        try:
+            want = grid_witness(problem, grid, budget)
+        except search._Budget:
+            continue
+        assert search._exhaustive_witness(problem, grid, budget) == want, name
+        seen["found" if want else "none"] += 1
+        seen["random"] += name.startswith("stnu")
+    assert seen["found"] >= 3 and seen["none"] >= 12 and seen["random"] >= 8, seen
 
 
 def test_witness_search_and_masks_agree():
@@ -382,7 +419,7 @@ def test_search_splits_where_semantics_says_histories_differ(monkeypatch):
     monkeypatch.setattr(search._Problem, "next_divergence", checked)
     check_dc(compile_workflow(parse_workflow(branching_workflow_text()))[0])
     rng = random.Random(9)
-    for _ in range(100):
+    for _ in range(400):
         check_dc(random_cstn(rng))
         check_dc(random_stnu(rng))
     assert seen["splits"] > 1000
