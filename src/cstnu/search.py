@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 
 from .labels import evaluate
-from .model import Stn, depth_first, embed_cstn, embed_stnu, validate
+from .model import Network, Stn, depth_first, embed_cstn, embed_stnu, validate
 from .projection import (DEFAULT_GRID, Drama, _rigid_durations, enumerate_scenarios,
                          sample_situations, scenario_projection)
 from .rational import INF, rational
@@ -351,8 +351,7 @@ _ENTER, _VALUE = "enter", "value"
 _OPEN = object()
 
 
-def _explore(problem, moves, leaf, fold, join, commit=None, budget=None,
-             remember=None):
+def _explore(problem, moves, leaf, fold, join, budget=None, remember=None):
     """Walk the observation-ordered decision trees of `problem`.
 
     A node (`_Node`) is an information set `dctxs` (dramas whose histories
@@ -364,11 +363,10 @@ def _explore(problem, moves, leaf, fold, join, commit=None, budget=None,
     divergence, if there is one.  `fold` is (initial, step): the node's
     value starts at `initial`, and `step(value, alternative's value)`
     returns (value, stop); no later alternative is valued once `stop` is
-    true.  A commit's value is the value of the node it leads to, passed
-    through `commit(dctxs, trial, point)` when that is given: it returns
-    the function to apply, or None to value the commit None without
-    entering its node.  A split's value is `join` over its groups' values,
-    or the first falsy one: a group that fails fails the split.
+    true.  A commit's value is the value of the node it leads to; the walk
+    checks no constraint, so `moves` proposes only the commits worth
+    entering.  A split's value is `join` over its groups' values, or the
+    first falsy one: a group that fails fails the split.
 
     With a `budget`, every node entered is counted, before the memo is
     looked up, and `_Budget` is raised once the count exceeds the budget.
@@ -412,14 +410,9 @@ def _explore(problem, moves, leaf, fold, join, commit=None, budget=None,
     def alternatives(node, ready):
         div = problem.next_divergence(node)
         for point, t in moves(node, ready, div):
-            trial = dict(node.committed)
-            trial[point] = t
-            finish = _same if commit is None else commit(node.dctxs, trial, point)
-            if finish is None:
-                yield _VALUE, None
-            else:
-                value = yield _ENTER, problem.advance(node, trial, point, t)
-                yield _VALUE, finish(value)
+            trial = {**node.committed, point: t}
+            value = yield _ENTER, problem.advance(node, trial, point, t)
+            yield _VALUE, value
         if div is not None:
             joined = None
             for group in problem.split(node, div):
@@ -451,10 +444,6 @@ def _explore(problem, moves, leaf, fold, join, commit=None, budget=None,
             value = frame[2]
         stack.pop()
         incoming = value = close(frame[1], value)
-    return value
-
-
-def _same(value):
     return value
 
 
@@ -500,28 +489,12 @@ def _earliest_commit(problem):
     return moves
 
 
-def _grid_commits(problem, grid):
-    """Moves of the exhaustive searches: every point at every time of the
-    sorted `grid` from `now` (after it, past a divergence) up to the next
-    divergence."""
-    grid = [problem.ticks(t) for t in grid]
-
-    def moves(node, ready, div):
-        for point in ready:
-            for t in grid:
-                if t < node.now or (node.strict and t == node.now):
-                    continue
-                if div is not None and t > div:
-                    break
-                yield point, t
-
-    return moves
-
-
 def _window_commits(problem, grid):
-    """Moves of the witness search: those of `_grid_commits`, in the same
-    order, less every time outside the point's window (`_Problem.window`)."""
-    grid = [problem.ticks(t) for t in grid]
+    """Moves of the exhaustive searches: every ready point at every time of
+    `grid` inside its window (`_Problem.window`), from `now` (after it,
+    past a divergence) up to the next divergence, point by point and each
+    point's times in increasing order."""
+    grid = sorted(problem.ticks(t) for t in grid)
 
     def moves(node, ready, div):
         first = (bisect_right if node.strict else bisect_left)(grid, node.now)
@@ -533,46 +506,6 @@ def _window_commits(problem, grid):
                 yield point, t
 
     return moves
-
-
-def _by_point(problem, constraints):
-    """Point -> the (source, target, delta) of the constraints on it, the
-    delta in ticks."""
-    index = {}
-    for c in constraints:
-        entry = c.source, c.target, problem.ticks(c.delta)
-        index.setdefault(c.source, []).append(entry)
-        index.setdefault(c.target, []).append(entry)
-    return index
-
-
-def _violations(problem, index, dctxs, committed, point, full):
-    """Bit mask of the constraint sets that committing `point` violates.
-
-    `index[d.idx][i]` maps a point to drama d's constraints of set i on
-    it (`_by_point`), and `committed` holds ticks.  Only constraints on
-    the points the commit makes known (`point` and the contingent points
-    it determines) are checked: every other constraint between known
-    points was checked when its later end became known.  The check stops
-    once every bit of `full` is set.
-    """
-    mask = 0
-    for d in dctxs:
-        times = problem.known_times(d, committed)
-        fresh = [point]
-        for c in problem.chain_order:     # each after the contingent point activating it
-            if c in times and problem.activation[c] in fresh:
-                fresh.append(c)
-        for i, by_point in enumerate(index[d.idx]):
-            if mask & (1 << i):
-                continue
-            if any(source in times and target in times
-                   and times[target] - times[source] > delta
-                   for p in fresh for source, target, delta in by_point.get(p, ())):
-                mask |= 1 << i
-        if mask == full:
-            break
-    return mask
 
 
 def _synthesize(problem):
@@ -644,7 +577,7 @@ def _exhaustive_witness(problem, grid, budget):
     # Only failures are remembered: a success ends the search unless a
     # sibling group fails.
     return _explore(problem, _window_commits(problem, grid), problem.schedules,
-                    (None, _first_success), _merge, None, budget, operator.not_)
+                    (None, _first_success), _merge, budget, operator.not_)
 
 
 def tree_strategy_masks(network, constraint_sets, grid):
@@ -657,29 +590,44 @@ def tree_strategy_masks(network, constraint_sets, grid):
     viable for set 0 also viable for set 1".  Raises `ValueError` when a
     label names a letter the network lacks, and `RuntimeError` when more
     than MASKS_BUDGET tree nodes are entered.
+
+    The walk is the witness search's (`_window_commits`) over a copy of
+    `network` without its constraints, which no mask reads: there only the
+    origin floor and the rigid link edges bound a non-contingent point, so
+    its window is [0, inf).  A leaf's mask is read off its dramas' known
+    times; each drama ends at one leaf, so a tree's mask is the union of
+    its leaves' masks.
     """
+    free = Network(network.timepoints.values(), letters=network.letters,
+                   observations=network.observations, links=network.links,
+                   epsilon=network.epsilon)
     scenarios = enumerate_scenarios(network.letters)
     situations = sample_situations(network.links)
     dramas = [Drama(s, w) for s in scenarios for w in situations]
-    problem = _Problem(network, dramas,
+    problem = _Problem(free, dramas,
                        (*grid, *(c.delta for constraints in constraint_sets for c in constraints)))
-    index = []
-    for d in problem.dctxs:
-        values = d.drama.scenario.as_mapping()
-        index.append([_by_point(problem, (c for c in constraints if evaluate(c.label, values)))
-                      for constraints in constraint_sets])
-    full = (1 << len(constraint_sets)) - 1
+    # Scenario -> per set, the (source, target, delta in ticks) whose labels hold
+    checks = {s: [[(c.source, c.target, problem.ticks(c.delta))
+                   for c in constraints if evaluate(c.label, s.as_mapping())]
+                  for constraints in constraint_sets]
+              for s in scenarios}
 
-    def commit(dctxs, trial, point):
-        mask = _violations(problem, index, dctxs, trial, point, full)
-        return lambda masks: frozenset(mask | m for m in masks)
+    def leaf(node):
+        mask = 0
+        for d in node.dctxs:
+            times = problem.known_times(d, node.committed)
+            for i, constraints in enumerate(checks[d.drama.scenario]):
+                if any(source in times and target in times
+                       and times[target] - times[source] > delta
+                       for source, target, delta in constraints):
+                    mask |= 1 << i
+        return frozenset({mask})
 
     try:
-        return _explore(problem, _grid_commits(problem, grid),
-                        lambda node: frozenset({0}),
+        return _explore(problem, _window_commits(problem, grid), leaf,
                         (frozenset(), lambda masks, other: (masks | other, False)),
                         lambda masks, other: frozenset(m | s for m in masks for s in other),
-                        commit, MASKS_BUDGET, lambda masks: True)
+                        MASKS_BUDGET, lambda masks: True)
     except _Budget:
         raise RuntimeError("budget of %d nodes exhausted" % MASKS_BUDGET) from None
 

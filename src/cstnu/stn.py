@@ -12,7 +12,7 @@ and scaling by a positive constant preserves sums and order, so the
 scaled closure is the closure of the original graph times that constant:
 nothing is rounded, and a cycle is negative in one exactly when it is
 negative in the other.  `DistanceMatrix.distance` divides by the constant
-on the way out; `DistanceMatrix.scaled` reads the integer as it is.
+on the way out.
 
 A closure that differs from a known one by a single edge `v - u <= w` is
 not closed again.  If `D` is the closure of a consistent graph, the graph
@@ -40,9 +40,9 @@ class DistanceMatrix:
     as integers scaled by `scale`, the least common denominator of the
     STN's deltas (or `INF`): `rows[index[source]][index[target]]` bounds
     target - source times `scale`.  `distance` makes the `Fraction` of one
-    entry; `scaled` reads the entry as it is.  Callers that compare the
-    entries of many matrices over one id list (the DC search) read `rows`
-    on one common scale and keep the bounds as integers.
+    entry.  Callers that compare the entries of many matrices over one id
+    list (the DC search) read `rows` on one common scale and keep the
+    bounds as integers.
     """
 
     def __init__(self, ids, rows, scale, consistent):
@@ -51,11 +51,6 @@ class DistanceMatrix:
         self.rows = rows
         self.scale = scale
         self.consistent = consistent
-
-    def scaled(self, source, target):
-        """The tightest implied bound on target - source times `scale`: an
-        `int`, or `INF` if unconstrained."""
-        return self.rows[self.index[source]][self.index[target]]
 
     def distance(self, source, target):
         """Tightest implied bound on target - source: a `Fraction`, `INF` if

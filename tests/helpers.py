@@ -20,8 +20,7 @@ from cstnu.propagation import (DEFAULT_BUDGET, PropagationResult, _Exhausted,
                                _modification_failures, _modify, _Refuted, compose,
                                dominates)
 from cstnu.rational import INF
-from cstnu.search import (_ORIGIN, _by_point, _explore, _first_success, _grid_commits,
-                          _merge, _same, _violations)
+from cstnu.search import _ORIGIN, _explore, _first_success, _merge
 from cstnu.semantics import DynamicityResult, _history
 
 
@@ -300,18 +299,33 @@ def fraction_window(dctxs, committed, point):
 
 def grid_witness(problem, grid, budget):
     """`search._exhaustive_witness` as it was before it read each point's
-    window: every time of the grid (`search._grid_commits`), a commit
-    pruned only when it violates a constraint between known points
-    (`search._violations`).  Raises `search._Budget` when more than
-    `budget` nodes are entered.  Kept as the reference for the windowed
-    witness search."""
-    index = [[_by_point(problem, d.projection.constraints)] for d in problem.dctxs]
+    window: every time of the sorted grid from `now` (after it, past a
+    divergence) up to the next divergence, less each commit after which
+    the known times of some drama of the information set violate its
+    projection.  Raises `search._Budget` when more than `budget` nodes are
+    entered.  Kept as the reference for the windowed witness search."""
+    grid = sorted(problem.ticks(t) for t in grid)
+    checks = [[(c.source, c.target, problem.ticks(c.delta)) for c in d.projection.constraints]
+              for d in problem.dctxs]
 
-    def commit(dctxs, trial, point):
-        return None if _violations(problem, index, dctxs, trial, point, 1) else _same
+    def violated(d, committed):
+        times = problem.known_times(d, committed)
+        return any(source in times and target in times and times[target] - times[source] > delta
+                   for source, target, delta in checks[d.idx])
 
-    return _explore(problem, _grid_commits(problem, grid), problem.schedules,
-                    (None, _first_success), _merge, commit, budget, operator.not_)
+    def moves(node, ready, div):
+        for point in ready:
+            for t in grid:
+                if t < node.now or (node.strict and t == node.now):
+                    continue
+                if div is not None and t > div:
+                    break
+                trial = {**node.committed, point: t}
+                if not any(violated(d, trial) for d in node.dctxs):
+                    yield point, t
+
+    return _explore(problem, moves, problem.schedules, (None, _first_success), _merge,
+                    budget, operator.not_)
 
 
 def naive_events(network, scenario, schedule):

@@ -171,16 +171,36 @@ def test_embedding_verdicts_match():
 def test_tree_strategy_masks_structure():
     net, sets, grid = modification_study()
     masks = tree_strategy_masks(net, sets, grid)
-    assert 0 in masks                      # some strategy satisfies everything
+    assert masks == {0, 3, 7}              # some strategy satisfies everything
     assert all(isinstance(m, int) for m in masks)
     # original and rewritten constraint sets admit the same strategies
     assert all(bool(m & 1) == bool(m & 2) for m in masks)
 
 
 def test_tree_strategy_masks_budget_is_a_runtime_error(monkeypatch):
-    monkeypatch.setattr(search, "MASKS_BUDGET", 5)
-    with pytest.raises(RuntimeError, match="^budget of 5 nodes exhausted$"):
-        tree_strategy_masks(*modification_study())
+    for budget in (5, 2215):
+        monkeypatch.setattr(search, "MASKS_BUDGET", budget)
+        with pytest.raises(RuntimeError, match="^budget of %d nodes exhausted$" % budget):
+            tree_strategy_masks(*modification_study())
+    # the walk enters exactly 2216 nodes
+    monkeypatch.setattr(search, "MASKS_BUDGET", 2216)
+    assert tree_strategy_masks(*modification_study()) == {0, 3, 7}
+
+
+def test_tree_strategy_masks_are_pinned_on_random_networks():
+    # Sets: every constraint, then the even- and the odd-indexed halves in
+    # `str` order; the grid is the first 8 candidate times, in either
+    # order.  The masks were pinned from the earlier walk, which checked
+    # each commit against the constraints it made fully known.
+    want = [{0}, {3}, {5, 7}, {0, 3}, {3}, {5}, {7}, {0}, {7}, {3}, {7}, {3}]
+    rng = random.Random(18)
+    for i, masks in enumerate(want):
+        net = (random_cstn if i % 2 == 0 else random_stnu)(rng)
+        ordered = sorted(net.constraints, key=str)
+        sets = [ordered, ordered[0::2], ordered[1::2]]
+        grid = candidate_time_grid(net, sample_situations(net.links))[:8]
+        assert tree_strategy_masks(net, sets, grid) == masks, i
+        assert tree_strategy_masks(net, sets, grid[::-1]) == masks, i
 
 
 def test_tree_strategy_masks_reject_an_undeclared_letter():
@@ -263,15 +283,31 @@ def test_witness_search_finds_the_greedy_trap_strategy_within_1000_nodes():
     assert search._exhaustive_witness(problem, grid, 1000) is not None
 
 
+def trap_variant(rng):
+    """The greedy trap with every delta but the observation leads (-1 into
+    Or) shifted by up to 3 either way."""
+    net = greedy_trap()
+    leads = set(net.observations.values())
+    return Network(
+        timepoints=net.timepoints.values(),
+        constraints=[c if c.target in leads and c.delta == -1
+                     else LabeledConstraint(c.source, c.target, c.delta + rng.randint(-3, 3),
+                                            c.label)
+                     for c in sorted(net.constraints, key=str)],
+        letters=net.letters, observations=net.observations, epsilon=net.epsilon)
+
+
 def _witness_problems():
     """(name, problem, grid) for networks of at most EXHAUSTIVE_POINTS
     points whose projections are consistent and whose greedy synthesis
-    fails, so `check_dc` searches them exhaustively: the greedy trap, late
-    observations, and the few such random STNUs (about 1 in 400; random
-    CSTNs of `random_cstn` pass greedy synthesis or have an inconsistent
-    projection)."""
+    fails, so `check_dc` searches them exhaustively: the greedy trap and
+    variants of it, late observations, and the few such random STNUs
+    (about 1 in 400; random CSTNs of `random_cstn` pass greedy synthesis
+    or have an inconsistent projection)."""
     rng = random.Random(17)
+    trap_rng = random.Random(18)
     nets = [("trap", greedy_trap())]
+    nets += [("trap variant %d" % i, trap_variant(trap_rng)) for i in range(8)]
     for i in range(8):
         late = rng.randint(2, 9)
         nets.append(("late %d" % i, late_observation(
@@ -293,7 +329,7 @@ def test_windowed_witness_matches_the_grid_walk():
     # leaf, so the first witness, or None, is the one the walk of the
     # whole grid finds, within the same budget.
     budget = 10_000
-    seen = {"found": 0, "none": 0, "random": 0}
+    seen = {"found": 0, "none": 0, "random": 0, "found variants": 0}
     for name, problem, grid in _witness_problems():
         try:
             want = grid_witness(problem, grid, budget)
@@ -302,7 +338,9 @@ def test_windowed_witness_matches_the_grid_walk():
         assert search._exhaustive_witness(problem, grid, budget) == want, name
         seen["found" if want else "none"] += 1
         seen["random"] += name.startswith("stnu")
-    assert seen["found"] >= 3 and seen["none"] >= 12 and seen["random"] >= 8, seen
+        seen["found variants"] += bool(want) and name.startswith("trap variant")
+    assert (seen["found"] >= 7 and seen["none"] >= 12 and seen["random"] >= 8
+            and seen["found variants"] >= 4), seen
 
 
 def test_witness_search_and_masks_agree():

@@ -94,9 +94,9 @@ def test_distances_keep_their_types():
     assert repr(whole.distance("A", "B")) == repr(Fraction(2))
     # the scaled entries are the ints the distances are made from
     assert third.scale == 6 and whole.scale == 1
-    assert repr(third.scaled("A", "C")) == "17"
-    assert third.scaled("C", "A") == INF
-    assert repr(whole.scaled("A", "B")) == "2"
+    assert repr(third.rows[third.index["A"]][third.index["C"]]) == "17"
+    assert third.rows[third.index["C"]][third.index["A"]] == INF
+    assert repr(whole.rows[whole.index["A"]][whole.index["B"]]) == "2"
 
 
 def test_insert_matches_solve():
