@@ -42,10 +42,17 @@ GRID_CAP = 24
 
 @dataclass
 class _DramaCtx:
-    """Per-drama precomputation shared by every search."""
+    """One class of sampled dramas, and the precomputation every search
+    shares: the dramas of one scenario whose situations agree on the
+    durations of every link relevant in it.  They have one projection,
+    one closure and the same events under every commit, so they are one
+    execution, and the search runs it once.  `idx` numbers the classes
+    in problem order, `dramas` holds the members in problem order, and
+    `drama` is the first of them."""
 
     idx: int
     drama: Drama
+    dramas: list
     relevant: frozenset
     durations: dict          # contingent point -> sampled duration, in ticks
     projection: object
@@ -55,14 +62,15 @@ class _DramaCtx:
 @dataclass(eq=False)
 class _Node:
     """A node of the decision-tree walk, and the only state the search
-    keeps for its path: the information set `dctxs` (the dramas, in
-    problem order, whose histories agree so far), the times `committed`
+    keeps for its path: the information set `dctxs` (the classes of
+    dramas, `_DramaCtx`, in problem order, whose histories agree so far;
+    each class stands for all its members), the times `committed`
     to it, the time `now` of the last step, and `strict`, set when the
     node starts at a divergence at `now`, so that nothing more may run at
     `now`.  Every time is an `int` on the problem's lattice: a count of
     1/`_Problem.tick`.
 
-    `events[i]` holds the (time, item) events drama `dctxs[i]` has seen on
+    `events[i]` holds the (time, item) events class `dctxs[i]` has seen on
     the path, `splits` the times at which the histories of `dctxs`
     differ, and `bounds` the tightest closure entries over `dctxs` that
     `_Problem.window` has read, in ticks.  A commit's child shares its
@@ -81,9 +89,21 @@ class _Node:
 class _Problem:
     """A network plus its sampled drama set, ready for tree search.
 
-    Each drama's `matrix` closes its projection floored at `_ORIGIN`.
+    The search works on classes of dramas (`_DramaCtx`), not on dramas.
+    A drama's projection keeps only its scenario's relevant points and
+    fixes only the links whose two end-points survive, so two dramas of
+    one scenario whose situations differ only on other links have one
+    projection, one closure and the same events: they are one execution.
+    The search reads only a class's scenario, its relevant durations, its
+    closure and its projection, so every member of a class sits in the
+    same information set on every path, and each step of the search costs
+    per distinct execution, not per sampled drama (162 classes for the
+    fixture's 486 dramas at grid 3).  Only `schedules` expands a class
+    into its members.
+
+    Each class's `matrix` closes its projection floored at `_ORIGIN`.
     Every matrix has the same ids, the network's points and the origin, and
-    the same `scale`, so `_bounds` reads the entries of all dramas at one
+    the same `scale`, so `_bounds` reads the entries of all classes at one
     pair of positions and compares them as integers.  A point that a
     scenario drops is an isolated row and column: `INF` off the diagonal.
 
@@ -93,10 +113,10 @@ class _Problem:
     drama's projection adds, for each link whose two end-points are
     relevant, the rigid edges c - a <= d and a - c <= -d; they are
     inserted one edge at a time (`stn._insert`) into the scenario's
-    closure, in link order.  Dramas whose relevant links agree on a prefix
-    of durations share that prefix's closure, and an inserted edge shares
-    every row it cannot change.  The flag of an inconsistent drama is
-    exact, but its rows mean nothing.
+    closure, in link order, once per class.  Classes whose relevant links
+    agree on a prefix of durations share that prefix's closure, and an
+    inserted edge shares every row it cannot change.  The flag of an
+    inconsistent class is exact, but its rows mean nothing.
 
     The search runs on one integer time lattice: every time it commits,
     compares or hashes is an `int` count of 1/`tick`.  `tick` is 2**n, for
@@ -140,7 +160,7 @@ class _Problem:
                 scenarios[drama.scenario] = base, solve(Stn(points, floor.constraints))
         self.scale = lcm(*(closure.scale for _, closure in scenarios.values()),
                          *{d.denominator for drama in dramas for d in drama.situation})
-        tries = {}              # Scenario -> (relevant links, root [closure, children])
+        tries = {}              # Scenario -> (relevant links, root [closure, {duration: child}])
         for scenario, (base, closure) in scenarios.items():
             factor = self.scale // closure.scale
             if factor != 1:
@@ -161,25 +181,31 @@ class _Problem:
         self.unit = self.tick // self.scale         # ticks per closure unit
         self.epsilon = self.ticks(network.epsilon)
         self.fractions = {}                         # tick count -> its Fraction
-        positions = [{} for _ in network.links]     # per link: duration -> position
+        # A class of dramas is keyed by its scenario and the durations of
+        # the links relevant in it, the links that key the scenario's trie.
+        classes = {}
         self.dctxs = []
-        for i, drama in enumerate(dramas):
-            base, _ = scenarios[drama.scenario]
+        for drama in dramas:
             links, node = tries[drama.scenario]
-            for k, _, activation, contingent in links:
-                d = drama.situation[k]
-                position = positions[k].setdefault(d, len(positions[k]))
-                child = node[1].get(position)
-                if child is None:
-                    child = node[1][position] = [
-                        self._with_link(node[0], activation, contingent, d), {}]
-                node = child
-            self.dctxs.append(_DramaCtx(
-                i, drama, base.timepoints,
-                {contingent: self.ticks(drama.situation[k]) for k, contingent, _, _ in links},
-                Stn(base.timepoints, base.constraints | _rigid_durations(
-                    network, base.timepoints, drama.situation)),
-                node[0]))
+            durations = tuple(drama.situation[k] for k, _, _, _ in links)
+            dctx = classes.get((drama.scenario, durations))
+            if dctx is None:
+                for (_, _, activation, contingent), d in zip(links, durations):
+                    child = node[1].get(d)
+                    if child is None:
+                        child = node[1][d] = [
+                            self._with_link(node[0], activation, contingent, d), {}]
+                    node = child
+                base, _ = scenarios[drama.scenario]
+                ticks = {contingent: self.ticks(d)
+                         for (_, contingent, _, _), d in zip(links, durations)}
+                dctx = classes[drama.scenario, durations] = _DramaCtx(
+                    len(self.dctxs), drama, [], base.timepoints, ticks,
+                    Stn(base.timepoints, base.constraints | _rigid_durations(
+                        network, base.timepoints, drama.situation)),
+                    node[0])
+                self.dctxs.append(dctx)
+            dctx.dramas.append(drama)
 
     def _with_link(self, matrix, activation, contingent, duration):
         """`matrix` with the rigid edges that fix contingent - activation
@@ -211,21 +237,25 @@ class _Problem:
 
     def schedules(self, node):
         """The strategy table of a leaf: each drama's known times, as
-        `Fraction`s.  Each distinct time becomes a `Fraction` once per
-        problem, and every schedule holding it shares that object."""
+        `Fraction`s.  They are read once per class, and each member of the
+        class gets its own copy of the schedule.  Each distinct time
+        becomes a `Fraction` once per problem, and every schedule holding
+        it shares that object."""
         made = self.fractions
         table = {}
         for d in node.dctxs:
-            schedule = table[d.drama] = {}
+            schedule = {}
             for point, t in self.known_times(d, node.committed).items():
                 exact = made.get(t)
                 if exact is None:
                     exact = made[t] = Fraction(t, self.tick)
                 schedule[point] = exact
+            for drama in d.dramas:
+                table[drama] = dict(schedule)
         return table
 
     def root(self):
-        """The node of every drama, before anything runs."""
+        """The node of every class, before anything runs."""
         return _Node(self.dctxs, {}, 0, False, [()] * len(self.dctxs),
                      frozenset(), {})
 
@@ -233,9 +263,9 @@ class _Problem:
         """The child of `node` that runs `point` at `t`; `committed` is
         `node.committed` plus that commit.
 
-        Each drama's events grow by the events of this commit alone
+        Each class's events grow by the events of this commit alone
         (`semantics._commit_events`).  No two commits produce the same
-        item, so the histories of the child's dramas differ at a time just
+        item, so the histories of the child's classes differ at a time just
         when the events of some commit on the path differ there: the
         child's split times are its parent's plus those of this commit.
         """
@@ -253,7 +283,7 @@ class _Problem:
         return min((t for t in node.splits if t >= node.now), default=None)
 
     def split(self, node, t):
-        """The children of `node` at its divergence `t`: its dramas grouped
+        """The children of `node` at its divergence `t`: its classes grouped
         by their events at `t`, each group a new information set that
         starts at `t`, strictly.  The groups come in the order of their
         sorted events."""
@@ -280,14 +310,14 @@ class _Problem:
         return ready, blocked
 
     def window(self, node, point):
-        """Shared feasible interval (lb, ub) for `point` across the dramas
+        """Shared feasible interval (lb, ub) for `point` across the classes
         of `node`, given its committed times; `ub` is None when nothing
         bounds it from above.
 
         Uses STN decomposability: any value within the distance-matrix
         window of the committed anchors extends to a full solution of
-        each drama's projection.  For the origin and for each committed
-        anchor only the tightest entry over the dramas is kept (`_bounds`).
+        each class's projection.  For the origin and for each committed
+        anchor only the tightest entry over the classes is kept (`_bounds`).
         Committed times and closure entries are both in ticks, so the
         bounds are `int` sums and comparisons; no `Fraction` is made.
         """
@@ -305,12 +335,12 @@ class _Problem:
 
     def _bounds(self, node, point, anchor):
         """(back, fwd): the least closure entries for anchor - point and
-        for point - anchor over the dramas of `node`, in ticks, or None
+        for point - anchor over the classes of `node`, in ticks, or None
         where unbounded.
 
         Every matrix has the problem's ids and `scale`, so the entries are
         read at one pair of positions, compared as integers, and the least
-        multiplied by `unit`, the ticks per 1/scale.  A drama
+        multiplied by `unit`, the ticks per 1/scale.  A class
         that does not run `anchor` has `INF` there, so it never wins.  The
         entries depend on the information set alone, so each pair is read
         once per set and kept in `node.bounds`.
@@ -326,11 +356,11 @@ class _Problem:
         return found
 
 
-def _diverging(per_drama):
-    """The times at which the event lists `per_drama`, one per drama, do
-    not all hold the same items: those of the events some drama has and
+def _diverging(per_class):
+    """The times at which the event lists `per_class`, one per class, do
+    not all hold the same items: those of the events some class has and
     another lacks."""
-    distinct = {frozenset(events) for events in per_drama}   # few: most dramas agree
+    distinct = {frozenset(events) for events in per_class}   # few: most classes agree
     return frozenset(when for when, _ in frozenset.union(*distinct)
                      - frozenset.intersection(*distinct))
 
@@ -354,10 +384,10 @@ _OPEN = object()
 def _explore(problem, moves, leaf, fold, join, budget=None, remember=None):
     """Walk the observation-ordered decision trees of `problem`.
 
-    A node (`_Node`) is an information set `dctxs` (dramas whose histories
-    agree so far), the times `committed` to it, the time `now` of the last
-    step, and `strict`.  A node with no point left to run is a leaf,
-    valued `leaf(node)`.  Any other node folds the values of its
+    A node (`_Node`) is an information set `dctxs` (classes of dramas
+    whose histories agree so far), the times `committed` to it, the time
+    `now` of the last step, and `strict`.  A node with no point left to
+    run is a leaf, valued `leaf(node)`.  Any other node folds the values of its
     alternatives, in order: each commit (point, t) proposed by
     `moves(node, ready, divergence)`, and then the split at the next
     divergence, if there is one.  `fold` is (initial, step): the node's
@@ -674,6 +704,8 @@ def check_dc(network, grid=DEFAULT_GRID, max_letters=MAX_LETTERS, max_links=MAX_
               % (len(scenarios), len(situations), grid))
     problem = _Problem(network, dramas)
 
+    # The first member of the first inconsistent class is the first
+    # inconsistent drama: classes come in the order of their first members.
     bad = next((d for d in problem.dctxs if not d.matrix.consistent), None)
     if bad is not None:
         return DcResult("not-controllable",
@@ -706,7 +738,8 @@ def check_dc(network, grid=DEFAULT_GRID, max_letters=MAX_LETTERS, max_links=MAX_
     # strategy that fails re-certification is a bug, not a verdict.  The
     # viability check reads the projections the search was built on.
     strategy = Strategy.from_dramas("cstn" if network.kind == "stn" else network.kind, table)
-    outcome = _check_viable(strategy, {d.drama: d.projection for d in problem.dctxs})
+    outcome = _check_viable(strategy, {drama: d.projection for d in problem.dctxs
+                                       for drama in d.dramas})
     if outcome:
         outcome = is_dynamic_star(network, strategy)
     if not outcome:

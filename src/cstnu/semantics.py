@@ -258,9 +258,9 @@ def is_dynamic_star(network, strategy):
     running it elsewhere; only then are the indices running p bucketed by
     history, to find the least witness.  Strategies built by the DC search
     are dynamic, so for them the bucketing never runs.  The cost is
-    O(sum over p of (C + N_p)) for C history changes in all and N_p indices
-    running p, plus O(N_p) per violating (p, t), after sorting each index's
-    events once; it is not O(N^2 * P).
+    O(sum over p of (C + N_p)) for C history changes in all and N_p
+    distinct executions running p, plus O(N_p) per violating (p, t), after
+    sorting each execution's events once; it is not O(N^2 * P).
 
     Every time is scaled once to an `int`, by the least common multiple of
     the times' denominators, and the check runs on those: `Fraction`
@@ -270,9 +270,18 @@ def is_dynamic_star(network, strategy):
     strategy's own schedules, not taken from the search that built it, so
     the check stays independent of that search.
 
+    Each distinct execution is swept once: an index whose scenario and
+    scaled schedule equal an earlier index's has the same events, so the
+    same history at every time and the same time for every point, and it
+    is skipped (it adds no history change and no time).  Many sampled
+    dramas share one execution, since a scenario drops the links it makes
+    irrelevant: the fixture's 486 dramas at grid 3 are 162 executions.
+
     The witness (i1, i2, point) is the least violating triple in the order
     of `Strategy.indices()` positions, then point name: i1 runs the point
-    at t and i2 elsewhere, with equal histories before t.
+    at t and i2 elsewhere, with equal histories before t.  A skipped index
+    in a violating triple can be replaced by its earlier twin, which gives
+    a lesser triple, so the least one holds no skipped index.
     """
     contingent = network.contingent_points
     indices = strategy.indices()
@@ -282,17 +291,24 @@ def is_dynamic_star(network, strategy):
     changes = []
     runs = {}       # non-contingent point -> each position's scaled time for it, or None
     shared = {}     # scaled time -> one int for it, so equal times share an object
+    executions = set()      # (scenario, scaled schedule items) of the positions swept
     for pos, index in enumerate(indices):
+        scenario = strategy.drama(index).scenario
         schedule = {}
         for point, t in strategy.table[index].items():
             t = rational(t)
             t = t.numerator * (scale // t.denominator)
-            schedule[point] = t = shared.setdefault(t, t)
+            schedule[point] = shared.setdefault(t, t)
+        execution = scenario, frozenset(schedule.items())
+        if execution in executions:
+            continue
+        executions.add(execution)
+        for point, t in schedule.items():
             if point not in contingent:
                 if point not in runs:
                     runs[point] = [None] * len(indices)
                 runs[point][pos] = t
-        changes += _changes(network, strategy.drama(index).scenario, schedule, ids, pos)
+        changes += _changes(network, scenario, schedule, ids, pos)
     changes.sort()
     witness = None
     for point in sorted(runs):

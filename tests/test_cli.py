@@ -342,6 +342,20 @@ def test_check_dc_on_the_greedy_trap_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GREEDY_TRAP_DIGEST
 
 
+# sha256 of `check-dc --json --grid 6` on the fixture: 15 552 dramas in
+# 2 592 classes of one scenario and one set of relevant durations, which
+# the search runs once each.  Pinned before the search ran per class; the
+# CI step that runs the installed `cstnu check-dc --json --grid 6` checks
+# its output against this line.
+GRID_6_DIGEST = "14805fcd8561d1c8fa413ec3861abd8e5f7aad81002cba40a145ab5f86973b5e"
+
+
+def test_check_dc_at_grid_6_on_the_fixture_is_pinned(capsys, fixture_network):
+    code, out, _ = run(capsys, "check-dc", "--json", "--grid", "6", fixture_network)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GRID_6_DIGEST
+
+
 def test_verify_strategy_round_trip(capsys, tmp_path):
     # relaxed version of the squeezed link: controllable
     net = network_to_dict(tight_contingent_stnu())

@@ -13,8 +13,8 @@ import cstnu
 from cstnu import (ContingentLink, Drama, LabeledConstraint, Network, Scenario, TimePoint,
                    candidate_time_grid, check_dc, compile_workflow, drama_projection,
                    enumerate_scenarios, is_dynamic_star, is_viable, parse_label,
-                   parse_workflow, sample_situations, search, tree_strategy_masks,
-                   solve, verify_cstn_embedding, verify_stnu_embedding)
+                   parse_workflow, relevant_timepoints, sample_situations, search,
+                   tree_strategy_masks, solve, verify_cstn_embedding, verify_stnu_embedding)
 from cstnu.fixtures import (branching_workflow_text, modification_study,
                             tight_contingent_stnu)
 from cstnu.semantics import _check_viable, _events, _history
@@ -422,6 +422,48 @@ def test_incremental_closures_match_solve():
                     for b in want.ids:
                         assert d.matrix.distance(a, b) == want.distance(a, b)
     assert flags == {True, False}
+
+
+def test_problem_has_one_context_per_distinct_drama_projection():
+    # On the fixture at grid 3 the 486 dramas are 162 executions: the
+    # dramas of one scenario whose situations agree on the links relevant
+    # in it.  Each class is one context, and greedy synthesis still gives
+    # every drama a schedule of its own.
+    net = compile_workflow(parse_workflow(branching_workflow_text()))[0]
+    dramas = [Drama(s, w) for s in enumerate_scenarios(net.letters)
+              for w in sample_situations(net.links)]
+    problem = search._Problem(net, dramas)
+    assert (len(problem.dctxs), len(dramas)) == (162, 486)
+    assert [d.idx for d in problem.dctxs] == list(range(162))
+    position = {drama: i for i, drama in enumerate(dramas)}
+    members = [drama for d in problem.dctxs for drama in d.dramas]
+    assert sorted(members, key=position.__getitem__) == dramas
+
+    def relevant_durations(drama):
+        relevant = relevant_timepoints(net, drama.scenario)
+        return {link.contingent: d for link, d in zip(net.links, drama.situation)
+                if link.activation in relevant and link.contingent in relevant}
+
+    keys = set()
+    for d in problem.dctxs:
+        assert d.drama is d.dramas[0]
+        assert [position[m] for m in d.dramas] == sorted(position[m] for m in d.dramas)
+        assert {c: Fraction(t, problem.tick) for c, t in d.durations.items()} \
+            == relevant_durations(d.drama)
+        for m in d.dramas:
+            assert m.scenario == d.drama.scenario
+            assert relevant_durations(m) == relevant_durations(d.drama)
+            assert drama_projection(net, m.scenario, m.situation) == d.projection
+        keys.add((d.drama.scenario, tuple(sorted(relevant_durations(d.drama).items()))))
+    assert len(keys) == 162     # no two contexts hold one execution
+    # Each context has its own closure and projection, which its members share.
+    assert len({id(d.matrix) for d in problem.dctxs}) == 162
+    assert len({id(d.projection) for d in problem.dctxs}) == 162
+    table = search._synthesize(problem)
+    assert len(table) == 486 and set(table) == set(dramas)
+    for d in problem.dctxs:
+        for m in d.dramas[1:]:
+            assert table[m] == table[d.drama] and table[m] is not table[d.drama]
 
 
 def test_search_splits_where_semantics_says_histories_differ(monkeypatch):

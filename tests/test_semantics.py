@@ -12,6 +12,7 @@ from cstnu import (ContingentLink, Drama, LabeledConstraint, Network, Scenario,
                    is_dynamic_star, is_viable, parse_label, parse_workflow,
                    relevant_timepoints, sample_situations, sc_hst, sc_hst_star, sit_hst,
                    dr_hst)
+from cstnu import semantics
 from cstnu.fixtures import branching_workflow_text
 from cstnu.semantics import _events, _history
 from helpers import (pairwise_dynamic_star, random_cstn, random_cstn_strategy,
@@ -221,6 +222,14 @@ def test_bucketed_dynamic_star_matches_pairwise_on_random_strategies():
     assert outcomes == {True, False}
 
 
+def _planted(rng, net, strategy, index):
+    """`strategy` with one non-contingent time of `index` moved by 1."""
+    schedule = dict(strategy.table[index])
+    point = rng.choice(sorted(set(schedule) - net.contingent_points))
+    schedule[point] += rng.choice((-1, 1))
+    return Strategy(strategy.kind, {**strategy.table, index: schedule})
+
+
 def test_bucketed_dynamic_star_matches_pairwise_on_the_fixture():
     net, _ = compile_workflow(parse_workflow(branching_workflow_text()))
     strategy = check_dc(net).strategy
@@ -233,10 +242,67 @@ def test_bucketed_dynamic_star_matches_pairwise_on_the_fixture():
     indices = strategy.indices()
     for _ in range(20):
         index = rng.choice(indices)
-        schedule = dict(strategy.table[index])
-        point = rng.choice(sorted(set(schedule) - net.contingent_points))
-        schedule[point] += rng.choice((-1, 1))
-        faulty = Strategy(strategy.kind, {**strategy.table, index: schedule})
+        faulty = _planted(rng, net, strategy, index)
+        result = is_dynamic_star(net, faulty)
+        assert result == pairwise_dynamic_star(net, faulty, around=index)
+        assert not result.ok
+
+
+def test_dynamic_star_sweeps_each_execution_once(monkeypatch):
+    # An index whose scenario and schedule repeat an earlier index's is
+    # skipped.  One index's schedule is copied onto another, before,
+    # between and after the positions of the reference's violating pair,
+    # in random STNU strategies with a fault planted at a random index;
+    # the witness must stay the reference's.  Most pairs start at position
+    # 0, so only the first 100 of those are copied.
+    rng = random.Random(41)
+    seen = Counter()
+    for _ in range(1200):
+        net = random_stnu(rng, max_links=2, extra_points=2)
+        strategy = random_stnu_strategy(rng, net)
+        indices = strategy.indices()
+        strategy = _planted(rng, net, strategy, rng.choice(indices))
+        want = pairwise_dynamic_star(net, strategy)
+        if want.ok or len(indices) < 3:
+            continue
+        pair = sorted(indices.index(index) for index in want.witness[:2])
+        if pair[0] == 0 and seen["from 0"] >= 100:
+            continue
+        seen["from 0"] += pair[0] == 0
+        places = {"before": range(pair[0]), "between": range(pair[0] + 1, pair[1]),
+                  "after": range(pair[1] + 1, len(indices))}
+        for place, positions in places.items():
+            if not positions:
+                continue
+            source = rng.choice(pair + [rng.randrange(len(indices))])
+            target = rng.choice(positions)
+            copied = Strategy(strategy.kind, {
+                **strategy.table, indices[target]: dict(strategy.table[indices[source]])})
+            result = is_dynamic_star(net, copied)
+            assert result == pairwise_dynamic_star(net, copied)
+            seen[place] += 1
+            seen["moved"] += result != want
+    assert seen["before"] > 25 and seen["between"] > 30 and seen["after"] > 30, seen
+    assert seen["moved"] > 20, seen
+    # On the fixture each of the 162 executions is swept once, and faults
+    # planted in dramas that have class-mates at lower positions give the
+    # reference's witness.
+    net, _ = compile_workflow(parse_workflow(branching_workflow_text()))
+    strategy = check_dc(net).strategy
+    indices = strategy.indices()
+    real, swept = semantics._changes, []
+
+    def counted(network, scenario, schedule, ids, pos):
+        swept.append(pos)
+        return real(network, scenario, schedule, ids, pos)
+
+    monkeypatch.setattr(semantics, "_changes", counted)
+    assert is_dynamic_star(net, strategy).ok
+    assert (len(swept), len(indices)) == (162, 486)
+    kept = frozenset(swept)
+    later = [index for pos, index in enumerate(indices) if pos not in kept]
+    for index in rng.sample(later, 10):
+        faulty = _planted(rng, net, strategy, index)
         result = is_dynamic_star(net, faulty)
         assert result == pairwise_dynamic_star(net, faulty, around=index)
         assert not result.ok
