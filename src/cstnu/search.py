@@ -27,7 +27,7 @@ from .model import Network, Stn, depth_first, embed_cstn, embed_stnu, validate
 from .projection import (DEFAULT_GRID, Drama, _rigid_durations, enumerate_scenarios,
                          sample_situations, scenario_projection)
 from .rational import INF, rational
-from .semantics import Strategy, _check_viable, _commit_events, is_dynamic_star
+from .semantics import Strategy, _certify, _commit_events
 from .stn import DistanceMatrix, _insert, floored, solve
 
 # Search bounds; see `check_dc`, `tree_strategy_masks`, `candidate_time_grid`.
@@ -738,10 +738,8 @@ def check_dc(network, grid=DEFAULT_GRID, max_letters=MAX_LETTERS, max_links=MAX_
     # strategy that fails re-certification is a bug, not a verdict.  The
     # viability check reads the projections the search was built on.
     strategy = Strategy.from_dramas("cstn" if network.kind == "stn" else network.kind, table)
-    outcome = _check_viable(strategy, {drama: d.projection for d in problem.dctxs
-                                       for drama in d.dramas})
-    if outcome:
-        outcome = is_dynamic_star(network, strategy)
+    outcome = _certify(network, strategy, {drama: d.projection for d in problem.dctxs
+                                           for drama in d.dramas})
     if not outcome:
         raise RuntimeError("search built a strategy that fails re-certification: %s"
                            % outcome)

@@ -14,7 +14,6 @@ from math import lcm
 from .labels import Label, con
 from .projection import Drama, Scenario, drama_projection
 from .rational import rational
-from .stn import check_solution
 
 _NO_SCENARIO = Scenario({})
 
@@ -128,7 +127,7 @@ def _history(network, scenario, schedule, t):
 
 
 def _changes(network, scenario, schedule, ids, pos):
-    """The history changes of one execution, index `pos` of a strategy, as
+    """The history changes of one execution, row `pos` of a scaled view, as
     (time, pos, id) triples: at the times after `time`, up to its next
     change, the history of `pos` strictly before them has id `id`.
     Simultaneous events make one change.  `ids` numbers every distinct
@@ -182,28 +181,89 @@ class ViabilityResult:
         return "not viable: %s violated for %s" % (self.constraint, self.index)
 
 
+class _ScaledStrategy:
+    """The integer view of a strategy that certification reads, built
+    once from the strategy alone: `indices` in `Strategy.indices()`
+    order, the `dramas` they stand for, and every time scaled to an `int`
+    by `scale`, the lcm of the times' denominators (the checks compare
+    differences of times, which scaling by a positive constant keeps, and
+    `Fraction` arithmetic would cost more than the checks).  A time that
+    is not rational (a `float`, say) raises `ValueError`.
+
+    `rows` holds one (scenario, scaled schedule) pair per distinct
+    execution, in the order of first indices; `first[row]` is a row's
+    first index and `row_of[pos]` the row of position `pos`.  A scenario
+    drops the links it makes irrelevant, so many dramas share one
+    execution: the fixture's 486 dramas at grid 3 are 162 rows.
+    """
+
+    def __init__(self, strategy):
+        self.indices = strategy.indices()
+        self.dramas = [strategy.drama(index) for index in self.indices]
+        self.scale = scale = lcm(*{rational(t).denominator for schedule in strategy.table.values()
+                                   for t in schedule.values()})
+        self.rows, self.first, self.row_of = [], [], []
+        numbers = {}            # (scenario, scaled schedule items) -> row
+        for index, drama in zip(self.indices, self.dramas):
+            scaled = {}
+            for point, t in strategy.table[index].items():
+                t = rational(t)
+                scaled[point] = t.numerator * (scale // t.denominator)
+            row = numbers.setdefault((drama.scenario, frozenset(scaled.items())), len(numbers))
+            if row == len(self.rows):
+                self.rows.append((drama.scenario, scaled))
+                self.first.append(index)
+            self.row_of.append(row)
+
+
+def _certify(network, strategy, projections):
+    """Viability, then dynamic*, of `strategy`, both read off one scaled
+    view of it: the failing result, or the dynamic* one.  `projections`
+    maps each drama of `strategy` to its projection; `check_dc` passes the
+    ones its search has already built."""
+    view = _ScaledStrategy(strategy)
+    outcome = _check_viable(view, projections)
+    return _dynamic_star(network, view) if outcome else outcome
+
+
 def is_viable(network, strategy):
     """Every indexed schedule must solve its drama's projection, over
-    exactly the projection's points."""
-    projections = {}
-    for index in strategy.indices():
-        drama = strategy.drama(index)
-        projections[drama] = drama_projection(network, drama.scenario, drama.situation)
-    return _check_viable(strategy, projections)
+    exactly the projection's points.  The first index, in
+    `Strategy.indices()` order, whose schedule does not is reported with
+    the least violated constraint by `str`, as `stn.check_solution`
+    orders them.  A time that is not rational raises `ValueError`."""
+    view = _ScaledStrategy(strategy)
+    return _check_viable(view, {drama: drama_projection(network, drama.scenario, drama.situation)
+                                for drama in view.dramas})
 
 
-def _check_viable(strategy, projections):
-    """`is_viable` with the projections given: `projections` maps each
-    drama of `strategy` to its projection.  `check_dc` passes the ones its
-    search has already built."""
-    for index in strategy.indices():
-        projection = projections[strategy.drama(index)]
-        schedule = strategy.table[index]
+def _check_viable(view, projections):
+    """`is_viable` on the scaled view `view`; `projections` maps each
+    drama of the view to its projection.
+
+    Each distinct (projection, row) pair is checked once, at its first
+    index: a later index with both equal checks the same schedule against
+    the same constraints.  The projection is compared by value (cheaply
+    when dramas share one projection object), since dramas with one
+    scenario and one schedule can differ in a relevant link's duration.
+    A constraint `target - source <= delta` fails iff
+    `(t_target - t_source) * delta.denominator > delta.numerator * scale`:
+    both sides are the exact ones times `scale * delta.denominator`."""
+    scale = view.scale
+    checked = set()
+    for index, drama, row in zip(view.indices, view.dramas, view.row_of):
+        projection = projections[drama]
+        if (projection, row) in checked:
+            continue
+        checked.add((projection, row))
+        schedule = view.rows[row][1]
         if frozenset(schedule) != projection.timepoints:
             raise ValueError("schedule domain for %s is not the expected point set" % (index,))
-        violated = check_solution(projection, schedule)
+        violated = [c for c in projection.constraints
+                    if (schedule[c.target] - schedule[c.source]) * c.delta.denominator
+                    > c.delta.numerator * scale]
         if violated:
-            return ViabilityResult(False, index, violated[0])
+            return ViabilityResult(False, index, min(violated, key=str))
     return ViabilityResult(True)
 
 
@@ -248,115 +308,105 @@ def is_dynamic_star(network, strategy):
     Only non-contingent points are quantified: the environment, not the
     strategy, sets contingent times.
 
-    The indices are grouped by history rather than compared in pairs, in
-    one sweep per non-contingent point p over the distinct times at which
-    some index runs p.  The sweep keeps each index's current history id,
-    applying the history changes (`_changes`) before t in (time, position)
-    order, and for each history the count of the indices running
-    p that hold it, by their time for p.  The strategy violates dynamic*
-    at (p, t) iff some history holds an index running p at t and one
-    running it elsewhere; only then are the indices running p bucketed by
-    history, to find the least witness.  Strategies built by the DC search
-    are dynamic, so for them the bucketing never runs.  The cost is
-    O(sum over p of (C + N_p)) for C history changes in all and N_p
-    distinct executions running p, plus O(N_p) per violating (p, t), after
-    sorting each execution's events once; it is not O(N^2 * P).
-
-    Every time is scaled once to an `int`, by the least common multiple of
-    the times' denominators, and the check runs on those: `Fraction`
-    hashes and comparisons would cost more than the rest of it, and
-    scaling keeps sums and order.  A time that is not rational (a
-    `float`, say) raises `ValueError`.  The events are rebuilt from the
-    strategy's own schedules, not taken from the search that built it, so
-    the check stays independent of that search.
-
-    Each distinct execution is swept once: an index whose scenario and
-    scaled schedule equal an earlier index's has the same events, so the
-    same history at every time and the same time for every point, and it
-    is skipped (it adds no history change and no time).  Many sampled
-    dramas share one execution, since a scenario drops the links it makes
-    irrelevant: the fixture's 486 dramas at grid 3 are 162 executions.
+    The check reads the strategy's scaled view (`_ScaledStrategy`): every
+    time an `int`, and one row per distinct execution.  A time that is not
+    rational (a `float`, say) raises `ValueError`.  The events are rebuilt
+    from the strategy's own schedules, not taken from the search that
+    built it, so the check stays independent of that search.
 
     The witness (i1, i2, point) is the least violating triple in the order
     of `Strategy.indices()` positions, then point name: i1 runs the point
-    at t and i2 elsewhere, with equal histories before t.  A skipped index
-    in a violating triple can be replaced by its earlier twin, which gives
-    a lesser triple, so the least one holds no skipped index.
+    at t and i2 elsewhere, with equal histories before t.
+    """
+    return _dynamic_star(network, _ScaledStrategy(strategy))
+
+
+def _dynamic_star(network, view):
+    """`is_dynamic_star` on the scaled view `view`.
+
+    The executions are grouped by history rather than compared in pairs,
+    in one sweep per non-contingent point p over the distinct times at
+    which some execution runs p.  The sweep keeps each execution's current
+    history id, applying the history changes (`_changes`) before t in
+    (time, row) order, and for each history the count of the executions
+    running p that hold it, by their time for p.  The strategy violates
+    dynamic* at (p, t) iff some history holds an execution running p at t
+    and one running it elsewhere; only then are the executions running p
+    bucketed by history, to find the least witness.  Strategies built by
+    the DC search are dynamic, so for them the bucketing never runs.  The
+    cost is O(sum over p of (C + N_p)) for C history changes in all and
+    N_p distinct executions running p, plus O(N_p) per violating (p, t),
+    after sorting each execution's events once; it is not O(N^2 * P).
+
+    Each distinct execution is swept once, as one row of the view: an
+    index whose scenario and scaled schedule equal an earlier index's has
+    the same events, so the same history at every time and the same time
+    for every point.  A later index in a violating triple can be replaced
+    by the first index of its row, which gives a lesser triple, so the
+    least one holds first indices only.  Rows come in the order of their
+    first indices, so the least triple of rows, each row mapped to its
+    first index, is the least triple of indices.
     """
     contingent = network.contingent_points
-    indices = strategy.indices()
-    scale = lcm(*{rational(t).denominator for index in indices
-                  for t in strategy.table[index].values()})
+    count = len(view.rows)
     ids = {frozenset(): 0}
     changes = []
-    runs = {}       # non-contingent point -> each position's scaled time for it, or None
-    shared = {}     # scaled time -> one int for it, so equal times share an object
-    executions = set()      # (scenario, scaled schedule items) of the positions swept
-    for pos, index in enumerate(indices):
-        scenario = strategy.drama(index).scenario
-        schedule = {}
-        for point, t in strategy.table[index].items():
-            t = rational(t)
-            t = t.numerator * (scale // t.denominator)
-            schedule[point] = shared.setdefault(t, t)
-        execution = scenario, frozenset(schedule.items())
-        if execution in executions:
-            continue
-        executions.add(execution)
+    runs = {}       # non-contingent point -> each row's scaled time for it, or None
+    for row, (scenario, schedule) in enumerate(view.rows):
         for point, t in schedule.items():
             if point not in contingent:
                 if point not in runs:
-                    runs[point] = [None] * len(indices)
-                runs[point][pos] = t
-        changes += _changes(network, scenario, schedule, ids, pos)
+                    runs[point] = [None] * count
+                runs[point][row] = t
+        changes += _changes(network, scenario, schedule, ids, row)
     changes.sort()
     witness = None
     for point in sorted(runs):
         when = runs[point]
-        users = {}                              # time -> positions running `point` then
-        for pos, t in enumerate(when):
+        users = {}                              # time -> rows running `point` then
+        for row, t in enumerate(when):
             if t is not None:
-                users.setdefault(t, []).append(pos)
+                users.setdefault(t, []).append(row)
         if len(users) < 2:
             continue
-        current = [0] * len(indices)
-        # history id -> time -> how many indices hold it and run `point` then
+        current = [0] * count
+        # history id -> time -> how many executions hold it and run `point` then
         counts = defaultdict(Counter, {0: Counter({t: len(group) for t, group in users.items()})})
         totals = Counter({0: sum(len(group) for group in users.values())})
         step = 0
         for t in sorted(users):
             while step < len(changes) and changes[step][0] < t:
-                _, pos, new = changes[step]
+                _, row, new = changes[step]
                 step += 1
-                at = when[pos]
+                at = when[row]
                 if at is None:
                     continue
-                old = current[pos]
-                current[pos] = new
+                old = current[row]
+                current[row] = new
                 counts[old][at] -= 1
                 totals[old] -= 1
                 counts[new][at] += 1
                 totals[new] += 1
-            if any(counts[current[pos]][t] < totals[current[pos]] for pos in users[t]):
+            if any(counts[current[row]][t] < totals[current[row]] for row in users[t]):
                 found = _least_violation(when, current, t, point)
                 if witness is None or found < witness:
                     witness = found
     if witness is None:
         return DynamicityResult(True)
     at, elsewhere, point = witness
-    return DynamicityResult(False, (indices[at], indices[elsewhere], point))
+    return DynamicityResult(False, (view.first[at], view.first[elsewhere], point))
 
 
 def _least_violation(when, current, t, point):
-    """The least (at, elsewhere, point) among positions with the same
-    current history, `at` running `point` at scaled time `t` and `elsewhere`
-    at another: the indices running `point` bucketed by history."""
-    groups = {}                 # history id -> [least position at t, least elsewhere]
-    for pos, at in enumerate(when):
+    """The least (at, elsewhere, point) among rows with the same current
+    history, `at` running `point` at scaled time `t` and `elsewhere` at
+    another: the executions running `point` bucketed by history."""
+    groups = {}                 # history id -> [least row at t, least elsewhere]
+    for row, at in enumerate(when):
         if at is not None:
-            least = groups.setdefault(current[pos], [None, None])
+            least = groups.setdefault(current[row], [None, None])
             side = 0 if at == t else 1
             if least[side] is None:
-                least[side] = pos
+                least[side] = row
     return min((at, elsewhere, point) for at, elsewhere in groups.values()
                if at is not None and elsewhere is not None)

@@ -5,6 +5,7 @@ Consistent instances are built from a hidden random solution plus
 non-negative slack, so consistency is guaranteed by construction.
 """
 
+import json
 import operator
 import os
 import random
@@ -12,8 +13,8 @@ from fractions import Fraction
 
 from cstnu import (Constraint, ContingentLink, Cstp, CstpEdge, Label,
                    LabeledConstraint, Network, Scenario, Stn, Strategy,
-                   TimePoint, conjoin, enumerate_scenarios, relevant_timepoints,
-                   sample_situations)
+                   TimePoint, check_solution, conjoin, drama_projection,
+                   enumerate_scenarios, relevant_timepoints, sample_situations)
 from cstnu.jsonio import loads, network_from_dict
 from cstnu.labels import EMPTY, INCONSISTENT, sub
 from cstnu.propagation import (DEFAULT_BUDGET, PropagationResult, _Exhausted,
@@ -21,7 +22,7 @@ from cstnu.propagation import (DEFAULT_BUDGET, PropagationResult, _Exhausted,
                                dominates)
 from cstnu.rational import INF
 from cstnu.search import _ORIGIN, _explore, _first_success, _merge
-from cstnu.semantics import DynamicityResult, _history
+from cstnu.semantics import DynamicityResult, ViabilityResult, _history
 
 
 # bench/gen.py's greedy trap with epsilon 1, as a network file: Or,
@@ -272,6 +273,47 @@ def pairwise_dynamic_star(network, strategy, around=None):
                 if row2.get(point, t) != t and history(pos2, t) == seen:
                     return DynamicityResult(False, (indices[pos1], indices[pos2], point))
     return DynamicityResult(True)
+
+
+def naive_viable(network, strategy):
+    """`semantics.is_viable` as it was before it checked each distinct
+    (projection, execution) once on integer times: every index, in
+    `Strategy.indices()` order, has its drama projected and its schedule
+    checked by `stn.check_solution`.  Kept as the reference for viability."""
+    for index in strategy.indices():
+        drama = strategy.drama(index)
+        projection = drama_projection(network, drama.scenario, drama.situation)
+        schedule = strategy.table[index]
+        if frozenset(schedule) != projection.timepoints:
+            raise ValueError("schedule domain for %s is not the expected point set" % (index,))
+        violated = check_solution(projection, schedule)
+        if violated:
+            return ViabilityResult(False, index, violated[0])
+    return ViabilityResult(True)
+
+
+def later_classmates(strategy_data):
+    """Positions of the entries of a `strategy_to_dict` payload whose
+    scenario and schedule repeat an earlier entry's."""
+    seen, later = set(), []
+    for pos, entry in enumerate(strategy_data["entries"]):
+        key = json.dumps([entry.get("scenario"), entry["schedule"]], sort_keys=True)
+        if key in seen:
+            later.append(pos)
+        seen.add(key)
+    return later
+
+
+def shifted_entry(network_data, strategy_data, pos):
+    """A copy of the `strategy_to_dict` payload `strategy_data` in which
+    entry `pos` runs its first non-contingent point, by name, 1 later."""
+    contingent = {link["contingent"] for link in network_data.get("links", ())}
+    entries = list(strategy_data["entries"])
+    schedule = dict(entries[pos]["schedule"])
+    point = min(set(schedule) - contingent)
+    schedule[point] = str(Fraction(schedule[point]) + 1)
+    entries[pos] = {**entries[pos], "schedule": schedule}
+    return {**strategy_data, "entries": entries}
 
 
 def fraction_window(dctxs, committed, point):

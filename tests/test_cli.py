@@ -17,7 +17,7 @@ from cstnu.jsonio import dumps, network_to_dict
 from cstnu.projection import DEFAULT_GRID, sample_situations
 from cstnu.propagation import DEFAULT_BUDGET, propagate_to_fixpoint
 from cstnu.search import MAX_LETTERS, MAX_LINKS, check_dc
-from helpers import GREEDY_TRAP, link_chain
+from helpers import GREEDY_TRAP, later_classmates, link_chain, shifted_entry
 
 
 @pytest.fixture
@@ -390,6 +390,47 @@ def test_verify_strategy_rejects_a_kind_the_network_cannot_hold(capsys, tmp_path
         {"scenario": {}, "schedule": {"A": "0", "C": "2"}}]}))
     code, _, err = run(capsys, "verify-strategy", bad_stnu, str(strat_path))
     assert code == 2 and "strategy does not match the network" in err
+
+
+# `verify-strategy --json` on the fixture's grid-3 strategy as `check-dc`
+# builds it, and on copies in which a later class-mate (an entry whose
+# scenario and schedule repeat an earlier entry's) runs its first
+# non-contingent point 1 later: the first such entry, which breaks
+# dynamic* alone, and the last, which breaks viability.  Exit codes,
+# details and sha256 of the output were computed before certification
+# read one integer view of the strategy with one row per execution.  The
+# CI step that runs the installed `cstnu verify-strategy` on the strategy
+# of `check-dc --json` checks its outputs against these digests.
+VERIFIED_FIXTURE = [
+    (None, 0, "dynamic",
+     "1e5ffb3b12a2ad6e339f2339bda3d67d9b99af9258b2823f62cd3079cdf108b8"),
+    (0, 1, "not dynamic: witness (Drama(scenario=Scenario(a=0), situation=(Fraction(2, 1), "
+           "Fraction(20, 1), Fraction(25, 1), Fraction(80, 1), Fraction(10, 1))), "
+           "Drama(scenario=Scenario(a=0), situation=(Fraction(2, 1), Fraction(20, 1), "
+           "Fraction(35, 1), Fraction(80, 1), Fraction(10, 1))), 'J1_E')",
+     "2242b0033526e4744ff90fcde962d3cae06a52be14d81b8b35f271789d92328b"),
+    (-1, 1, "not viable: J1_E - T5_S <= -1 violated for s=a=1 w=(4,5,45,90,20)",
+     "36cd0b677cb777077fb92a7735278d21b36e25563d302c1e62d353aaae33cbae"),
+]
+
+
+@pytest.mark.parametrize("shifted, exit_code, detail, digest", VERIFIED_FIXTURE,
+                         ids=["as-built", "first-classmate", "last-classmate"])
+def test_verify_strategy_on_the_fixture_is_pinned(capsys, tmp_path, fixture_network,
+                                                 shifted, exit_code, detail, digest):
+    _, out, _ = run(capsys, "check-dc", "--json", fixture_network)
+    strategy = json.loads(out)["strategy"]
+    if shifted is not None:
+        later = later_classmates(strategy)
+        assert len(later) == 324
+        with open(fixture_network) as f:
+            strategy = shifted_entry(json.load(f), strategy, later[shifted])
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps(strategy))
+    code, out, _ = run(capsys, "verify-strategy", "--json", fixture_network, str(path))
+    assert (code, json.loads(out)["detail"]) == (exit_code, detail)
+    assert json.loads(out)["ok"] is (exit_code == 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_compile_workflow_map(capsys, tmp_path, workflow_file):

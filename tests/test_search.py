@@ -17,10 +17,10 @@ from cstnu import (ContingentLink, Drama, LabeledConstraint, Network, Scenario, 
                    tree_strategy_masks, solve, verify_cstn_embedding, verify_stnu_embedding)
 from cstnu.fixtures import (branching_workflow_text, modification_study,
                             tight_contingent_stnu)
-from cstnu.semantics import _check_viable, _events, _history
+from cstnu.semantics import _check_viable, _events, _history, _ScaledStrategy
 from cstnu.stn import floored
 from helpers import (fraction_window, greedy_trap, grid_witness, link_chain, naive_events,
-                     naive_next_divergence, random_cstn, random_cstn_strategy,
+                     naive_next_divergence, naive_viable, random_cstn, random_cstn_strategy,
                      random_consistent_stn, random_stnu, random_stnu_strategy)
 
 
@@ -583,8 +583,9 @@ def _corrupted(rng, strategy):
 def test_viability_over_search_projections_matches_is_viable():
     # check_dc certifies through `_check_viable` over the projections its
     # search built; the public `is_viable` projects each drama itself.
-    # Both must give the same verdict and the same first violation, on
-    # random strategies, on synthesized ones and on corrupted copies.
+    # Both must give the per-index reference's verdict and first
+    # violation, on random strategies, on synthesized ones and on
+    # corrupted copies.
     rng = random.Random(12)
     verdicts = {True: 0, False: 0}
     for i in range(120):
@@ -604,8 +605,9 @@ def test_viability_over_search_projections_matches_is_viable():
         for d in problem.dctxs:
             assert d.projection == drama_projection(net, d.drama.scenario, d.drama.situation)
         for strategy in strategies:
-            got = _check_viable(strategy, projections)
-            want = is_viable(net, strategy)
+            got = _check_viable(_ScaledStrategy(strategy), projections)
+            want = naive_viable(net, strategy)
+            assert is_viable(net, strategy) == want
             assert (got.ok, got.index, got.constraint) == (want.ok, want.index, want.constraint)
             verdicts[got.ok] += 1
     assert verdicts[True] > 30 and verdicts[False] > 60

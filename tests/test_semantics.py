@@ -7,15 +7,15 @@ from fractions import Fraction
 import pytest
 
 from cstnu import (ContingentLink, Drama, LabeledConstraint, Network, Scenario,
-                   Strategy, TimePoint, check_dc, compile_workflow,
-                   enumerate_scenarios, history_label, is_dynamic_cstn,
+                   Strategy, TimePoint, check_dc, check_solution, compile_workflow,
+                   drama_projection, enumerate_scenarios, history_label, is_dynamic_cstn,
                    is_dynamic_star, is_viable, parse_label, parse_workflow,
                    relevant_timepoints, sample_situations, sc_hst, sc_hst_star, sit_hst,
                    dr_hst)
-from cstnu import semantics
+from cstnu import search, semantics
 from cstnu.fixtures import branching_workflow_text
-from cstnu.semantics import _events, _history
-from helpers import (pairwise_dynamic_star, random_cstn, random_cstn_strategy,
+from cstnu.semantics import _check_viable, _events, _history, _ScaledStrategy
+from helpers import (naive_viable, pairwise_dynamic_star, random_cstn, random_cstn_strategy,
                      random_stnu, random_stnu_strategy)
 
 
@@ -81,6 +81,130 @@ def test_viability():
     result = is_viable(net, bad)
     assert not result.ok
     assert result.constraint.delta == 10
+
+
+def viable_both_ways(net, strategy):
+    """`is_viable`, after checking that `_check_viable` agrees with it on
+    the projections shared as `check_dc` shares them: one object for
+    the dramas whose projections are equal."""
+    shared = {}
+    projections = {}
+    for index in strategy.indices():
+        drama = strategy.drama(index)
+        projection = drama_projection(net, drama.scenario, drama.situation)
+        projections[drama] = shared.setdefault(projection, projection)
+    result = is_viable(net, strategy)
+    assert _check_viable(_ScaledStrategy(strategy), projections) == result
+    return result
+
+
+def link_stnu():
+    """A -> C lasts 1 to 3; nothing else."""
+    return Network(
+        timepoints=["A", "C"],
+        constraints=[LabeledConstraint("A", "C", 3),
+                     LabeledConstraint("C", "A", -1)],
+        links=[ContingentLink("A", 1, 3, "C")])
+
+
+def test_viability_matches_the_per_index_reference():
+    # Each distinct (projection, execution) is checked once; the first
+    # failing index and its least violated constraint stay the
+    # per-index reference's.
+    rng = random.Random(53)
+    outcomes = Counter()
+    for _ in range(300):
+        net = random_cstn(rng, max_letters=2, max_points=5)
+        strategy = random_cstn_strategy(rng, net)
+        result = viable_both_ways(net, strategy)
+        assert result == naive_viable(net, strategy)
+        outcomes["cstn", result.ok] += 1
+    for _ in range(150):
+        net = random_stnu(rng, max_links=2, extra_points=2)
+        strategy = random_stnu_strategy(rng, net)
+        result = viable_both_ways(net, strategy)
+        assert result == naive_viable(net, strategy)
+        outcomes["stnu", result.ok] += 1
+    assert min(outcomes.values()) > 10 and len(outcomes) == 4, outcomes
+    # Faults planted in fixture dramas whose scenario and schedule repeat
+    # an earlier drama's: the first failing index is the later one.
+    net, _ = compile_workflow(parse_workflow(branching_workflow_text()))
+    strategy = check_dc(net).strategy
+    indices = strategy.indices()
+    seen, later = set(), []
+    for index in indices:
+        key = strategy.drama(index).scenario, frozenset(strategy.table[index].items())
+        if key in seen:
+            later.append(index)
+        seen.add(key)
+    assert len(later) == 324
+    failed = 0
+    for index in rng.sample(later, 12) + [later[-1]]:
+        faulty = _planted(rng, net, strategy, index)
+        result = viable_both_ways(net, faulty)
+        assert result == naive_viable(net, faulty)
+        failed += result.index == index
+    assert failed > 8
+    # One scenario and one schedule, but three projections: each duration
+    # pins C - A, so only the first drama's schedule solves its projection.
+    net = link_stnu()
+    same = {"A": Fraction(0), "C": Fraction(1)}
+    strategy = Strategy("stnu", {(Fraction(d),): dict(same) for d in (1, 2, 3)})
+    result = viable_both_ways(net, strategy)
+    assert result == naive_viable(net, strategy)
+    assert (result.ok, result.index, str(result.constraint)) == (False, (Fraction(2),),
+                                                                 "A - C <= -2")
+
+
+def test_integer_viability_is_exact():
+    # Times and deltas with coprime denominators 3, 7 and 1000, many of
+    # them exactly on a bound: the integer check must agree with
+    # `check_solution`, which scales by all of them at once.
+    third, seventh, milli = Fraction(1, 3), Fraction(1, 7), Fraction(1, 1000)
+    net = Network(
+        timepoints=["A", "B", "C", "D"],
+        constraints=[LabeledConstraint("A", "B", third), LabeledConstraint("B", "A", -seventh),
+                     LabeledConstraint("B", "C", milli), LabeledConstraint("C", "B", 0),
+                     LabeledConstraint("A", "D", third + seventh + milli),
+                     LabeledConstraint("D", "C", -seventh)])
+    projection = drama_projection(net, Scenario({}), ())
+    nudges = (0, milli, -milli, Fraction(1, 21000), -Fraction(1, 21000))
+    rng = random.Random(71)
+    outcomes = Counter()
+    for _ in range(800):
+        b = rng.choice((seventh, third)) + rng.choice(nudges)
+        c = b + rng.choice((0, milli)) + rng.choice(nudges)
+        d = c + rng.choice((seventh, third)) + rng.choice(nudges)
+        schedule = {"A": Fraction(0), "B": b, "C": c, "D": d}
+        result = is_viable(net, Strategy("cstn", {Scenario({}): schedule}))
+        violated = check_solution(projection, schedule)
+        assert (result.ok, result.constraint) == (not violated,
+                                                  violated[0] if violated else None)
+        tight = any(schedule[k.target] - schedule[k.source] == k.delta
+                    for k in projection.constraints)
+        outcomes[result.ok, tight] += 1
+    assert min(outcomes.values()) > 20 and len(outcomes) == 4, outcomes
+
+
+def test_viability_rejects_float_times(monkeypatch):
+    net = observation_network()
+    strategy = Strategy("cstn", {Scenario({"p": True}): {"Op": Fraction(1), "X": 2.5},
+                                 Scenario({"p": False}): {"Op": Fraction(1), "X": Fraction(5, 2)}})
+    with pytest.raises(ValueError, match="not a rational"):
+        is_viable(net, strategy)
+    # The same through `check_dc`'s re-certification, given a table with
+    # one float time.
+    real = search._synthesize
+
+    def floated(problem):
+        table = real(problem)
+        schedule = table[min(table, key=str)]
+        schedule["X"] = float(schedule["X"])
+        return table
+
+    monkeypatch.setattr(search, "_synthesize", floated)
+    with pytest.raises(ValueError, match="not a rational"):
+        check_dc(net)
 
 
 def test_viability_rejects_wrong_domain():
@@ -287,19 +411,28 @@ def test_dynamic_star_sweeps_each_execution_once(monkeypatch):
     # On the fixture each of the 162 executions is swept once, and faults
     # planted in dramas that have class-mates at lower positions give the
     # reference's witness.
+    # `_changes` numbers the executions it sweeps by their row in the scaled
+    # view; a row maps back to the position of its first index.
     net, _ = compile_workflow(parse_workflow(branching_workflow_text()))
     strategy = check_dc(net).strategy
     indices = strategy.indices()
+    seen, firsts = set(), []
+    for pos, index in enumerate(indices):
+        key = strategy.drama(index).scenario, frozenset(strategy.table[index].items())
+        if key not in seen:
+            seen.add(key)
+            firsts.append(pos)
     real, swept = semantics._changes, []
 
-    def counted(network, scenario, schedule, ids, pos):
-        swept.append(pos)
-        return real(network, scenario, schedule, ids, pos)
+    def counted(network, scenario, schedule, ids, row):
+        swept.append(row)
+        return real(network, scenario, schedule, ids, row)
 
     monkeypatch.setattr(semantics, "_changes", counted)
     assert is_dynamic_star(net, strategy).ok
     assert (len(swept), len(indices)) == (162, 486)
-    kept = frozenset(swept)
+    kept = frozenset(firsts[row] for row in swept)
+    assert len(kept) == 162
     later = [index for pos, index in enumerate(indices) if pos not in kept]
     for index in rng.sample(later, 10):
         faulty = _planted(rng, net, strategy, index)
