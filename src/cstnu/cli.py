@@ -17,7 +17,7 @@ from .jsonio import (_constraint_to_dict, _schedule_to_dict, dumps, loads,
 from .model import to_stn, validate
 from .projection import DEFAULT_GRID, Scenario, _project
 from .propagation import DEFAULT_BUDGET, propagate_to_fixpoint
-from .rational import fmt, rational
+from .rational import rational
 from .search import MAX_LETTERS, MAX_LINKS, check_dc
 from .semantics import is_dynamic_star, is_viable
 from .stn import earliest_solution, solve
@@ -118,7 +118,7 @@ def cmd_solve(args):
     else:
         print("consistent; earliest schedule from %s:" % origin)
         for point, t in sorted(schedule.items()):
-            print("  %s = %s" % (point, fmt(t)))
+            print("  %s = %s" % (point, t))
     return 0
 
 

@@ -12,27 +12,27 @@ from .labels import parse_label
 from .model import (DEFAULT_EPSILON, ContingentLink, LabeledConstraint, Network,
                     TimePoint, embed_stn)
 from .projection import Drama, Scenario
-from .rational import fmt, rational
+from .rational import rational
 from .semantics import Strategy
 
 
 def network_to_dict(network):
     return {
         "letters": sorted(network.letters),
-        "epsilon": fmt(network.epsilon),
+        "epsilon": str(network.epsilon),
         "timepoints": [{"id": tp.id, "label": str(tp.label)}
                        for tp in network.timepoints.values()],
         "observations": dict(network.observations),
         "constraints": [_constraint_to_dict(c)
                         for c in sorted(network.constraints, key=str)],
-        "links": [{"activation": l.activation, "lower": fmt(l.lower),
-                   "upper": fmt(l.upper), "contingent": l.contingent}
+        "links": [{"activation": l.activation, "lower": str(l.lower),
+                   "upper": str(l.upper), "contingent": l.contingent}
                   for l in network.links],
     }
 
 
 def _constraint_to_dict(c):
-    return {"from": c.source, "to": c.target, "delta": fmt(c.delta), "label": str(c.label)}
+    return {"from": c.source, "to": c.target, "delta": str(c.delta), "label": str(c.label)}
 
 
 def _object(data):
@@ -67,7 +67,7 @@ def stn_to_dict(stn):
 
 
 def _schedule_to_dict(schedule):
-    return {point: fmt(t) for point, t in sorted(schedule.items())}
+    return {point: str(t) for point, t in sorted(schedule.items())}
 
 
 def _schedule_from_dict(data):
@@ -84,7 +84,7 @@ def strategy_to_dict(strategy):
         if strategy.kind != "stnu":
             entry["scenario"] = drama.scenario.as_mapping()
         if strategy.kind != "cstn":
-            entry["situation"] = [fmt(d) for d in drama.situation]
+            entry["situation"] = [str(d) for d in drama.situation]
         entry["schedule"] = _schedule_to_dict(strategy.table[index])
         entries.append(entry)
     return {"kind": strategy.kind, "entries": entries}

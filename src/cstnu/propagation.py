@@ -8,11 +8,11 @@ definitive about controllability.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import itemgetter
 
 from .labels import INCONSISTENT, Label, conjoin, sub
 from .model import LabeledConstraint
+from .rational import _least_scale, _scaled
 
 # Admitted derivations before `propagate_to_fixpoint` gives up, also the
 # `cstnu propagate --budget` default.  Generated 34-point workflows need
@@ -170,9 +170,9 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
     the admitted derivations; exceeding it returns `saturated=False`
     (negative labeled cycles never saturate).
 
-    Candidates are judged as integers, deltas times `scale` (the lcm of
-    the given deltas' denominators): every derived delta is a sum of
-    given ones, so nothing is rounded.  Only an admitted candidate becomes
+    Candidates are judged as integers, deltas times `scale`, the least
+    that makes every given delta an integer: every derived delta is a sum
+    of given ones, so nothing is rounded.  Only an admitted candidate becomes
     a `LabeledConstraint`, with delta `Fraction(d, scale)`.
 
     One store holds each edge's live values, keyed by literal set, as
@@ -204,7 +204,7 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
     memoized per call and label conjunctions per compose pass.
     """
     given = sorted(network.constraints, key=str)
-    scale = lcm(*(c.delta.denominator for c in given))
+    scale = _least_scale(c.delta for c in given)
     trace = {c: ("given", ()) for c in given}
     live = {}               # source -> target -> {literal set: record}
     obs_letter = {point: letter for letter, point in network.observations.items()}
@@ -229,7 +229,7 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
                       for r in edge.values())
 
     for number, c in enumerate(given):
-        d = c.delta.numerator * (scale // c.delta.denominator)
+        d = _scaled(c.delta, scale)
         literals = frozenset(c.label.literals)
         if not dominated(c.source, c.target, d, literals):
             place(c, d, literals, number)

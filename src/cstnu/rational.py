@@ -1,7 +1,14 @@
-"""Exact rational time values and the saturating infinity sentinel."""
+"""Exact rational time values and the saturating infinity sentinel.
+
+Layers that compare many times count them as integers: every time of a
+set times `_least_scale` of the set, one `int` each (`_scaled`).  Sums,
+differences and order survive scaling by one positive constant, so the
+integer comparisons are the exact ones.
+"""
 
 import math
 from fractions import Fraction
+from math import lcm
 
 INF = math.inf
 
@@ -22,10 +29,15 @@ def rational(value) -> Fraction:
     raise ValueError("not a rational: %r" % (value,))
 
 
-def fmt(value) -> str:
-    """Render a rational (or infinity) for JSON and reports."""
-    if value == INF:
-        return "inf"
-    if value == -INF:
-        return "-inf"
-    return str(value)
+def _least_scale(values):
+    """The least positive `int` that makes every rational of `values` an
+    integer when multiplied by it: the lcm of their denominators."""
+    return lcm(*{value.denominator for value in values})
+
+
+def _scaled(value, scale):
+    """The rational `value` times `scale`, as an `int`; `ValueError` when
+    `value` is not a multiple of 1/`scale`."""
+    if scale % value.denominator:
+        raise ValueError("%s is not a multiple of 1/%d" % (value, scale))
+    return value.numerator * (scale // value.denominator)

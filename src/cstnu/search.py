@@ -20,13 +20,12 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .labels import evaluate
 from .model import Network, Stn, depth_first, embed_cstn, embed_stnu, validate
 from .projection import (DEFAULT_GRID, Drama, _rigid_durations, enumerate_scenarios,
                          sample_situations, scenario_projection)
-from .rational import INF, rational
+from .rational import INF, _least_scale, _scaled, rational
 from .semantics import Strategy, _certify, _commit_events
 from .stn import DistanceMatrix, _insert, floored, solve
 
@@ -102,34 +101,31 @@ class _Problem:
     into its members.
 
     Each class's `matrix` closes its projection floored at `_ORIGIN`.
-    Every matrix has the same ids, the network's points and the origin, and
-    the same `scale`, so `_bounds` reads the entries of all classes at one
-    pair of positions and compares them as integers.  A point that a
-    scenario drops is an isolated row and column: `INF` off the diagonal.
+    Every matrix has the same ids, the network's points and the origin, so
+    `_bounds` reads the entries of all classes at one pair of positions.
+    A point that a scenario drops is an isolated row and column: `INF` off
+    the diagonal.  Each scenario's floored projection is closed once
+    (`stn.solve`).  A drama's projection adds, for each link whose two
+    end-points are relevant, the rigid edges c - a <= d and a - c <= -d;
+    they are inserted one edge at a time (`stn._insert`) into the
+    scenario's closure, in link order, once per class.  Classes whose
+    relevant links agree on a prefix of durations share that prefix's
+    closure, and an inserted edge shares every row it cannot change.  The
+    flag of an inconsistent class is exact, but its rows mean nothing.
 
-    Each scenario's floored projection is closed once (`stn.solve`), and
-    brought to the problem's `scale`, the least common multiple of those
-    closures' scales and of every sampled duration's denominator.  A
-    drama's projection adds, for each link whose two end-points are
-    relevant, the rigid edges c - a <= d and a - c <= -d; they are
-    inserted one edge at a time (`stn._insert`) into the scenario's
-    closure, in link order, once per class.  Classes whose relevant links
-    agree on a prefix of durations share that prefix's closure, and an
-    inserted edge shares every row it cannot change.  The flag of an
-    inconsistent class is exact, but its rows mean nothing.
-
-    The search runs on one integer time lattice: every time it commits,
-    compares or hashes is an `int` count of 1/`tick`.  `tick` is 2**n, for
-    n non-contingent points, times the least common multiple of `scale`,
-    of epsilon's denominator, of the denominators of every constraint
-    delta and link bound, and of those of `values`, the other rationals a
-    caller commits or compares (a grid, a constraint set).  Every closure
-    entry, sampled duration, epsilon, delta and candidate grid time (sums
-    and differences of these) is then a multiple of 2**n ticks.  A time
-    that greedy synthesis commits is such a sum plus a time committed
-    before it on its path, except where `_earliest_commit` halves the gap
-    from `now` to a window's upper bound.  A path commits each of its n
-    points at most once, one per step, and halves at most once per
+    The search runs on one integer time lattice, and every closure is
+    closed on it: every time the search commits, compares or hashes, and
+    every closure entry (`DistanceMatrix.scale` is `tick`), is an `int`
+    count of 1/`tick`.  `tick` is 2**n, for n non-contingent points, times
+    the least scale that makes integers of epsilon, every constraint delta
+    and link bound, every sampled duration, and `values`, the other
+    rationals a caller commits or compares (a grid, a constraint set).
+    Every closure entry, sampled duration, epsilon, delta and candidate
+    grid time (sums and differences of these) is then a multiple of 2**n
+    ticks.  A time that greedy synthesis commits is such a sum plus a time
+    committed before it on its path, except where `_earliest_commit` halves
+    the gap from `now` to a window's upper bound.  A path commits each of
+    its n points at most once, one per step, and halves at most once per
     commit.  So, by induction on j, after j commits every committed time,
     contingent time, window bound, divergence and `now` on the path is a
     multiple of 2**(n - j) ticks: the next commit comes with j < n, so the
@@ -151,34 +147,24 @@ class _Problem:
         # A drama's projection is its scenario's plus the rigid link
         # durations of its situation, so each scenario is projected and
         # closed once, over every point of the network and the origin.
-        points = frozenset(network.timepoints) | {_ORIGIN}
-        scenarios = {}          # Scenario -> (projection, closure)
+        bases = {}              # Scenario -> projection
         for drama in dramas:
-            if drama.scenario not in scenarios:
-                base = scenario_projection(network, drama.scenario)
-                floor = floored(base, _ORIGIN)
-                scenarios[drama.scenario] = base, solve(Stn(points, floor.constraints))
-        self.scale = lcm(*(closure.scale for _, closure in scenarios.values()),
-                         *{d.denominator for drama in dramas for d in drama.situation})
+            if drama.scenario not in bases:
+                bases[drama.scenario] = scenario_projection(network, drama.scenario)
+        self.tick = 2 ** len(self.noncontingent) * _least_scale([
+            network.epsilon, *(c.delta for c in network.constraints),
+            *(b for link in network.links for b in (link.lower, link.upper)),
+            *(d for drama in dramas for d in drama.situation), *map(rational, values)])
+        points = frozenset(network.timepoints) | {_ORIGIN}
         tries = {}              # Scenario -> (relevant links, root [closure, {duration: child}])
-        for scenario, (base, closure) in scenarios.items():
-            factor = self.scale // closure.scale
-            if factor != 1:
-                closure = DistanceMatrix(closure.ids, [[entry * factor for entry in row]
-                                                       for row in closure.rows],
-                                         self.scale, closure.consistent)
+        for scenario, base in bases.items():
+            closure = solve(Stn(points, floored(base, _ORIGIN).constraints), self.tick)
             index = closure.index
             links = [(k, link.contingent, index[link.activation], index[link.contingent])
                      for k, link in enumerate(network.links)
                      if link.activation in base.timepoints and link.contingent in base.timepoints]
             tries[scenario] = links, [closure, {}]
         self.index = index
-        lattice = lcm(self.scale, network.epsilon.denominator,
-                      *{c.delta.denominator for c in network.constraints},
-                      *{b.denominator for link in network.links for b in (link.lower, link.upper)},
-                      *{rational(v).denominator for v in values})
-        self.tick = lattice * 2 ** len(self.noncontingent)
-        self.unit = self.tick // self.scale         # ticks per closure unit
         self.epsilon = self.ticks(network.epsilon)
         self.fractions = {}                         # tick count -> its Fraction
         # A class of dramas is keyed by its scenario and the durations of
@@ -193,10 +179,10 @@ class _Problem:
                 for (_, _, activation, contingent), d in zip(links, durations):
                     child = node[1].get(d)
                     if child is None:
-                        child = node[1][d] = [
-                            self._with_link(node[0], activation, contingent, d), {}]
+                        child = node[1][d] = [self._with_link(
+                            node[0], activation, contingent, self.ticks(d)), {}]
                     node = child
-                base, _ = scenarios[drama.scenario]
+                base = bases[drama.scenario]
                 ticks = {contingent: self.ticks(d)
                          for (_, contingent, _, _), d in zip(links, durations)}
                 dctx = classes[drama.scenario, durations] = _DramaCtx(
@@ -209,22 +195,19 @@ class _Problem:
 
     def _with_link(self, matrix, activation, contingent, duration):
         """`matrix` with the rigid edges that fix contingent - activation
-        (row positions) to `duration` inserted.  A matrix that is, or that
-        the edges make, inconsistent keeps its rows, flagged."""
+        (row positions) to `duration` (in ticks) inserted.  A matrix that
+        is, or that the edges make, inconsistent keeps its rows, flagged."""
         if not matrix.consistent:
             return matrix
-        weight = duration.numerator * (self.scale // duration.denominator)
-        rows = _insert(matrix.rows, activation, contingent, weight)
+        rows = _insert(matrix.rows, activation, contingent, duration)
         if rows is not None:
-            rows = _insert(rows, contingent, activation, -weight)
+            rows = _insert(rows, contingent, activation, -duration)
         return DistanceMatrix(matrix.ids, matrix.rows if rows is None else rows,
-                              self.scale, rows is not None)
+                              self.tick, rows is not None)
 
     def ticks(self, value):
         """The rational `value`, which must lie on the lattice, in ticks."""
-        if self.tick % value.denominator:
-            raise ValueError("%s is not a multiple of 1/%d" % (value, self.tick))
-        return value.numerator * (self.tick // value.denominator)
+        return _scaled(value, self.tick)
 
     def known_times(self, dctx, committed):
         """Committed times plus the contingent times they determine."""
@@ -338,20 +321,18 @@ class _Problem:
         for point - anchor over the classes of `node`, in ticks, or None
         where unbounded.
 
-        Every matrix has the problem's ids and `scale`, so the entries are
-        read at one pair of positions, compared as integers, and the least
-        multiplied by `unit`, the ticks per 1/scale.  A class
-        that does not run `anchor` has `INF` there, so it never wins.  The
-        entries depend on the information set alone, so each pair is read
-        once per set and kept in `node.bounds`.
+        Every matrix has the problem's ids and is closed on ticks, so the
+        entries are read at one pair of positions and compared as
+        integers.  A class that does not run `anchor` has `INF` there, so
+        it never wins.  The entries depend on the information set alone,
+        so each pair is read once per set and kept in `node.bounds`.
         """
         found = node.bounds.get((point, anchor))
         if found is None:
             p, a = self.index[point], self.index[anchor]
             back = min(d.matrix.rows[p][a] for d in node.dctxs)
             fwd = min(d.matrix.rows[a][p] for d in node.dctxs)
-            found = tuple(None if entry == INF else entry * self.unit
-                          for entry in (back, fwd))
+            found = tuple(None if entry == INF else entry for entry in (back, fwd))
             node.bounds[(point, anchor)] = found
         return found
 

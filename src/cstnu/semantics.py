@@ -9,11 +9,10 @@ observation at exactly time t is not part of t's history.
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from math import lcm
 
 from .labels import Label, con
 from .projection import Drama, Scenario, drama_projection
-from .rational import rational
+from .rational import _least_scale, _scaled, rational
 
 _NO_SCENARIO = Scenario({})
 
@@ -185,35 +184,40 @@ class _ScaledStrategy:
     """The integer view of a strategy that certification reads, built
     once from the strategy alone: `indices` in `Strategy.indices()`
     order, the `dramas` they stand for, and every time scaled to an `int`
-    by `scale`, the lcm of the times' denominators (the checks compare
-    differences of times, which scaling by a positive constant keeps, and
-    `Fraction` arithmetic would cost more than the checks).  A time that
-    is not rational (a `float`, say) raises `ValueError`.
+    by `scale`, the least that makes every time an integer (the checks
+    compare differences of times, which scaling by a positive constant
+    keeps, and `Fraction` arithmetic would cost more than the checks).  A
+    time that is not rational (a `float`, say) raises `ValueError`.
 
     `rows` holds one (scenario, scaled schedule) pair per distinct
     execution, in the order of first indices; `first[row]` is a row's
     first index and `row_of[pos]` the row of position `pos`.  A scenario
     drops the links it makes irrelevant, so many dramas share one
-    execution: the fixture's 486 dramas at grid 3 are 162 rows.
+    execution: the fixture's 486 dramas at grid 3 are 162 rows.  Each time
+    is parsed once, and only the rows' times are scaled: scaling by one
+    positive constant is injective, so rows keyed on the parsed schedules
+    are the rows of the scaled ones, and a repeated schedule adds no
+    denominator to `scale`.  The key holds each time's numerator and
+    denominator, which hash faster than the `Fraction`.
     """
 
     def __init__(self, strategy):
         self.indices = strategy.indices()
         self.dramas = [strategy.drama(index) for index in self.indices]
-        self.scale = scale = lcm(*{rational(t).denominator for schedule in strategy.table.values()
-                                   for t in schedule.values()})
         self.rows, self.first, self.row_of = [], [], []
-        numbers = {}            # (scenario, scaled schedule items) -> row
+        numbers = {}            # (scenario, schedule as (point, numerator, denominator)) -> row
         for index, drama in zip(self.indices, self.dramas):
-            scaled = {}
-            for point, t in strategy.table[index].items():
-                t = rational(t)
-                scaled[point] = t.numerator * (scale // t.denominator)
-            row = numbers.setdefault((drama.scenario, frozenset(scaled.items())), len(numbers))
+            schedule = {point: rational(t) for point, t in strategy.table[index].items()}
+            key = frozenset((point, t.numerator, t.denominator) for point, t in schedule.items())
+            row = numbers.setdefault((drama.scenario, key), len(numbers))
             if row == len(self.rows):
-                self.rows.append((drama.scenario, scaled))
+                self.rows.append((drama.scenario, schedule))
                 self.first.append(index)
             self.row_of.append(row)
+        self.scale = scale = _least_scale(t for _, schedule in self.rows for t in schedule.values())
+        for _, schedule in self.rows:
+            for point, t in schedule.items():
+                schedule[point] = _scaled(t, scale)
 
 
 def _certify(network, strategy, projections):

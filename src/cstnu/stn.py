@@ -5,14 +5,14 @@ All arithmetic is exact; infinity is the saturating `INF` sentinel.
 A Floyd-Warshall closure is used: networks here are desk scale and the
 matrix is reused by schedule checking and strategy synthesis.
 
-The closure runs on integers.  `solve` multiplies every delta by the
-least common denominator of the STN's deltas, so each becomes an `int`,
-and closes the scaled graph.  Shortest-path weights are sums of deltas,
-and scaling by a positive constant preserves sums and order, so the
-scaled closure is the closure of the original graph times that constant:
-nothing is rounded, and a cycle is negative in one exactly when it is
-negative in the other.  `DistanceMatrix.distance` divides by the constant
-on the way out.
+The closure runs on integers.  `solve` multiplies every delta by one
+`scale`, by default the least that makes each an `int`
+(`rational._least_scale`), and closes the scaled graph.  Shortest-path
+weights are sums of deltas, and scaling by a positive constant preserves
+sums and order, so the scaled closure is the closure of the original
+graph times that constant: nothing is rounded, and a cycle is negative in
+one exactly when it is negative in the other.  `DistanceMatrix.distance`
+divides by the constant on the way out.
 
 A closure that differs from a known one by a single edge `v - u <= w` is
 not closed again.  If `D` is the closure of a consistent graph, the graph
@@ -26,10 +26,9 @@ full closure, and tests hold `_insert` against it.
 """
 
 from fractions import Fraction
-from math import lcm
 
 from .model import Constraint, Stn
-from .rational import INF, rational
+from .rational import INF, _least_scale, _scaled, rational
 
 
 class DistanceMatrix:
@@ -37,12 +36,11 @@ class DistanceMatrix:
 
     When `consistent`, the diagonal is zero and the triangle inequality
     holds; otherwise some negative-cost cycle exists.  The closure is held
-    as integers scaled by `scale`, the least common denominator of the
-    STN's deltas (or `INF`): `rows[index[source]][index[target]]` bounds
-    target - source times `scale`.  `distance` makes the `Fraction` of one
-    entry.  Callers that compare the entries of many matrices over one id
-    list (the DC search) read `rows` on one common scale and keep the
-    bounds as integers.
+    as integers scaled by `scale` (see `solve`), or `INF`:
+    `rows[index[source]][index[target]]` bounds target - source times
+    `scale`.  `distance` makes the `Fraction` of one entry.  Callers that
+    compare the entries of many matrices over one id list (the DC search)
+    close them all on one `scale` and keep the bounds as integers.
     """
 
     def __init__(self, ids, rows, scale, consistent):
@@ -62,19 +60,22 @@ class DistanceMatrix:
         return Fraction(d, self.scale)
 
 
-def solve(stn):
+def solve(stn, scale=None):
     """Shortest-path closure of `stn`; `consistent` is False on a negative cycle.
 
-    The deltas are scaled by their least common denominator and closed
-    over `int`, which is exact (see the module docstring) and several
-    times faster than closing over `Fraction`.  A point no constraint
-    touches stays an isolated row and column, `INF` off the diagonal, so
-    the loops visit only the points the constraints name.
+    The deltas are multiplied by `scale` and closed over `int`, which is
+    exact (see the module docstring) and several times faster than
+    closing over `Fraction`.  `scale` defaults to the least that makes
+    every delta an integer; a given one must make each an integer, or
+    `ValueError` is raised.  A point no constraint touches stays an
+    isolated row and column, `INF` off the diagonal, so the loops visit
+    only the points the constraints name.
     """
     ids = sorted(stn.timepoints)
     index = {t: i for i, t in enumerate(ids)}
     n = len(ids)
-    scale = lcm(*{c.delta.denominator for c in stn.constraints})
+    if scale is None:
+        scale = _least_scale(c.delta for c in stn.constraints)
     dist = [[INF] * n for _ in range(n)]
     for i in range(n):
         dist[i][i] = 0
@@ -82,7 +83,7 @@ def solve(stn):
     for c in stn.constraints:
         i, j = index[c.source], index[c.target]
         touched.update((i, j))
-        delta = c.delta.numerator * (scale // c.delta.denominator)
+        delta = _scaled(c.delta, scale)
         if delta < dist[i][j]:
             dist[i][j] = delta
     touched = sorted(touched)
@@ -157,16 +158,15 @@ def check_solution(stn, schedule):
     """Constraints violated by `schedule` (empty list means it is a solution).
 
     Times and deltas are compared as integers, each multiplied by the
-    least common denominator of all of them: scaling both sides of
+    least scale that makes all of them integers: scaling both sides of
     `target - source > delta` by one positive constant keeps its truth.
     """
     for point in stn.timepoints:
         if point not in schedule:
             raise ValueError("schedule misses time-point %r" % (point,))
     times = {point: rational(t) for point, t in schedule.items()}
-    scale = lcm(*{t.denominator for t in times.values()},
-                *{c.delta.denominator for c in stn.constraints})
-    at = {point: t.numerator * (scale // t.denominator) for point, t in times.items()}
+    scale = _least_scale([*times.values(), *(c.delta for c in stn.constraints)])
+    at = {point: _scaled(t, scale) for point, t in times.items()}
     violated = [c for c in stn.constraints
-                if at[c.target] - at[c.source] > c.delta.numerator * (scale // c.delta.denominator)]
+                if at[c.target] - at[c.source] > _scaled(c.delta, scale)]
     return sorted(violated, key=str)

@@ -36,6 +36,17 @@ def greedy_trap():
         return network_from_dict(loads(f.read()))
 
 
+# `mixed_denominators()` as a network file: deltas in thirds, sevenths and
+# thousandths, and link bounds in thirds and sevenths, so every layer's
+# integer time unit mixes them.  A1 runs first and A0 waits for C1.
+MIXED_DENOMINATORS = os.path.join(os.path.dirname(GREEDY_TRAP), "mixed_denominators.json")
+
+
+def mixed_denominators():
+    return random_stnu(random.Random(279), max_links=2, extra_points=2,
+                       fractions=(Fraction(1, 3), Fraction(2, 7), Fraction(1, 1000)))
+
+
 def frac(rng, lo=0, hi=20):
     return Fraction(rng.randint(lo, hi))
 

@@ -17,7 +17,8 @@ from cstnu.jsonio import dumps, network_to_dict
 from cstnu.projection import DEFAULT_GRID, sample_situations
 from cstnu.propagation import DEFAULT_BUDGET, propagate_to_fixpoint
 from cstnu.search import MAX_LETTERS, MAX_LINKS, check_dc
-from helpers import GREEDY_TRAP, later_classmates, link_chain, shifted_entry
+from helpers import (GREEDY_TRAP, MIXED_DENOMINATORS, later_classmates, link_chain,
+                     mixed_denominators, shifted_entry)
 
 
 @pytest.fixture
@@ -340,6 +341,31 @@ def test_check_dc_on_the_greedy_trap_is_pinned(capsys):
     code, out, _ = run(capsys, "check-dc", "--json", GREEDY_TRAP)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GREEDY_TRAP_DIGEST
+
+
+# sha256 of CLI outputs on tests/mixed_denominators.json, pinned before
+# the search, the closures, propagation and certification counted their
+# times with one routine: the search's tick mixes 3, 7, 1000 and 2**4, the
+# strategy's times are in 21000ths, and so is `solve`'s schedule.  The CI
+# step that runs the installed `cstnu check-dc` and `cstnu propagate` on
+# the file checks their outputs against these lines.
+MIXED_DENOMINATORS_DIGESTS = {
+    "check-dc --json": "df6bfc6d824dec597c1402a76e76b2a62b683587db2c386d3b0c2618a1698f2c",
+    "propagate --json": "782754156b0e40b7394ed68ea8fad822cc32fc264cd5e3ddb8cb84a13827a985",
+    "solve --json --origin A1": "808b1d6b5c1ebd42a442f81d4a45561bf5d46a1d0351a467f0847aefe2d68db7",
+}
+
+
+@pytest.mark.parametrize("command", sorted(MIXED_DENOMINATORS_DIGESTS))
+def test_cli_output_on_mixed_denominators_is_pinned(capsys, command):
+    code, out, _ = run(capsys, *command.split(), MIXED_DENOMINATORS)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MIXED_DENOMINATORS_DIGESTS[command]
+
+
+def test_mixed_denominators_file_is_the_seeded_network():
+    with open(MIXED_DENOMINATORS) as f:
+        assert f.read() == dumps(network_to_dict(mixed_denominators()))
 
 
 # sha256 of `check-dc --json --grid 6` on the fixture: 15 552 dramas in

@@ -5,7 +5,6 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import lcm
 
 import pytest
 
@@ -17,6 +16,7 @@ from cstnu import (ContingentLink, Drama, LabeledConstraint, Network, Scenario, 
                    tree_strategy_masks, solve, verify_cstn_embedding, verify_stnu_embedding)
 from cstnu.fixtures import (branching_workflow_text, modification_study,
                             tight_contingent_stnu)
+from cstnu.rational import _least_scale
 from cstnu.semantics import _check_viable, _events, _history, _ScaledStrategy
 from cstnu.stn import floored
 from helpers import (fraction_window, greedy_trap, grid_witness, link_chain, naive_events,
@@ -384,7 +384,7 @@ def test_integer_window_matches_fraction_window(monkeypatch):
         committed = {p: Fraction(t, problem.tick) for p, t in node.committed.items()}
         assert repr(exact) == repr(fraction_window(node.dctxs, committed, point))
         seen["calls"] += 1
-        seen["mixed"] += len({lcm(*(c.delta.denominator for c in d.projection.constraints))
+        seen["mixed"] += len({_least_scale(c.delta for c in d.projection.constraints)
                               for d in node.dctxs}) > 1
         return got
 
@@ -422,6 +422,28 @@ def test_incremental_closures_match_solve():
                     for b in want.ids:
                         assert d.matrix.distance(a, b) == want.distance(a, b)
     assert flags == {True, False}
+
+
+def test_every_closure_is_on_the_problem_tick(monkeypatch):
+    # Scenario closures and the closures made from them by inserting rigid
+    # link edges hold ticks, the search's own time unit: on the fixture at
+    # grid 3, on the greedy trap and on the problem tree_strategy_masks
+    # builds, whose tick also counts the grid and the constraint sets.
+    problems = []
+    for net in (compile_workflow(parse_workflow(branching_workflow_text()))[0], greedy_trap()):
+        problems.append(search._Problem(net, [Drama(s, w) for s in enumerate_scenarios(net.letters)
+                                              for w in sample_situations(net.links)]))
+
+    class Recorded(search._Problem):
+        def __init__(self, *args):
+            super().__init__(*args)
+            problems.append(self)
+
+    monkeypatch.setattr(search, "_Problem", Recorded)
+    tree_strategy_masks(*modification_study())
+    assert [len(p.dctxs) for p in problems] == [162, 2, 4]
+    for problem in problems:
+        assert all(d.matrix.scale == problem.tick for d in problem.dctxs)
 
 
 def test_problem_has_one_context_per_distinct_drama_projection():

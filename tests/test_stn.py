@@ -3,11 +3,11 @@
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import lcm
 
 import pytest
 
 from cstnu import Constraint, Stn, check_solution, earliest_solution, solve
+from cstnu.rational import _least_scale, _scaled
 from cstnu.stn import _insert
 from helpers import random_consistent_stn, random_stn
 
@@ -99,6 +99,27 @@ def test_distances_keep_their_types():
     assert repr(whole.rows[whole.index["A"]][whole.index["B"]]) == "2"
 
 
+def test_solve_on_a_given_scale():
+    # Closing on k times the least scale gives the least scale's rows
+    # times k: the same distances and the same flag.  A scale on which
+    # some delta is not an integer is refused.
+    rng = random.Random(21)
+    flags = set()
+    for _ in range(200):
+        stn = random_stn(rng, fractions=(Fraction(1, 3), Fraction(2, 7), Fraction(1, 1000)))
+        least = solve(stn)
+        flags.add(least.consistent)
+        for k in (2, 3, 1000):
+            matrix = solve(stn, k * least.scale)
+            assert matrix.scale == k * least.scale and matrix.consistent == least.consistent
+            assert matrix.rows == [[entry * k for entry in row] for row in least.rows]
+            assert all(matrix.distance(a, b) == least.distance(a, b)
+                       for a in stn.timepoints for b in stn.timepoints)
+        with pytest.raises(ValueError, match="is not a multiple of 1/%d$" % (least.scale + 1)):
+            solve(stn, least.scale + 1)
+    assert flags == {True, False}
+
+
 def test_insert_matches_solve():
     # One edge into the closure of a consistent random STN, against solve
     # on the STN plus that edge: loose, implied, tight and cycle-closing
@@ -116,10 +137,10 @@ def test_insert_matches_solve():
         weight = Fraction(rng.randint(-10, 10)) + rng.choice((0, Fraction(1, 4)))
         if back != INF and rng.random() < 0.5:
             weight = -back - rng.choice((0, 0, Fraction(1, 4)))   # a zero or negative cycle
-        scale = lcm(matrix.scale, weight.denominator)
-        rows = [[entry * (scale // matrix.scale) for entry in row] for row in matrix.rows]
+        scale = _least_scale([weight, *(c.delta for c in stn.constraints)])
+        rows = solve(stn, scale).rows
         s, t = matrix.index[source], matrix.index[target]
-        got = _insert(rows, s, t, weight.numerator * (scale // weight.denominator))
+        got = _insert(rows, s, t, _scaled(weight, scale))
         want = solve(Stn(stn.timepoints, stn.constraints | {Constraint(source, target, weight)}))
         assert (got is not None) == want.consistent
         if got is None:
