@@ -200,8 +200,17 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
     value dominates what dominated it; dead labels only grow), and one
     admitted then is dominated by a live value now.  So every round
     admits what composing every live pair would, in the same order, with
-    the same `rounds`, refutation and budget cut-off.  Label repairs are
-    memoized per call and label conjunctions per compose pass.
+    the same `rounds`, refutation and budget cut-off.
+
+    Each candidate's label is screened in constant time.  The compose pass
+    looks up its pair's repaired conjunction (None on a clash or a failed
+    repair) in a memo kept for the whole call and keyed by the two literal
+    sets, and drops vacuous self-loops and label rejections before
+    `admit`; label modification looks up each label's repair.  Whether a
+    repaired literal set contains a dead label is memoized as well, and
+    that memo is cleared whenever a dead label is recorded.  This is exact:
+    dead labels are only ever added, so a verdict reached since the last
+    one was added still holds.  A negative self-loop skips the dead check.
     """
     given = sorted(network.constraints, key=str)
     scale = _least_scale(c.delta for c in given)
@@ -209,7 +218,9 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
     live = {}               # source -> target -> {literal set: record}
     obs_letter = {point: letter for letter, point in network.observations.items()}
     dead_labels = set()     # literal sets of labels whose scenarios admit no schedule
+    dead_verdicts = {}      # literal set -> whether a dead label is a subset of it
     repaired = {}           # literals -> (repaired label, its literal set), or None
+    joints = {}             # literal set -> literal set -> repaired conjunction or None
     is_live = itemgetter(5)
 
     def dominated(source, target, d, literals):
@@ -235,25 +246,30 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
             place(c, d, literals, number)
 
     def repair(label):
-        joint = label
-        for q in sorted(label.letters):
-            joint = conjoin(joint, network.label_of(network.observation_point(q)))
-            if joint is INCONSISTENT:
-                return None
-        return joint, frozenset(joint.literals)
-
-    def admit(source, target, d, label, rule, parents):
-        if source == target and d >= 0:
-            return False    # vacuously true self-loop
+        """`label` conjoined with its letters' observation labels, and its
+        literal set; None on a clash."""
         literals = label.literals
         if literals not in repaired:
-            repaired[literals] = repair(label)
-        if repaired[literals] is None:
-            return False
-        label, literals = repaired[literals]
+            joint = label
+            for q in sorted(label.letters):
+                joint = conjoin(joint, network.label_of(network.observation_point(q)))
+                if joint is INCONSISTENT:
+                    break
+            repaired[literals] = (None if joint is INCONSISTENT
+                                  else (joint, frozenset(joint.literals)))
+        return repaired[literals]
+
+    def admit(source, target, d, label, literals, rule, parents):
+        """Admit a candidate that is not a vacuous self-loop, with its
+        label repaired, unless it is dead or dominated."""
         # Negative self-loops stay: label modification may widen one to a refutation.
-        if source != target and any(dead <= literals for dead in dead_labels):
-            return False    # only applies in scenarios already known dead
+        if source != target:
+            dead = dead_verdicts.get(literals)
+            if dead is None:
+                dead = dead_verdicts[literals] = any(dead_label <= literals
+                                                     for dead_label in dead_labels)
+            if dead:
+                return False    # only applies in scenarios already known dead
         if dominated(source, target, d, literals):
             return False
         if len(trace) - len(given) >= budget:
@@ -265,6 +281,7 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
             if not literals:
                 raise _Refuted(c)
             dead_labels.add(literals)
+            dead_verdicts.clear()
         return True
 
     def compose_pass(fresh):
@@ -273,23 +290,26 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
         # Negative self-loops record a dead scenario; do not spin on them.
         firsts = [r for r in records(live) if r[2].source != r[2].target or r[3] >= 0]
         every, new = {}, {}     # source -> its (new) records, sorted
-        joints = {}             # literals of two labels -> their conjunction
         for r in firsts:
             every.setdefault(r[2].source, []).append(r)
             if r[1] >= fresh:
                 new.setdefault(r[2].source, []).append(r)
-        for _, number, first, d1, _, _ in filter(is_live, firsts):
-            literals = first.label.literals
+        for _, number, first, d1, literals, _ in filter(is_live, firsts):
+            source = first.source
             seconds = (every if number >= fresh else new).get(first.target, ())
-            for _, _, second, d2, _, _ in filter(is_live, seconds):
-                pair = (literals, second.label.literals)
-                if pair not in joints:
-                    joints[pair] = conjoin(first.label, second.label)
-                joint = joints[pair]
-                if joint is INCONSISTENT:
-                    continue
-                if admit(first.source, second.target, d1 + d2, joint,
-                         "compose", (first, second)):
+            row = joints.setdefault(literals, {})
+            for _, _, second, d2, second_literals, _ in filter(is_live, seconds):
+                target, d = second.target, d1 + d2
+                if source == target and d >= 0:
+                    continue    # vacuously true self-loop
+                try:
+                    joint = row[second_literals]
+                except KeyError:
+                    joint = conjoin(first.label, second.label)
+                    joint = row[second_literals] = (
+                        None if joint is INCONSISTENT else repair(joint))
+                if joint is not None and admit(source, target, d, *joint,
+                                               "compose", (first, second)):
                     changed = True
         return changed
 
@@ -301,13 +321,17 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
             if letter is None or obs_d > 0:
                 continue
             for _, _, target_c, d, _, _ in filter(is_live, records((obs_c.target,))):
+                # A vacuous target self-loop would only derive vacuous ones.
                 if (d > -obs_d or not is_live(obs)
+                        or (target_c.source == target_c.target and d >= 0)
                         or _modification_failures(letter, obs_c.source, obs_c, target_c)):
                     continue
                 result = _modify(letter, obs_c, target_c)
+                parents = (obs_c, target_c)
                 for c in (result.derived,) + result.residuals:
-                    if admit(c.source, c.target, d, c.label,
-                             "label-modification", (obs_c, target_c)):
+                    joint = repair(c.label)
+                    if joint is not None and admit(c.source, c.target, d, *joint,
+                                                   "label-modification", parents):
                         changed = True
         return changed
 

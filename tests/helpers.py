@@ -47,6 +47,14 @@ def mixed_denominators():
                        fractions=(Fraction(1, 3), Fraction(2, 7), Fraction(1, 1000)))
 
 
+# The first tight (1, ((1, 1, 0), (1, 1, 0))) workflow that bench/gen.py's
+# `workflow` draws from random.Random("workflow_propagate/1") for
+# bench/workloads.py's workflow_propagate inputs, compiled to a network
+# file: 18 points, two splits.  Propagation records 8 dead labels and
+# rejects 5436 candidates on them before it refutes the network.
+DEAD_LABEL_WORKFLOW = os.path.join(os.path.dirname(GREEDY_TRAP), "dead_label_workflow.json")
+
+
 def frac(rng, lo=0, hi=20):
     return Fraction(rng.randint(lo, hi))
 

@@ -17,8 +17,8 @@ from cstnu.jsonio import dumps, network_to_dict
 from cstnu.projection import DEFAULT_GRID, sample_situations
 from cstnu.propagation import DEFAULT_BUDGET, propagate_to_fixpoint
 from cstnu.search import MAX_LETTERS, MAX_LINKS, check_dc
-from helpers import (GREEDY_TRAP, MIXED_DENOMINATORS, later_classmates, link_chain,
-                     mixed_denominators, shifted_entry)
+from helpers import (DEAD_LABEL_WORKFLOW, GREEDY_TRAP, MIXED_DENOMINATORS,
+                     later_classmates, link_chain, mixed_denominators, shifted_entry)
 
 
 @pytest.fixture
@@ -366,6 +366,24 @@ def test_cli_output_on_mixed_denominators_is_pinned(capsys, command):
 def test_mixed_denominators_file_is_the_seeded_network():
     with open(MIXED_DENOMINATORS) as f:
         assert f.read() == dumps(network_to_dict(mixed_denominators()))
+
+
+# sha256 of `propagate --json` on tests/dead_label_workflow.json and of the
+# file its `--trace` writes, pinned before propagation memoized whether a
+# label is dead: they pin the candidates rejected on dead labels.  The CI
+# step that runs the installed `cstnu propagate --json` on the file checks
+# its output against the first line.
+DEAD_LABEL_PROPAGATE_DIGEST = "f7453b01e4858aa6ea82973143602ec3e7b327a55872e7fe70f14c957f29d498"
+DEAD_LABEL_TRACE_DIGEST = "27c3a8e39d864975d75b2db738ca4a596c92e1cc5242bb31d0eed241147883c0"
+
+
+def test_propagate_on_the_dead_label_workflow_is_pinned(capsys, tmp_path):
+    trace = tmp_path / "trace.json"
+    code, out, _ = run(capsys, "propagate", "--json", "--trace", str(trace),
+                       DEAD_LABEL_WORKFLOW)
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == DEAD_LABEL_PROPAGATE_DIGEST
+    assert hashlib.sha256(trace.read_text().encode()).hexdigest() == DEAD_LABEL_TRACE_DIGEST
 
 
 # sha256 of `check-dc --json --grid 6` on the fixture: 15 552 dramas in

@@ -207,8 +207,10 @@ def derivations(result):
 
 def naive_loop_networks():
     """Random CSTNs, some with deltas of denominators 1, 3, 7 and 2 (to
-    check the integer scaling), the fixture, DEAD_BEFORE_REFUTATION and a
-    network whose observation-side value dies before its use."""
+    check the integer scaling), the fixture, DEAD_BEFORE_REFUTATION, a
+    network whose observation-side value dies before its use, one whose
+    label pq is screened live before its subset p dies and one whose given
+    self-loop label modification would rewrite to a vacuous one."""
     rng = random.Random(5)
     networks = [random_cstn(rng, max_letters=3, max_points=7) for _ in range(40)]
     mixed = (Fraction(1, 3), Fraction(1, 7), Fraction(5, 2))
@@ -222,6 +224,17 @@ def naive_loop_networks():
         timepoints=["Oq", "Or", "X"],
         constraints=[lc("Or", "Oq", 0), lc("Oq", "Or", 0, "r"), lc("Or", "X", 0, "q")],
         letters=["q", "r"], observations={"q": "Oq", "r": "Or"}))
+    # The first compose pass admits B - X <= 2 under pq, then the p-labeled
+    # self-loops; the next one must reject Y - X <= 3 under pq as dead.
+    networks.append(Network(
+        timepoints=["A", "B", "C", "Op", "Oq", "X", "Y"],
+        constraints=[lc("X", "A", 1, "pq"), lc("A", "B", 1), lc("B", "Y", 1),
+                     lc("C", "Y", 1, "p"), lc("Y", "C", -2, "p")],
+        letters=["p", "q"], observations={"p": "Op", "q": "Oq"}))
+    # Admitting X - X <= 0 under [] would refute the network.
+    networks.append(Network(
+        timepoints=["P", "X"], constraints=[lc("P", "X", -1), lc("X", "X", 0, "p")],
+        letters=["p"], observations={"p": "P"}))
     return networks
 
 
