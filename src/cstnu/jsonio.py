@@ -3,7 +3,9 @@
 All rationals travel as strings ("5", "3/2") so round-trips are exact.
 Constraint objects use {"from": X, "to": Y, "delta": d, "label": l}
 meaning Y - X <= d under label l; labels use the text syntax ("[]" for
-the always-true label).
+the always-true label).  A field of the wrong JSON type (letters given
+as one string, a label as a number, a schedule as an array) is a
+`ValueError` that names the field, never a silent misread.
 """
 
 import json
@@ -35,26 +37,60 @@ def _constraint_to_dict(c):
     return {"from": c.source, "to": c.target, "delta": str(c.delta), "label": str(c.label)}
 
 
+_JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean"}
+
+
 def _object(data):
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object, got %s" % type(data).__name__)
     return data
 
 
+def _field(data, key, kind, default):
+    """`data[key]`, or `default` when it is absent, which must be of type
+    `kind`: a `ValueError` that names `key` otherwise."""
+    value = data.get(key, default)
+    if not isinstance(value, kind):
+        raise _wrong_type(key, kind, value)
+    return value
+
+
+def _wrong_type(key, kind, value):
+    return ValueError("field %r: expected a JSON %s, got %s"
+                      % (key, _JSON_TYPES[kind], type(value).__name__))
+
+
+def _items(data, key, kind):
+    """The array `data[key]`, empty when absent, each of whose items must
+    be of type `kind`."""
+    items = _field(data, key, list, [])
+    for item in items:
+        if not isinstance(item, kind):
+            raise ValueError("field %r: expected an array of JSON %ss, got an item of type %s"
+                             % (key, _JSON_TYPES[kind], type(item).__name__))
+    return items
+
+
+def _label(data):
+    text = data.get("label", "[]")
+    if not isinstance(text, str):
+        raise _wrong_type("label", str, text)
+    return parse_label(text)
+
+
 def network_from_dict(data):
     data = _object(data)
     try:
         return Network(
-            timepoints=[TimePoint(tp["id"], parse_label(tp.get("label", "[]")))
-                        for tp in data.get("timepoints", ())],
-            constraints=[LabeledConstraint(c["from"], c["to"], rational(c["delta"]),
-                                           parse_label(c.get("label", "[]")))
-                         for c in data.get("constraints", ())],
-            letters=data.get("letters", ()),
-            observations=data.get("observations") or {},
+            timepoints=[TimePoint(tp["id"], _label(tp)) for tp in _items(data, "timepoints", dict)],
+            constraints=[LabeledConstraint(c["from"], c["to"], rational(c["delta"]), _label(c))
+                         for c in _items(data, "constraints", dict)],
+            letters=_items(data, "letters", str),
+            observations=({} if data.get("observations") is None
+                          else _field(data, "observations", dict, {})),
             links=[ContingentLink(l["activation"], rational(l["lower"]),
                                   rational(l["upper"]), l["contingent"])
-                   for l in data.get("links", ())],
+                   for l in _items(data, "links", dict)],
             epsilon=rational(data.get("epsilon", DEFAULT_EPSILON)))
     except KeyError as err:
         raise ValueError("missing key %s" % err) from None
@@ -91,7 +127,7 @@ def strategy_to_dict(strategy):
 
 
 def strategy_from_dict(data):
-    entries = _object(data).get("entries", ())
+    entries = _items(_object(data), "entries", dict)
     kind = data.get("kind")
     if kind is None:
         has_scenario = any("scenario" in e for e in entries)
@@ -104,9 +140,12 @@ def strategy_from_dict(data):
             kind = "cstn"
     table = {}
     for entry in entries:
-        drama = Drama(Scenario(entry.get("scenario", {})),
-                      tuple(rational(d) for d in entry.get("situation", ())))
-        table[drama] = _schedule_from_dict(entry.get("schedule", {}))
+        scenario = _field(entry, "scenario", dict, {})
+        for letter in scenario:
+            _field(scenario, letter, bool, None)
+        drama = Drama(Scenario(scenario),
+                      tuple(rational(d) for d in _field(entry, "situation", list, [])))
+        table[drama] = _schedule_from_dict(_field(entry, "schedule", dict, {}))
     return Strategy.from_dramas(kind, table)
 
 

@@ -138,20 +138,11 @@ def _project(network, scenario, situation):
         values = scenario.as_mapping()
         constraints = {Constraint(c.source, c.target, c.delta)
                        for c in network.constraints if evaluate(c.label, values)}
-    return Stn(points, frozenset(constraints | _rigid_durations(network, points, situation or ())))
-
-
-def _rigid_durations(network, points, situation):
-    """The constraints that fix each link with both end-points in `points`
-    to its duration in `situation`.  A drama's projection is its
-    scenario's projection plus these, so a caller projecting many
-    situations of one scenario selects the scenario's constraints once."""
-    rigid = set()
-    for d, link in zip(situation, network.links):
+    for d, link in zip(situation or (), network.links):
         if link.activation in points and link.contingent in points:
-            rigid.add(Constraint(link.activation, link.contingent, d))
-            rigid.add(Constraint(link.contingent, link.activation, -d))
-    return rigid
+            constraints.add(Constraint(link.activation, link.contingent, d))
+            constraints.add(Constraint(link.contingent, link.activation, -d))
+    return Stn(points, frozenset(constraints))
 
 
 def scenario_projection(network, scenario):

@@ -22,12 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .labels import evaluate
-from .model import Network, Stn, depth_first, embed_cstn, embed_stnu, validate
-from .projection import (DEFAULT_GRID, Drama, _rigid_durations, enumerate_scenarios,
-                         sample_situations, scenario_projection)
+from .model import Network, depth_first, embed_cstn, embed_stnu, validate
+from .projection import (DEFAULT_GRID, Drama, enumerate_scenarios, relevant_timepoints,
+                         sample_situations)
 from .rational import INF, _least_scale, _scaled, rational
 from .semantics import Strategy, _certify, _commit_events
-from .stn import DistanceMatrix, _insert, floored, solve
+from .stn import DistanceMatrix, _close, _insert
 
 # Search bounds; see `check_dc`, `tree_strategy_masks`, `candidate_time_grid`.
 MAX_LETTERS = 6
@@ -43,18 +43,19 @@ GRID_CAP = 24
 class _DramaCtx:
     """One class of sampled dramas, and the precomputation every search
     shares: the dramas of one scenario whose situations agree on the
-    durations of every link relevant in it.  They have one projection,
+    durations of every link relevant in it.  They have one projection (the
+    scenario's `relevant` points and constraints, and these `durations`),
     one closure and the same events under every commit, so they are one
     execution, and the search runs it once.  `idx` numbers the classes
     in problem order, `dramas` holds the members in problem order, and
-    `drama` is the first of them."""
+    `drama` is the first of them.  The projection itself is never built:
+    `matrix` is its closure, made from the problem's edge table."""
 
     idx: int
     drama: Drama
     dramas: list
-    relevant: frozenset
+    relevant: frozenset      # the scenario's relevant points, one set per scenario
     durations: dict          # contingent point -> sampled duration, in ticks
-    projection: object
     matrix: object           # closure of the floored projection; see `_Problem`
 
 
@@ -93,25 +94,33 @@ class _Problem:
     fixes only the links whose two end-points survive, so two dramas of
     one scenario whose situations differ only on other links have one
     projection, one closure and the same events: they are one execution.
-    The search reads only a class's scenario, its relevant durations, its
-    closure and its projection, so every member of a class sits in the
+    The search reads only a class's scenario, its relevant points and
+    durations and its closure, so every member of a class sits in the
     same information set on every path, and each step of the search costs
     per distinct execution, not per sampled drama (162 classes for the
     fixture's 486 dramas at grid 3).  Only `schedules` expands a class
     into its members.
 
     Each class's `matrix` closes its projection floored at `_ORIGIN`.
-    Every matrix has the same ids, the network's points and the origin, so
-    `_bounds` reads the entries of all classes at one pair of positions.
-    A point that a scenario drops is an isolated row and column: `INF` off
-    the diagonal.  Each scenario's floored projection is closed once
-    (`stn.solve`).  A drama's projection adds, for each link whose two
-    end-points are relevant, the rigid edges c - a <= d and a - c <= -d;
-    they are inserted one edge at a time (`stn._insert`) into the
-    scenario's closure, in link order, once per class.  Classes whose
-    relevant links agree on a prefix of durations share that prefix's
-    closure, and an inserted edge shares every row it cannot change.  The
-    flag of an inconsistent class is exact, but its rows mean nothing.
+    Every matrix has the same ids, `index`: the network's points and the
+    origin, sorted, so `_bounds` reads the entries of all classes at one
+    pair of positions.  A point that a scenario drops is an isolated row
+    and column: `INF` off the diagonal.  No `Stn` or `Constraint` is
+    built.  The network's constraints become one edge table, (source
+    position, target position, delta in ticks, label), once per problem.
+    Each scenario's floored projection is the table's edges whose labels
+    hold plus an origin floor `_ORIGIN - p <= 0` for each relevant point
+    p, closed once (`stn._close`).  A drama's projection adds, for each
+    link whose two end-points are relevant, the rigid edges c - a <= d
+    and a - c <= -d; they are inserted one edge at a time (`stn._insert`)
+    into the scenario's closure, in link order, once per class.  The
+    classes of a scenario are the leaves of its trie, keyed by the
+    relevant links' durations in ticks: classes whose relevant links
+    agree on a prefix of durations share that prefix's closure, and an
+    inserted edge shares every row it cannot change.  The flag of an
+    inconsistent class is exact, but its rows mean nothing.  Certification
+    reads none of this: `semantics._certify` selects each scenario's
+    constraints from the network itself.
 
     The search runs on one integer time lattice, and every closure is
     closed on it: every time the search commits, compares or hashes, and
@@ -144,52 +153,49 @@ class _Problem:
         # Contingent points, each after the contingent point activating it.
         activating = {c: [a] if a in self.activation else [] for c, a in self.activation.items()}
         self.chain_order, _ = depth_first(sorted(activating), activating.__getitem__)
-        # A drama's projection is its scenario's plus the rigid link
-        # durations of its situation, so each scenario is projected and
-        # closed once, over every point of the network and the origin.
-        bases = {}              # Scenario -> projection
-        for drama in dramas:
-            if drama.scenario not in bases:
-                bases[drama.scenario] = scenario_projection(network, drama.scenario)
         self.tick = 2 ** len(self.noncontingent) * _least_scale([
             network.epsilon, *(c.delta for c in network.constraints),
             *(b for link in network.links for b in (link.lower, link.upper)),
             *(d for drama in dramas for d in drama.situation), *map(rational, values)])
-        points = frozenset(network.timepoints) | {_ORIGIN}
-        tries = {}              # Scenario -> (relevant links, root [closure, {duration: child}])
-        for scenario, base in bases.items():
-            closure = solve(Stn(points, floored(base, _ORIGIN).constraints), self.tick)
-            index = closure.index
+        ticks = self.ticks
+        ids = sorted({*network.timepoints, _ORIGIN})
+        self.index = index = {t: i for i, t in enumerate(ids)}
+        origin = index[_ORIGIN]
+        edges = [(index[c.source], index[c.target], ticks(c.delta), c.label)
+                 for c in network.constraints]
+        # Scenario -> (relevant points, relevant links, trie root
+        # [closure, {duration in ticks: child}], durations -> class).
+        scenarios = {}
+        for scenario in dict.fromkeys(drama.scenario for drama in dramas):
+            relevant = relevant_timepoints(network, scenario)
+            truth = scenario.as_mapping()
+            rows, consistent = _close(len(ids), [
+                *((i, j, delta) for i, j, delta, label in edges if evaluate(label, truth)),
+                *((index[point], origin, 0) for point in relevant)])
             links = [(k, link.contingent, index[link.activation], index[link.contingent])
                      for k, link in enumerate(network.links)
-                     if link.activation in base.timepoints and link.contingent in base.timepoints]
-            tries[scenario] = links, [closure, {}]
-        self.index = index
-        self.epsilon = self.ticks(network.epsilon)
+                     if link.activation in relevant and link.contingent in relevant]
+            scenarios[scenario] = (relevant, links,
+                                   [DistanceMatrix(ids, rows, self.tick, consistent), {}], {})
+        self.epsilon = ticks(network.epsilon)
         self.fractions = {}                         # tick count -> its Fraction
         # A class of dramas is keyed by its scenario and the durations of
         # the links relevant in it, the links that key the scenario's trie.
-        classes = {}
         self.dctxs = []
         for drama in dramas:
-            links, node = tries[drama.scenario]
-            durations = tuple(drama.situation[k] for k, _, _, _ in links)
-            dctx = classes.get((drama.scenario, durations))
+            relevant, links, node, classes = scenarios[drama.scenario]
+            durations = tuple(ticks(drama.situation[k]) for k, _, _, _ in links)
+            dctx = classes.get(durations)
             if dctx is None:
                 for (_, _, activation, contingent), d in zip(links, durations):
                     child = node[1].get(d)
                     if child is None:
-                        child = node[1][d] = [self._with_link(
-                            node[0], activation, contingent, self.ticks(d)), {}]
+                        child = node[1][d] = [self._with_link(node[0], activation, contingent, d),
+                                              {}]
                     node = child
-                base = bases[drama.scenario]
-                ticks = {contingent: self.ticks(d)
-                         for (_, contingent, _, _), d in zip(links, durations)}
-                dctx = classes[drama.scenario, durations] = _DramaCtx(
-                    len(self.dctxs), drama, [], base.timepoints, ticks,
-                    Stn(base.timepoints, base.constraints | _rigid_durations(
-                        network, base.timepoints, drama.situation)),
-                    node[0])
+                dctx = classes[durations] = _DramaCtx(
+                    len(self.dctxs), drama, [], relevant,
+                    {contingent: d for (_, contingent, _, _), d in zip(links, durations)}, node[0])
                 self.dctxs.append(dctx)
             dctx.dramas.append(drama)
 
@@ -716,11 +722,10 @@ def check_dc(network, grid=DEFAULT_GRID, max_letters=MAX_LETTERS, max_links=MAX_
                 sample=sample)
 
     # Both searches build dynamic, viable strategies by construction, so a
-    # strategy that fails re-certification is a bug, not a verdict.  The
-    # viability check reads the projections the search was built on.
+    # strategy that fails re-certification is a bug, not a verdict.
+    # Certification reads the network and the strategy alone.
     strategy = Strategy.from_dramas("cstn" if network.kind == "stn" else network.kind, table)
-    outcome = _certify(network, strategy, {drama: d.projection for d in problem.dctxs
-                                           for drama in d.dramas})
+    outcome = _certify(network, strategy)
     if not outcome:
         raise RuntimeError("search built a strategy that fails re-certification: %s"
                            % outcome)

@@ -10,8 +10,9 @@ observation at exactly time t is not part of t's history.
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .labels import Label, con
-from .projection import Drama, Scenario, drama_projection
+from .labels import Label, con, evaluate
+from .model import Constraint
+from .projection import Drama, Scenario, _check_bounds, _check_total, relevant_timepoints
 from .rational import _least_scale, _scaled, rational
 
 _NO_SCENARIO = Scenario({})
@@ -220,13 +221,13 @@ class _ScaledStrategy:
                 schedule[point] = _scaled(t, scale)
 
 
-def _certify(network, strategy, projections):
+def _certify(network, strategy):
     """Viability, then dynamic*, of `strategy`, both read off one scaled
-    view of it: the failing result, or the dynamic* one.  `projections`
-    maps each drama of `strategy` to its projection; `check_dc` passes the
-    ones its search has already built."""
+    view of it: the failing result, or the dynamic* one.  The strategy's
+    dramas are taken to be dramas of `network` (`check_dc` samples them
+    from it), so `is_viable`'s input checks are not run."""
     view = _ScaledStrategy(strategy)
-    outcome = _check_viable(view, projections)
+    outcome = _check_viable(network, view)
     return _dynamic_star(network, view) if outcome else outcome
 
 
@@ -235,40 +236,78 @@ def is_viable(network, strategy):
     exactly the projection's points.  The first index, in
     `Strategy.indices()` order, whose schedule does not is reported with
     the least violated constraint by `str`, as `stn.check_solution`
-    orders them.  A time that is not rational raises `ValueError`."""
+    orders them.  A time that is not rational raises `ValueError`.
+
+    Every drama is checked first, in that order, as `drama_projection`
+    checks it: its situation against the links, then its scenario
+    against the letters, each a `ValueError`.  So a bad drama raises
+    even when an earlier index is not viable."""
     view = _ScaledStrategy(strategy)
-    return _check_viable(view, {drama: drama_projection(network, drama.scenario, drama.situation)
-                                for drama in view.dramas})
+    for drama in view.dramas:
+        _check_bounds(network, drama.situation)
+        _check_total(network, drama.scenario)
+    return _check_viable(network, view)
 
 
-def _check_viable(view, projections):
-    """`is_viable` on the scaled view `view`; `projections` maps each
-    drama of the view to its projection.
+def _check_viable(network, view):
+    """`is_viable` on the scaled view `view`, without its input checks.
 
-    Each distinct (projection, row) pair is checked once, at its first
-    index: a later index with both equal checks the same schedule against
-    the same constraints.  The projection is compared by value (cheaply
-    when dramas share one projection object), since dramas with one
-    scenario and one schedule can differ in a relevant link's duration.
-    A constraint `target - source <= delta` fails iff
+    A drama's projection is its scenario's relevant points and the
+    constraints whose labels hold, plus two rigid constraints per link
+    with both end-points relevant.  Each scenario's points and constraints
+    are selected from `network` once, and each row of the view (one
+    scenario and one schedule) is checked once against them, at its first
+    index: its domain, then its scenario's constraints.  Each index then
+    checks its own durations, since dramas with one scenario and one
+    schedule can differ in a relevant link's duration: the rigid pair of
+    a link holds iff the row's `t_contingent - t_activation` equals the
+    duration.  A constraint `target - source <= delta` fails iff
     `(t_target - t_source) * delta.denominator > delta.numerator * scale`:
-    both sides are the exact ones times `scale * delta.denominator`."""
+    both sides are the exact ones times `scale * delta.denominator`.  The
+    rigid `Constraint`s are built only for the first failing index, to
+    report its least violated constraint."""
     scale = view.scale
-    checked = set()
+    selected = {}           # Scenario -> (relevant points, constraints, relevant links)
+    checked = {}            # row -> (violated constraints, [(link position, link, span)])
     for index, drama, row in zip(view.indices, view.dramas, view.row_of):
-        projection = projections[drama]
-        if (projection, row) in checked:
-            continue
-        checked.add((projection, row))
-        schedule = view.rows[row][1]
-        if frozenset(schedule) != projection.timepoints:
-            raise ValueError("schedule domain for %s is not the expected point set" % (index,))
-        violated = [c for c in projection.constraints
-                    if (schedule[c.target] - schedule[c.source]) * c.delta.denominator
-                    > c.delta.numerator * scale]
-        if violated:
-            return ViabilityResult(False, index, min(violated, key=str))
+        found = checked.get(row)
+        if found is None:
+            scenario, schedule = view.rows[row]
+            if scenario not in selected:
+                selected[scenario] = _scenario_constraints(network, scenario)
+            relevant, constraints, links = selected[scenario]
+            if frozenset(schedule) != relevant:
+                raise ValueError("schedule domain for %s is not the expected point set" % (index,))
+            found = checked[row] = (
+                [c for c in constraints
+                 if (schedule[c.target] - schedule[c.source]) * c.delta.denominator
+                 > c.delta.numerator * scale],
+                [(k, link, schedule[link.contingent] - schedule[link.activation])
+                 for k, link in links])
+        violated, spans = found
+        unfixed = [(link, span, drama.situation[k]) for k, link, span in spans
+                   if span * drama.situation[k].denominator
+                   != drama.situation[k].numerator * scale]
+        if violated or unfixed:
+            rigid = [Constraint(link.activation, link.contingent, d)
+                     if span * d.denominator > d.numerator * scale
+                     else Constraint(link.contingent, link.activation, -d)
+                     for link, span, d in unfixed]
+            return ViabilityResult(False, index, min(violated + rigid, key=str))
     return ViabilityResult(True)
+
+
+def _scenario_constraints(network, scenario):
+    """The relevant points of `scenario`, the constraints whose labels
+    hold in it, label-erased, and the (position, link) of each link with
+    both end-points relevant."""
+    relevant = relevant_timepoints(network, scenario)
+    truth = scenario.as_mapping()
+    constraints = {Constraint(c.source, c.target, c.delta) for c in network.constraints
+                   if evaluate(c.label, truth)}
+    links = [(k, link) for k, link in enumerate(network.links)
+             if link.activation in relevant and link.contingent in relevant]
+    return relevant, constraints, links
 
 
 @dataclass

@@ -5,14 +5,14 @@ All arithmetic is exact; infinity is the saturating `INF` sentinel.
 A Floyd-Warshall closure is used: networks here are desk scale and the
 matrix is reused by schedule checking and strategy synthesis.
 
-The closure runs on integers.  `solve` multiplies every delta by one
-`scale`, by default the least that makes each an `int`
-(`rational._least_scale`), and closes the scaled graph.  Shortest-path
-weights are sums of deltas, and scaling by a positive constant preserves
-sums and order, so the scaled closure is the closure of the original
-graph times that constant: nothing is rounded, and a cycle is negative in
-one exactly when it is negative in the other.  `DistanceMatrix.distance`
-divides by the constant on the way out.
+The closure runs on integers, in one routine (`_close`).  `solve`
+multiplies every delta by one `scale`, by default the least that makes
+each an `int` (`rational._least_scale`), and closes the scaled graph.
+Shortest-path weights are sums of deltas, and scaling by a positive
+constant preserves sums and order, so the scaled closure is the closure
+of the original graph times that constant: nothing is rounded, and a
+cycle is negative in one exactly when it is negative in the other.
+`DistanceMatrix.distance` divides by the constant on the way out.
 
 A closure that differs from a known one by a single edge `v - u <= w` is
 not closed again.  If `D` is the closure of a consistent graph, the graph
@@ -21,8 +21,8 @@ the new edge weighs at least w plus the shortest v-u path.  Otherwise a
 shortest path uses the edge at most once, so the new closure is
 `D'[i][j] = min(D[i][j], D[i][u] + w + D[v][j])`, an O(n^2) update
 (`_insert`).  The closure of a consistent graph is unique, so this is the
-matrix `solve` would return for the larger graph; `solve` stays the only
-full closure, and tests hold `_insert` against it.
+matrix `solve` would return for the larger graph; `_close` stays the only
+full closure, and tests hold `_insert` against `solve`.
 """
 
 from fractions import Fraction
@@ -63,29 +63,40 @@ class DistanceMatrix:
 def solve(stn, scale=None):
     """Shortest-path closure of `stn`; `consistent` is False on a negative cycle.
 
-    The deltas are multiplied by `scale` and closed over `int`, which is
-    exact (see the module docstring) and several times faster than
-    closing over `Fraction`.  `scale` defaults to the least that makes
-    every delta an integer; a given one must make each an integer, or
-    `ValueError` is raised.  A point no constraint touches stays an
-    isolated row and column, `INF` off the diagonal, so the loops visit
-    only the points the constraints name.
+    The deltas are multiplied by `scale` and closed over `int` by
+    `_close`, which is exact (see the module docstring) and several times
+    faster than closing over `Fraction`.  `scale` defaults to the least
+    that makes every delta an integer; a given one must make each an
+    integer, or `ValueError` is raised.  The rows are indexed by the
+    sorted point ids.
     """
     ids = sorted(stn.timepoints)
     index = {t: i for i, t in enumerate(ids)}
-    n = len(ids)
     if scale is None:
         scale = _least_scale(c.delta for c in stn.constraints)
+    rows, consistent = _close(len(ids), [
+        (index[c.source], index[c.target], _scaled(c.delta, scale)) for c in stn.constraints])
+    return DistanceMatrix(ids, rows, scale, consistent)
+
+
+def _close(n, edges):
+    """(rows, consistent): the Floyd-Warshall closure of the graph on row
+    positions 0..n-1 whose edges are the (i, j, weight) triples `edges`,
+    each bounding point j - point i by the `int` weight, and whether it
+    has no negative cycle.  This is the one closure routine: `solve`
+    scales an `Stn` onto it, and the DC search (`search._Problem`) feeds it
+    each scenario's edges, already in ticks, with no `Stn` in between.  A
+    position no edge touches stays an isolated row and column, `INF` off
+    the diagonal, so the loops visit only the positions the edges name.
+    """
     dist = [[INF] * n for _ in range(n)]
     for i in range(n):
         dist[i][i] = 0
     touched = set()
-    for c in stn.constraints:
-        i, j = index[c.source], index[c.target]
+    for i, j, weight in edges:
         touched.update((i, j))
-        delta = _scaled(c.delta, scale)
-        if delta < dist[i][j]:
-            dist[i][j] = delta
+        if weight < dist[i][j]:
+            dist[i][j] = weight
     touched = sorted(touched)
     for k in touched:
         dk = dist[k]
@@ -100,8 +111,7 @@ def solve(stn, scale=None):
                 alt = dik + dk[j]
                 if alt < di[j]:
                     di[j] = alt
-    consistent = all(dist[i][i] >= 0 for i in range(n))
-    return DistanceMatrix(ids, dist, scale, consistent)
+    return dist, all(dist[i][i] >= 0 for i in range(n))
 
 
 def _insert(rows, source, target, weight):

@@ -364,9 +364,12 @@ def grid_witness(problem, grid, budget):
     divergence) up to the next divergence, less each commit after which
     the known times of some drama of the information set violate its
     projection.  Raises `search._Budget` when more than `budget` nodes are
-    entered.  Kept as the reference for the windowed witness search."""
+    entered.  Kept as the reference for the windowed witness search; each
+    class's projection is built here, from its first drama."""
     grid = sorted(problem.ticks(t) for t in grid)
-    checks = [[(c.source, c.target, problem.ticks(c.delta)) for c in d.projection.constraints]
+    checks = [[(c.source, c.target, problem.ticks(c.delta))
+               for c in drama_projection(problem.network, d.drama.scenario,
+                                         d.drama.situation).constraints]
               for d in problem.dctxs]
 
     def violated(d, committed):

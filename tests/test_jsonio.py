@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cstnu import Scenario, Strategy, check_dc, solve, to_stn
+from cstnu import Scenario, Strategy, check_dc, cli, solve, to_stn
 from cstnu.fixtures import tight_contingent_stnu
 from cstnu.jsonio import (dumps, loads, network_from_dict, network_to_dict,
                           stn_to_dict, strategy_from_dict, strategy_to_dict)
@@ -62,3 +62,46 @@ def test_strategy_round_trip_stnu_and_kind_inference():
 def test_strategy_kind_must_be_known(kind):
     with pytest.raises(ValueError, match="cstn, stnu or cstnu"):
         strategy_from_dict({"kind": kind, "entries": []})
+
+
+def _network(**fields):
+    return {"timepoints": [{"id": "A"}, {"id": "B"}], **fields}
+
+
+@pytest.mark.parametrize("data, field", [
+    (_network(letters="pq"), "letters"),
+    (_network(letters=["p", 1]), "letters"),
+    (_network(timepoints="AB"), "timepoints"),
+    (_network(timepoints=["A"]), "timepoints"),
+    (_network(timepoints=[{"id": "A", "label": 1}]), "label"),
+    (_network(constraints=[{"from": "A", "to": "B", "delta": "1", "label": 1}]), "label"),
+    (_network(constraints={"from": "A", "to": "B", "delta": "1"}), "constraints"),
+    (_network(constraints=[["A", "B", "1"]]), "constraints"),
+    (_network(links=5), "links"),
+    (_network(links=[5]), "links"),
+    (_network(letters=["p"], observations=[["p", "A"]]), "observations"),
+])
+def test_network_fields_of_the_wrong_type_are_named(data, field):
+    with pytest.raises(ValueError, match="field '%s': expected" % field):
+        network_from_dict(data)
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"entries": {"schedule": {}}}, "entries"),
+    ({"entries": [5]}, "entries"),
+    ({"kind": "stnu", "entries": [{"situation": "12", "schedule": {}}]}, "situation"),
+    ({"kind": "cstn", "entries": [{"scenario": ["p"], "schedule": {}}]}, "scenario"),
+    ({"kind": "cstn", "entries": [{"scenario": {"p": "false"}, "schedule": {}}]}, "p"),
+    ({"kind": "cstn", "entries": [{"scenario": {}, "schedule": ["A", "0"]}]}, "schedule"),
+])
+def test_strategy_fields_of_the_wrong_type_are_named(data, field):
+    with pytest.raises(ValueError, match="field '%s': expected" % field):
+        strategy_from_dict(data)
+
+
+def test_a_field_of_the_wrong_type_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "net.json"
+    path.write_text(dumps(_network(letters="pq")))
+    assert cli.main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "'letters'" in err[0]

@@ -376,6 +376,13 @@ def test_integer_window_matches_fraction_window(monkeypatch):
     # denominators.
     real = search._Problem.window
     seen = {"calls": 0, "mixed": 0}
+    scales = {}         # id of a class -> (the class, the least scale of its projection's deltas)
+
+    def scale(problem, d):
+        if id(d) not in scales:
+            projection = drama_projection(problem.network, d.drama.scenario, d.drama.situation)
+            scales[id(d)] = d, _least_scale(c.delta for c in projection.constraints)
+        return scales[id(d)][1]
 
     def checked(problem, node, point):
         got = real(problem, node, point)
@@ -384,8 +391,7 @@ def test_integer_window_matches_fraction_window(monkeypatch):
         committed = {p: Fraction(t, problem.tick) for p, t in node.committed.items()}
         assert repr(exact) == repr(fraction_window(node.dctxs, committed, point))
         seen["calls"] += 1
-        seen["mixed"] += len({_least_scale(c.delta for c in d.projection.constraints)
-                              for d in node.dctxs}) > 1
+        seen["mixed"] += len({scale(problem, d) for d in node.dctxs}) > 1
         return got
 
     monkeypatch.setattr(search._Problem, "window", checked)
@@ -414,7 +420,8 @@ def test_incremental_closures_match_solve():
         dramas = [Drama(s, w) for s in enumerate_scenarios(net.letters)
                   for w in sample_situations(net.links)]
         for d in search._Problem(net, dramas).dctxs:
-            want = solve(floored(d.projection, search._ORIGIN))
+            projection = drama_projection(net, d.drama.scenario, d.drama.situation)
+            want = solve(floored(projection, search._ORIGIN))
             assert d.matrix.consistent == want.consistent
             flags.add(want.consistent)
             if want.consistent:
@@ -466,21 +473,29 @@ def test_problem_has_one_context_per_distinct_drama_projection():
         return {link.contingent: d for link, d in zip(net.links, drama.situation)
                 if link.activation in relevant and link.contingent in relevant}
 
-    keys = set()
+    keys, projections = set(), set()
     for d in problem.dctxs:
         assert d.drama is d.dramas[0]
         assert [position[m] for m in d.dramas] == sorted(position[m] for m in d.dramas)
         assert {c: Fraction(t, problem.tick) for c, t in d.durations.items()} \
             == relevant_durations(d.drama)
+        projection = drama_projection(net, d.drama.scenario, d.drama.situation)
+        assert d.relevant == projection.timepoints
         for m in d.dramas:
             assert m.scenario == d.drama.scenario
             assert relevant_durations(m) == relevant_durations(d.drama)
-            assert drama_projection(net, m.scenario, m.situation) == d.projection
+            assert drama_projection(net, m.scenario, m.situation) == projection
         keys.add((d.drama.scenario, tuple(sorted(relevant_durations(d.drama).items()))))
+        projections.add(projection)
     assert len(keys) == 162     # no two contexts hold one execution
-    # Each context has its own closure and projection, which its members share.
+    assert len(projections) == 162
+    # Each context has its own closure and its own tick durations, which
+    # its members share, and the contexts of one scenario share its
+    # relevant points: the two scenarios' sets stand in for 162
+    # projections.
     assert len({id(d.matrix) for d in problem.dctxs}) == 162
-    assert len({id(d.projection) for d in problem.dctxs}) == 162
+    assert len({(d.drama.scenario, tuple(d.durations.items())) for d in problem.dctxs}) == 162
+    assert len({id(d.relevant) for d in problem.dctxs}) == 2
     table = search._synthesize(problem)
     assert len(table) == 486 and set(table) == set(dramas)
     for d in problem.dctxs:
@@ -602,12 +617,14 @@ def _corrupted(rng, strategy):
     return type(strategy)(strategy.kind, table)
 
 
-def test_viability_over_search_projections_matches_is_viable():
-    # check_dc certifies through `_check_viable` over the projections its
-    # search built; the public `is_viable` projects each drama itself.
-    # Both must give the per-index reference's verdict and first
-    # violation, on random strategies, on synthesized ones and on
-    # corrupted copies.
+def test_certification_viability_matches_is_viable():
+    # check_dc certifies through `_check_viable`, which selects each
+    # scenario's constraints from the network and skips `is_viable`'s
+    # input checks; the per-index reference projects each drama itself
+    # (`drama_projection`).  Both `_check_viable` and `is_viable` must give
+    # the reference's verdict and first violation, on random strategies,
+    # on synthesized ones and on corrupted copies.  The search's classes
+    # hold the points of those projections.
     rng = random.Random(12)
     verdicts = {True: 0, False: 0}
     for i in range(120):
@@ -623,11 +640,16 @@ def test_viability_over_search_projections_matches_is_viable():
         if result.controllable:
             strategies += [result.strategy, _corrupted(rng, result.strategy)]
         problem = search._Problem(net, dramas)
-        projections = {d.drama: d.projection for d in problem.dctxs}
         for d in problem.dctxs:
-            assert d.projection == drama_projection(net, d.drama.scenario, d.drama.situation)
+            projection = drama_projection(net, d.drama.scenario, d.drama.situation)
+            assert d.relevant == projection.timepoints
+            assert {c: Fraction(t, problem.tick) for c, t in d.durations.items()} \
+                == {link.contingent: duration
+                    for link, duration in zip(net.links, d.drama.situation)
+                    if link.activation in projection.timepoints
+                    and link.contingent in projection.timepoints}
         for strategy in strategies:
-            got = _check_viable(_ScaledStrategy(strategy), projections)
+            got = _check_viable(net, _ScaledStrategy(strategy))
             want = naive_viable(net, strategy)
             assert is_viable(net, strategy) == want
             assert (got.ok, got.index, got.constraint) == (want.ok, want.index, want.constraint)

@@ -84,17 +84,16 @@ def test_viability():
 
 
 def viable_both_ways(net, strategy):
-    """`is_viable`, after checking that `_check_viable` agrees with it on
-    the projections shared as `check_dc` shares them: one object for
-    the dramas whose projections are equal."""
-    shared = {}
-    projections = {}
+    """`is_viable`, after checking that `_check_viable`, as `check_dc`'s
+    certification calls it (without the input checks), agrees with it,
+    and that each index's schedule covers exactly the points of its
+    drama's projection, built here with `drama_projection`."""
+    result = is_viable(net, strategy)
+    assert _check_viable(net, _ScaledStrategy(strategy)) == result
     for index in strategy.indices():
         drama = strategy.drama(index)
         projection = drama_projection(net, drama.scenario, drama.situation)
-        projections[drama] = shared.setdefault(projection, projection)
-    result = is_viable(net, strategy)
-    assert _check_viable(_ScaledStrategy(strategy), projections) == result
+        assert frozenset(strategy.table[index]) == projection.timepoints
     return result
 
 
@@ -239,6 +238,57 @@ def test_viability_rejects_a_kind_the_network_cannot_hold():
     strategy = Strategy("cstn", {Scenario({}): {"A": Fraction(0), "C": Fraction(5)}})
     with pytest.raises(ValueError, match="0 durations for 1 links"):
         is_viable(net, strategy)
+
+
+def test_viability_input_errors_and_their_precedence():
+    # Every drama is checked before any schedule is: its situation against
+    # the links, then its scenario against the letters.  Only then are
+    # the schedules read, in index order, each domain before its
+    # constraints; the first index that is not viable ends the check.
+    net = Network(
+        timepoints=["Op", "A", "C"],
+        constraints=[LabeledConstraint("A", "C", 3), LabeledConstraint("C", "A", -1)],
+        letters=["p"], observations={"p": "Op"},
+        links=[ContingentLink("A", 1, 3, "C")])
+    p, not_p = Scenario({"p": True}), Scenario({"p": False})
+
+    def schedule(c):
+        return {"Op": Fraction(0), "A": Fraction(0), "C": Fraction(c)}
+
+    def check(table):
+        return is_viable(net, Strategy("cstnu", table))
+
+    assert check({Drama(p, (Fraction(2),)): schedule(2)}).ok
+    with pytest.raises(ValueError, match="situation has 0 durations for 1 links"):
+        check({Drama(p, ()): schedule(2)})
+    with pytest.raises(ValueError, match=r"duration 5 outside \[1, 3\] for link \(A, C\)"):
+        check({Drama(p, (Fraction(5),)): schedule(5)})
+    with pytest.raises(ValueError, match=r"scenario domain \[\] does not match letters \['p'\]"):
+        check({Drama(Scenario({}), (Fraction(2),)): schedule(2)})
+    with pytest.raises(ValueError, match="schedule domain for s=p=1 w=\\(2\\) is not the expected"):
+        check({Drama(p, (Fraction(2),)): {"Op": Fraction(0), "A": Fraction(0)}})
+    # The situation of a drama before its scenario.
+    with pytest.raises(ValueError, match="duration 5 outside"):
+        check({Drama(Scenario({}), (Fraction(5),)): schedule(5)})
+    # An input error at a later index, after an index that is not viable
+    # (C - A is 1, not 2), or after one whose domain is wrong.
+    late = Drama(p, (Fraction(9),))
+    unviable = {Drama(not_p, (Fraction(2),)): schedule(1)}
+    assert not check(unviable).ok
+    with pytest.raises(ValueError, match="duration 9 outside"):
+        check({**unviable, late: schedule(9)})
+    with pytest.raises(ValueError, match="scenario domain"):
+        check({**unviable, Drama(Scenario({}), (Fraction(2),)): schedule(2)})
+    with pytest.raises(ValueError, match="scenario domain"):
+        check({Drama(not_p, (Fraction(2),)): {"Op": Fraction(0)},
+               Drama(Scenario({}), (Fraction(2),)): schedule(2)})
+    # A time that is not rational is found first, and a wrong domain
+    # after an index that is not viable is never read.
+    with pytest.raises(ValueError, match="not a rational"):
+        check({**unviable, late: {**schedule(9), "A": 0.5}})
+    result = check({**unviable, Drama(p, (Fraction(2),)): {"Op": Fraction(0)}})
+    assert (result.ok, result.index, str(result.constraint)) \
+        == (False, Drama(not_p, (Fraction(2),)), "A - C <= -2")
 
 
 def test_dynamic_checks_agree_on_simple_cases():
