@@ -2,6 +2,7 @@
 conditional/uncertain network into a plain STN."""
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import product
 
 from .labels import Label, evaluate
@@ -86,6 +87,8 @@ def sample_situations(links, grid=DEFAULT_GRID):
     The situation space is infinite; checking discretizes it.  grid=3
     (DEFAULT_GRID) samples {x, (x+y)/2, y} for each link.
     """
+    if isinstance(grid, bool) or not isinstance(grid, int):
+        raise ValueError("grid must be an int, not %r" % (grid,))
     if grid < 2:
         raise ValueError("grid must sample at least both bounds")
     axes = []
@@ -107,6 +110,9 @@ def _check_bounds(network, situation):
         raise ValueError("situation has %d durations for %d links" %
                          (len(situation), len(network.links)))
     for d, link in zip(situation, network.links):
+        if isinstance(d, bool) or not isinstance(d, (int, Fraction)):
+            raise ValueError("duration %r for link (%s, %s) is not an int or a Fraction" %
+                             (d, link.activation, link.contingent))
         if not (link.lower <= d <= link.upper):
             raise ValueError("duration %s outside [%s, %s] for link (%s, %s)" %
                              (d, link.lower, link.upper, link.activation, link.contingent))

@@ -27,7 +27,7 @@ from .projection import (DEFAULT_GRID, Drama, enumerate_scenarios, relevant_time
                          sample_situations)
 from .rational import INF, _least_scale, _scaled, rational
 from .semantics import Strategy, _certify, _commit_events
-from .stn import DistanceMatrix, _close, _insert
+from .stn import _close, _insert
 
 # Search bounds; see `check_dc`, `tree_strategy_masks`, `candidate_time_grid`.
 MAX_LETTERS = 6
@@ -49,14 +49,15 @@ class _DramaCtx:
     execution, and the search runs it once.  `idx` numbers the classes
     in problem order, `dramas` holds the members in problem order, and
     `drama` is the first of them.  The projection itself is never built:
-    `matrix` is its closure, made from the problem's edge table."""
+    `rows` is its closure, made from the problem's edge table, or None
+    when the projection is inconsistent."""
 
     idx: int
     drama: Drama
     dramas: list
     relevant: frozenset      # the scenario's relevant points, one set per scenario
     durations: dict          # contingent point -> sampled duration, in ticks
-    matrix: object           # closure of the floored projection; see `_Problem`
+    rows: list               # closure of the floored projection, or None; see `_Problem`
 
 
 @dataclass(eq=False)
@@ -101,8 +102,9 @@ class _Problem:
     fixture's 486 dramas at grid 3).  Only `schedules` expands a class
     into its members.
 
-    Each class's `matrix` closes its projection floored at `_ORIGIN`.
-    Every matrix has the same ids, `index`: the network's points and the
+    Each class's `rows` are the closure of its projection floored at
+    `_ORIGIN`: bare integer rows, with no id list or flag of their own.
+    Every closure is indexed by `index`, the network's points and the
     origin, sorted, so `_bounds` reads the entries of all classes at one
     pair of positions.  A point that a scenario drops is an isolated row
     and column: `INF` off the diagonal.  No `Stn` or `Constraint` is
@@ -117,18 +119,18 @@ class _Problem:
     classes of a scenario are the leaves of its trie, keyed by the
     relevant links' durations in ticks: classes whose relevant links
     agree on a prefix of durations share that prefix's closure, and an
-    inserted edge shares every row it cannot change.  The flag of an
-    inconsistent class is exact, but its rows mean nothing.  Certification
+    inserted edge shares every row it cannot change.  An inconsistent
+    closure is None, and so is every closure below it.  Certification
     reads none of this: `semantics._certify` selects each scenario's
     constraints from the network itself.
 
     The search runs on one integer time lattice, and every closure is
     closed on it: every time the search commits, compares or hashes, and
-    every closure entry (`DistanceMatrix.scale` is `tick`), is an `int`
-    count of 1/`tick`.  `tick` is 2**n, for n non-contingent points, times
-    the least scale that makes integers of epsilon, every constraint delta
-    and link bound, every sampled duration, and `values`, the other
-    rationals a caller commits or compares (a grid, a constraint set).
+    every closure entry, is an `int` count of 1/`tick`.  `tick` is 2**n,
+    for n non-contingent points, times the least scale that makes
+    integers of epsilon, every constraint delta and link bound, every
+    sampled duration, and `values`, the other rationals a caller commits
+    or compares (a grid, a constraint set).
     Every closure entry, sampled duration, epsilon, delta and candidate
     grid time (sums and differences of these) is then a multiple of 2**n
     ticks.  A time that greedy synthesis commits is such a sum plus a time
@@ -164,7 +166,7 @@ class _Problem:
         edges = [(index[c.source], index[c.target], ticks(c.delta), c.label)
                  for c in network.constraints]
         # Scenario -> (relevant points, relevant links, trie root
-        # [closure, {duration in ticks: child}], durations -> class).
+        # [closure rows or None, {duration in ticks: child}], durations -> class).
         scenarios = {}
         for scenario in dict.fromkeys(drama.scenario for drama in dramas):
             relevant = relevant_timepoints(network, scenario)
@@ -175,8 +177,7 @@ class _Problem:
             links = [(k, link.contingent, index[link.activation], index[link.contingent])
                      for k, link in enumerate(network.links)
                      if link.activation in relevant and link.contingent in relevant]
-            scenarios[scenario] = (relevant, links,
-                                   [DistanceMatrix(ids, rows, self.tick, consistent), {}], {})
+            scenarios[scenario] = (relevant, links, [rows if consistent else None, {}], {})
         self.epsilon = ticks(network.epsilon)
         self.fractions = {}                         # tick count -> its Fraction
         # A class of dramas is keyed by its scenario and the durations of
@@ -190,7 +191,9 @@ class _Problem:
                 for (_, _, activation, contingent), d in zip(links, durations):
                     child = node[1].get(d)
                     if child is None:
-                        child = node[1][d] = [self._with_link(node[0], activation, contingent, d),
+                        # Fix contingent - activation to d; None stays None.
+                        rows = node[0] and _insert(node[0], activation, contingent, d)
+                        child = node[1][d] = [rows and _insert(rows, contingent, activation, -d),
                                               {}]
                     node = child
                 dctx = classes[durations] = _DramaCtx(
@@ -198,18 +201,6 @@ class _Problem:
                     {contingent: d for (_, contingent, _, _), d in zip(links, durations)}, node[0])
                 self.dctxs.append(dctx)
             dctx.dramas.append(drama)
-
-    def _with_link(self, matrix, activation, contingent, duration):
-        """`matrix` with the rigid edges that fix contingent - activation
-        (row positions) to `duration` (in ticks) inserted.  A matrix that
-        is, or that the edges make, inconsistent keeps its rows, flagged."""
-        if not matrix.consistent:
-            return matrix
-        rows = _insert(matrix.rows, activation, contingent, duration)
-        if rows is not None:
-            rows = _insert(rows, contingent, activation, -duration)
-        return DistanceMatrix(matrix.ids, matrix.rows if rows is None else rows,
-                              self.tick, rows is not None)
 
     def ticks(self, value):
         """The rational `value`, which must lie on the lattice, in ticks."""
@@ -327,7 +318,7 @@ class _Problem:
         for point - anchor over the classes of `node`, in ticks, or None
         where unbounded.
 
-        Every matrix has the problem's ids and is closed on ticks, so the
+        Every closure is indexed by `index` and closed on ticks, so the
         entries are read at one pair of positions and compared as
         integers.  A class that does not run `anchor` has `INF` there, so
         it never wins.  The entries depend on the information set alone,
@@ -336,8 +327,8 @@ class _Problem:
         found = node.bounds.get((point, anchor))
         if found is None:
             p, a = self.index[point], self.index[anchor]
-            back = min(d.matrix.rows[p][a] for d in node.dctxs)
-            fwd = min(d.matrix.rows[a][p] for d in node.dctxs)
+            back = min(d.rows[p][a] for d in node.dctxs)
+            fwd = min(d.rows[a][p] for d in node.dctxs)
             found = tuple(None if entry == INF else entry for entry in (back, fwd))
             node.bounds[(point, anchor)] = found
         return found
@@ -577,7 +568,7 @@ def _exhaustive_witness(problem, grid, budget):
     window over the information set (`_window_commits`).
 
     That prunes no viable leaf and admits no violation.  Each drama's
-    matrix is the closure of its floored projection with the rigid link
+    closure (`rows`) is that of its floored projection with the rigid link
     edges, so it is decomposable (Dechter, Meiri & Pearl, 1991): times for
     some of its points that meet every closure entry between them extend
     to a solution.  The window meets the entries between the point and
@@ -604,9 +595,10 @@ def tree_strategy_masks(network, constraint_sets, grid):
     Bit i of a mask is set when the strategy violates some constraint of
     `constraint_sets[i]` in some drama whose scenario makes its label
     true.  The full mask set supports questions like "is every strategy
-    viable for set 0 also viable for set 1".  Raises `ValueError` when a
-    label names a letter the network lacks, and `RuntimeError` when more
-    than MASKS_BUDGET tree nodes are entered.
+    viable for set 0 also viable for set 1".  Raises `ValueError` when
+    the network does not validate or a label names a letter the network
+    lacks, and `RuntimeError` when more than MASKS_BUDGET tree nodes are
+    entered.
 
     The walk is the witness search's (`_window_commits`) over a copy of
     `network` without its constraints, which no mask reads: there only the
@@ -615,6 +607,9 @@ def tree_strategy_masks(network, constraint_sets, grid):
     times; each drama ends at one leaf, so a tree's mask is the union of
     its leaves' masks.
     """
+    report = validate(network)
+    if not report.ok:
+        raise ValueError("network does not validate:\n%s" % report)
     free = Network(network.timepoints.values(), letters=network.letters,
                    observations=network.observations, links=network.links,
                    epsilon=network.epsilon)
@@ -693,7 +688,7 @@ def check_dc(network, grid=DEFAULT_GRID, max_letters=MAX_LETTERS, max_links=MAX_
 
     # The first member of the first inconsistent class is the first
     # inconsistent drama: classes come in the order of their first members.
-    bad = next((d for d in problem.dctxs if not d.matrix.consistent), None)
+    bad = next((d for d in problem.dctxs if d.rows is None), None)
     if bad is not None:
         return DcResult("not-controllable",
                         evidence="projection for drama %s is inconsistent" % (bad.drama,),

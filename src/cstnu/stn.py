@@ -6,8 +6,8 @@ A Floyd-Warshall closure is used: networks here are desk scale and the
 matrix is reused by schedule checking and strategy synthesis.
 
 The closure runs on integers, in one routine (`_close`).  `solve`
-multiplies every delta by one `scale`, by default the least that makes
-each an `int` (`rational._least_scale`), and closes the scaled graph.
+multiplies every delta by one `scale`, the least that makes each an
+`int` (`rational._least_scale`), and closes the scaled graph.
 Shortest-path weights are sums of deltas, and scaling by a positive
 constant preserves sums and order, so the scaled closure is the closure
 of the original graph times that constant: nothing is rounded, and a
@@ -38,9 +38,8 @@ class DistanceMatrix:
     holds; otherwise some negative-cost cycle exists.  The closure is held
     as integers scaled by `scale` (see `solve`), or `INF`:
     `rows[index[source]][index[target]]` bounds target - source times
-    `scale`.  `distance` makes the `Fraction` of one entry.  Callers that
-    compare the entries of many matrices over one id list (the DC search)
-    close them all on one `scale` and keep the bounds as integers.
+    `scale`.  `distance` makes the `Fraction` of one entry.  Only `solve`
+    builds one: the DC search keeps its closures as bare rows.
     """
 
     def __init__(self, ids, rows, scale, consistent):
@@ -60,20 +59,17 @@ class DistanceMatrix:
         return Fraction(d, self.scale)
 
 
-def solve(stn, scale=None):
+def solve(stn):
     """Shortest-path closure of `stn`; `consistent` is False on a negative cycle.
 
-    The deltas are multiplied by `scale` and closed over `int` by
-    `_close`, which is exact (see the module docstring) and several times
-    faster than closing over `Fraction`.  `scale` defaults to the least
-    that makes every delta an integer; a given one must make each an
-    integer, or `ValueError` is raised.  The rows are indexed by the
-    sorted point ids.
+    The deltas are multiplied by the least scale that makes each an
+    integer and closed over `int` by `_close`, which is exact (see the
+    module docstring) and several times faster than closing over
+    `Fraction`.  The rows are indexed by the sorted point ids.
     """
     ids = sorted(stn.timepoints)
     index = {t: i for i, t in enumerate(ids)}
-    if scale is None:
-        scale = _least_scale(c.delta for c in stn.constraints)
+    scale = _least_scale(c.delta for c in stn.constraints)
     rows, consistent = _close(len(ids), [
         (index[c.source], index[c.target], _scaled(c.delta, scale)) for c in stn.constraints])
     return DistanceMatrix(ids, rows, scale, consistent)

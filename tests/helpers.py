@@ -335,20 +335,27 @@ def shifted_entry(network_data, strategy_data, pos):
     return {**strategy_data, "entries": entries}
 
 
-def fraction_window(dctxs, committed, point):
+def tick_distance(problem, dctx, source, target):
+    """The closure entry of class `dctx` of `problem` for target - source,
+    as an exact `Fraction` (its ticks over `problem.tick`), or `INF`."""
+    entry = dctx.rows[problem.index[source]][problem.index[target]]
+    return INF if entry == INF else Fraction(entry, problem.tick)
+
+
+def fraction_window(problem, dctxs, committed, point):
     """`search._Problem.window` as it was before it read the closures as
-    integers: every entry through `DistanceMatrix.distance`, as a
-    `Fraction`.  Kept as the reference for the integer window."""
+    integers: every entry as a `Fraction` (`tick_distance`), compared with
+    `Fraction` times.  Kept as the reference for the integer window."""
     lb, ub = Fraction(0), None
     for d in dctxs:
-        floor = d.matrix.distance(point, _ORIGIN)
+        floor = tick_distance(problem, d, point, _ORIGIN)
         if floor != INF and -floor > lb:
             lb = -floor
         for anchor, t in committed.items():
             if anchor not in d.relevant:
                 continue
-            fwd = d.matrix.distance(anchor, point)
-            back = d.matrix.distance(point, anchor)
+            fwd = tick_distance(problem, d, anchor, point)
+            back = tick_distance(problem, d, point, anchor)
             if back != INF and t - back > lb:
                 lb = t - back
             if fwd != INF:

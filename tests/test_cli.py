@@ -386,6 +386,22 @@ def test_propagate_on_the_dead_label_workflow_is_pinned(capsys, tmp_path):
     assert hashlib.sha256(trace.read_text().encode()).hexdigest() == DEAD_LABEL_TRACE_DIGEST
 
 
+# sha256 of `check-dc --json` on tests/dead_label_workflow.json, the only
+# committed input whose verdict comes from an inconsistent class of dramas
+# (exit 1).  Pinned before the search kept its closures as bare rows; the
+# CI step that runs the installed `cstnu check-dc --json` on the file checks
+# its output against this line.
+DEAD_LABEL_CHECK_DC_DIGEST = "aa29bef6e2d73cfa2de045e08506fbf4c3f4bc37d23af4e23ef889bd4351db42"
+
+
+def test_check_dc_on_the_dead_label_workflow_is_pinned(capsys):
+    code, out, _ = run(capsys, "check-dc", "--json", DEAD_LABEL_WORKFLOW)
+    assert code == 1
+    assert json.loads(out)["evidence"] == (
+        "projection for drama s=a=1,b=1 w=(9,7,1,10,4) is inconsistent")
+    assert hashlib.sha256(out.encode()).hexdigest() == DEAD_LABEL_CHECK_DC_DIGEST
+
+
 # sha256 of `check-dc --json --grid 6` on the fixture: 15 552 dramas in
 # 2 592 classes of one scenario and one set of relevant durations, which
 # the search runs once each.  Pinned before the search ran per class; the

@@ -1,6 +1,7 @@
 """Scenario, situation, and drama projections."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,11 @@ def test_sample_situations_grid():
     assert sorted({w[1] for w in situations}) == [0, 5, 10]
     with pytest.raises(ValueError):
         sample_situations(links, grid=1)
+    # A grid that is not an int, a bool included.
+    for bad in (2.5, 3.0, "3", True, False):
+        message = "^grid must be an int, not %s$" % re.escape(repr(bad))
+        with pytest.raises(ValueError, match=message):
+            sample_situations(links, bad)
 
 
 def test_relevant_timepoints_and_scenario_projection():
@@ -74,6 +80,16 @@ def test_situation_projection_rigid_durations():
         situation_projection(net, tuple(l.upper + 1 for l in net.links))
     with pytest.raises(ValueError):
         situation_projection(net, ())
+    # A duration that is neither an int nor a Fraction: 2.0 was read as a
+    # number, "2" raised TypeError and True was read as 1.
+    first = net.links[0]
+    for bad in (2.0, "2", True):
+        message = (r"^duration %s for link \(%s, %s\) is not an int or a Fraction$"
+                   % (re.escape(repr(bad)), first.activation, first.contingent))
+        with pytest.raises(ValueError, match=message):
+            situation_projection(net, (bad, *lows[1:]))
+        with pytest.raises(ValueError, match=message):
+            drama_projection(net, Scenario({}), (bad, *lows[1:]))
 
 
 def test_drama_projection_drops_irrelevant_links():

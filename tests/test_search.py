@@ -16,12 +16,12 @@ from cstnu import (ContingentLink, Drama, LabeledConstraint, Network, Scenario, 
                    tree_strategy_masks, solve, verify_cstn_embedding, verify_stnu_embedding)
 from cstnu.fixtures import (branching_workflow_text, modification_study,
                             tight_contingent_stnu)
-from cstnu.rational import _least_scale
+from cstnu.rational import INF, _least_scale
 from cstnu.semantics import _check_viable, _events, _history, _ScaledStrategy
 from cstnu.stn import floored
 from helpers import (fraction_window, greedy_trap, grid_witness, link_chain, naive_events,
                      naive_next_divergence, naive_viable, random_cstn, random_cstn_strategy,
-                     random_consistent_stn, random_stnu, random_stnu_strategy)
+                     random_consistent_stn, random_stnu, random_stnu_strategy, tick_distance)
 
 
 def test_consistent_stn_is_controllable():
@@ -213,6 +213,28 @@ def test_tree_strategy_masks_reject_an_undeclared_letter():
         tree_strategy_masks(net, [[undeclared]], grid)
 
 
+def test_tree_strategy_masks_reject_an_invalid_network():
+    # Two links share the contingent point C.  The masks read as "no
+    # strategy at all" (an empty set) before the network was validated.
+    net = Network(timepoints=["A", "B", "C"],
+                  constraints=[LabeledConstraint("A", "C", 3), LabeledConstraint("C", "A", -1),
+                               LabeledConstraint("B", "C", 3), LabeledConstraint("C", "B", -1)],
+                  links=[ContingentLink("A", 1, 3, "C"), ContingentLink("B", 1, 3, "C")])
+    with pytest.raises(ValueError, match="^network does not validate:\n.*'C' shared by two links"):
+        tree_strategy_masks(net, [net.constraints], (0, 1, 2, 3))
+
+
+def test_check_dc_rejects_a_grid_that_is_not_an_int():
+    # A float grid raised TypeError from range(); a bool was read as 0 or 1.
+    net = Network(timepoints=["A", "C"],
+                  constraints=[LabeledConstraint("A", "C", 3), LabeledConstraint("C", "A", -1)],
+                  links=[ContingentLink("A", 1, 3, "C")])
+    for bad in (2.5, 3.0, "3", True):
+        with pytest.raises(ValueError, match="^grid must be an int, not "):
+            check_dc(net, grid=bad)
+    assert check_dc(net, grid=3).controllable
+
+
 def test_tightening_preserves_negative_verdicts():
     # tightening a bound never turns not-controllable into controllable
     rng = random.Random(19)
@@ -319,7 +341,7 @@ def _witness_problems():
         situations = sample_situations(net.links)
         problem = search._Problem(net, [Drama(s, w) for s in enumerate_scenarios(net.letters)
                                         for w in situations])
-        if (all(d.matrix.consistent for d in problem.dctxs)
+        if (all(d.rows is not None for d in problem.dctxs)
                 and search._synthesize(problem) is None):
             yield name, problem, candidate_time_grid(net, situations)
 
@@ -389,7 +411,7 @@ def test_integer_window_matches_fraction_window(monkeypatch):
         lb, ub = got
         exact = Fraction(lb, problem.tick), None if ub is None else Fraction(ub, problem.tick)
         committed = {p: Fraction(t, problem.tick) for p, t in node.committed.items()}
-        assert repr(exact) == repr(fraction_window(node.dctxs, committed, point))
+        assert repr(exact) == repr(fraction_window(problem, node.dctxs, committed, point))
         seen["calls"] += 1
         seen["mixed"] += len({scale(problem, d) for d in node.dctxs}) > 1
         return got
@@ -419,23 +441,26 @@ def test_incremental_closures_match_solve():
     for net in networks:
         dramas = [Drama(s, w) for s in enumerate_scenarios(net.letters)
                   for w in sample_situations(net.links)]
-        for d in search._Problem(net, dramas).dctxs:
+        problem = search._Problem(net, dramas)
+        for d in problem.dctxs:
             projection = drama_projection(net, d.drama.scenario, d.drama.situation)
             want = solve(floored(projection, search._ORIGIN))
-            assert d.matrix.consistent == want.consistent
+            assert (d.rows is not None) == want.consistent
             flags.add(want.consistent)
             if want.consistent:
                 for a in want.ids:
                     for b in want.ids:
-                        assert d.matrix.distance(a, b) == want.distance(a, b)
+                        assert tick_distance(problem, d, a, b) == want.distance(a, b)
     assert flags == {True, False}
 
 
 def test_every_closure_is_on_the_problem_tick(monkeypatch):
     # Scenario closures and the closures made from them by inserting rigid
-    # link edges hold ticks, the search's own time unit: on the fixture at
-    # grid 3, on the greedy trap and on the problem tree_strategy_masks
-    # builds, whose tick also counts the grid and the constraint sets.
+    # link edges hold ticks, the search's own time unit: each entry is the
+    # `int` that `solve`'s distance on the floored projection makes when
+    # multiplied by the tick.  On the fixture at grid 3, on the greedy trap
+    # and on the problem tree_strategy_masks builds, whose tick also
+    # counts the grid and the constraint sets.
     problems = []
     for net in (compile_workflow(parse_workflow(branching_workflow_text()))[0], greedy_trap()):
         problems.append(search._Problem(net, [Drama(s, w) for s in enumerate_scenarios(net.letters)
@@ -450,7 +475,18 @@ def test_every_closure_is_on_the_problem_tick(monkeypatch):
     tree_strategy_masks(*modification_study())
     assert [len(p.dctxs) for p in problems] == [162, 2, 4]
     for problem in problems:
-        assert all(d.matrix.scale == problem.tick for d in problem.dctxs)
+        for d in problem.dctxs:
+            want = solve(floored(drama_projection(problem.network, d.drama.scenario,
+                                                  d.drama.situation), search._ORIGIN))
+            assert want.consistent and d.rows is not None
+            for a in want.ids:
+                for b in want.ids:
+                    entry = d.rows[problem.index[a]][problem.index[b]]
+                    exact = want.distance(a, b)
+                    if exact == INF:
+                        assert entry == INF
+                    else:
+                        assert type(entry) is int and entry == exact * problem.tick
 
 
 def test_problem_has_one_context_per_distinct_drama_projection():
@@ -493,7 +529,7 @@ def test_problem_has_one_context_per_distinct_drama_projection():
     # its members share, and the contexts of one scenario share its
     # relevant points: the two scenarios' sets stand in for 162
     # projections.
-    assert len({id(d.matrix) for d in problem.dctxs}) == 162
+    assert len({id(d.rows) for d in problem.dctxs}) == 162
     assert len({(d.drama.scenario, tuple(d.durations.items())) for d in problem.dctxs}) == 162
     assert len({id(d.relevant) for d in problem.dctxs}) == 2
     table = search._synthesize(problem)

@@ -1,6 +1,7 @@
 """Strategies, histories, viability, and the dynamicity checks."""
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -267,6 +268,12 @@ def test_viability_input_errors_and_their_precedence():
         check({Drama(Scenario({}), (Fraction(2),)): schedule(2)})
     with pytest.raises(ValueError, match="schedule domain for s=p=1 w=\\(2\\) is not the expected"):
         check({Drama(p, (Fraction(2),)): {"Op": Fraction(0), "A": Fraction(0)}})
+    # A duration that is neither an int nor a Fraction is named, not read
+    # as a number (True as 1, 2.0 with no denominator).
+    for bad in (2.0, "2", True):
+        with pytest.raises(ValueError, match=r"^duration %s for link \(A, C\) is not an int "
+                                             "or a Fraction$" % re.escape(repr(bad))):
+            check({Drama(p, (bad,)): schedule(2)})
     # The situation of a drama before its scenario.
     with pytest.raises(ValueError, match="duration 5 outside"):
         check({Drama(Scenario({}), (Fraction(5),)): schedule(5)})

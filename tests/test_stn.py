@@ -8,7 +8,7 @@ import pytest
 
 from cstnu import Constraint, Stn, check_solution, earliest_solution, solve
 from cstnu.rational import _least_scale, _scaled
-from cstnu.stn import _insert
+from cstnu.stn import _close, _insert
 from helpers import random_consistent_stn, random_stn
 
 INF = float("inf")
@@ -97,27 +97,10 @@ def test_distances_keep_their_types():
     assert repr(third.rows[third.index["A"]][third.index["C"]]) == "17"
     assert third.rows[third.index["C"]][third.index["A"]] == INF
     assert repr(whole.rows[whole.index["A"]][whole.index["B"]]) == "2"
-
-
-def test_solve_on_a_given_scale():
-    # Closing on k times the least scale gives the least scale's rows
-    # times k: the same distances and the same flag.  A scale on which
-    # some delta is not an integer is refused.
-    rng = random.Random(21)
-    flags = set()
-    for _ in range(200):
-        stn = random_stn(rng, fractions=(Fraction(1, 3), Fraction(2, 7), Fraction(1, 1000)))
-        least = solve(stn)
-        flags.add(least.consistent)
-        for k in (2, 3, 1000):
-            matrix = solve(stn, k * least.scale)
-            assert matrix.scale == k * least.scale and matrix.consistent == least.consistent
-            assert matrix.rows == [[entry * k for entry in row] for row in least.rows]
-            assert all(matrix.distance(a, b) == least.distance(a, b)
-                       for a in stn.timepoints for b in stn.timepoints)
-        with pytest.raises(ValueError, match="is not a multiple of 1/%d$" % (least.scale + 1)):
-            solve(stn, least.scale + 1)
-    assert flags == {True, False}
+    # a value off the scale is refused, not rounded
+    assert _scaled(Fraction(5, 2), 6) == 15
+    with pytest.raises(ValueError, match=r"^5/2 is not a multiple of 1/3$"):
+        _scaled(Fraction(5, 2), 3)
 
 
 def test_insert_matches_solve():
@@ -138,7 +121,9 @@ def test_insert_matches_solve():
         if back != INF and rng.random() < 0.5:
             weight = -back - rng.choice((0, 0, Fraction(1, 4)))   # a zero or negative cycle
         scale = _least_scale([weight, *(c.delta for c in stn.constraints)])
-        rows = solve(stn, scale).rows
+        rows, _ = _close(len(matrix.ids), [
+            (matrix.index[c.source], matrix.index[c.target], _scaled(c.delta, scale))
+            for c in stn.constraints])
         s, t = matrix.index[source], matrix.index[target]
         got = _insert(rows, s, t, _scaled(weight, scale))
         want = solve(Stn(stn.timepoints, stn.constraints | {Constraint(source, target, weight)}))
