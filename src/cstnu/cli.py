@@ -18,7 +18,7 @@ from .model import to_stn, validate
 from .projection import DEFAULT_GRID, Scenario, _project
 from .propagation import DEFAULT_BUDGET, propagate_to_fixpoint
 from .rational import rational
-from .search import MAX_LETTERS, MAX_LINKS, check_dc
+from .search import check_dc
 from .semantics import is_dynamic_star, is_viable
 from .stn import earliest_solution, solve
 from .workflow import WorkflowError, compile_workflow, parse_workflow
@@ -166,8 +166,7 @@ def cmd_propagate(args):
 def cmd_check_dc(args):
     network = _load(args.network, "network", network_from_dict)
     try:
-        result = check_dc(network, grid=args.grid,
-                          max_letters=args.max_letters, max_links=args.max_links)
+        result = check_dc(network, grid=args.grid)
     except ValueError as err:
         raise _InputError(str(err))
     if args.json:
@@ -253,8 +252,6 @@ def build_parser():
     p.add_argument("network")
     p.add_argument("--grid", type=int, default=DEFAULT_GRID,
                    help="sampled durations per contingent link")
-    p.add_argument("--max-letters", type=_count, default=MAX_LETTERS)
-    p.add_argument("--max-links", type=_count, default=MAX_LINKS)
 
     p = add("verify-strategy", cmd_verify_strategy,
             help="check a strategy for viability and dynamicity")

@@ -72,10 +72,24 @@ def _items(data, key, kind):
 
 
 def _label(data):
-    text = data.get("label", "[]")
-    if not isinstance(text, str):
-        raise _wrong_type("label", str, text)
-    return parse_label(text)
+    return parse_label(_field(data, "label", str, "[]"))
+
+
+def _point(data, key):
+    """The point id `data[key]`.  An array or an object is refused here;
+    `Network` refuses the other ids that are not time-points' ones."""
+    point = data[key]
+    if isinstance(point, (list, dict)):
+        raise _wrong_type(key, str, point)
+    return point
+
+
+def _observations(data):
+    """The observation map, letter -> point id; absent or null is empty."""
+    if data.get("observations") is None:
+        return {}
+    observations = _field(data, "observations", dict, {})
+    return {letter: _point(observations, letter) for letter in observations}
 
 
 def network_from_dict(data):
@@ -83,13 +97,13 @@ def network_from_dict(data):
     try:
         return Network(
             timepoints=[TimePoint(tp["id"], _label(tp)) for tp in _items(data, "timepoints", dict)],
-            constraints=[LabeledConstraint(c["from"], c["to"], rational(c["delta"]), _label(c))
+            constraints=[LabeledConstraint(_point(c, "from"), _point(c, "to"),
+                                           rational(c["delta"]), _label(c))
                          for c in _items(data, "constraints", dict)],
             letters=_items(data, "letters", str),
-            observations=({} if data.get("observations") is None
-                          else _field(data, "observations", dict, {})),
-            links=[ContingentLink(l["activation"], rational(l["lower"]),
-                                  rational(l["upper"]), l["contingent"])
+            observations=_observations(data),
+            links=[ContingentLink(_point(l, "activation"), rational(l["lower"]),
+                                  rational(l["upper"]), _point(l, "contingent"))
                    for l in _items(data, "links", dict)],
             epsilon=rational(data.get("epsilon", DEFAULT_EPSILON)))
     except KeyError as err:
@@ -104,10 +118,6 @@ def stn_to_dict(stn):
 
 def _schedule_to_dict(schedule):
     return {point: str(t) for point, t in sorted(schedule.items())}
-
-
-def _schedule_from_dict(data):
-    return {point: rational(t) for point, t in data.items()}
 
 
 def strategy_to_dict(strategy):
@@ -145,7 +155,8 @@ def strategy_from_dict(data):
             _field(scenario, letter, bool, None)
         drama = Drama(Scenario(scenario),
                       tuple(rational(d) for d in _field(entry, "situation", list, [])))
-        table[drama] = _schedule_from_dict(_field(entry, "schedule", dict, {}))
+        table[drama] = {point: rational(t)
+                        for point, t in _field(entry, "schedule", dict, {}).items()}
     return Strategy.from_dramas(kind, table)
 
 

@@ -126,28 +126,37 @@ def relevant_timepoints(network, scenario):
                      if evaluate(tp.label, values))
 
 
+def _scenario_view(network, scenario):
+    """What `scenario` keeps of `network`, as every projection, the
+    certifier and the DC search read it: its relevant points, its truth
+    mapping (a constraint stays iff its label holds there), and the
+    (position, link) of each link whose two end-points are relevant."""
+    relevant = relevant_timepoints(network, scenario)
+    links = [(k, link) for k, link in enumerate(network.links)
+             if link.activation in relevant and link.contingent in relevant]
+    return relevant, scenario.as_mapping(), links
+
+
 def _project(network, scenario, situation):
     """The STN of a drama, with either half optional.
 
-    Without a scenario, every point stays and the constraints are
-    label-erased; with one, only its relevant points and the constraints
-    whose labels hold.  With a situation, each link whose two end-points
-    survive gets its rigid duration.
+    Without a scenario, every point and link stays and the constraints
+    are label-erased; with one, what its view (`_scenario_view`) keeps.
+    With a situation, each kept link gets its rigid duration.
     """
     if situation is not None:
         _check_bounds(network, situation)
     if scenario is None:
-        points = frozenset(network.timepoints)
+        points, links = frozenset(network.timepoints), enumerate(network.links)
         constraints = set(strip_labels(network.constraints))
     else:
-        points = relevant_timepoints(network, scenario)
-        values = scenario.as_mapping()
+        points, truth, links = _scenario_view(network, scenario)
         constraints = {Constraint(c.source, c.target, c.delta)
-                       for c in network.constraints if evaluate(c.label, values)}
-    for d, link in zip(situation or (), network.links):
-        if link.activation in points and link.contingent in points:
-            constraints.add(Constraint(link.activation, link.contingent, d))
-            constraints.add(Constraint(link.contingent, link.activation, -d))
+                       for c in network.constraints if evaluate(c.label, truth)}
+    if situation is not None:
+        for k, link in links:
+            constraints.add(Constraint(link.activation, link.contingent, situation[k]))
+            constraints.add(Constraint(link.contingent, link.activation, -situation[k]))
     return Stn(points, frozenset(constraints))
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .labels import evaluate
 from .model import Network, depth_first, embed_cstn, embed_stnu, validate
-from .projection import (DEFAULT_GRID, Drama, enumerate_scenarios, relevant_timepoints,
+from .projection import (DEFAULT_GRID, Drama, _scenario_view, enumerate_scenarios,
                          sample_situations)
 from .rational import INF, _least_scale, _scaled, rational
 from .semantics import Strategy, _certify, _commit_events
@@ -104,16 +104,18 @@ class _Problem:
 
     Each class's `rows` are the closure of its projection floored at
     `_ORIGIN`: bare integer rows, with no id list or flag of their own.
-    Every closure is indexed by `index`, the network's points and the
-    origin, sorted, so `_bounds` reads the entries of all classes at one
-    pair of positions.  A point that a scenario drops is an isolated row
-    and column: `INF` off the diagonal.  No `Stn` or `Constraint` is
-    built.  The network's constraints become one edge table, (source
-    position, target position, delta in ticks, label), once per problem.
-    Each scenario's floored projection is the table's edges whose labels
-    hold plus an origin floor `_ORIGIN - p <= 0` for each relevant point
-    p, closed once (`stn._close`).  A drama's projection adds, for each
-    link whose two end-points are relevant, the rigid edges c - a <= d
+    Every closure is indexed by `index`, the network's points in their
+    (sorted) order and then a row of the origin, which no point name can
+    share, so `_bounds` reads the entries of all classes at one pair of
+    positions.  A point that a scenario drops is an isolated row and
+    column: `INF` off the diagonal.  No `Stn` or `Constraint` is built.
+    The network's constraints become one edge table, (source position,
+    target position, delta in ticks, label), once per problem.  What a
+    scenario keeps (relevant points, truth mapping, relevant links) is
+    read from `projection._scenario_view`.  Its floored projection is the
+    table's edges whose labels hold plus an origin floor `_ORIGIN - p <= 0`
+    for each relevant point p, closed once (`stn._close`).  A drama's
+    projection adds, for each relevant link, the rigid edges c - a <= d
     and a - c <= -d; they are inserted one edge at a time (`stn._insert`)
     into the scenario's closure, in link order, once per class.  The
     classes of a scenario are the leaves of its trie, keyed by the
@@ -121,8 +123,8 @@ class _Problem:
     agree on a prefix of durations share that prefix's closure, and an
     inserted edge shares every row it cannot change.  An inconsistent
     closure is None, and so is every closure below it.  Certification
-    reads none of this: `semantics._certify` selects each scenario's
-    constraints from the network itself.
+    reads none of this: `semantics._certify` reads each scenario's view
+    and constraints from the network itself.
 
     The search runs on one integer time lattice, and every closure is
     closed on it: every time the search commits, compares or hashes, and
@@ -160,8 +162,7 @@ class _Problem:
             *(b for link in network.links for b in (link.lower, link.upper)),
             *(d for drama in dramas for d in drama.situation), *map(rational, values)])
         ticks = self.ticks
-        ids = sorted({*network.timepoints, _ORIGIN})
-        self.index = index = {t: i for i, t in enumerate(ids)}
+        self.index = index = {t: i for i, t in enumerate([*network.timepoints, _ORIGIN])}
         origin = index[_ORIGIN]
         edges = [(index[c.source], index[c.target], ticks(c.delta), c.label)
                  for c in network.constraints]
@@ -169,14 +170,12 @@ class _Problem:
         # [closure rows or None, {duration in ticks: child}], durations -> class).
         scenarios = {}
         for scenario in dict.fromkeys(drama.scenario for drama in dramas):
-            relevant = relevant_timepoints(network, scenario)
-            truth = scenario.as_mapping()
-            rows, consistent = _close(len(ids), [
+            relevant, truth, links = _scenario_view(network, scenario)
+            rows, consistent = _close(len(index), [
                 *((i, j, delta) for i, j, delta, label in edges if evaluate(label, truth)),
                 *((index[point], origin, 0) for point in relevant)])
             links = [(k, link.contingent, index[link.activation], index[link.contingent])
-                     for k, link in enumerate(network.links)
-                     if link.activation in relevant and link.contingent in relevant]
+                     for k, link in links]
             scenarios[scenario] = (relevant, links, [rows if consistent else None, {}], {})
         self.epsilon = ticks(network.epsilon)
         self.fractions = {}                         # tick count -> its Fraction
@@ -343,10 +342,10 @@ def _diverging(per_class):
                      - frozenset.intersection(*distinct))
 
 
-# Virtual origin pinned at time 0.  Every point is floored at it, so the
-# distance matrix yields absolute earliest times even before any real
-# point has been committed.
-_ORIGIN = "__origin__"
+# Virtual origin pinned at time 0, keying its own row of `_Problem.index`
+# after the points (no point id is `None`).  Every point is floored at it,
+# so a closure holds absolute earliest times before anything is committed.
+_ORIGIN = None
 
 
 class _Budget(Exception):
@@ -619,10 +618,12 @@ def tree_strategy_masks(network, constraint_sets, grid):
     problem = _Problem(free, dramas,
                        (*grid, *(c.delta for constraints in constraint_sets for c in constraints)))
     # Scenario -> per set, the (source, target, delta in ticks) whose labels hold
-    checks = {s: [[(c.source, c.target, problem.ticks(c.delta))
-                   for c in constraints if evaluate(c.label, s.as_mapping())]
-                  for constraints in constraint_sets]
-              for s in scenarios}
+    checks = {}
+    for s in scenarios:
+        truth = s.as_mapping()
+        checks[s] = [[(c.source, c.target, problem.ticks(c.delta))
+                      for c in constraints if evaluate(c.label, truth)]
+                     for constraints in constraint_sets]
 
     def leaf(node):
         mask = 0
@@ -664,20 +665,21 @@ class DcResult:
         return "; ".join(parts)
 
 
-def check_dc(network, grid=DEFAULT_GRID, max_letters=MAX_LETTERS, max_links=MAX_LINKS):
+def check_dc(network, grid=DEFAULT_GRID):
     """Dynamic-controllability check over the sampled drama set.
 
-    When greedy synthesis fails on a network of at most
+    A network with more than MAX_LETTERS letters or MAX_LINKS links is a
+    `ValueError`.  When greedy synthesis fails on a network of at most
     EXHAUSTIVE_POINTS points, the candidate-time grid is searched
     exhaustively, entering at most EXHAUSTIVE_BUDGET tree nodes.
     """
     report = validate(network)
     if not report.ok:
         raise ValueError("network does not validate:\n%s" % report)
-    if len(network.letters) > max_letters:
-        raise ValueError("letter cap exceeded: %d > %d" % (len(network.letters), max_letters))
-    if len(network.links) > max_links:
-        raise ValueError("link cap exceeded: %d > %d" % (len(network.links), max_links))
+    if len(network.letters) > MAX_LETTERS:
+        raise ValueError("letter cap exceeded: %d > %d" % (len(network.letters), MAX_LETTERS))
+    if len(network.links) > MAX_LINKS:
+        raise ValueError("link cap exceeded: %d > %d" % (len(network.links), MAX_LINKS))
 
     scenarios = enumerate_scenarios(network.letters)
     situations = sample_situations(network.links, grid)

@@ -11,8 +11,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .labels import Label, con, evaluate
-from .model import Constraint
-from .projection import Drama, Scenario, _check_bounds, _check_total, relevant_timepoints
+from .model import Constraint, strip_labels
+from .projection import Drama, Scenario, _check_bounds, _check_total, _scenario_view
 from .rational import _least_scale, _scaled, rational
 
 _NO_SCENARIO = Scenario({})
@@ -252,29 +252,33 @@ def is_viable(network, strategy):
 def _check_viable(network, view):
     """`is_viable` on the scaled view `view`, without its input checks.
 
-    A drama's projection is its scenario's relevant points and the
-    constraints whose labels hold, plus two rigid constraints per link
-    with both end-points relevant.  Each scenario's points and constraints
-    are selected from `network` once, and each row of the view (one
-    scenario and one schedule) is checked once against them, at its first
-    index: its domain, then its scenario's constraints.  Each index then
-    checks its own durations, since dramas with one scenario and one
-    schedule can differ in a relevant link's duration: the rigid pair of
-    a link holds iff the row's `t_contingent - t_activation` equals the
-    duration.  A constraint `target - source <= delta` fails iff
+    A drama's projection is what its scenario keeps of the network
+    (`projection._scenario_view`: its relevant points, the constraints
+    whose labels hold, the links with both end-points relevant), plus two
+    rigid constraints per kept link.  Each scenario's view is read, and
+    `network.constraints` filtered by its truth mapping, once; each row of
+    the view (one scenario and one schedule) is checked once against
+    them, at its first index: its domain, then its scenario's
+    constraints.  Each index then checks its own durations, since dramas
+    with one scenario and one schedule can differ in a relevant link's
+    duration: the rigid pair of a link holds iff the row's
+    `t_contingent - t_activation` equals the duration.  A constraint
+    `target - source <= delta` fails iff
     `(t_target - t_source) * delta.denominator > delta.numerator * scale`:
-    both sides are the exact ones times `scale * delta.denominator`.  The
-    rigid `Constraint`s are built only for the first failing index, to
-    report its least violated constraint."""
+    both sides are the exact ones times `scale * delta.denominator`.  Only
+    the first failing index gets `Constraint`s: its violated ones
+    label-erased and its rigid ones, to report the least violated one."""
     scale = view.scale
-    selected = {}           # Scenario -> (relevant points, constraints, relevant links)
+    selected = {}           # Scenario -> (relevant points, constraints that hold, relevant links)
     checked = {}            # row -> (violated constraints, [(link position, link, span)])
     for index, drama, row in zip(view.indices, view.dramas, view.row_of):
         found = checked.get(row)
         if found is None:
             scenario, schedule = view.rows[row]
             if scenario not in selected:
-                selected[scenario] = _scenario_constraints(network, scenario)
+                relevant, truth, links = _scenario_view(network, scenario)
+                selected[scenario] = (relevant, [c for c in network.constraints
+                                                 if evaluate(c.label, truth)], links)
             relevant, constraints, links = selected[scenario]
             if frozenset(schedule) != relevant:
                 raise ValueError("schedule domain for %s is not the expected point set" % (index,))
@@ -293,21 +297,8 @@ def _check_viable(network, view):
                      if span * d.denominator > d.numerator * scale
                      else Constraint(link.contingent, link.activation, -d)
                      for link, span, d in unfixed]
-            return ViabilityResult(False, index, min(violated + rigid, key=str))
+            return ViabilityResult(False, index, min([*strip_labels(violated), *rigid], key=str))
     return ViabilityResult(True)
-
-
-def _scenario_constraints(network, scenario):
-    """The relevant points of `scenario`, the constraints whose labels
-    hold in it, label-erased, and the (position, link) of each link with
-    both end-points relevant."""
-    relevant = relevant_timepoints(network, scenario)
-    truth = scenario.as_mapping()
-    constraints = {Constraint(c.source, c.target, c.delta) for c in network.constraints
-                   if evaluate(c.label, truth)}
-    links = [(k, link) for k, link in enumerate(network.links)
-             if link.activation in relevant and link.contingent in relevant]
-    return relevant, constraints, links
 
 
 @dataclass

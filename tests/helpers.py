@@ -335,10 +335,23 @@ def shifted_entry(network_data, strategy_data, pos):
     return {**strategy_data, "entries": entries}
 
 
+# The origin of a reference projection (`stn.floored`), a name that no
+# test network gives a point; the search's own origin is a row, not a name.
+REFERENCE_ORIGIN = "origin'"
+
+
+def positions(problem):
+    """Where each point of a reference projection sits in the closures of
+    `problem`: a point at its `problem.index` row, `REFERENCE_ORIGIN` at
+    the origin's."""
+    return {**problem.index, REFERENCE_ORIGIN: problem.index[_ORIGIN]}
+
+
 def tick_distance(problem, dctx, source, target):
-    """The closure entry of class `dctx` of `problem` for target - source,
-    as an exact `Fraction` (its ticks over `problem.tick`), or `INF`."""
-    entry = dctx.rows[problem.index[source]][problem.index[target]]
+    """The closure entry of class `dctx` of `problem` at the positions
+    `source` and `target` of `problem.index` (for target - source), as an
+    exact `Fraction` (its ticks over `problem.tick`), or `INF`."""
+    entry = dctx.rows[source][target]
     return INF if entry == INF else Fraction(entry, problem.tick)
 
 
@@ -346,16 +359,17 @@ def fraction_window(problem, dctxs, committed, point):
     """`search._Problem.window` as it was before it read the closures as
     integers: every entry as a `Fraction` (`tick_distance`), compared with
     `Fraction` times.  Kept as the reference for the integer window."""
+    at = problem.index
     lb, ub = Fraction(0), None
     for d in dctxs:
-        floor = tick_distance(problem, d, point, _ORIGIN)
+        floor = tick_distance(problem, d, at[point], at[_ORIGIN])
         if floor != INF and -floor > lb:
             lb = -floor
         for anchor, t in committed.items():
             if anchor not in d.relevant:
                 continue
-            fwd = tick_distance(problem, d, anchor, point)
-            back = tick_distance(problem, d, point, anchor)
+            fwd = tick_distance(problem, d, at[anchor], at[point])
+            back = tick_distance(problem, d, at[point], at[anchor])
             if back != INF and t - back > lb:
                 lb = t - back
             if fwd != INF:

@@ -16,7 +16,7 @@ from cstnu.fixtures import branching_workflow_text, tight_contingent_stnu
 from cstnu.jsonio import dumps, network_to_dict
 from cstnu.projection import DEFAULT_GRID, sample_situations
 from cstnu.propagation import DEFAULT_BUDGET, propagate_to_fixpoint
-from cstnu.search import MAX_LETTERS, MAX_LINKS, check_dc
+from cstnu.search import check_dc
 from helpers import (DEAD_LABEL_WORKFLOW, GREEDY_TRAP, MIXED_DENOMINATORS,
                      later_classmates, link_chain, mixed_denominators, shifted_entry)
 
@@ -266,9 +266,7 @@ def test_propagate_output_does_not_depend_on_string_hashing(tmp_path):
     assert json.loads(outputs[0][0])["saturated"]
 
 
-@pytest.mark.parametrize("command, flag", [
-    ("propagate", "--budget"), ("check-dc", "--max-letters"),
-    ("check-dc", "--max-links")])
+@pytest.mark.parametrize("command, flag", [("propagate", "--budget")])
 def test_negative_counts_are_usage_errors(capsys, bad_stnu, command, flag):
     code, out, err = run(capsys, command, bad_stnu, flag, "-1")
     assert code == 2 and out == ""
@@ -283,8 +281,8 @@ def test_propagate_budget_default_is_the_module_constant():
 
 def test_check_dc_defaults_are_the_module_constants():
     args = build_parser().parse_args(["check-dc", "net.json"])
-    assert (args.grid, args.max_letters, args.max_links) == (DEFAULT_GRID, MAX_LETTERS, MAX_LINKS)
-    assert check_dc.__defaults__ == (DEFAULT_GRID, MAX_LETTERS, MAX_LINKS)
+    assert args.grid == DEFAULT_GRID
+    assert check_dc.__defaults__ == (DEFAULT_GRID,)
     assert sample_situations.__defaults__ == (DEFAULT_GRID,)
 
 

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from cstnu import Scenario, Strategy, check_dc, cli, solve, to_stn
-from cstnu.fixtures import tight_contingent_stnu
+from cstnu import (Network, Scenario, Strategy, check_dc, cli, compile_workflow,
+                   parse_workflow, solve, to_stn)
+from cstnu.fixtures import branching_workflow_text, tight_contingent_stnu
 from cstnu.jsonio import (dumps, loads, network_from_dict, network_to_dict,
                           stn_to_dict, strategy_from_dict, strategy_to_dict)
 from helpers import random_cstn, random_stnu
@@ -46,16 +47,20 @@ def test_strategy_round_trip_cstn():
 
 
 def test_strategy_round_trip_stnu_and_kind_inference():
-    result = check_dc(random_stnu(random.Random(7), consistent=True))
-    if result.strategy is None:
-        return
-    data = strategy_to_dict(result.strategy)
-    back = strategy_from_dict(data)
-    assert back.kind == result.strategy.kind
-    assert back.table == result.strategy.table
-    # kind can also be inferred from the entry shape
-    data.pop("kind")
-    assert strategy_from_dict(data).table == back.table
+    stnu = random_stnu(random.Random(7), consistent=True)
+    cstnu = compile_workflow(parse_workflow(branching_workflow_text()))[0]
+    cstn = Network(["O", "X"], letters=["p"], observations={"p": "O"})
+    for net, kind in ((stnu, "stnu"), (cstnu, "cstnu"), (cstn, "cstn")):
+        result = check_dc(net)
+        assert result.strategy is not None and result.strategy.kind == kind
+        data = strategy_to_dict(result.strategy)
+        back = strategy_from_dict(data)
+        assert back.kind == kind
+        assert back.table == result.strategy.table
+        # kind can also be inferred from the entry shape
+        data.pop("kind")
+        inferred = strategy_from_dict(data)
+        assert (inferred.kind, inferred.table) == (kind, back.table)
 
 
 @pytest.mark.parametrize("kind", ["foo", "stn", ""])
@@ -80,6 +85,13 @@ def _network(**fields):
     (_network(links=5), "links"),
     (_network(links=[5]), "links"),
     (_network(letters=["p"], observations=[["p", "A"]]), "observations"),
+    (_network(constraints=[{"from": ["A"], "to": "B", "delta": "1"}]), "from"),
+    (_network(constraints=[{"from": "A", "to": ["B"], "delta": "1"}]), "to"),
+    (_network(links=[{"activation": ["A"], "lower": "1", "upper": "2", "contingent": "B"}]),
+     "activation"),
+    (_network(links=[{"activation": "A", "lower": "1", "upper": "2", "contingent": ["B"]}]),
+     "contingent"),
+    (_network(letters=["p"], observations={"p": ["A"]}), "p"),
 ])
 def test_network_fields_of_the_wrong_type_are_named(data, field):
     with pytest.raises(ValueError, match="field '%s': expected" % field):

@@ -19,9 +19,10 @@ from cstnu.fixtures import (branching_workflow_text, modification_study,
 from cstnu.rational import INF, _least_scale
 from cstnu.semantics import _check_viable, _events, _history, _ScaledStrategy
 from cstnu.stn import floored
-from helpers import (fraction_window, greedy_trap, grid_witness, link_chain, naive_events,
-                     naive_next_divergence, naive_viable, random_cstn, random_cstn_strategy,
-                     random_consistent_stn, random_stnu, random_stnu_strategy, tick_distance)
+from helpers import (REFERENCE_ORIGIN, fraction_window, greedy_trap, grid_witness, link_chain,
+                     naive_events, naive_next_divergence, naive_viable, positions, random_cstn,
+                     random_cstn_strategy, random_consistent_stn, random_stnu,
+                     random_stnu_strategy, tick_distance)
 
 
 def test_consistent_stn_is_controllable():
@@ -132,13 +133,16 @@ def test_epsilon_overshoot_halves_the_gap_to_the_window():
                 for s, schedule in result.strategy.table.items()} == want
 
 
-def test_caps_enforced():
+def test_caps_enforced(monkeypatch):
+    # The caps are module constants, read when `check_dc` runs.
     net = random_cstn(random.Random(3))
-    with pytest.raises(ValueError):
-        check_dc(net, max_letters=0)
+    monkeypatch.setattr(search, "MAX_LETTERS", 0)
+    with pytest.raises(ValueError, match="letter cap exceeded"):
+        check_dc(net)
     stnu = random_stnu(random.Random(3))
-    with pytest.raises(ValueError):
-        check_dc(stnu, max_links=0)
+    monkeypatch.setattr(search, "MAX_LINKS", 0)
+    with pytest.raises(ValueError, match="link cap exceeded"):
+        check_dc(stnu)
 
 
 def test_invalid_network_rejected():
@@ -146,6 +150,44 @@ def test_invalid_network_rejected():
                   links=[ContingentLink("A", Fraction(1), Fraction(3), "C")])
     with pytest.raises(ValueError):
         check_dc(net)
+
+
+def _renamed(network, old, new):
+    """`network` with its point `old` called `new`."""
+    name = {old: new}.get
+    return Network([TimePoint(name(tp.id, tp.id), tp.label) for tp in network.timepoints.values()],
+                   [LabeledConstraint(name(c.source, c.source), name(c.target, c.target),
+                                      c.delta, c.label) for c in network.constraints],
+                   letters=network.letters,
+                   observations={letter: name(point, point)
+                                 for letter, point in network.observations.items()},
+                   links=[ContingentLink(name(link.activation, link.activation), link.lower,
+                                         link.upper, name(link.contingent, link.contingent))
+                          for link in network.links],
+                   epsilon=network.epsilon)
+
+
+def test_a_point_named_like_the_origin_is_an_ordinary_point():
+    # The search's virtual origin is a row of its own, not a point name, so
+    # a point called "__origin__" is a point like any other: each network
+    # gets the verdict, evidence and strategy of a copy with that point
+    # renamed.  Each new name sorts where "__origin__" does among the
+    # other points, so both copies run their points in the same order.
+    fixture = compile_workflow(parse_workflow(branching_workflow_text()))[0]
+    cases = [(Network(["__origin__", "B"], [LabeledConstraint("__origin__", "B", -5),
+                                            LabeledConstraint("B", "__origin__", 10)]), "O"),
+             (_renamed(greedy_trap(), "X3", "__origin__"), "X3"),
+             (_renamed(fixture, "T5_S", "__origin__"), "T5_S")]
+    verdicts = []
+    for net, name in cases:
+        got, want = check_dc(net), check_dc(_renamed(net, "__origin__", name))
+        verdicts.append(got.verdict)
+        assert (got.verdict, got.evidence, got.sample) == (want.verdict, want.evidence, want.sample)
+        assert got.strategy.kind == want.strategy.kind
+        assert {index: {name if point == "__origin__" else point: t
+                        for point, t in schedule.items()}
+                for index, schedule in got.strategy.table.items()} == want.strategy.table
+    assert verdicts == ["controllable"] * 3
 
 
 def test_candidate_time_grid():
@@ -431,7 +473,7 @@ def test_incremental_closures_match_solve():
     # Every drama's closure, made from its scenario's by inserting the
     # rigid link edges, against a full closure of its floored projection:
     # the same flag and, when consistent, the same distances among its
-    # relevant points and the origin.
+    # relevant points and the origin, read at the same positions.
     networks = [compile_workflow(parse_workflow(branching_workflow_text()))[0]]
     fractions = (Fraction(1, 3), Fraction(1, 7), Fraction(5, 2))
     rng = random.Random(14)
@@ -444,13 +486,14 @@ def test_incremental_closures_match_solve():
         problem = search._Problem(net, dramas)
         for d in problem.dctxs:
             projection = drama_projection(net, d.drama.scenario, d.drama.situation)
-            want = solve(floored(projection, search._ORIGIN))
+            want = solve(floored(projection, REFERENCE_ORIGIN))
             assert (d.rows is not None) == want.consistent
             flags.add(want.consistent)
             if want.consistent:
+                at = positions(problem)
                 for a in want.ids:
                     for b in want.ids:
-                        assert tick_distance(problem, d, a, b) == want.distance(a, b)
+                        assert tick_distance(problem, d, at[a], at[b]) == want.distance(a, b)
     assert flags == {True, False}
 
 
@@ -475,13 +518,14 @@ def test_every_closure_is_on_the_problem_tick(monkeypatch):
     tree_strategy_masks(*modification_study())
     assert [len(p.dctxs) for p in problems] == [162, 2, 4]
     for problem in problems:
+        at = positions(problem)
         for d in problem.dctxs:
             want = solve(floored(drama_projection(problem.network, d.drama.scenario,
-                                                  d.drama.situation), search._ORIGIN))
+                                                  d.drama.situation), REFERENCE_ORIGIN))
             assert want.consistent and d.rows is not None
             for a in want.ids:
                 for b in want.ids:
-                    entry = d.rows[problem.index[a]][problem.index[b]]
+                    entry = d.rows[at[a]][at[b]]
                     exact = want.distance(a, b)
                     if exact == INF:
                         assert entry == INF
