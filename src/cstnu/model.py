@@ -9,7 +9,7 @@ diagnostic tool.
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .labels import EMPTY, INCONSISTENT, Label, conjoin, sub
+from .labels import EMPTY, INCONSISTENT, Label, _check_letter, conjoin, sub
 from .rational import rational
 
 DEFAULT_EPSILON = Fraction(1, 1000)
@@ -95,10 +95,11 @@ class Network:
     """A CSTNU; STN/CSTN/STNU are the degenerate kinds.
 
     Immutable after construction.  Structural well-formedness (ids exist,
-    letters declared, bounds are rationals) is enforced here: constraint
-    deltas and link bounds pass through `rational()`, so floats and
-    non-numeric strings raise `ValueError`.  The WD and link conditions
-    are checked by the validators, which report rather than raise.
+    letters are single alphanumeric symbols and declared, bounds are
+    rationals) is enforced here: constraint deltas and link bounds pass
+    through `rational()`, so floats and non-numeric strings raise
+    `ValueError`.  The WD and link conditions are checked by the
+    validators, which report rather than raise.
     """
 
     def __init__(self, timepoints, constraints=(), letters=(), observations=None,
@@ -113,7 +114,7 @@ class Network:
                 raise ValueError("duplicate time-point id %r" % (tp.id,))
             tps[tp.id] = tp
         self.timepoints = dict(sorted(tps.items()))
-        self.letters = frozenset(letters)
+        self.letters = frozenset(map(_check_letter, letters))
         self.observations = dict(sorted((observations or {}).items()))
         self.constraints = frozenset(
             c if isinstance(c.delta, Fraction) else replace(c, delta=rational(c.delta))

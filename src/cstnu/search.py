@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .labels import evaluate
-from .model import Network, depth_first, embed_cstn, embed_stnu, validate
+from .model import Network, embed_cstn, embed_stnu, validate
 from .projection import (DEFAULT_GRID, Drama, _scenario_view, enumerate_scenarios,
                          sample_situations)
 from .rational import INF, _least_scale, _scaled, rational
@@ -128,36 +128,22 @@ class _Problem:
 
     The search runs on one integer time lattice, and every closure is
     closed on it: every time the search commits, compares or hashes, and
-    every closure entry, is an `int` count of 1/`tick`.  `tick` is 2**n,
-    for n non-contingent points, times the least scale that makes
-    integers of epsilon, every constraint delta and link bound, every
-    sampled duration, and `values`, the other rationals a caller commits
-    or compares (a grid, a constraint set).
-    Every closure entry, sampled duration, epsilon, delta and candidate
-    grid time (sums and differences of these) is then a multiple of 2**n
-    ticks.  A time that greedy synthesis commits is such a sum plus a time
-    committed before it on its path, except where `_earliest_commit` halves
-    the gap from `now` to a window's upper bound.  A path commits each of
-    its n points at most once, one per step, and halves at most once per
-    commit.  So, by induction on j, after j commits every committed time,
-    contingent time, window bound, divergence and `now` on the path is a
-    multiple of 2**(n - j) ticks: the next commit comes with j < n, so the
-    gap `ub - now` is even, `(ub - now) // 2` is exact, and the time it
-    commits is a multiple of 2**(n - j - 1).  Sums, differences and the
-    order of lattice points are those of the times they stand for, so the
-    search takes the steps it would take on `Fraction`s; only `schedules`
-    turns a time back into one.
+    every closure entry, is an `int` count of 1/`tick`, or `INF`.  `tick`
+    is the least scale that makes integers of epsilon, every constraint
+    delta and link bound, every sampled duration, and `values`, the other
+    rationals a caller commits or compares (a grid, a constraint set).
+    Every time the search commits is a sum and difference of these and of
+    times committed before it on its path, or a window bound
+    (`_earliest_commit`), so it lies on the lattice too.  Sums,
+    differences and the order of lattice points are those of the times
+    they stand for, so the search takes the steps it would take on
+    `Fraction`s; only `schedules` turns a time back into one.
     """
 
     def __init__(self, network, dramas, values=()):
         self.network = network
-        self.contingent = network.contingent_points
-        self.noncontingent = sorted(set(network.timepoints) - self.contingent)
-        self.activation = {link.contingent: link.activation for link in network.links}
-        # Contingent points, each after the contingent point activating it.
-        activating = {c: [a] if a in self.activation else [] for c, a in self.activation.items()}
-        self.chain_order, _ = depth_first(sorted(activating), activating.__getitem__)
-        self.tick = 2 ** len(self.noncontingent) * _least_scale([
+        self.noncontingent = sorted(set(network.timepoints) - network.contingent_points)
+        self.tick = _least_scale([
             network.epsilon, *(c.delta for c in network.constraints),
             *(b for link in network.links for b in (link.lower, link.upper)),
             *(d for drama in dramas for d in drama.situation), *map(rational, values)])
@@ -205,13 +191,16 @@ class _Problem:
         """The rational `value`, which must lie on the lattice, in ticks."""
         return _scaled(value, self.tick)
 
-    def known_times(self, dctx, committed):
-        """Committed times plus the contingent times they determine."""
-        times = {p: t for p, t in committed.items() if p in dctx.relevant}
-        for point in self.chain_order:
-            act = self.activation[point]
-            if point in dctx.durations and act in times:
-                times[point] = times[act] + dctx.durations[point]
+    def known_times(self, node, i):
+        """The times of class `node.dctxs[i]` on the path to `node`: the
+        committed times, and each contingent time its link events name.
+        Every committed point is relevant to every class of the node: it
+        was ready, so relevant to all the classes of the node it was
+        committed at, and a split only narrows those classes."""
+        times = dict(node.committed)
+        for when, (kind, item) in node.events[i]:
+            if kind == "link":
+                times[item[1]] = when
         return times
 
     def schedules(self, node):
@@ -222,9 +211,9 @@ class _Problem:
         it shares that object."""
         made = self.fractions
         table = {}
-        for d in node.dctxs:
+        for i, d in enumerate(node.dctxs):
             schedule = {}
-            for point, t in self.known_times(d, node.committed).items():
+            for point, t in self.known_times(node, i).items():
                 exact = made.get(t)
                 if exact is None:
                     exact = made[t] = Fraction(t, self.tick)
@@ -290,7 +279,7 @@ class _Problem:
 
     def window(self, node, point):
         """Shared feasible interval (lb, ub) for `point` across the classes
-        of `node`, given its committed times; `ub` is None when nothing
+        of `node`, given its committed times; `ub` is `INF` when nothing
         bounds it from above.
 
         Uses STN decomposability: any value within the distance-matrix
@@ -301,20 +290,16 @@ class _Problem:
         bounds are `int` sums and comparisons; no `Fraction` is made.
         """
         floor, _ = self._bounds(node, point, _ORIGIN)
-        lb = -floor if floor is not None and floor < 0 else 0
-        ub = None
+        lb, ub = max(0, -floor), INF
         for anchor, t in node.committed.items():
             back, fwd = self._bounds(node, point, anchor)
-            if back is not None:
-                lb = max(lb, t - back)
-            if fwd is not None:
-                cap = t + fwd
-                ub = cap if ub is None else min(ub, cap)
+            lb = max(lb, t - back)
+            ub = min(ub, t + fwd)
         return lb, ub
 
     def _bounds(self, node, point, anchor):
         """(back, fwd): the least closure entries for anchor - point and
-        for point - anchor over the classes of `node`, in ticks, or None
+        for point - anchor over the classes of `node`, in ticks, or `INF`
         where unbounded.
 
         Every closure is indexed by `index` and closed on ticks, so the
@@ -326,10 +311,8 @@ class _Problem:
         found = node.bounds.get((point, anchor))
         if found is None:
             p, a = self.index[point], self.index[anchor]
-            back = min(d.rows[p][a] for d in node.dctxs)
-            fwd = min(d.rows[a][p] for d in node.dctxs)
-            found = tuple(None if entry == INF else entry for entry in (back, fwd))
-            node.bounds[(point, anchor)] = found
+            found = node.bounds[(point, anchor)] = (min(d.rows[p][a] for d in node.dctxs),
+                                                    min(d.rows[a][p] for d in node.dctxs))
         return found
 
 
@@ -470,9 +453,12 @@ def _earliest_commit(problem):
     """Moves of greedy synthesis: the globally earliest feasible commit.
 
     A point's time is the earliest in its shared window that is not
-    before `now`, and at a divergence later than `now`.  Commits past the
-    next divergence are not feasible: the information set must split
-    first.
+    before `now`, and at a divergence later than `now`.  Where epsilon
+    past a divergence overshoots the window, the point runs at the
+    window's upper bound instead, if that is still after `now`: of the
+    feasible times, the one nearest to `now` + epsilon, and a lattice
+    point.  Commits past the next divergence are not feasible: the
+    information set must split first.
     """
     epsilon = problem.epsilon
 
@@ -483,10 +469,10 @@ def _earliest_commit(problem):
         for point in ready:
             lb, ub = problem.window(node, point)
             t = max(lb, floor)
-            if ub is not None and t > ub:
+            if t > ub:
                 if not (strict and lb <= now < ub):
                     continue
-                t = now + (ub - now) // 2   # epsilon overshot the window; exact, see _Problem
+                t = ub
             if div is not None and t > div:
                 continue
             if best is None or (t, point) < best:
@@ -508,7 +494,7 @@ def _window_commits(problem, grid):
         last = len(grid) if div is None else bisect_right(grid, div)
         for point in ready:
             lb, ub = problem.window(node, point)
-            stop = last if ub is None else min(last, bisect_right(grid, ub))
+            stop = min(last, bisect_right(grid, ub))
             for t in grid[max(first, bisect_left(grid, lb)):stop]:
                 yield point, t
 
@@ -627,13 +613,13 @@ def tree_strategy_masks(network, constraint_sets, grid):
 
     def leaf(node):
         mask = 0
-        for d in node.dctxs:
-            times = problem.known_times(d, node.committed)
-            for i, constraints in enumerate(checks[d.drama.scenario]):
+        for i, d in enumerate(node.dctxs):
+            times = problem.known_times(node, i)
+            for k, constraints in enumerate(checks[d.drama.scenario]):
                 if any(source in times and target in times
                        and times[target] - times[source] > delta
                        for source, target, delta in constraints):
-                    mask |= 1 << i
+                    mask |= 1 << k
         return frozenset({mask})
 
     try:

@@ -154,6 +154,7 @@ def parse_workflow(text):
         else:
             src, sa, dst, da, lo, hi = match.groups()
             lo, hi = _parse_range(lo, hi, number)
+            lines[("constrain", len(constraints))] = number
             constraints.append(AnchorConstraint(src, sa, dst, da, lo, hi))
 
     spec = WorkflowSpec(tuple(tasks), tuple(connectors), tuple(flows),
@@ -180,10 +181,11 @@ def _validate_spec(spec, lines):
                                 % (flow.source, flow.target), where)
         seen_flows.add((flow.source, flow.target))
 
-    for c in spec.constraints:
+    for i, c in enumerate(spec.constraints):
         for end in (c.source, c.target):
             if end not in nodes:
-                raise WorkflowError("unknown node %r in constrain" % (end,))
+                raise WorkflowError("unknown node %r in constrain" % (end,),
+                                    lines.get(("constrain", i)))
 
     splits = {c.id for c in spec.connectors if c.kind == "split"}
     declared = {}

@@ -14,7 +14,8 @@ from fractions import Fraction
 from cstnu import (Constraint, ContingentLink, Cstp, CstpEdge, Label,
                    LabeledConstraint, Network, Scenario, Stn, Strategy,
                    TimePoint, check_solution, conjoin, drama_projection,
-                   enumerate_scenarios, relevant_timepoints, sample_situations)
+                   enumerate_scenarios, parse_label, relevant_timepoints,
+                   sample_situations)
 from cstnu.jsonio import loads, network_from_dict
 from cstnu.labels import EMPTY, INCONSISTENT, sub
 from cstnu.propagation import (DEFAULT_BUDGET, PropagationResult, _Exhausted,
@@ -53,6 +54,28 @@ def mixed_denominators():
 # file: 18 points, two splits.  Propagation records 8 dead labels and
 # rejects 5436 candidates on them before it refutes the network.
 DEAD_LABEL_WORKFLOW = os.path.join(os.path.dirname(GREEDY_TRAP), "dead_label_workflow.json")
+
+
+# `epsilon_overshoot()` as a network file: the three-point network on
+# which greedy synthesis commits at a window's upper bound twice on one
+# path.
+EPSILON_OVERSHOOT = os.path.join(os.path.dirname(GREEDY_TRAP), "epsilon_overshoot.json")
+
+
+def epsilon_overshoot(points=3):
+    """When p, X must run within 1/2000 of O, where p is observed, but an
+    epsilon step past O lands at 1/1000.  With a third point, when q, Y
+    must also run within 1/20000 of X, where q is observed."""
+    ids = ["O", "X", "Y"][:points]
+    constraints = [LabeledConstraint("O", "X", Fraction(1, 2000), parse_label("p")),
+                   LabeledConstraint("X", "O", Fraction(-1), parse_label("!p"))]
+    letters, observations = ["p"], {"p": "O"}
+    if points == 3:
+        constraints += [LabeledConstraint("X", "Y", Fraction(1, 20000), parse_label("q")),
+                        LabeledConstraint("Y", "X", Fraction(-1), parse_label("!q"))]
+        letters, observations = ["p", "q"], {"p": "O", "q": "X"}
+    return Network(timepoints=ids, constraints=constraints, letters=letters,
+                   observations=observations, epsilon=Fraction(1, 1000))
 
 
 def frac(rng, lo=0, hi=20):
@@ -358,9 +381,10 @@ def tick_distance(problem, dctx, source, target):
 def fraction_window(problem, dctxs, committed, point):
     """`search._Problem.window` as it was before it read the closures as
     integers: every entry as a `Fraction` (`tick_distance`), compared with
-    `Fraction` times.  Kept as the reference for the integer window."""
+    `Fraction` times, and `ub` `INF` when nothing bounds it.  Kept as the
+    reference for the integer window."""
     at = problem.index
-    lb, ub = Fraction(0), None
+    lb, ub = Fraction(0), INF
     for d in dctxs:
         floor = tick_distance(problem, d, at[point], at[_ORIGIN])
         if floor != INF and -floor > lb:
@@ -372,11 +396,27 @@ def fraction_window(problem, dctxs, committed, point):
             back = tick_distance(problem, d, at[point], at[anchor])
             if back != INF and t - back > lb:
                 lb = t - back
-            if fwd != INF:
-                cap = t + fwd
-                if ub is None or cap < ub:
-                    ub = cap
+            if fwd != INF and t + fwd < ub:
+                ub = t + fwd
     return lb, ub
+
+
+def class_known_times(problem, dctx, committed):
+    """The known times of class `dctx` of `problem` under `committed`, in
+    ticks: the committed times of its relevant points, and each contingent
+    time of a link whose two ends are relevant, its activation time plus
+    the duration its first drama samples, link after link until a chain is
+    done.  Kept as the reference for `search._Problem.known_times`, which
+    reads the contingent times off the path's events."""
+    times = {p: t for p, t in committed.items() if p in dctx.relevant}
+    links = [(link.activation, link.contingent, problem.ticks(duration))
+             for link, duration in zip(problem.network.links, dctx.drama.situation)
+             if link.activation in dctx.relevant and link.contingent in dctx.relevant]
+    for _ in links:
+        for activation, contingent, duration in links:
+            if activation in times:
+                times[contingent] = times[activation] + duration
+    return times
 
 
 def grid_witness(problem, grid, budget):
@@ -394,7 +434,7 @@ def grid_witness(problem, grid, budget):
               for d in problem.dctxs]
 
     def violated(d, committed):
-        times = problem.known_times(d, committed)
+        times = class_known_times(problem, d, committed)
         return any(source in times and target in times and times[target] - times[source] > delta
                    for source, target, delta in checks[d.idx])
 
@@ -443,7 +483,7 @@ def naive_next_divergence(problem, dctxs, committed, now):
     for d in dctxs:
         table = {}
         known = {p: Fraction(t, problem.tick)
-                 for p, t in problem.known_times(d, committed).items()}
+                 for p, t in class_known_times(problem, d, committed).items()}
         for t, item in naive_events(problem.network, d.drama.scenario, known):
             if t >= now:
                 table.setdefault(t, set()).add(item)

@@ -17,8 +17,9 @@ from cstnu.jsonio import dumps, network_to_dict
 from cstnu.projection import DEFAULT_GRID, sample_situations
 from cstnu.propagation import DEFAULT_BUDGET, propagate_to_fixpoint
 from cstnu.search import check_dc
-from helpers import (DEAD_LABEL_WORKFLOW, GREEDY_TRAP, MIXED_DENOMINATORS,
-                     later_classmates, link_chain, mixed_denominators, shifted_entry)
+from helpers import (DEAD_LABEL_WORKFLOW, EPSILON_OVERSHOOT, GREEDY_TRAP, MIXED_DENOMINATORS,
+                     epsilon_overshoot, later_classmates, link_chain, mixed_denominators,
+                     shifted_entry)
 
 
 @pytest.fixture
@@ -180,12 +181,17 @@ def test_solve_point_forced_before_the_default_origin(capsys, tmp_path):
     ("stnu", ("project", "--situation", "x")),        # not a rational
     ("stn", ("project", "--scenario", "a=1")),        # no letter a
     ("empty", ("solve",)),                            # no point to be the origin
+    ("stnu", ("check-dc", "--grid", "1")),            # a grid misses a bound
+    ("two-char-letter", ("validate",)),               # no label can hold letter ab
 ], ids=["situation-count", "situation-range", "situation-syntax",
-        "scenario-domain", "solve-no-points"])
+        "scenario-domain", "solve-no-points", "check-dc-grid-1", "letter-ab"])
 def test_bad_input_exits_2_without_a_traceback(tmp_path, bad_stnu, network, argv):
     paths = {"stn": stn_file(tmp_path, [{"from": "A", "to": "B", "delta": "3"}]),
-             "stnu": bad_stnu, "empty": str(tmp_path / "empty.json")}
+             "stnu": bad_stnu, "empty": str(tmp_path / "empty.json"),
+             "two-char-letter": str(tmp_path / "ab.json")}
     (tmp_path / "empty.json").write_text("{}")
+    (tmp_path / "ab.json").write_text(json.dumps(
+        dict(NET, letters=["ab"], observations={"ab": "A"})))
     src = os.path.dirname(os.path.dirname(os.path.abspath(cstnu.__file__)))
     done = subprocess.run(
         [sys.executable, "-m", "cstnu.cli", argv[0], paths[network], *argv[1:]],
@@ -343,7 +349,7 @@ def test_check_dc_on_the_greedy_trap_is_pinned(capsys):
 
 # sha256 of CLI outputs on tests/mixed_denominators.json, pinned before
 # the search, the closures, propagation and certification counted their
-# times with one routine: the search's tick mixes 3, 7, 1000 and 2**4, the
+# times with one routine: the search's tick mixes 3, 7 and 1000, the
 # strategy's times are in 21000ths, and so is `solve`'s schedule.  The CI
 # step that runs the installed `cstnu check-dc` and `cstnu propagate` on
 # the file checks their outputs against these lines.
@@ -364,6 +370,25 @@ def test_cli_output_on_mixed_denominators_is_pinned(capsys, command):
 def test_mixed_denominators_file_is_the_seeded_network():
     with open(MIXED_DENOMINATORS) as f:
         assert f.read() == dumps(network_to_dict(mixed_denominators()))
+
+
+# sha256 of `check-dc --json` on tests/epsilon_overshoot.json, where an
+# epsilon step past an observation overshoots a window twice on one path
+# and greedy synthesis commits at the window's upper bound instead.  The
+# CI step that runs the installed `cstnu check-dc` on the file checks its
+# output against this line.
+EPSILON_OVERSHOOT_DIGEST = "0ffcb967a0cf82a26018e3b028ba6665c4348fdaa02b1c1f2f4442e86dca54eb"
+
+
+def test_check_dc_on_the_epsilon_overshoot_is_pinned(capsys):
+    code, out, _ = run(capsys, "check-dc", "--json", EPSILON_OVERSHOOT)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EPSILON_OVERSHOOT_DIGEST
+
+
+def test_epsilon_overshoot_file_is_the_helper_network():
+    with open(EPSILON_OVERSHOOT) as f:
+        assert f.read() == dumps(network_to_dict(epsilon_overshoot()))
 
 
 # sha256 of `propagate --json` on tests/dead_label_workflow.json and of the

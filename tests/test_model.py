@@ -45,6 +45,9 @@ def test_structural_errors():
                 constraints=[LabeledConstraint("A", "A", 1, parse_label("q"))])
     with pytest.raises(ValueError):
         Network(timepoints=["A"], epsilon=0)
+    for letter in ("", "!", "ab", " "):   # letters no label can hold
+        with pytest.raises(ValueError, match="letter must be a single alphanumeric symbol"):
+            Network(timepoints=["A"], letters=[letter], observations={letter: "A"})
 
 
 def test_numbers_are_exact_at_the_boundary():

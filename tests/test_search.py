@@ -19,10 +19,10 @@ from cstnu.fixtures import (branching_workflow_text, modification_study,
 from cstnu.rational import INF, _least_scale
 from cstnu.semantics import _check_viable, _events, _history, _ScaledStrategy
 from cstnu.stn import floored
-from helpers import (REFERENCE_ORIGIN, fraction_window, greedy_trap, grid_witness, link_chain,
-                     naive_events, naive_next_divergence, naive_viable, positions, random_cstn,
-                     random_cstn_strategy, random_consistent_stn, random_stnu,
-                     random_stnu_strategy, tick_distance)
+from helpers import (REFERENCE_ORIGIN, class_known_times, epsilon_overshoot, fraction_window,
+                     greedy_trap, grid_witness, link_chain, naive_events, naive_next_divergence,
+                     naive_viable, positions, random_cstn, random_cstn_strategy,
+                     random_consistent_stn, random_stnu, random_stnu_strategy, tick_distance)
 
 
 def test_consistent_stn_is_controllable():
@@ -65,7 +65,7 @@ def test_relaxed_contingent_link_controllable():
     assert is_dynamic_star(net, result.strategy).ok
 
 
-def test_chained_links_listed_against_chain_order():
+def test_chained_links_listed_out_of_activation_order():
     net = chained_links()
     result = check_dc(net)
     assert result.verdict == "controllable"
@@ -107,25 +107,19 @@ def test_pre_observation_conflict_is_not_certified():
     assert result.verdict != "controllable"
 
 
-def test_epsilon_overshoot_halves_the_gap_to_the_window():
-    # When p, X must run within 1/2000 of O, where p is observed, but an
-    # epsilon step past the divergence at O lands at 1/1000: greedy
-    # synthesis halves the gap instead.  With a second letter q, observed
-    # by X, one path halves twice: Y must run within 1/20000 of X.
-    one = [LabeledConstraint("O", "X", Fraction(1, 2000), parse_label("p")),
-           LabeledConstraint("X", "O", Fraction(-1), parse_label("!p"))]
-    two = [LabeledConstraint("X", "Y", Fraction(1, 20000), parse_label("q")),
-           LabeledConstraint("Y", "X", Fraction(-1), parse_label("!q"))]
+def test_epsilon_overshoot_commits_at_the_window_bound():
+    # When p, an epsilon step past the divergence at O overshoots X's
+    # window, which ends at 1/2000: greedy synthesis runs X at 1/2000, the
+    # window's upper bound.  With a second letter q, observed by X, Y's
+    # window ends 1/20000 after X, and a path overshoots twice.
     cases = [
-        (Network(timepoints=["O", "X"], constraints=one, letters=["p"],
-                 observations={"p": "O"}, epsilon=Fraction(1, 1000)),
-         {"p=0": {"O": "0", "X": "1"}, "p=1": {"O": "0", "X": "1/4000"}}),
-        (Network(timepoints=["O", "X", "Y"], constraints=one + two, letters=["p", "q"],
-                 observations={"p": "O", "q": "X"}, epsilon=Fraction(1, 1000)),
+        (epsilon_overshoot(2),
+         {"p=0": {"O": "0", "X": "1"}, "p=1": {"O": "0", "X": "1/2000"}}),
+        (epsilon_overshoot(3),
          {"p=0,q=0": {"O": "0", "X": "1", "Y": "2"},
-          "p=0,q=1": {"O": "0", "X": "1", "Y": "40001/40000"},
-          "p=1,q=0": {"O": "0", "X": "1/4000", "Y": "4001/4000"},
-          "p=1,q=1": {"O": "0", "X": "1/4000", "Y": "11/40000"}})]
+          "p=0,q=1": {"O": "0", "X": "1", "Y": "20001/20000"},
+          "p=1,q=0": {"O": "0", "X": "1/2000", "Y": "2001/2000"},
+          "p=1,q=1": {"O": "0", "X": "1/2000", "Y": "11/20000"}})]
     for net, want in cases:
         result = check_dc(net)
         assert result.verdict == "controllable"
@@ -451,7 +445,7 @@ def test_integer_window_matches_fraction_window(monkeypatch):
     def checked(problem, node, point):
         got = real(problem, node, point)
         lb, ub = got
-        exact = Fraction(lb, problem.tick), None if ub is None else Fraction(ub, problem.tick)
+        exact = Fraction(lb, problem.tick), INF if ub == INF else Fraction(ub, problem.tick)
         committed = {p: Fraction(t, problem.tick) for p, t in node.committed.items()}
         assert repr(exact) == repr(fraction_window(problem, node.dctxs, committed, point))
         seen["calls"] += 1
@@ -595,7 +589,7 @@ def test_search_splits_where_semantics_says_histories_differ(monkeypatch):
         network, dctxs, committed, now = problem.network, node.dctxs, node.committed, node.now
 
         def known(d):
-            return d.drama.scenario, problem.known_times(d, committed)
+            return d.drama.scenario, class_known_times(problem, d, committed)
 
         if found is None:   # no split ahead: the executions look alike throughout
             assert len({frozenset(_events(network, *known(d))) for d in dctxs}) == 1
@@ -630,6 +624,37 @@ def chained_links():
         constraints=[LabeledConstraint("A", "Y", 2), LabeledConstraint("Y", "A", -1),
                      LabeledConstraint("Y", "X", 3), LabeledConstraint("X", "Y", -1)],
         links=[ContingentLink("Y", 1, 3, "X"), ContingentLink("A", 1, 2, "Y")])
+
+
+def test_known_times_match_the_activation_walk(monkeypatch):
+    # The known times read off a node's committed times and link events
+    # equal the reference's: only the class's relevant committed points,
+    # and each contingent time its activation's plus the sampled duration.
+    # The fixture and the random CSTNs have points that some scenarios
+    # drop; the chains have links that activate links.
+    real = search._Problem.known_times
+    seen = {"calls": 0, "linked": 0, "dropping": 0}
+
+    def checked(problem, node, i):
+        times = real(problem, node, i)
+        d = node.dctxs[i]
+        assert times == class_known_times(problem, d, node.committed)
+        seen["calls"] += 1
+        seen["linked"] += len(times) > len(node.committed)
+        seen["dropping"] += len(d.relevant) < len(problem.network.timepoints)
+        return times
+
+    monkeypatch.setattr(search._Problem, "known_times", checked)
+    check_dc(compile_workflow(parse_workflow(branching_workflow_text()))[0])
+    check_dc(chained_links())
+    check_dc(link_chain(4))
+    rng = random.Random(13)
+    for _ in range(100):
+        check_dc(random_cstn(rng))
+        check_dc(random_stnu(rng))
+    assert seen["calls"] > 500
+    assert seen["linked"] > 300
+    assert seen["dropping"] > 100
 
 
 def test_divergence_matches_naive_next_divergence(monkeypatch):

@@ -29,17 +29,29 @@ def test_empty_text_is_empty_spec():
     assert spec.tasks == () and spec.flows == ()
 
 
+# A split S with two outgoing flows, on lines 3-5, and no branch yet.
+SPLIT = "task A [1,2]\ntask B [1,2]\nsplit S [1,2]\nflow S -> A [1,2]\nflow S -> B [1,2]\n"
+
+
 def test_parse_errors_carry_line_numbers():
     cases = [
-        ("task T1 [2,4]\ngarbage here\n", 2),
-        ("task T1 [4,2]\n", 1),
-        ("task T1 [0,2]\n", 1),
-        ("task T1 [2,x]\n", 1),
-        ("task T1 [2,4]\ntask T1 [2,4]\n", 2),
-        ("flow A -> B [1,2]\n", 1),
+        ("task T1 [2,4]\ngarbage here\n", 2, "cannot parse"),
+        ("task T1 [4,2]\n", 1, "empty range"),
+        ("task T1 [0,2]\n", 1, "0 < lower < upper"),
+        ("task T1 [2,x]\n", 1, "bad range bounds"),
+        ("task T1 [2,4]\ntask T1 [2,4]\n", 2, "duplicate id"),
+        ("flow A -> B [1,2]\n", 1, "unknown node 'A' in flow"),
+        ("task A [1,2]\nconstrain A.S -> Z.E [0,5]\n", 2, "unknown node 'Z' in constrain"),
+        ("task A [1,2]\nsplit S [-1,2]\n", 2, "connector duration must be non-negative"),
+        ("task A [1,2]\ntask B [1,2]\nflow A -> B [-1,2]\n", 3,
+         "flow delay must be non-negative"),
+        ("task A [1,2]\ntask B [1,2]\nflow A -> B [1,2]\nflow A -> B [1,2]\n", 4,
+         "duplicate flow"),
+        (SPLIT + "branch S A +\nbranch S A +\n", 7, "duplicate branch"),
+        (SPLIT + "branch S A -\nbranch S B -\n", 3, "needs a '\\+' branch"),
     ]
-    for text, line in cases:
-        with pytest.raises(WorkflowError) as err:
+    for text, line, message in cases:
+        with pytest.raises(WorkflowError, match=message) as err:
             parse_workflow(text)
         assert err.value.line == line, text
 
