@@ -148,16 +148,16 @@ def strategy_from_dict(data):
             kind = "stnu"
         else:
             kind = "cstn"
-    table = {}
+    pairs = []
     for entry in entries:
         scenario = _field(entry, "scenario", dict, {})
         for letter in scenario:
             _field(scenario, letter, bool, None)
         drama = Drama(Scenario(scenario),
                       tuple(rational(d) for d in _field(entry, "situation", list, [])))
-        table[drama] = {point: rational(t)
-                        for point, t in _field(entry, "schedule", dict, {}).items()}
-    return Strategy.from_dramas(kind, table)
+        pairs.append((drama, {point: rational(t)
+                              for point, t in _field(entry, "schedule", dict, {}).items()}))
+    return Strategy.from_dramas(kind, pairs)
 
 
 def dumps(data):

@@ -69,32 +69,6 @@ class Modification:
     gamma: Label
 
 
-def _modification_failures(letter, obs_point, obs_constraint, target_constraint):
-    out = []
-    if obs_constraint.source != obs_point:
-        out.append("observation-side constraint does not start at the "
-                   "observation point of %r" % (letter,))
-    if target_constraint.source != obs_constraint.target:
-        out.append("target constraint does not start at the observation-side "
-                   "constraint's end-point")
-    w = -obs_constraint.delta
-    if w < 0:
-        out.append("observation-side bound must be non-positive (point precedes "
-                   "the observation)")
-    if target_constraint.label.sign(letter) is not True:
-        out.append("target label must contain %r positively" % (letter,))
-    if letter in obs_constraint.label.letters:
-        out.append("observation-side label must not mention %r" % (letter,))
-    if target_constraint.delta > w:
-        out.append("target bound %s exceeds the observation lead %s"
-                   % (target_constraint.delta, w))
-    for shared in sorted(obs_constraint.label.letters
-                         & target_constraint.label.letters):
-        if obs_constraint.label.sign(shared) != target_constraint.label.sign(shared):
-            out.append("labels disagree on the sign of %r" % (shared,))
-    return out
-
-
 def label_modification(letter, obs_point, obs_constraint, target_constraint):
     """Rewrite a constraint whose label tests `letter` but whose end-point
     must execute before `letter` is observed.
@@ -106,32 +80,47 @@ def label_modification(letter, obs_point, obs_constraint, target_constraint):
     result keeps the bound with label alpha beta gamma, plus one residual
     per alpha-literal covering the complementary scenarios.
     """
-    failures = _modification_failures(letter, obs_point, obs_constraint,
-                                      target_constraint)
+    obs_label = obs_constraint.label
+    target_label = target_constraint.label
+    failures = []
+    if obs_constraint.source != obs_point:
+        failures.append("observation-side constraint does not start at the "
+                        "observation point of %r" % (letter,))
+    if target_constraint.source != obs_constraint.target:
+        failures.append("target constraint does not start at the observation-side "
+                        "constraint's end-point")
+    w = -obs_constraint.delta
+    if w < 0:
+        failures.append("observation-side bound must be non-positive (point precedes "
+                        "the observation)")
+    if target_label.sign(letter) is not True:
+        failures.append("target label must contain %r positively" % (letter,))
+    if letter in obs_label.letters:
+        failures.append("observation-side label must not mention %r" % (letter,))
+    if target_constraint.delta > w:
+        failures.append("target bound %s exceeds the observation lead %s"
+                        % (target_constraint.delta, w))
+    for shared in sorted(obs_label.letters & target_label.letters):
+        if obs_label.sign(shared) != target_label.sign(shared):
+            failures.append("labels disagree on the sign of %r" % (shared,))
     if failures:
         raise PreconditionError(failures)
-    return _modify(letter, obs_constraint, target_constraint)
 
-
-def _modify(letter, obs_constraint, target_constraint):
-    """`label_modification` on a pair known to meet its preconditions."""
-    target_label = target_constraint.label.without({letter})
-    shared = obs_constraint.label.letters & target_label.letters
-    beta = Label((l, s) for l, s in obs_constraint.label.literals if l in shared)
-    alpha = obs_constraint.label.without(shared)
+    target_label = target_label.without({letter})
+    shared = obs_label.letters & target_label.letters
+    beta = Label((l, s) for l, s in obs_label.literals if l in shared)
+    alpha = obs_label.without(shared)
     gamma = target_label.without(shared)
 
-    derived = LabeledConstraint(target_constraint.source, target_constraint.target,
-                                target_constraint.delta,
-                                conjoin(alpha, conjoin(beta, gamma)))
-    residuals = []
-    for name, positive in alpha.literals:
-        residual_label = conjoin(Label([(name, not positive), (letter, True)]),
-                                 conjoin(beta, gamma))
-        residuals.append(LabeledConstraint(
-            target_constraint.source, target_constraint.target,
-            target_constraint.delta, residual_label))
-    return Modification(derived, tuple(residuals), alpha, beta, gamma)
+    def bound(label):
+        return LabeledConstraint(target_constraint.source, target_constraint.target,
+                                 target_constraint.delta, label)
+
+    derived = bound(conjoin(alpha, conjoin(beta, gamma)))
+    residuals = tuple(bound(conjoin(Label([(name, not positive), (letter, True)]),
+                                    conjoin(beta, gamma)))
+                      for name, positive in alpha.literals)
+    return Modification(derived, residuals, alpha, beta, gamma)
 
 
 @dataclass
@@ -172,8 +161,9 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
 
     Candidates are judged as integers, deltas times `scale`, the least
     that makes every given delta an integer: every derived delta is a sum
-    of given ones, so nothing is rounded.  Only an admitted candidate becomes
-    a `LabeledConstraint`, with delta `Fraction(d, scale)`.
+    of given ones, so nothing is rounded; and their labels as literal sets.
+    Only an admitted candidate becomes a `LabeledConstraint`, with delta
+    `Fraction(d, scale)` and one `Label` per distinct literal set.
 
     One store holds each edge's live values, keyed by literal set, as
     records [`str` key, admission number, constraint, scaled delta,
@@ -202,15 +192,22 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
     admits what composing every live pair would, in the same order, with
     the same `rounds`, refutation and budget cut-off.
 
-    Each candidate's label is screened in constant time.  The compose pass
-    looks up its pair's repaired conjunction (None on a clash or a failed
-    repair) in a memo kept for the whole call and keyed by the two literal
-    sets, and drops vacuous self-loops and label rejections before
-    `admit`; label modification looks up each label's repair.  Whether a
-    repaired literal set contains a dead label is memoized as well, and
-    that memo is cleared whenever a dead label is recorded.  This is exact:
-    dead labels are only ever added, so a verdict reached since the last
-    one was added still holds.  A negative self-loop skips the dead check.
+    `repair` adds to a literal set the literals of its letters'
+    observation labels and gives None when a letter then has both signs;
+    it is memoized for the whole call.  The compose pass repairs the union
+    of its pair's literal sets, looked up in a memo keyed by the two sets,
+    and drops vacuous self-loops and rejected labels before `admit`.
+    Label modification pairs a value (X - P <= -w, obs) that leaves the
+    observation point P of letter l with a value (Y - X <= v, target),
+    v <= w.  It skips the pair unless l is positive in target, obs lacks
+    l, and no letter has opposite signs in the two sets; it then repairs
+    (obs | target) - {l} and, for each literal of obs whose letter target
+    lacks, in sorted order, the residual target | {its complement}:
+    `label_modification`'s result in set form.  Whether a repaired literal
+    set contains a dead label is memoized as well, and that memo is
+    cleared whenever a dead label is recorded.  This is exact: dead labels
+    are only ever added, so a verdict reached since the last one was added
+    still holds.  A negative self-loop skips the dead check.
     """
     given = sorted(network.constraints, key=str)
     scale = _least_scale(c.delta for c in given)
@@ -219,7 +216,10 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
     obs_letter = {point: letter for letter, point in network.observations.items()}
     dead_labels = set()     # literal sets of labels whose scenarios admit no schedule
     dead_verdicts = {}      # literal set -> whether a dead label is a subset of it
-    repaired = {}           # literals -> (repaired label, its literal set), or None
+    observed = {q: frozenset(network.label_of(point).literals)
+                for q, point in network.observations.items()}
+    repaired = {}           # literal set -> repaired literal set, or None
+    labels = {}             # admitted literal set -> its label
     joints = {}             # literal set -> literal set -> repaired conjunction or None
     is_live = itemgetter(5)
 
@@ -245,23 +245,17 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
         if not dominated(c.source, c.target, d, literals):
             place(c, d, literals, number)
 
-    def repair(label):
-        """`label` conjoined with its letters' observation labels, and its
-        literal set; None on a clash."""
-        literals = label.literals
+    def repair(literals):
+        """`literals` with the literals of its letters' observation labels;
+        None when a letter takes both signs."""
         if literals not in repaired:
-            joint = label
-            for q in sorted(label.letters):
-                joint = conjoin(joint, network.label_of(network.observation_point(q)))
-                if joint is INCONSISTENT:
-                    break
-            repaired[literals] = (None if joint is INCONSISTENT
-                                  else (joint, frozenset(joint.literals)))
+            joint = literals.union(*(observed[q] for q, _ in literals))
+            repaired[literals] = joint if len({q for q, _ in joint}) == len(joint) else None
         return repaired[literals]
 
-    def admit(source, target, d, label, literals, rule, parents):
+    def admit(source, target, d, literals, rule, parents):
         """Admit a candidate that is not a vacuous self-loop, with its
-        label repaired, unless it is dead or dominated."""
+        literal set repaired, unless it is dead or dominated."""
         # Negative self-loops stay: label modification may widen one to a refutation.
         if source != target:
             dead = dead_verdicts.get(literals)
@@ -274,7 +268,9 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
             return False
         if len(trace) - len(given) >= budget:
             raise _Exhausted()
-        c = LabeledConstraint(source, target, Fraction(d, scale), label)
+        if literals not in labels:
+            labels[literals] = Label(literals)
+        c = LabeledConstraint(source, target, Fraction(d, scale), labels[literals])
         place(c, d, literals, len(trace))
         trace[c] = (rule, tuple(parents))
         if source == target:
@@ -305,33 +301,31 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
                 try:
                     joint = row[second_literals]
                 except KeyError:
-                    joint = conjoin(first.label, second.label)
-                    joint = row[second_literals] = (
-                        None if joint is INCONSISTENT else repair(joint))
-                if joint is not None and admit(source, target, d, *joint,
+                    joint = row[second_literals] = repair(literals | second_literals)
+                if joint is not None and admit(source, target, d, joint,
                                                "compose", (first, second)):
                     changed = True
         return changed
 
     def modification_pass():
         changed = False
-        for obs in records(live):
-            _, _, obs_c, obs_d, _, _ = obs
-            letter = obs_letter.get(obs_c.source)
-            if letter is None or obs_d > 0:
+        for obs in records(obs_letter):
+            _, _, obs_c, obs_d, obs_literals, _ = obs
+            tested = (obs_letter[obs_c.source], True)
+            clashes = frozenset((q, not p) for q, p in obs_literals)
+            if obs_d > 0 or tested in obs_literals or tested in clashes:
                 continue
-            for _, _, target_c, d, _, _ in filter(is_live, records((obs_c.target,))):
+            for _, _, target_c, d, literals, _ in filter(is_live, records((obs_c.target,))):
                 # A vacuous target self-loop would only derive vacuous ones.
-                if (d > -obs_d or not is_live(obs)
+                if (d > -obs_d or not is_live(obs) or tested not in literals
                         or (target_c.source == target_c.target and d >= 0)
-                        or _modification_failures(letter, obs_c.source, obs_c, target_c)):
+                        or not clashes.isdisjoint(literals)):
                     continue
-                result = _modify(letter, obs_c, target_c)
-                parents = (obs_c, target_c)
-                for c in (result.derived,) + result.residuals:
-                    joint = repair(c.label)
-                    if joint is not None and admit(c.source, c.target, d, *joint,
-                                                   "label-modification", parents):
+                candidates = [(obs_literals | literals) - {tested}]
+                candidates += [literals | {(q, not p)} for q, p in sorted(obs_literals - literals)]
+                for joint in map(repair, candidates):
+                    if joint is not None and admit(target_c.source, target_c.target, d, joint,
+                                                   "label-modification", (obs_c, target_c)):
                         changed = True
         return changed
 

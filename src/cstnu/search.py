@@ -707,7 +707,8 @@ def check_dc(network, grid=DEFAULT_GRID):
     # Both searches build dynamic, viable strategies by construction, so a
     # strategy that fails re-certification is a bug, not a verdict.
     # Certification reads the network and the strategy alone.
-    strategy = Strategy.from_dramas("cstn" if network.kind == "stn" else network.kind, table)
+    strategy = Strategy.from_dramas("cstn" if network.kind == "stn" else network.kind,
+                                    table.items())
     outcome = _certify(network, strategy)
     if not outcome:
         raise RuntimeError("search built a strategy that fails re-certification: %s"

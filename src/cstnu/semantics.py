@@ -47,16 +47,21 @@ class Strategy:
         raise _unknown_kind(self.kind)
 
     @classmethod
-    def from_dramas(cls, kind, table):
-        """The `kind` strategy holding the schedules of `table`
-        (Drama -> schedule), each under the index that stands for its drama."""
-        if kind == "cstn":
-            return cls(kind, {drama.scenario: sched for drama, sched in table.items()})
-        if kind == "stnu":
-            return cls(kind, {drama.situation: sched for drama, sched in table.items()})
-        if kind == "cstnu":
-            return cls(kind, dict(table))
-        raise _unknown_kind(kind)
+    def from_dramas(cls, kind, pairs):
+        """The `kind` strategy holding the schedules of `pairs`, (Drama,
+        schedule) pairs, each under the index that stands for its drama.
+        Two pairs whose dramas share an index raise ValueError naming
+        their positions."""
+        if kind not in ("cstn", "stnu", "cstnu"):
+            raise _unknown_kind(kind)
+        table, where = {}, {}
+        for pos, (drama, schedule) in enumerate(pairs):
+            index = {"cstn": drama.scenario, "stnu": drama.situation}.get(kind, drama)
+            if index in where:
+                raise ValueError("entries %d and %d stand for the same index of a %r strategy"
+                                 % (where[index], pos, kind))
+            where[index], table[index] = pos, schedule
+        return cls(kind, table)
 
 
 def _unknown_kind(kind):

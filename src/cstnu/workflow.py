@@ -33,6 +33,7 @@ class Task:
     id: str
     lower: object
     upper: object
+    line: int = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,7 @@ class Connector:
     kind: str               # "split" | "join"
     lower: object
     upper: object
+    line: int = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,7 @@ class FlowEdge:
     target: str
     lower: object
     upper: object
+    line: int = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,7 @@ class BranchDecl:
     split: str
     target: str
     positive: bool
+    line: int = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,7 @@ class AnchorConstraint:
     target_anchor: str
     lower: object
     upper: object
+    line: int = field(default=None, compare=False)
 
 
 @dataclass
@@ -110,12 +115,13 @@ def _parse_range(lo, hi, line):
 def parse_workflow(text):
     """Parse workflow text into a validated WorkflowSpec.
 
-    Blank lines and '#' comments are ignored.  Raises WorkflowError with
-    a line number on syntax errors, duplicate or unknown ids, bad
-    ranges, ill-formed branches, or a cyclic flow graph.
+    Blank lines and '#' comments are ignored.  Each element keeps the
+    number of the line that declares it as `line`.  Raises WorkflowError
+    with a line number on syntax errors, duplicate or unknown ids, bad
+    ranges, ill-formed branches, or a cyclic flow graph (the line of a
+    node on the cycle).
     """
     tasks, connectors, flows, branches, constraints = [], [], [], [], []
-    lines = {}
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -131,92 +137,85 @@ def parse_workflow(text):
             if not (0 < lo < hi):
                 raise WorkflowError(
                     "task duration must satisfy 0 < lower < upper", number)
-            tasks.append(Task(name, lo, hi))
-            lines[name] = number
+            tasks.append(Task(name, lo, hi, number))
         elif keyword in ("split", "join"):
             name, lo, hi = match.groups()
             lo, hi = _parse_range(lo, hi, number)
             if lo < 0:
                 raise WorkflowError("connector duration must be non-negative", number)
-            connectors.append(Connector(name, keyword, lo, hi))
-            lines[name] = number
+            connectors.append(Connector(name, keyword, lo, hi, number))
         elif keyword == "flow":
             src, dst, lo, hi = match.groups()
             lo, hi = _parse_range(lo, hi, number)
             if lo < 0:
                 raise WorkflowError("flow delay must be non-negative", number)
-            flows.append(FlowEdge(src, dst, lo, hi))
-            lines[(src, dst)] = number
+            flows.append(FlowEdge(src, dst, lo, hi, number))
         elif keyword == "branch":
             split, target, sign = match.groups()
-            branches.append(BranchDecl(split, target, sign == "+"))
-            lines[("branch", split, target)] = number
+            branches.append(BranchDecl(split, target, sign == "+", number))
         else:
             src, sa, dst, da, lo, hi = match.groups()
             lo, hi = _parse_range(lo, hi, number)
-            lines[("constrain", len(constraints))] = number
-            constraints.append(AnchorConstraint(src, sa, dst, da, lo, hi))
+            constraints.append(AnchorConstraint(src, sa, dst, da, lo, hi, number))
 
     spec = WorkflowSpec(tuple(tasks), tuple(connectors), tuple(flows),
                         tuple(branches), tuple(constraints))
-    _validate_spec(spec, lines)
+    _validate_spec(spec)
     return spec
 
 
-def _validate_spec(spec, lines):
+def _validate_spec(spec):
     nodes = {}
     for node in list(spec.tasks) + list(spec.connectors):
         if node.id in nodes:
-            raise WorkflowError("duplicate id %r" % (node.id,), lines.get(node.id))
+            raise WorkflowError("duplicate id %r" % (node.id,), node.line)
         nodes[node.id] = node
 
     seen_flows = set()
     for flow in spec.flows:
-        where = lines.get((flow.source, flow.target))
         for end in (flow.source, flow.target):
             if end not in nodes:
-                raise WorkflowError("unknown node %r in flow" % (end,), where)
+                raise WorkflowError("unknown node %r in flow" % (end,), flow.line)
         if (flow.source, flow.target) in seen_flows:
             raise WorkflowError("duplicate flow %s -> %s"
-                                % (flow.source, flow.target), where)
+                                % (flow.source, flow.target), flow.line)
         seen_flows.add((flow.source, flow.target))
 
-    for i, c in enumerate(spec.constraints):
+    for c in spec.constraints:
         for end in (c.source, c.target):
             if end not in nodes:
-                raise WorkflowError("unknown node %r in constrain" % (end,),
-                                    lines.get(("constrain", i)))
+                raise WorkflowError("unknown node %r in constrain" % (end,), c.line)
 
     splits = {c.id for c in spec.connectors if c.kind == "split"}
     declared = {}
     for b in spec.branches:
-        where = lines.get(("branch", b.split, b.target))
         if b.split not in splits:
-            raise WorkflowError("%r is not a split" % (b.split,), where)
+            raise WorkflowError("%r is not a split" % (b.split,), b.line)
         if (b.split, b.target) not in seen_flows:
             raise WorkflowError("branch without a flow %s -> %s"
-                                % (b.split, b.target), where)
+                                % (b.split, b.target), b.line)
         if b.target in declared.get(b.split, {}):
             raise WorkflowError("duplicate branch for %s -> %s"
-                                % (b.split, b.target), where)
+                                % (b.split, b.target), b.line)
         declared.setdefault(b.split, {})[b.target] = b
 
     for split in sorted(splits):
+        where = nodes[split].line
         targets = {f.target for f in spec.flows if f.source == split}
         if len(targets) < 2:
             raise WorkflowError("split %r needs at least two outgoing flows"
-                                % (split,), lines.get(split))
+                                % (split,), where)
         missing = targets - set(declared.get(split, {}))
         if missing:
             raise WorkflowError("split %r branches lack signs: %s"
-                                % (split, sorted(missing)), lines.get(split))
+                                % (split, sorted(missing)), where)
         signs = [b.positive for b in declared[split].values()]
         if not any(signs):
             raise WorkflowError("split %r needs a '+' branch" % (split,),
-                                lines.get(split))
+                                where)
         if len(targets) == 2 and signs.count(True) != 1:
             raise WorkflowError("two-way split %r needs exactly one '+' and "
-                                "one '-' branch" % (split,), lines.get(split))
+                                "one '-' branch" % (split,), where)
 
     # The flow graph must be acyclic.
     succ = {}
@@ -224,7 +223,8 @@ def _validate_spec(spec, lines):
         succ.setdefault(flow.source, []).append(flow.target)
     _, cyclic = depth_first(sorted(nodes), lambda node: succ.get(node, ()))
     if cyclic:
-        raise WorkflowError("flow graph has a cycle through %r" % (cyclic[0],))
+        raise WorkflowError("flow graph has a cycle through %r" % (cyclic[0],),
+                            nodes[cyclic[0]].line)
 
 
 @dataclass
@@ -354,7 +354,7 @@ def compile_workflow(spec):
         label = conjoin(label, Label(codes.get((flow.source, flow.target), ())))
         if label is INCONSISTENT:
             raise WorkflowError("flow %s -> %s joins contradictory branch regions"
-                                % (flow.source, flow.target))
+                                % (flow.source, flow.target), flow.line)
         upper = LabeledConstraint(point(flow.source, "E"), point(flow.target, "S"),
                                   flow.upper, label)
         lower = LabeledConstraint(point(flow.target, "S"), point(flow.source, "E"),
@@ -369,7 +369,8 @@ def compile_workflow(spec):
         if label is INCONSISTENT:
             raise WorkflowError("constrain %s.%s -> %s.%s relates contradictory "
                                 "branch regions" % (c.source, c.source_anchor,
-                                                    c.target, c.target_anchor))
+                                                    c.target, c.target_anchor),
+                                c.line)
         src = point(c.source, c.source_anchor)
         dst = point(c.target, c.target_anchor)
         constraints.append(LabeledConstraint(src, dst, c.upper, label))

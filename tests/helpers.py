@@ -18,9 +18,9 @@ from cstnu import (Constraint, ContingentLink, Cstp, CstpEdge, Label,
                    sample_situations)
 from cstnu.jsonio import loads, network_from_dict
 from cstnu.labels import EMPTY, INCONSISTENT, sub
-from cstnu.propagation import (DEFAULT_BUDGET, PropagationResult, _Exhausted,
-                               _modification_failures, _modify, _Refuted, compose,
-                               dominates)
+from cstnu.propagation import (DEFAULT_BUDGET, PreconditionError, PropagationResult,
+                               _Exhausted, _Refuted, compose, dominates,
+                               label_modification)
 from cstnu.rational import INF
 from cstnu.search import _ORIGIN, _explore, _first_success, _merge
 from cstnu.semantics import DynamicityResult, ViabilityResult, _history
@@ -588,11 +588,12 @@ def naive_propagate(network, budget=DEFAULT_BUDGET, keep_everything=False):
                 continue
             for target_c in sorted(live, key=str):
                 if (target_c.source != obs_c.target
-                        or obs_c not in live or target_c not in live
-                        or _modification_failures(letter, obs_c.source,
-                                                  obs_c, target_c)):
+                        or obs_c not in live or target_c not in live):
                     continue
-                result = _modify(letter, obs_c, target_c)
+                try:
+                    result = label_modification(letter, obs_c.source, obs_c, target_c)
+                except PreconditionError:
+                    continue
                 for c in (result.derived,) + result.residuals:
                     if admit(c, "label-modification", (obs_c, target_c)):
                         changed = True

@@ -466,6 +466,20 @@ def test_verify_strategy_round_trip(capsys, tmp_path):
     assert code == 2 and "bad strategy file" in err and "cstn, stnu or cstnu" in err
 
 
+def test_verify_strategy_rejects_duplicate_entries(capsys, tmp_path, fixture_network):
+    # A faulty copy of entry 0 placed before it used to be overwritten by
+    # the good entry, so the strategy read as viable.
+    code, out, _ = run(capsys, "check-dc", "--json", fixture_network)
+    strategy = json.loads(out)["strategy"]
+    bad = dict(strategy["entries"][0])
+    bad["schedule"] = {**bad["schedule"], min(bad["schedule"]): "-1000"}
+    strategy["entries"].insert(0, bad)
+    strat_path = tmp_path / "strategy.json"
+    strat_path.write_text(json.dumps(strategy))
+    code, _, err = run(capsys, "verify-strategy", fixture_network, str(strat_path))
+    assert code == 2 and "entries 0 and 1 stand for the same index" in err
+
+
 def test_verify_strategy_rejects_a_kind_the_network_cannot_hold(capsys, tmp_path,
                                                                bad_stnu):
     strat_path = tmp_path / "strategy.json"

@@ -69,6 +69,22 @@ def test_strategy_kind_must_be_known(kind):
         strategy_from_dict({"kind": kind, "entries": []})
 
 
+@pytest.mark.parametrize("kind, first, second", [
+    ("cstn", {"scenario": {"p": True}}, {"scenario": {"p": True}, "situation": ["1"]}),
+    ("stnu", {"situation": ["1"]}, {"situation": ["1"]}),
+    ("cstnu", {"scenario": {}, "situation": ["1"]}, {"scenario": {}, "situation": ["1"]}),
+])
+def test_strategy_entries_with_one_index_are_rejected(kind, first, second):
+    # cstn indices are scenarios and stnu ones situations, so entries that
+    # differ elsewhere still collide.
+    entries = [{"scenario": {"p": False}, "situation": ["2"], "schedule": {}},
+               {**first, "schedule": {"A": "0"}}, {**second, "schedule": {"A": "1"}}]
+    if kind == "stnu":
+        del entries[0]["scenario"]
+    with pytest.raises(ValueError, match="entries 1 and 2 stand for the same index"):
+        strategy_from_dict({"kind": kind, "entries": entries})
+
+
 def _network(**fields):
     return {"timepoints": [{"id": "A"}, {"id": "B"}], **fields}
 

@@ -14,6 +14,7 @@ from cstnu import (LabeledConstraint, Network, PreconditionError, TimePoint,
                    parse_label, parse_workflow, propagate_to_fixpoint, solve, to_stn)
 from cstnu.fixtures import branching_workflow_text, modification_pair
 from cstnu.propagation import DEFAULT_BUDGET
+import helpers
 from helpers import naive_propagate, random_consistent_stn, random_cstn
 
 
@@ -209,8 +210,9 @@ def naive_loop_networks():
     """Random CSTNs, some with deltas of denominators 1, 3, 7 and 2 (to
     check the integer scaling), the fixture, DEAD_BEFORE_REFUTATION, a
     network whose observation-side value dies before its use, one whose
-    label pq is screened live before its subset p dies and one whose given
-    self-loop label modification would rewrite to a vacuous one."""
+    label pq is screened live before its subset p dies, one whose given
+    self-loop label modification would rewrite to a vacuous one and one
+    whose label modification makes a residual and meets a sign clash."""
     rng = random.Random(5)
     networks = [random_cstn(rng, max_letters=3, max_points=7) for _ in range(40)]
     mixed = (Fraction(1, 3), Fraction(1, 7), Fraction(5, 2))
@@ -235,7 +237,44 @@ def naive_loop_networks():
     networks.append(Network(
         timepoints=["P", "X"], constraints=[lc("P", "X", -1), lc("X", "X", 0, "p")],
         letters=["p"], observations={"p": "P"}))
+    networks.append(MODIFICATION_CASES)
     return networks
+
+
+# X runs at least 10 before P observes p.  Under a, Y - X <= 5 loses its p
+# and leaves the residual Y - X <= 5 under !a p; under !a, Y - X <= 4
+# clashes with the observation side's a.
+MODIFICATION_CASES = Network(
+    timepoints=["A", "P", "X", "Y"],
+    constraints=[lc("P", "X", -10, "a"), lc("X", "Y", 5, "p"), lc("X", "Y", 4, "!ap")],
+    letters=["a", "p"], observations={"a": "A", "p": "P"})
+
+
+def test_the_naive_loop_networks_reach_every_label_modification_outcome(monkeypatch):
+    # The reference meets a residual and a sign clash on MODIFICATION_CASES,
+    # so the comparison with the naive loop covers both.
+    seen = []
+
+    def spy(*args):
+        try:
+            result = label_modification(*args)
+        except PreconditionError as err:
+            seen.extend(err.failures)
+            raise
+        seen.extend("residual" for _ in result.residuals)
+        return result
+
+    monkeypatch.setattr(helpers, "label_modification", spy)
+    naive_propagate(MODIFICATION_CASES)
+    assert "residual" in seen
+    assert "labels disagree on the sign of 'a'" in seen
+    # The loop admits the modified value; the residual's label holds its
+    # target's, at the same bound, and that target is still live, so no
+    # residual is ever admitted.
+    trace = propagate_to_fixpoint(MODIFICATION_CASES).trace
+    assert trace[lc("X", "Y", 5, "a")] == ("label-modification",
+                                          (lc("P", "X", -10, "a"), lc("X", "Y", 5, "p")))
+    assert lc("X", "Y", 5, "!ap") not in trace
 
 
 BUDGETS = (1, 3, 10, 50, 200, 5000)

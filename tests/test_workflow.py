@@ -49,10 +49,15 @@ def test_parse_errors_carry_line_numbers():
          "duplicate flow"),
         (SPLIT + "branch S A +\nbranch S A +\n", 7, "duplicate branch"),
         (SPLIT + "branch S A -\nbranch S B -\n", 3, "needs a '\\+' branch"),
+        ("task A [1,2]\ntask B [1,2]\nflow A -> B [1,2]\nflow B -> A [1,2]\n", 1,
+         "cycle through 'A'"),
+        # compile_workflow's check: T3 and T4 lie on opposite branches of S1.
+        (branching_workflow_text() + "constrain T3.S -> T4.S [0,10]\n", 23,
+         "relates contradictory branch regions"),
     ]
     for text, line, message in cases:
         with pytest.raises(WorkflowError, match=message) as err:
-            parse_workflow(text)
+            compile_workflow(parse_workflow(text))
         assert err.value.line == line, text
 
 
