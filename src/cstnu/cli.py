@@ -15,7 +15,7 @@ from .jsonio import (_constraint_to_dict, _schedule_to_dict, dumps, loads,
                      network_from_dict, network_to_dict, stn_to_dict,
                      strategy_from_dict, strategy_to_dict)
 from .model import to_stn, validate
-from .projection import DEFAULT_GRID, Scenario, _project
+from .projection import DEFAULT_GRID, Scenario, _project, enumerate_scenarios
 from .propagation import DEFAULT_BUDGET, propagate_to_fixpoint
 from .rational import rational
 from .search import check_dc
@@ -78,7 +78,10 @@ def _parse_scenario(text):
             letter, value = piece.split("=", 1)
             if value not in ("0", "1", "true", "false"):
                 raise _InputError("bad truth value %r for %r" % (value, letter))
-            values[letter.strip()] = value in ("1", "true")
+            letter = letter.strip()
+            if letter in values:
+                raise _InputError("letter %r is given twice in the scenario" % letter)
+            values[letter] = value in ("1", "true")
     return Scenario(values)
 
 
@@ -105,9 +108,9 @@ def cmd_solve(args):
         else:
             print("inconsistent: the distance graph has a negative cycle")
         return 1
-    if not args.origin and not stn.timepoints:
+    if args.origin is None and not stn.timepoints:
         raise _InputError("network has no time-points")
-    origin = args.origin or min(stn.timepoints)
+    origin = min(stn.timepoints) if args.origin is None else args.origin
     try:
         schedule = earliest_solution(stn, origin)
     except ValueError as err:   # an unknown origin, or a point forced before it
@@ -185,6 +188,11 @@ def cmd_verify_strategy(args):
     strategy = _load(args.strategy, "strategy", strategy_from_dict)
     try:
         viable = is_viable(network, strategy)
+        covered = {strategy.drama(index).scenario for index in strategy.table}
+        missing = next((s for s in enumerate_scenarios(network.letters)
+                        if s not in covered), None)
+        if missing is not None:
+            raise ValueError("no entry for scenario %s" % missing)
         dynamic = is_dynamic_star(network, strategy)
     except (KeyError, ValueError) as err:
         raise _InputError("strategy does not match the network: %s" % err)

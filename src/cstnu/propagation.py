@@ -194,20 +194,25 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
 
     `repair` adds to a literal set the literals of its letters'
     observation labels and gives None when a letter then has both signs;
-    it is memoized for the whole call.  The compose pass repairs the union
-    of its pair's literal sets, looked up in a memo keyed by the two sets,
-    and drops vacuous self-loops and rejected labels before `admit`.
+    it is memoized for the whole call.  Each pass only picks its pairs and
+    offers one candidate per pair to `admit`, the one gate: it rejects a
+    label that `repair` rejected, a vacuous self-loop, a dead label (not
+    checked for a negative self-loop) and a dominated value, in that
+    order, and only then charges the budget.  Compose offers the repaired
+    union of its pair's literal sets, from a memo keyed by the two sets.
     Label modification pairs a value (X - P <= -w, obs) that leaves the
     observation point P of letter l with a value (Y - X <= v, target),
-    v <= w.  It skips the pair unless l is positive in target, obs lacks
-    l, and no letter has opposite signs in the two sets; it then repairs
-    (obs | target) - {l} and, for each literal of obs whose letter target
-    lacks, in sorted order, the residual target | {its complement}:
-    `label_modification`'s result in set form.  Whether a repaired literal
-    set contains a dead label is memoized as well, and that memo is
-    cleared whenever a dead label is recorded.  This is exact: dead labels
-    are only ever added, so a verdict reached since the last one was added
-    still holds.  A negative self-loop skips the dead check.
+    v <= w, where l is positive in target and obs lacks l, and offers
+    repair((obs | target) - {l}): `label_modification`'s derived value.
+    Its residuals are never offered, as none could be admitted: each
+    holds target's literals at target's bound, and target is live when
+    paired, since the modified value removes it only if obs is a subset
+    of target, which leaves no residual.  A sign clash between obs and
+    target makes `repair` reject the modified value.  Whether a repaired
+    literal set contains a dead label is memoized as well, and that memo
+    is cleared whenever a dead label is recorded.  This is exact: dead
+    labels are only ever added, so a verdict reached since the last one
+    was added still holds.
     """
     given = sorted(network.constraints, key=str)
     scale = _least_scale(c.delta for c in given)
@@ -253,9 +258,11 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
             repaired[literals] = joint if len({q for q, _ in joint}) == len(joint) else None
         return repaired[literals]
 
-    def admit(source, target, d, literals, rule, parents):
-        """Admit a candidate that is not a vacuous self-loop, with its
-        literal set repaired, unless it is dead or dominated."""
+    def admit(source, target, d, literals, rule, first, second):
+        """The one gate: reject a label that `repair` rejected (None), a
+        vacuous self-loop, a dead label or a dominated value; else admit."""
+        if literals is None or (source == target and d >= 0):
+            return False
         # Negative self-loops stay: label modification may widen one to a refutation.
         if source != target:
             dead = dead_verdicts.get(literals)
@@ -272,7 +279,7 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
             labels[literals] = Label(literals)
         c = LabeledConstraint(source, target, Fraction(d, scale), labels[literals])
         place(c, d, literals, len(trace))
-        trace[c] = (rule, tuple(parents))
+        trace[c] = (rule, (first, second))
         if source == target:
             if not literals:
                 raise _Refuted(c)
@@ -295,15 +302,11 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
             seconds = (every if number >= fresh else new).get(first.target, ())
             row = joints.setdefault(literals, {})
             for _, _, second, d2, second_literals, _ in filter(is_live, seconds):
-                target, d = second.target, d1 + d2
-                if source == target and d >= 0:
-                    continue    # vacuously true self-loop
                 try:
                     joint = row[second_literals]
                 except KeyError:
                     joint = row[second_literals] = repair(literals | second_literals)
-                if joint is not None and admit(source, target, d, joint,
-                                               "compose", (first, second)):
+                if admit(source, second.target, d1 + d2, joint, "compose", first, second):
                     changed = True
         return changed
 
@@ -311,22 +314,17 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
         changed = False
         for obs in records(obs_letter):
             _, _, obs_c, obs_d, obs_literals, _ = obs
-            tested = (obs_letter[obs_c.source], True)
-            clashes = frozenset((q, not p) for q, p in obs_literals)
-            if obs_d > 0 or tested in obs_literals or tested in clashes:
+            letter = obs_letter[obs_c.source]
+            tested = (letter, True)
+            if obs_d > 0 or tested in obs_literals or (letter, False) in obs_literals:
                 continue
             for _, _, target_c, d, literals, _ in filter(is_live, records((obs_c.target,))):
-                # A vacuous target self-loop would only derive vacuous ones.
-                if (d > -obs_d or not is_live(obs) or tested not in literals
-                        or (target_c.source == target_c.target and d >= 0)
-                        or not clashes.isdisjoint(literals)):
+                if d > -obs_d or not is_live(obs) or tested not in literals:
                     continue
-                candidates = [(obs_literals | literals) - {tested}]
-                candidates += [literals | {(q, not p)} for q, p in sorted(obs_literals - literals)]
-                for joint in map(repair, candidates):
-                    if joint is not None and admit(target_c.source, target_c.target, d, joint,
-                                                   "label-modification", (obs_c, target_c)):
-                        changed = True
+                if admit(target_c.source, target_c.target, d,
+                         repair((obs_literals | literals) - {tested}),
+                         "label-modification", obs_c, target_c):
+                    changed = True
         return changed
 
     rounds, fresh, saturated, refutation = 0, 0, True, None

@@ -175,29 +175,39 @@ def test_solve_point_forced_before_the_default_origin(capsys, tmp_path):
     assert json.loads(out)["schedule"] == {"A": "1", "B": "0"}
 
 
-@pytest.mark.parametrize("network, argv", [
-    ("stn", ("project", "--situation", "1,2")),       # two durations, no link
-    ("stnu", ("project", "--situation", "5")),        # outside the link's [1, 3]
-    ("stnu", ("project", "--situation", "x")),        # not a rational
-    ("stn", ("project", "--scenario", "a=1")),        # no letter a
-    ("empty", ("solve",)),                            # no point to be the origin
-    ("stnu", ("check-dc", "--grid", "1")),            # a grid misses a bound
-    ("two-char-letter", ("validate",)),               # no label can hold letter ab
+@pytest.mark.parametrize("network, argv, message", [
+    ("stn", ("project", "--situation", "1,2"), None),       # two durations, no link
+    ("stnu", ("project", "--situation", "5"), None),        # outside the link's [1, 3]
+    ("stnu", ("project", "--situation", "x"), None),        # not a rational
+    ("stn", ("project", "--scenario", "a=1"), None),        # no letter a
+    ("empty", ("solve",), None),                            # no point to be the origin
+    ("stnu", ("check-dc", "--grid", "1"), None),            # a grid misses a bound
+    ("two-char-letter", ("validate",), None),               # no label can hold letter ab
+    ("letter-a", ("project", "--scenario", "a=1,a=0"), "letter 'a' is given twice"),
+    ("stn", ("solve", "--origin", ""), "unknown origin ''"),
+    ("letter-a", ("verify-strategy", "no-entries.json"),
+     "strategy does not match the network: no entry for scenario a=1"),
 ], ids=["situation-count", "situation-range", "situation-syntax",
-        "scenario-domain", "solve-no-points", "check-dc-grid-1", "letter-ab"])
-def test_bad_input_exits_2_without_a_traceback(tmp_path, bad_stnu, network, argv):
+        "scenario-domain", "solve-no-points", "check-dc-grid-1", "letter-ab",
+        "scenario-letter-twice", "solve-empty-origin", "strategy-without-entries"])
+def test_bad_input_exits_2_without_a_traceback(tmp_path, bad_stnu, network, argv, message):
     paths = {"stn": stn_file(tmp_path, [{"from": "A", "to": "B", "delta": "3"}]),
              "stnu": bad_stnu, "empty": str(tmp_path / "empty.json"),
-             "two-char-letter": str(tmp_path / "ab.json")}
+             "two-char-letter": str(tmp_path / "ab.json"),
+             "letter-a": str(tmp_path / "a.json")}
     (tmp_path / "empty.json").write_text("{}")
     (tmp_path / "ab.json").write_text(json.dumps(
         dict(NET, letters=["ab"], observations={"ab": "A"})))
+    (tmp_path / "a.json").write_text(json.dumps(
+        dict(NET, letters=["a"], observations={"a": "A"})))
+    (tmp_path / "no-entries.json").write_text(json.dumps({"kind": "cstnu", "entries": []}))
     src = os.path.dirname(os.path.dirname(os.path.abspath(cstnu.__file__)))
     done = subprocess.run(
         [sys.executable, "-m", "cstnu.cli", argv[0], paths[network], *argv[1:]],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, cwd=tmp_path)
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+    assert message is None or message in done.stderr
 
 
 def test_solve_unknown_origin(capsys, bad_stnu):
@@ -478,6 +488,20 @@ def test_verify_strategy_rejects_duplicate_entries(capsys, tmp_path, fixture_net
     strat_path.write_text(json.dumps(strategy))
     code, _, err = run(capsys, "verify-strategy", fixture_network, str(strat_path))
     assert code == 2 and "entries 0 and 1 stand for the same index" in err
+
+
+def test_verify_strategy_rejects_a_strategy_that_skips_a_scenario(capsys, tmp_path,
+                                                                 fixture_network):
+    # Without its a=0 entries the fixture's strategy used to read as
+    # viable and dynamic: every entry left is checked, none is missing.
+    code, out, _ = run(capsys, "check-dc", "--json", fixture_network)
+    strategy = json.loads(out)["strategy"]
+    strategy["entries"] = [e for e in strategy["entries"] if e["scenario"]["a"]]
+    strat_path = tmp_path / "strategy.json"
+    strat_path.write_text(json.dumps(strategy))
+    code, out, err = run(capsys, "verify-strategy", fixture_network, str(strat_path))
+    assert code == 2 and out == ""
+    assert err == "error: strategy does not match the network: no entry for scenario a=0\n"
 
 
 def test_verify_strategy_rejects_a_kind_the_network_cannot_hold(capsys, tmp_path,

@@ -1,5 +1,6 @@
 """Constraint composition, label modification, and the saturation loop."""
 
+import json
 import os
 import random
 import subprocess
@@ -13,9 +14,10 @@ from cstnu import (LabeledConstraint, Network, PreconditionError, TimePoint,
                    compile_workflow, compose, dominates, label_modification,
                    parse_label, parse_workflow, propagate_to_fixpoint, solve, to_stn)
 from cstnu.fixtures import branching_workflow_text, modification_pair
+from cstnu.jsonio import network_from_dict
 from cstnu.propagation import DEFAULT_BUDGET
 import helpers
-from helpers import naive_propagate, random_consistent_stn, random_cstn
+from helpers import DEAD_LABEL_WORKFLOW, naive_propagate, random_consistent_stn, random_cstn
 
 
 def lc(source, target, delta, label="[]"):
@@ -275,6 +277,23 @@ def test_the_naive_loop_networks_reach_every_label_modification_outcome(monkeypa
     assert trace[lc("X", "Y", 5, "a")] == ("label-modification",
                                           (lc("P", "X", -10, "a"), lc("X", "Y", 5, "p")))
     assert lc("X", "Y", 5, "!ap") not in trace
+
+
+def test_the_naive_loop_never_admits_a_residual():
+    # `propagate_to_fixpoint` offers label modification's derived value
+    # alone.  That keeps its output only if the reference, which offers
+    # every residual too, admits none: a residual keeps its observation
+    # parent's letter positively, the derived value drops it.
+    with open(DEAD_LABEL_WORKFLOW) as f:
+        networks = naive_loop_networks() + [network_from_dict(json.load(f))]
+    modified = 0
+    for network in networks:
+        letter_of = {point: letter for letter, point in network.observations.items()}
+        for c, (rule, parents) in naive_propagate(network).trace.items():
+            if rule == "label-modification":
+                assert c.label.sign(letter_of[parents[0].source]) is not True, c
+                modified += 1
+    assert modified >= 50
 
 
 BUDGETS = (1, 3, 10, 50, 200, 5000)
