@@ -4,7 +4,8 @@ All rationals travel as strings ("5", "3/2") so round-trips are exact.
 Constraint objects use {"from": X, "to": Y, "delta": d, "label": l}
 meaning Y - X <= d under label l; labels use the text syntax ("[]" for
 the always-true label).  A field of the wrong JSON type (letters given
-as one string, a label as a number, a schedule as an array) is a
+as one string, a label as a number, a schedule as an array) or a number
+that is not a rational (a delta of null, a bound of "1/0") is a
 `ValueError` that names the field, never a silent misread.
 """
 
@@ -71,6 +72,15 @@ def _items(data, key, kind):
     return items
 
 
+def _rational(key, value):
+    """`rational(value)`, the value of field `key`: a `ValueError` that
+    names `key` otherwise."""
+    try:
+        return rational(value)
+    except ValueError as err:
+        raise ValueError("field %r: %s" % (key, err)) from None
+
+
 def _label(data):
     return parse_label(_field(data, "label", str, "[]"))
 
@@ -98,14 +108,14 @@ def network_from_dict(data):
         return Network(
             timepoints=[TimePoint(tp["id"], _label(tp)) for tp in _items(data, "timepoints", dict)],
             constraints=[LabeledConstraint(_point(c, "from"), _point(c, "to"),
-                                           rational(c["delta"]), _label(c))
+                                           _rational("delta", c["delta"]), _label(c))
                          for c in _items(data, "constraints", dict)],
             letters=_items(data, "letters", str),
             observations=_observations(data),
-            links=[ContingentLink(_point(l, "activation"), rational(l["lower"]),
-                                  rational(l["upper"]), _point(l, "contingent"))
+            links=[ContingentLink(_point(l, "activation"), _rational("lower", l["lower"]),
+                                  _rational("upper", l["upper"]), _point(l, "contingent"))
                    for l in _items(data, "links", dict)],
-            epsilon=rational(data.get("epsilon", DEFAULT_EPSILON)))
+            epsilon=_rational("epsilon", data.get("epsilon", DEFAULT_EPSILON)))
     except KeyError as err:
         raise ValueError("missing key %s" % err) from None
 
@@ -154,8 +164,9 @@ def strategy_from_dict(data):
         for letter in scenario:
             _field(scenario, letter, bool, None)
         drama = Drama(Scenario(scenario),
-                      tuple(rational(d) for d in _field(entry, "situation", list, [])))
-        pairs.append((drama, {point: rational(t)
+                      tuple(_rational("situation", d)
+                            for d in _field(entry, "situation", list, [])))
+        pairs.append((drama, {point: _rational("schedule", t)
                               for point, t in _field(entry, "schedule", dict, {}).items()}))
     return Strategy.from_dramas(kind, pairs)
 

@@ -1,9 +1,9 @@
 """Labeled constraint propagation: composition, observation-aware label
 modification, dominance pruning, and a saturating fixpoint loop.
 
-Propagation is a one-sided test.  Deriving a negative self-loop under the
-empty label refutes the network; saturation without one says nothing
-definitive about controllability.
+Propagation is a one-sided test.  A negative self-loop under the empty
+label, given or derived, refutes the network; saturation without one
+says nothing definitive about controllability.
 """
 
 from dataclasses import dataclass
@@ -155,9 +155,9 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
 
     Labels of derived constraints are conjoined with the labels of the
     observation points of their letters (a contradiction drops the
-    derivation), so saturation preserves well-definedness.  `budget` caps
-    the admitted derivations; exceeding it returns `saturated=False`
-    (negative labeled cycles never saturate).
+    derivation), so saturation preserves well-definedness.  `budget`, a
+    non-negative `int`, caps the admitted derivations; exceeding it
+    returns `saturated=False`.
 
     Candidates are judged as integers, deltas times `scale`, the least
     that makes every given delta an integer: every derived delta is a sum
@@ -167,25 +167,30 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
 
     One store holds each edge's live values, keyed by literal set, as
     records [`str` key, admission number, constraint, scaled delta,
-    literal set, live flag].  A candidate that a live value on its edge
-    dominates is rejected; a given or admitted value removes (and clears
-    the flag of) the live values it dominates.  `trace` keeps every
-    admitted value, so `explain()` works on a removed one; `live` is the
-    final store.  Givens are numbered in `str` order, so no order depends
-    on string hashing.  A round runs a compose pass over the values live
-    at its start, sorted, then a label-modification pass; both skip a
-    value removed before its use.  A removed value is never needed: its
-    dominator composes at least as tightly (a bound no larger, a subset
-    label, a monotone `repair`), and meets label modification's
-    preconditions or dominates its results.  So refutation and saturation
-    are those of keeping every value, from fewer derivations; `rounds`
-    may differ (3 of the 2000 networks of `bench/gen.py`'s
-    `small_nets(1..2)`).
+    literal set, live flag].  `place` is the one way into it, for givens
+    and derived values alike: the new value removes (and clears the flag
+    of) the live values it dominates, and a negative self-loop refutes
+    the network under the empty label and makes its label dead under any
+    other.  `trace` keeps every admitted value, so `explain()` works on a
+    removed one; `live` is the final store.  Givens are numbered in `str`
+    order, so no order depends on string hashing.
 
-    The compose pass is semi-naive: it skips every pair whose members
-    were both admitted before the previous compose pass started.  This is
-    exact.  Removal is permanent, so two such values live now were live
-    when that pass reached them, and it, or by induction an earlier one,
+    A round calls each rule of the table (compose, then label
+    modification) with `fresh`, the length of `trace` when the previous
+    round started, and the loop ends after a round that leaves `trace` no
+    longer.  Each rule picks its pairs from the values live at its start,
+    sorted, skips a value removed before its use, and calls `admit` once
+    per pair.  A removed value is never needed: its dominator composes at
+    least as tightly (a bound no larger, a subset label, a monotone
+    `repair`), and meets label modification's preconditions or dominates
+    its results.  So refutation and saturation are those of keeping every
+    value, from fewer derivations; `rounds` may differ (3 of the 2000
+    networks of `bench/gen.py`'s `small_nets(1..2)`).
+
+    The compose rule is semi-naive: it skips every pair whose members
+    were both admitted before the previous round started.  This is exact.
+    Removal is permanent, so two such values live now were live when that
+    round's compose reached them, and it, or by induction an earlier one,
     composed them.  A candidate rejected then is rejected again (a live
     value dominates what dominated it; dead labels only grow), and one
     admitted then is dominated by a live value now.  So every round
@@ -194,13 +199,13 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
 
     `repair` adds to a literal set the literals of its letters'
     observation labels and gives None when a letter then has both signs;
-    it is memoized for the whole call.  Each pass only picks its pairs and
-    offers one candidate per pair to `admit`, the one gate: it rejects a
-    label that `repair` rejected, a vacuous self-loop, a dead label (not
-    checked for a negative self-loop) and a dominated value, in that
-    order, and only then charges the budget.  Compose offers the repaired
-    union of its pair's literal sets, from a memo keyed by the two sets.
-    Label modification pairs a value (X - P <= -w, obs) that leaves the
+    it is memoized for the whole call.  `admit` is the one gate: it
+    rejects a label that `repair` rejected, a vacuous self-loop, a dead
+    label (not checked for a negative self-loop) and a dominated value,
+    in that order, and only then charges the budget, records the value in
+    `trace` and places it.  Compose offers the repaired union of its
+    pair's literal sets, from a memo keyed by the two sets.  Label
+    modification pairs a value (X - P <= -w, obs) that leaves the
     observation point P of letter l with a value (Y - X <= v, target),
     v <= w, where l is positive in target and obs lacks l, and offers
     repair((obs | target) - {l}): `label_modification`'s derived value.
@@ -214,6 +219,8 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
     labels are only ever added, so a verdict reached since the last one
     was added still holds.
     """
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+        raise ValueError("budget must be a non-negative int, not %r" % (budget,))
     given = sorted(network.constraints, key=str)
     scale = _least_scale(c.delta for c in given)
     trace = {c: ("given", ()) for c in given}
@@ -239,16 +246,15 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
         for old in [k for k, r in edge.items() if d <= r[3] and literals <= k]:
             edge.pop(old)[5] = False
         edge[literals] = [str(c), number, c, d, literals, True]
+        if c.source == c.target and d < 0:
+            if not literals:
+                raise _Refuted(c)
+            dead_labels.add(literals)
+            dead_verdicts.clear()
 
     def records(sources):
         return sorted(r for s in sources for edge in live.get(s, {}).values()
                       for r in edge.values())
-
-    for number, c in enumerate(given):
-        d = _scaled(c.delta, scale)
-        literals = frozenset(c.label.literals)
-        if not dominated(c.source, c.target, d, literals):
-            place(c, d, literals, number)
 
     def repair(literals):
         """`literals` with the literals of its letters' observation labels;
@@ -262,7 +268,7 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
         """The one gate: reject a label that `repair` rejected (None), a
         vacuous self-loop, a dead label or a dominated value; else admit."""
         if literals is None or (source == target and d >= 0):
-            return False
+            return
         # Negative self-loops stay: label modification may widen one to a refutation.
         if source != target:
             dead = dead_verdicts.get(literals)
@@ -270,26 +276,19 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
                 dead = dead_verdicts[literals] = any(dead_label <= literals
                                                      for dead_label in dead_labels)
             if dead:
-                return False    # only applies in scenarios already known dead
+                return          # only applies in scenarios already known dead
         if dominated(source, target, d, literals):
-            return False
+            return
         if len(trace) - len(given) >= budget:
             raise _Exhausted()
         if literals not in labels:
             labels[literals] = Label(literals)
         c = LabeledConstraint(source, target, Fraction(d, scale), labels[literals])
-        place(c, d, literals, len(trace))
         trace[c] = (rule, (first, second))
-        if source == target:
-            if not literals:
-                raise _Refuted(c)
-            dead_labels.add(literals)
-            dead_verdicts.clear()
-        return True
+        place(c, d, literals, len(trace) - 1)
 
-    def compose_pass(fresh):
+    def compose_rule(fresh):
         """Compose the live pairs with a member admitted as number `fresh` or later."""
-        changed = False
         # Negative self-loops record a dead scenario; do not spin on them.
         firsts = [r for r in records(live) if r[2].source != r[2].target or r[3] >= 0]
         every, new = {}, {}     # source -> its (new) records, sorted
@@ -306,12 +305,10 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
                     joint = row[second_literals]
                 except KeyError:
                     joint = row[second_literals] = repair(literals | second_literals)
-                if admit(source, second.target, d1 + d2, joint, "compose", first, second):
-                    changed = True
-        return changed
+                admit(source, second.target, d1 + d2, joint, "compose", first, second)
 
-    def modification_pass():
-        changed = False
+    def modification_rule(fresh):
+        """Label modification over every live pair (`fresh` is unused)."""
         for obs in records(obs_letter):
             _, _, obs_c, obs_d, obs_literals, _ = obs
             letter = obs_letter[obs_c.source]
@@ -321,20 +318,22 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
             for _, _, target_c, d, literals, _ in filter(is_live, records((obs_c.target,))):
                 if d > -obs_d or not is_live(obs) or tested not in literals:
                     continue
-                if admit(target_c.source, target_c.target, d,
-                         repair((obs_literals | literals) - {tested}),
-                         "label-modification", obs_c, target_c):
-                    changed = True
-        return changed
+                admit(target_c.source, target_c.target, d,
+                      repair((obs_literals | literals) - {tested}),
+                      "label-modification", obs_c, target_c)
 
-    rounds, fresh, saturated, refutation = 0, 0, True, None
+    rounds, start, saturated, refutation = 0, 0, True, None
     try:
-        while True:
-            rounds += 1
-            fresh, changed = len(trace), compose_pass(fresh)
-            changed = modification_pass() or changed
-            if not changed:
-                break
+        for number, c in enumerate(given):
+            d, literals = _scaled(c.delta, scale), frozenset(c.label.literals)
+            if not dominated(c.source, c.target, d, literals):
+                place(c, d, literals, number)
+        # `fresh` is the length of `trace` when the previous round started;
+        # the first round that admits nothing is the last.
+        while not rounds or len(trace) > start:
+            rounds, fresh, start = rounds + 1, start, len(trace)
+            for rule in (compose_rule, modification_rule):
+                rule(fresh)
     except _Refuted as refuted:
         refutation, saturated = refuted.args[0], False
     except _Exhausted:

@@ -505,7 +505,9 @@ def naive_propagate(network, budget=DEFAULT_BUDGET, keep_everything=False):
     admitted constraint removes the live constraints it dominates, and a
     pass skips a pair with a member removed before its use.  It admits the
     same constraints in the same order, so every result field, and the
-    order of the derived trace entries, must match.
+    order of the derived trace entries, must match.  A negative self-loop,
+    given or admitted, refutes under the empty label and makes its label
+    dead under any other.
 
     With `keep_everything`, nothing is removed: every admitted constraint
     stays live.  That loop admits more, and its trace and `rounds` differ,
@@ -522,10 +524,11 @@ def naive_propagate(network, budget=DEFAULT_BUDGET, keep_everything=False):
         if not keep_everything:
             live.difference_update([old for old in live if dominates(c, old)])
         live.add(c)
-
-    for c in network.constraints:
-        if keep_everything or not any(dominates(old, c) for old in live):
-            place(c)
+        if c.source == c.target and c.delta < 0:
+            if c.label == EMPTY:
+                refutation[0] = c
+                raise _Refuted()
+            dead_labels.add(c.label)
 
     def repair(c):
         label = c.label
@@ -551,14 +554,9 @@ def naive_propagate(network, budget=DEFAULT_BUDGET, keep_everything=False):
             return False
         if admitted[0] >= budget:
             raise _Exhausted()
-        place(c)
         trace[c] = (rule, tuple(parents))
         admitted[0] += 1
-        if c.source == c.target and c.delta < 0:
-            if c.label == EMPTY:
-                refutation[0] = c
-                raise _Refuted()
-            dead_labels.add(c.label)
+        place(c)
         return True
 
     def compose_pass():
@@ -602,6 +600,9 @@ def naive_propagate(network, budget=DEFAULT_BUDGET, keep_everything=False):
     rounds = 0
     saturated = True
     try:
+        for c in sorted(network.constraints, key=str):
+            if keep_everything or not any(dominates(old, c) for old in live):
+                place(c)
         while True:
             rounds += 1
             changed = compose_pass()

@@ -100,9 +100,11 @@ NET = {"timepoints": [{"id": "A"}, {"id": "B"}],
      "missing key 'to'"),
     ("validate", dict(NET, links=[{"activation": "A", "lower": "1", "upper": "2"}]), None,
      "missing key 'contingent'"),
+    ("validate", dict(NET, constraints=[{"from": "A", "to": "B", "delta": None}]), None,
+     "field 'delta': not a rational: None"),
     ("verify-strategy", NET, [], "expected a JSON object, got list"),
 ], ids=["integer-ids", "network-list", "no-id", "no-to", "no-contingent",
-        "strategy-list"])
+        "null-delta", "strategy-list"])
 def test_malformed_files_name_the_problem(capsys, tmp_path, command, network,
                                           strategy, message):
     net_path = tmp_path / "net.json"
@@ -162,6 +164,18 @@ def test_propagate_reports_an_exhausted_budget(capsys, fixture_network):
     code, out, _ = run(capsys, "propagate", "--json", "--budget", "3", fixture_network)
     payload = json.loads(out)
     assert code == 0 and not payload["saturated"] and not payload["refuted"]
+
+
+def test_propagate_refutes_a_given_negative_self_loop(capsys, tmp_path):
+    # The deadline compiles to T1_S - T1_S <= -1, which no schedule meets.
+    workflow = tmp_path / "self.wf"
+    workflow.write_text("task T1 [2,4]\ntask T2 [5,20]\nflow T1 -> T2 [1,5]\n"
+                        "constrain T1.S -> T1.S [1,2]\n")
+    net = str(tmp_path / "self.json")
+    assert run(capsys, "compile-workflow", "-o", net, str(workflow))[0] == 0
+    assert run(capsys, "validate", net)[0] == 0
+    code, out, _ = run(capsys, "propagate", net)
+    assert code == 1 and out == "8 constraints after 0 rounds (refuted)\n"
 
 
 def test_solve_point_forced_before_the_default_origin(capsys, tmp_path):

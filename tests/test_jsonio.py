@@ -127,6 +127,36 @@ def test_strategy_fields_of_the_wrong_type_are_named(data, field):
         strategy_from_dict(data)
 
 
+LINK = {"activation": "A", "lower": "1", "upper": "2", "contingent": "B"}
+
+
+@pytest.mark.parametrize("data, message", [
+    (_network(constraints=[{"from": "A", "to": "B", "delta": None}]),
+     "field 'delta': not a rational: None"),
+    (_network(constraints=[{"from": "A", "to": "B", "delta": "1/0"}]),
+     "field 'delta': not a rational: '1/0'"),
+    (_network(epsilon=None), "field 'epsilon': not a rational: None"),
+    (_network(epsilon="x"), "field 'epsilon': not a rational: 'x'"),
+    (_network(links=[dict(LINK, lower=None)]), "field 'lower': not a rational: None"),
+    (_network(links=[dict(LINK, upper=True)]), "field 'upper': booleans are not temporal values"),
+])
+def test_network_numbers_that_are_not_rationals_are_named(data, message):
+    with pytest.raises(ValueError) as err:
+        network_from_dict(data)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("entry, field", [
+    ({"situation": [None], "schedule": {}}, "situation"),
+    ({"situation": ["1/0"], "schedule": {}}, "situation"),
+    ({"situation": [], "schedule": {"A": None}}, "schedule"),
+    ({"situation": [], "schedule": {"A": "nan"}}, "schedule"),
+])
+def test_strategy_numbers_that_are_not_rationals_are_named(entry, field):
+    with pytest.raises(ValueError, match="^field '%s': " % field):
+        strategy_from_dict({"kind": "stnu", "entries": [entry]})
+
+
 def test_a_field_of_the_wrong_type_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "net.json"
     path.write_text(dumps(_network(letters="pq")))

@@ -169,6 +169,47 @@ def test_given_constraints_are_traced():
     assert result.trace[lc("A", "B", 1)] == ("given", ())
 
 
+# Given self-loops go into the store as derived ones do: B - B <= -1 has
+# no schedule; C - C <= -1 under p kills p, so A - C <= 2 under p is
+# never admitted; P - C <= -1 then widens C's loop to a refutation.
+GIVEN_LOOP = Network(timepoints=["A", "B"], constraints=[lc("A", "B", 1), lc("B", "B", -1)])
+GIVEN_LABELED_LOOP = Network(
+    timepoints=["A", "B", "C", "P"],
+    constraints=[lc("A", "B", 1, "p"), lc("B", "C", 1), lc("C", "C", -1, "p")],
+    letters=["p"], observations={"p": "P"})
+GIVEN_VACUOUS_LOOP = Network(
+    timepoints=["A", "B"], constraints=[lc("A", "B", 1), lc("B", "A", 2), lc("B", "B", 0)])
+
+
+def test_a_given_negative_self_loop_refutes_before_any_round():
+    result = propagate_to_fixpoint(GIVEN_LOOP)
+    assert result.refutation == lc("B", "B", -1)
+    assert (result.rounds, result.saturated) == (0, False)
+    assert result.trace[result.refutation] == ("given", ())
+
+
+def test_a_given_labeled_negative_self_loop_makes_its_label_dead():
+    result = propagate_to_fixpoint(GIVEN_LABELED_LOOP)
+    assert result.saturated and not result.refuted
+    assert lc("A", "C", 2, "p") not in result.constraints
+    widened = Network(timepoints=["A", "B", "C", "P"],
+                      constraints=[*GIVEN_LABELED_LOOP.constraints, lc("P", "C", -1)],
+                      letters=["p"], observations={"p": "P"})
+    result = propagate_to_fixpoint(widened)
+    assert result.refutation == lc("C", "C", -1)
+    assert result.trace[result.refutation] == ("label-modification",
+                                               (lc("P", "C", -1), lc("C", "C", -1, "p")))
+
+
+@pytest.mark.parametrize("budget", ["10", None, -1, True, 2.5])
+def test_a_budget_that_is_not_a_count_is_refused(budget):
+    network, _ = compile_workflow(parse_workflow(branching_workflow_text()))
+    with pytest.raises(ValueError) as err:
+        propagate_to_fixpoint(network, budget=budget)
+    assert str(err.value) == "budget must be a non-negative int, not %r" % (budget,)
+    assert not propagate_to_fixpoint(network, budget=0).saturated
+
+
 DEAD_BEFORE_REFUTATION = """\
 task T1 [10,18]
 task T2 [2,6]
@@ -213,8 +254,10 @@ def naive_loop_networks():
     check the integer scaling), the fixture, DEAD_BEFORE_REFUTATION, a
     network whose observation-side value dies before its use, one whose
     label pq is screened live before its subset p dies, one whose given
-    self-loop label modification would rewrite to a vacuous one and one
-    whose label modification makes a residual and meets a sign clash."""
+    self-loop label modification would rewrite to a vacuous one, one
+    whose label modification makes a residual and meets a sign clash, and
+    three whose given self-loop is negative under [], negative under a
+    label or vacuous."""
     rng = random.Random(5)
     networks = [random_cstn(rng, max_letters=3, max_points=7) for _ in range(40)]
     mixed = (Fraction(1, 3), Fraction(1, 7), Fraction(5, 2))
@@ -240,6 +283,7 @@ def naive_loop_networks():
         timepoints=["P", "X"], constraints=[lc("P", "X", -1), lc("X", "X", 0, "p")],
         letters=["p"], observations={"p": "P"}))
     networks.append(MODIFICATION_CASES)
+    networks += [GIVEN_LOOP, GIVEN_LABELED_LOOP, GIVEN_VACUOUS_LOOP]
     return networks
 
 
