@@ -6,7 +6,9 @@ meaning Y - X <= d under label l; labels use the text syntax ("[]" for
 the always-true label).  A field of the wrong JSON type (letters given
 as one string, a label as a number, a schedule as an array) or a number
 that is not a rational (a delta of null, a bound of "1/0") is a
-`ValueError` that names the field, never a silent misread.
+`ValueError` that names the field, never a silent misread.  So is a
+strategy entry's field that the strategy's kind does not hold: a
+"situation" in a "cstn" entry, or a "scenario" in an "stnu" one.
 """
 
 import json
@@ -158,8 +160,12 @@ def strategy_from_dict(data):
             kind = "stnu"
         else:
             kind = "cstn"
+    unheld = "situation" if kind == "cstn" else "scenario" if kind == "stnu" else None
     pairs = []
-    for entry in entries:
+    for pos, entry in enumerate(entries):
+        if unheld in entry:
+            raise ValueError("field %r: entries of kind %r hold no %s (entry %d)"
+                             % (unheld, kind, unheld, pos))
         scenario = _field(entry, "scenario", dict, {})
         for letter in scenario:
             _field(scenario, letter, bool, None)

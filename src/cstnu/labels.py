@@ -46,10 +46,19 @@ def _check_letter(name):
     return name
 
 
+def _truth(letter, value):
+    """`value` as the truth value of `letter`: a `bool`, or the `int` 0
+    or 1.  Anything else ("false", None, 2, 1.0) is a `ValueError`."""
+    if isinstance(value, int) and value in (0, 1):
+        return bool(value)
+    raise ValueError("letter %r: a truth value is a bool, 0 or 1, not %r" % (letter, value))
+
+
 class Label:
     """An internally satisfiable conjunction of literals.
 
-    Literals are (letter, positive) pairs.  A letter may not occur with
+    Literals are (letter, positive) pairs, `positive` a truth value
+    (`_truth`).  A letter may not occur with
     both signs; attempting to build such a label raises ValueError, since
     contradictory labels are a caller error everywhere they could appear.
     """
@@ -60,7 +69,7 @@ class Label:
         signs = {}
         for letter, positive in literals:
             _check_letter(letter)
-            positive = bool(positive)
+            positive = _truth(letter, positive)
             if signs.get(letter, positive) != positive:
                 raise ValueError("contradictory label: %s and !%s" % (letter, letter))
             signs[letter] = positive

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .labels import Label, evaluate
+from .labels import Label, _truth, evaluate
 from .model import Constraint, Stn, strip_labels
 from .rational import rational
 
@@ -14,12 +14,13 @@ DEFAULT_GRID = 3
 
 
 class Scenario:
-    """Total truth assignment over the network's letter set."""
+    """Total truth assignment over the network's letter set.  A truth
+    value is a `bool`, or the `int` 0 or 1."""
 
     __slots__ = ("_values",)
 
     def __init__(self, values):
-        self._values = tuple(sorted((k, bool(v)) for k, v in dict(values).items()))
+        self._values = tuple(sorted((k, _truth(k, v)) for k, v in dict(values).items()))
 
     @property
     def letters(self):

@@ -227,9 +227,8 @@ class _Problem:
         return _Node(self.dctxs, {}, 0, False, [()] * len(self.dctxs),
                      frozenset(), {})
 
-    def advance(self, node, committed, point, t):
-        """The child of `node` that runs `point` at `t`; `committed` is
-        `node.committed` plus that commit.
+    def advance(self, node, point, t):
+        """The child of `node` that runs `point` at `t`.
 
         Each class's events grow by the events of this commit alone
         (`semantics._commit_events`).  No two commits produce the same
@@ -243,7 +242,8 @@ class _Problem:
         if any(fresh):
             events = [seen + tuple(produced) for seen, produced in zip(events, fresh)]
             splits = splits | _diverging(fresh)
-        return _Node(node.dctxs, committed, t, False, events, splits, node.bounds)
+        return _Node(node.dctxs, {**node.committed, point: t}, t, False, events, splits,
+                     node.bounds)
 
     def next_divergence(self, node):
         """Earliest time >= `node.now` at which the histories of
@@ -335,12 +335,6 @@ class _Budget(Exception):
     pass
 
 
-# What a node's alternatives generator asks of `_explore`: the value of a
-# child node, or to fold in the value of one alternative.
-_ENTER, _VALUE = "enter", "value"
-_OPEN = object()
-
-
 def _explore(problem, moves, leaf, fold, join, budget=None, remember=None):
     """Walk the observation-ordered decision trees of `problem`.
 
@@ -365,16 +359,22 @@ def _explore(problem, moves, leaf, fold, join, budget=None, remember=None):
     only pay for the keys.
 
     The walk keeps its own stack, one frame per open node, so its depth
-    is not bounded by the interpreter's recursion limit.
+    is not bounded by the interpreter's recursion limit.  A frame is the
+    node's generator and its memo key.  The generator yields each child
+    node, is sent that child's value as the value of its `yield`, folds
+    it, and returns the node's own value.  The loop only sends the top
+    frame the last value, enters the child it yields, and closes a frame
+    that returned: a fresh frame is sent None, and a leaf's or a
+    remembered value goes to the frame that yielded its node.
     """
     initial, step = fold
     memo = {}
-    stack = []          # [alternatives, memo key, folded value] per open node
+    stack = []          # (node's generator, memo key) per open node
     entered = 0
 
     def enter(node):
         """The value of `node` if it is a leaf or remembered; otherwise
-        `_OPEN`, with the node's frame pushed."""
+        None, with the node's frame pushed."""
         nonlocal entered
         if budget is not None:
             entered += 1
@@ -388,8 +388,8 @@ def _explore(problem, moves, leaf, fold, join, budget=None, remember=None):
                 return memo[key]
         ready, blocked = problem.ready_points(node)
         if ready or blocked:
-            stack.append([alternatives(node, ready), key, initial])
-            return _OPEN
+            stack.append((value_of(node, ready), key))
+            return None
         return close(key, leaf(node))
 
     def close(key, value):
@@ -397,43 +397,34 @@ def _explore(problem, moves, leaf, fold, join, budget=None, remember=None):
             memo[key] = value
         return value
 
-    def alternatives(node, ready):
+    def value_of(node, ready):
         div = problem.next_divergence(node)
+        value = initial
         for point, t in moves(node, ready, div):
-            trial = {**node.committed, point: t}
-            value = yield _ENTER, problem.advance(node, trial, point, t)
-            yield _VALUE, value
+            value, stop = step(value, (yield problem.advance(node, point, t)))
+            if stop:
+                return value
         if div is not None:
             joined = None
             for group in problem.split(node, div):
-                value = yield _ENTER, group
-                if not value:
-                    joined = value
+                other = yield group
+                if not other:
+                    joined = other
                     break
-                joined = value if joined is None else join(joined, value)
-            yield _VALUE, joined
+                joined = other if joined is None else join(joined, other)
+            value, _ = step(value, joined)
+        return value
 
     value = enter(problem.root())
-    incoming = None     # what the innermost open node's generator is sent next
     while stack:
-        frame = stack[-1]
+        frame, key = stack[-1]
         try:
-            kind, payload = frame[0].send(incoming)
-        except StopIteration:
-            value = frame[2]
+            child = frame.send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = close(key, done.value)
         else:
-            incoming = None
-            if kind is _ENTER:
-                child = enter(payload)
-                if child is not _OPEN:
-                    incoming = child
-                continue
-            frame[2], stop = step(frame[2], payload)
-            if not stop:
-                continue
-            value = frame[2]
-        stack.pop()
-        incoming = value = close(frame[1], value)
+            value = enter(child)
     return value
 
 

@@ -201,9 +201,12 @@ def test_solve_point_forced_before_the_default_origin(capsys, tmp_path):
     ("stn", ("solve", "--origin", ""), "unknown origin ''"),
     ("letter-a", ("verify-strategy", "no-entries.json"),
      "strategy does not match the network: no entry for scenario a=1"),
+    ("letter-a", ("verify-strategy", "cstn-situation.json"),
+     "field 'situation': entries of kind 'cstn' hold no situation (entry 0)"),
 ], ids=["situation-count", "situation-range", "situation-syntax",
         "scenario-domain", "solve-no-points", "check-dc-grid-1", "letter-ab",
-        "scenario-letter-twice", "solve-empty-origin", "strategy-without-entries"])
+        "scenario-letter-twice", "solve-empty-origin", "strategy-without-entries",
+        "cstn-strategy-with-a-situation"])
 def test_bad_input_exits_2_without_a_traceback(tmp_path, bad_stnu, network, argv, message):
     paths = {"stn": stn_file(tmp_path, [{"from": "A", "to": "B", "delta": "3"}]),
              "stnu": bad_stnu, "empty": str(tmp_path / "empty.json"),
@@ -215,6 +218,9 @@ def test_bad_input_exits_2_without_a_traceback(tmp_path, bad_stnu, network, argv
     (tmp_path / "a.json").write_text(json.dumps(
         dict(NET, letters=["a"], observations={"a": "A"})))
     (tmp_path / "no-entries.json").write_text(json.dumps({"kind": "cstnu", "entries": []}))
+    (tmp_path / "cstn-situation.json").write_text(json.dumps({"kind": "cstn", "entries": [
+        {"scenario": {"a": a}, "situation": ["7", "3"], "schedule": {"A": "0", "B": "0"}}
+        for a in (True, False)]}))
     src = os.path.dirname(os.path.dirname(os.path.abspath(cstnu.__file__)))
     done = subprocess.run(
         [sys.executable, "-m", "cstnu.cli", argv[0], paths[network], *argv[1:]],

@@ -70,19 +70,60 @@ def test_strategy_kind_must_be_known(kind):
 
 
 @pytest.mark.parametrize("kind, first, second", [
-    ("cstn", {"scenario": {"p": True}}, {"scenario": {"p": True}, "situation": ["1"]}),
+    ("cstn", {"scenario": {"p": True}}, {"scenario": {"p": True}}),
     ("stnu", {"situation": ["1"]}, {"situation": ["1"]}),
     ("cstnu", {"scenario": {}, "situation": ["1"]}, {"scenario": {}, "situation": ["1"]}),
 ])
 def test_strategy_entries_with_one_index_are_rejected(kind, first, second):
     # cstn indices are scenarios and stnu ones situations, so entries that
-    # differ elsewhere still collide.
+    # differ only in their schedules collide.
     entries = [{"scenario": {"p": False}, "situation": ["2"], "schedule": {}},
                {**first, "schedule": {"A": "0"}}, {**second, "schedule": {"A": "1"}}]
-    if kind == "stnu":
-        del entries[0]["scenario"]
+    if kind != "cstnu":
+        del entries[0]["situation" if kind == "cstn" else "scenario"]
     with pytest.raises(ValueError, match="entries 1 and 2 stand for the same index"):
         strategy_from_dict({"kind": kind, "entries": entries})
+
+
+@pytest.mark.parametrize("kind, entries, field, pos", [
+    ("cstn", [{"scenario": {"p": True}, "situation": ["7", "3"]}], "situation", 0),
+    ("cstn", [{"scenario": {"p": True}}, {"scenario": {"p": False}, "situation": []}],
+     "situation", 1),
+    ("stnu", [{"scenario": {"q": False}, "situation": []}], "scenario", 0),
+    ("stnu", [{"situation": ["1"]}, {"scenario": {}, "situation": ["2"]}], "scenario", 1),
+])
+def test_a_field_that_the_kind_does_not_hold_is_named(kind, entries, field, pos):
+    # The field was parsed and then dropped, so the strategy read as one
+    # that never carried it.
+    with pytest.raises(ValueError) as err:
+        strategy_from_dict({"kind": kind,
+                            "entries": [{**e, "schedule": {}} for e in entries]})
+    assert str(err.value) == ("field '%s': entries of kind '%s' hold no %s (entry %d)"
+                              % (field, kind, field, pos))
+
+
+def test_verify_strategy_refuses_a_field_that_the_kind_does_not_hold(tmp_path, capsys):
+    # Both strategies verified "viable" and "dynamic" with exit 0.
+    cstn = {"letters": ["p"], "observations": {"p": "P"}, "epsilon": "1",
+            "timepoints": [{"id": "P"}]}
+    situations = {"kind": "cstn", "entries": [
+        {"scenario": {"p": v}, "situation": ["7", "3"], "schedule": {"P": "0"}}
+        for v in (True, False)]}
+    scenario = {"kind": "stnu",
+                "entries": [{"scenario": {"q": False}, "situation": [], "schedule": {"A": "0"}}]}
+    for network, strategy, field in ((cstn, situations, "situation"),
+                                     ({"timepoints": [{"id": "A"}]}, scenario, "scenario")):
+        net, strat = tmp_path / "net.json", tmp_path / "strategy.json"
+        net.write_text(dumps(network))
+        strat.write_text(dumps(strategy))
+        assert cli.main(["verify-strategy", str(net), str(strat)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "'%s'" % field in err[0]
+        for entry in strategy["entries"]:
+            del entry[field]
+        strat.write_text(dumps(strategy))
+        assert cli.main(["verify-strategy", str(net), str(strat)]) == 0
+        capsys.readouterr()
 
 
 def _network(**fields):

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from cstnu import (EMPTY, INCONSISTENT, Label, con, conjoin,
+from cstnu import (EMPTY, INCONSISTENT, Label, Scenario, con, conjoin,
                    enumerate_universe, evaluate, parse_label, sub)
 
 
@@ -35,6 +35,18 @@ def test_bad_letter_rejected():
         Label([("ab", True)])
     with pytest.raises(ValueError):
         Label([("", True)])
+
+
+@pytest.mark.parametrize("build", [lambda value: Scenario({"p": value}),
+                                   lambda value: Label([("p", value)])],
+                         ids=["Scenario", "Label"])
+@pytest.mark.parametrize("value", ["false", None, 2, 1.0, []])
+def test_a_truth_value_that_is_not_a_bool_or_0_or_1_is_refused(build, value):
+    # Each was read by its truthiness: "false" and 2 as true, None as false.
+    with pytest.raises(ValueError) as err:
+        build(value)
+    assert str(err.value) == "letter 'p': a truth value is a bool, 0 or 1, not %r" % (value,)
+    assert build(1) == build(True) != build(0) == build(False)
 
 
 def test_conjoin_basics():

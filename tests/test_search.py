@@ -223,6 +223,34 @@ def test_tree_strategy_masks_budget_is_a_runtime_error(monkeypatch):
     assert tree_strategy_masks(*modification_study()) == {0, 3, 7}
 
 
+def test_greedy_synthesis_enters_309_nodes_on_the_fixture():
+    net = compile_workflow(parse_workflow(branching_workflow_text()))[0]
+    problem = search._Problem(net, [Drama(s, w) for s in enumerate_scenarios(net.letters)
+                                    for w in sample_situations(net.links)])
+
+    def walk(budget):
+        return search._explore(problem, search._earliest_commit(problem), problem.schedules,
+                               (None, search._first), search._merge, budget)
+
+    with pytest.raises(search._Budget):
+        walk(308)
+    table = walk(309)
+    assert table is not None and table == search._synthesize(problem)
+
+
+def test_witness_search_enters_750_nodes_on_the_greedy_trap():
+    net = greedy_trap()
+    situations = sample_situations(net.links)
+    problem = search._Problem(net, [Drama(s, w) for s in enumerate_scenarios(net.letters)
+                                    for w in situations])
+    grid = candidate_time_grid(net, situations)
+    with pytest.raises(search._Budget):
+        search._exhaustive_witness(problem, grid, 749)
+    table = search._exhaustive_witness(problem, grid, 750)
+    assert table is not None
+    assert table == search._exhaustive_witness(problem, grid, search.EXHAUSTIVE_BUDGET)
+
+
 def test_tree_strategy_masks_are_pinned_on_random_networks():
     # Sets: every constraint, then the even- and the odd-indexed halves in
     # `str` order; the grid is the first 8 candidate times, in either
