@@ -82,7 +82,10 @@ def _parse_scenario(text):
             if letter in values:
                 raise _InputError("letter %r is given twice in the scenario" % letter)
             values[letter] = value in ("1", "true")
-    return Scenario(values)
+    try:
+        return Scenario(values)
+    except ValueError as err:       # a letter that is not one symbol
+        raise _InputError(str(err))
 
 
 def cmd_validate(args):

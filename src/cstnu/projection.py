@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .labels import Label, _truth, evaluate
+from .labels import Label, _check_letter, _truth, evaluate
 from .model import Constraint, Stn, strip_labels
 from .rational import rational
 
@@ -14,20 +14,26 @@ DEFAULT_GRID = 3
 
 
 class Scenario:
-    """Total truth assignment over the network's letter set.  A truth
-    value is a `bool`, or the `int` 0 or 1."""
+    """Total truth assignment over the network's letter set.  A letter is
+    one alphanumeric symbol, as in a `Label`, and a truth value is a
+    `bool`, or the `int` 0 or 1."""
 
     __slots__ = ("_values",)
 
     def __init__(self, values):
-        self._values = tuple(sorted((k, _truth(k, v)) for k, v in dict(values).items()))
+        self._values = tuple(sorted((_check_letter(k), _truth(k, v))
+                                    for k, v in dict(values).items()))
 
     @property
     def letters(self):
         return frozenset(k for k, _ in self._values)
 
     def value(self, letter):
-        return dict(self._values)[letter]
+        """The truth value of `letter`; `KeyError` when it has none."""
+        for name, value in self._values:
+            if name == letter:
+                return value
+        raise KeyError(letter)
 
     def as_mapping(self):
         return dict(self._values)

@@ -9,8 +9,9 @@ search and the violation-mask enumeration are policies on top of it.
 Verdicts are sound, not complete:
 
 * an inconsistent sampled projection refutes controllability outright;
-* a synthesized strategy is independently re-certified before the
-  "controllable" verdict is returned;
+* a synthesized strategy's decision tree is independently re-certified
+  (`semantics.certify_tree`) before the "controllable" verdict is
+  returned, with the per-drama table that the certifier expanded;
 * otherwise the verdict is "unknown", and its evidence names what stopped
   the search: the candidate time grid was exhausted, the node budget ran
   out, or the network was too large for the exhaustive search.
@@ -26,7 +27,8 @@ from .model import Network, embed_cstn, embed_stnu, validate
 from .projection import (DEFAULT_GRID, Drama, _scenario_view, enumerate_scenarios,
                          sample_situations)
 from .rational import INF, _least_scale, _scaled, rational
-from .semantics import Strategy, _certify, _commit_events
+from .semantics import (Strategy, TreeFault, TreeLeaf, TreeSplit, _commit_events,
+                        _emissions, _with_duration, certify_tree)
 from .stn import _close, _insert
 
 # Search bounds; see `check_dc`, `tree_strategy_masks`, `candidate_time_grid`.
@@ -47,14 +49,13 @@ class _DramaCtx:
     scenario's `relevant` points and constraints, and these `durations`),
     one closure and the same events under every commit, so they are one
     execution, and the search runs it once.  `idx` numbers the classes
-    in problem order, `dramas` holds the members in problem order, and
-    `drama` is the first of them.  The projection itself is never built:
+    in problem order, and `drama` is the first of its members in problem
+    order.  The projection itself is never built:
     `rows` is its closure, made from the problem's edge table, or None
     when the projection is inconsistent."""
 
     idx: int
     drama: Drama
-    dramas: list
     relevant: frozenset      # the scenario's relevant points, one set per scenario
     durations: dict          # contingent point -> sampled duration, in ticks
     rows: list               # closure of the floored projection, or None; see `_Problem`
@@ -99,8 +100,10 @@ class _Problem:
     durations and its closure, so every member of a class sits in the
     same information set on every path, and each step of the search costs
     per distinct execution, not per sampled drama (162 classes for the
-    fixture's 486 dramas at grid 3).  Only `schedules` expands a class
-    into its members.
+    fixture's 486 dramas at grid 3).  The search builds a decision tree
+    (`leaf`, `join`), which names no class and no drama: the certifier
+    (`semantics.certify_tree`) expands it into the schedule of each
+    drama.
 
     Each class's `rows` are the closure of its projection floored at
     `_ORIGIN`: bare integer rows, with no id list or flag of their own.
@@ -123,8 +126,9 @@ class _Problem:
     agree on a prefix of durations share that prefix's closure, and an
     inserted edge shares every row it cannot change.  An inconsistent
     closure is None, and so is every closure below it.  Certification
-    reads none of this: `semantics._certify` reads each scenario's view
-    and constraints from the network itself.
+    reads none of this: `semantics.certify_tree` groups the dramas into
+    executions itself and reads each scenario's view and constraints from
+    the network.
 
     The search runs on one integer time lattice, and every closure is
     closed on it: every time the search commits, compares or hashes, and
@@ -137,7 +141,7 @@ class _Problem:
     (`_earliest_commit`), so it lies on the lattice too.  Sums,
     differences and the order of lattice points are those of the times
     they stand for, so the search takes the steps it would take on
-    `Fraction`s; only `schedules` turns a time back into one.
+    `Fraction`s; only the tree it builds holds a time as one (`exact`).
     """
 
     def __init__(self, network, dramas, values=()):
@@ -164,6 +168,7 @@ class _Problem:
                      for k, link in links]
             scenarios[scenario] = (relevant, links, [rows if consistent else None, {}], {})
         self.epsilon = ticks(network.epsilon)
+        self.emitted = _emissions(network)
         self.fractions = {}                         # tick count -> its Fraction
         # A class of dramas is keyed by its scenario and the durations of
         # the links relevant in it, the links that key the scenario's trie.
@@ -171,8 +176,7 @@ class _Problem:
         for drama in dramas:
             relevant, links, node, classes = scenarios[drama.scenario]
             durations = tuple(ticks(drama.situation[k]) for k, _, _, _ in links)
-            dctx = classes.get(durations)
-            if dctx is None:
+            if durations not in classes:
                 for (_, _, activation, contingent), d in zip(links, durations):
                     child = node[1].get(d)
                     if child is None:
@@ -181,11 +185,10 @@ class _Problem:
                         child = node[1][d] = [rows and _insert(rows, contingent, activation, -d),
                                               {}]
                     node = child
-                dctx = classes[durations] = _DramaCtx(
-                    len(self.dctxs), drama, [], relevant,
+                classes[durations] = _DramaCtx(
+                    len(self.dctxs), drama, relevant,
                     {contingent: d for (_, contingent, _, _), d in zip(links, durations)}, node[0])
-                self.dctxs.append(dctx)
-            dctx.dramas.append(drama)
+                self.dctxs.append(classes[durations])
 
     def ticks(self, value):
         """The rational `value`, which must lie on the lattice, in ticks."""
@@ -203,24 +206,25 @@ class _Problem:
                 times[item[1]] = when
         return times
 
-    def schedules(self, node):
-        """The strategy table of a leaf: each drama's known times, as
-        `Fraction`s.  They are read once per class, and each member of the
-        class gets its own copy of the schedule.  Each distinct time
-        becomes a `Fraction` once per problem, and every schedule holding
-        it shares that object."""
-        made = self.fractions
-        table = {}
-        for i, d in enumerate(node.dctxs):
-            schedule = {}
-            for point, t in self.known_times(node, i).items():
-                exact = made.get(t)
-                if exact is None:
-                    exact = made[t] = Fraction(t, self.tick)
-                schedule[point] = exact
-            for drama in d.dramas:
-                table[drama] = dict(schedule)
-        return table
+    def exact(self, t):
+        """The tick count `t` as a `Fraction`, made once per problem."""
+        made = self.fractions.get(t)
+        if made is None:
+            made = self.fractions[t] = Fraction(t, self.tick)
+        return made
+
+    def leaf(self, node):
+        """The strategy tree of a leaf: its committed times, as `Fraction`s."""
+        return TreeLeaf({point: self.exact(t) for point, t in node.committed.items()})
+
+    def join(self, node, t, branches):
+        """The strategy tree of `node`'s split at `t`: its committed times,
+        `t`, and one (key, tree) pair per group of `branches`, each key's
+        link durations as `Fraction`s."""
+        exact = self.exact
+        return TreeSplit({point: exact(when) for point, when in node.committed.items()},
+                         exact(t), tuple((frozenset(_with_duration(item, exact) for item in key),
+                                          tree) for key, tree in branches))
 
     def root(self):
         """The node of every class, before anything runs."""
@@ -231,17 +235,19 @@ class _Problem:
         """The child of `node` that runs `point` at `t`.
 
         Each class's events grow by the events of this commit alone
-        (`semantics._commit_events`).  No two commits produce the same
+        (`semantics._commit_events`), and only a point that emits something
+        produces events.  No two commits produce the same
         item, so the histories of the child's classes differ at a time just
         when the events of some commit on the path differ there: the
         child's split times are its parent's plus those of this commit.
         """
-        fresh = [_commit_events(self.network, d.drama.scenario, d.durations, point, t)
-                 for d in node.dctxs]
         events, splits = node.events, node.splits
-        if any(fresh):
-            events = [seen + tuple(produced) for seen, produced in zip(events, fresh)]
-            splits = splits | _diverging(fresh)
+        if point in self.emitted:
+            fresh = [_commit_events(self.emitted, d.drama.scenario, d.durations, point, t)
+                     for d in node.dctxs]
+            if any(fresh):
+                events = [seen + tuple(produced) for seen, produced in zip(events, fresh)]
+                splits = splits | _diverging(fresh)
         return _Node(node.dctxs, {**node.committed, point: t}, t, False, events, splits,
                      node.bounds)
 
@@ -251,18 +257,18 @@ class _Problem:
         return min((t for t in node.splits if t >= node.now), default=None)
 
     def split(self, node, t):
-        """The children of `node` at its divergence `t`: its classes grouped
-        by their events at `t`, each group a new information set that
-        starts at `t`, strictly.  The groups come in the order of their
-        sorted events."""
+        """The children of `node` at its divergence `t`, as (key, child)
+        pairs: its classes grouped by `key`, the items of their events at
+        `t`, each group a new information set that starts at `t`,
+        strictly.  The groups come in the order of their sorted keys."""
         groups = {}
         for d, seen in zip(node.dctxs, node.events):
             dctxs, events = groups.setdefault(
                 frozenset(item for when, item in seen if when == t), ([], []))
             dctxs.append(d)
             events.append(seen)
-        return [_Node(dctxs, node.committed, t, True, events, _diverging(events), {})
-                for dctxs, events in (groups[key] for key in sorted(groups, key=sorted))]
+        return [(key, _Node(dctxs, node.committed, t, True, events, _diverging(events), {}))
+                for key, (dctxs, events) in sorted(groups.items(), key=lambda g: sorted(g[0]))]
 
     def ready_points(self, node):
         """Uncommitted non-contingent points of `node`, split into
@@ -349,8 +355,10 @@ def _explore(problem, moves, leaf, fold, join, budget=None, remember=None):
     returns (value, stop); no later alternative is valued once `stop` is
     true.  A commit's value is the value of the node it leads to; the walk
     checks no constraint, so `moves` proposes only the commits worth
-    entering.  A split's value is `join` over its groups' values, or the
-    first falsy one: a group that fails fails the split.
+    entering.  A split at t has the value `join(node, t, branches)`,
+    `branches` holding a (key, value) pair per group (`_Problem.split`),
+    or else the first falsy value of a group: a group that fails fails the
+    split.
 
     With a `budget`, every node entered is counted, before the memo is
     looked up, and `_Budget` is raised once the count exceeds the budget.
@@ -405,13 +413,15 @@ def _explore(problem, moves, leaf, fold, join, budget=None, remember=None):
             if stop:
                 return value
         if div is not None:
-            joined = None
-            for group in problem.split(node, div):
+            branches = []
+            for key, group in problem.split(node, div):
                 other = yield group
                 if not other:
                     joined = other
                     break
-                joined = other if joined is None else join(joined, other)
+                branches.append((key, other))
+            else:
+                joined = join(node, div, branches)
             value, _ = step(value, joined)
         return value
 
@@ -434,10 +444,6 @@ def _first(value, alternative):
 
 def _first_success(value, alternative):
     return (alternative, True) if alternative else (value, False)
-
-
-def _merge(table, other):
-    return {**table, **other}
 
 
 def _earliest_commit(problem):
@@ -495,15 +501,16 @@ def _window_commits(problem, grid):
 def _synthesize(problem):
     """Greedy earliest-first decision-tree synthesis.
 
-    Returns {Drama: schedule} or None.  Within an information set the
+    Returns the strategy's decision tree (`semantics.TreeLeaf`,
+    `semantics.TreeSplit`) or None.  Within an information set the
     globally earliest feasible point is committed; when every feasible
     commitment would fall past the next history divergence, the search
     waits, splits the information set, and recurses per branch.  It
     follows a single path: the first alternative decides, so the split is
     never tried after a failed commit.
     """
-    return _explore(problem, _earliest_commit(problem), problem.schedules,
-                    (None, _first), _merge)
+    return _explore(problem, _earliest_commit(problem), problem.leaf, (None, _first),
+                    problem.join)
 
 
 def candidate_time_grid(network, situations):
@@ -538,7 +545,8 @@ def candidate_time_grid(network, situations):
 def _exhaustive_witness(problem, grid, budget):
     """Complete search of grid-valued decision-tree strategies.
 
-    Returns the first viable dynamic strategy table found, or None when
+    Returns the decision tree of the first viable dynamic strategy found,
+    as `_synthesize` does, or None when
     the space holds none; raises `_Budget` when more than `budget` nodes
     are entered.  A point is committed only at the grid times inside its
     window over the information set (`_window_commits`).
@@ -560,8 +568,8 @@ def _exhaustive_witness(problem, grid, budget):
     """
     # Only failures are remembered: a success ends the search unless a
     # sibling group fails.
-    return _explore(problem, _window_commits(problem, grid), problem.schedules,
-                    (None, _first_success), _merge, budget, operator.not_)
+    return _explore(problem, _window_commits(problem, grid), problem.leaf,
+                    (None, _first_success), problem.join, budget, operator.not_)
 
 
 def tree_strategy_masks(network, constraint_sets, grid):
@@ -613,10 +621,15 @@ def tree_strategy_masks(network, constraint_sets, grid):
                     mask |= 1 << k
         return frozenset({mask})
 
+    def join(node, t, branches):
+        masks = frozenset({0})
+        for _, other in branches:
+            masks = frozenset(m | s for m in masks for s in other)
+        return masks
+
     try:
         return _explore(problem, _window_commits(problem, grid), leaf,
-                        (frozenset(), lambda masks, other: (masks | other, False)),
-                        lambda masks, other: frozenset(m | s for m in masks for s in other),
+                        (frozenset(), lambda masks, other: (masks | other, False)), join,
                         MASKS_BUDGET, lambda masks: True)
     except _Budget:
         raise RuntimeError("budget of %d nodes exhausted" % MASKS_BUDGET) from None
@@ -673,8 +686,8 @@ def check_dc(network, grid=DEFAULT_GRID):
                         evidence="projection for drama %s is inconsistent" % (bad.drama,),
                         sample=sample)
 
-    table = _synthesize(problem)
-    if table is None:
+    tree = _synthesize(problem)
+    if tree is None:
         if len(network.timepoints) > EXHAUSTIVE_POINTS:
             return DcResult(
                 "unknown",
@@ -683,12 +696,12 @@ def check_dc(network, grid=DEFAULT_GRID):
                 sample=sample)
         times = candidate_time_grid(network, situations)
         try:
-            table = _exhaustive_witness(problem, times, EXHAUSTIVE_BUDGET)
+            tree = _exhaustive_witness(problem, times, EXHAUSTIVE_BUDGET)
         except _Budget:
             return DcResult("unknown",
                             evidence="budget of %d nodes exhausted" % EXHAUSTIVE_BUDGET,
                             sample=sample)
-        if table is None:
+        if tree is None:
             return DcResult(
                 "unknown",
                 evidence="no viable decision tree over %d candidate times; "
@@ -696,14 +709,16 @@ def check_dc(network, grid=DEFAULT_GRID):
                 sample=sample)
 
     # Both searches build dynamic, viable strategies by construction, so a
-    # strategy that fails re-certification is a bug, not a verdict.
-    # Certification reads the network and the strategy alone.
+    # tree that fails re-certification is a bug, not a verdict.
+    # Certification reads the network, the dramas and the tree alone, and
+    # the strategy returned is the table it certified.
+    try:
+        table = certify_tree(network, dramas, tree)
+    except TreeFault as fault:
+        raise RuntimeError("search built a strategy that fails re-certification: %s"
+                           % fault) from None
     strategy = Strategy.from_dramas("cstn" if network.kind == "stn" else network.kind,
                                     table.items())
-    outcome = _certify(network, strategy)
-    if not outcome:
-        raise RuntimeError("search built a strategy that fails re-certification: %s"
-                           % outcome)
     return DcResult("controllable", strategy=strategy, sample=sample)
 
 

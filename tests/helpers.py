@@ -22,8 +22,8 @@ from cstnu.propagation import (DEFAULT_BUDGET, PreconditionError, PropagationRes
                                _Exhausted, _Refuted, compose, dominates,
                                label_modification)
 from cstnu.rational import INF
-from cstnu.search import _ORIGIN, _explore, _first_success, _merge
-from cstnu.semantics import DynamicityResult, ViabilityResult, _history
+from cstnu.search import _ORIGIN, _explore, _first_success
+from cstnu.semantics import DynamicityResult, TreeSplit, ViabilityResult, _history
 
 
 # bench/gen.py's greedy trap with epsilon 1, as a network file: Or,
@@ -449,8 +449,59 @@ def grid_witness(problem, grid, budget):
                 if not any(violated(d, trial) for d in node.dctxs):
                     yield point, t
 
-    return _explore(problem, moves, problem.schedules, (None, _first_success), _merge,
+    return _explore(problem, moves, problem.leaf, (None, _first_success), problem.join,
                     budget, operator.not_)
+
+
+def tree_nodes(tree):
+    """(node, parent, the latest time of a split above it) for every node
+    of a strategy tree (`semantics.TreeLeaf`, `semantics.TreeSplit`),
+    parents first."""
+    found = [(tree, None, None)]
+    for node, _, floor in found:        # the list grows as it is walked
+        if isinstance(node, TreeSplit):
+            below = node.at if floor is None else max(floor, node.at)
+            found += [(child, node, below) for _, child in node.branches]
+    return found
+
+
+def tree_leaves(tree):
+    """The leaves of a strategy tree, parents' children first."""
+    return [node for node, _, _ in tree_nodes(tree) if not isinstance(node, TreeSplit)]
+
+
+def naive_tree_table(network, dramas, tree):
+    """Each drama's schedule under the strategy tree `tree`, or None when
+    some drama finds no branch.  A drama walks from the root: its known
+    times at a node are the node's committed times and each contingent
+    time of a link relevant in its scenario, its activation time plus the
+    drama's duration, link after link until a chain is done; at a split
+    it takes the first branch whose key is the set of items that
+    `naive_events` gives at the split's time.  Its schedule is its known
+    times at its leaf.  Kept as the reference expansion for
+    `semantics.certify_tree`, which checks the tree as it expands it."""
+    table = {}
+    for drama in dramas:
+        relevant = relevant_timepoints(network, drama.scenario)
+        links = [(link.activation, link.contingent, duration)
+                 for link, duration in zip(network.links, drama.situation)
+                 if link.activation in relevant and link.contingent in relevant]
+        node = tree
+        while True:
+            times = dict(node.committed)
+            for _ in links:
+                for activation, contingent, duration in links:
+                    if activation in times:
+                        times[contingent] = times[activation] + duration
+            if not isinstance(node, TreeSplit):
+                break
+            seen = frozenset(item for when, item in naive_events(network, drama.scenario, times)
+                             if when == node.at)
+            node = next((child for key, child in node.branches if key == seen), None)
+            if node is None:
+                return None
+        table[drama] = times
+    return table
 
 
 def naive_events(network, scenario, schedule):

@@ -203,10 +203,12 @@ def test_solve_point_forced_before_the_default_origin(capsys, tmp_path):
      "strategy does not match the network: no entry for scenario a=1"),
     ("letter-a", ("verify-strategy", "cstn-situation.json"),
      "field 'situation': entries of kind 'cstn' hold no situation (entry 0)"),
+    ("letter-a", ("project", "--scenario", "ab=1"),
+     "letter must be a single alphanumeric symbol: 'ab'"),
 ], ids=["situation-count", "situation-range", "situation-syntax",
         "scenario-domain", "solve-no-points", "check-dc-grid-1", "letter-ab",
         "scenario-letter-twice", "solve-empty-origin", "strategy-without-entries",
-        "cstn-strategy-with-a-situation"])
+        "cstn-strategy-with-a-situation", "scenario-letter-of-two-symbols"])
 def test_bad_input_exits_2_without_a_traceback(tmp_path, bad_stnu, network, argv, message):
     paths = {"stn": stn_file(tmp_path, [{"from": "A", "to": "B", "delta": "3"}]),
              "stnu": bad_stnu, "empty": str(tmp_path / "empty.json"),

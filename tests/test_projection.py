@@ -23,6 +23,31 @@ def test_scenario_basics():
     assert hash(s) == hash(Scenario({"a": 1, "b": 0}))
 
 
+@pytest.mark.parametrize("values, letter", [({"ab": True}, "ab"),
+                                            ({1: True, "a": False}, 1),
+                                            ({"a": False, "": True}, ""),
+                                            ({"!": True}, "!")])
+def test_a_scenario_letter_that_is_not_one_symbol_is_refused(values, letter):
+    # A letter is checked as a `Label` checks it: "ab" was accepted and
+    # printed as ab=1, and a letter 1 beside "a" raised a TypeError from
+    # sorting the letters.
+    with pytest.raises(ValueError) as err:
+        Scenario(values)
+    assert str(err.value) == "letter must be a single alphanumeric symbol: %r" % (letter,)
+
+
+def test_a_scenario_reads_a_letter_it_lacks_as_a_key_error():
+    s = Scenario({"b": False, "a": True})
+    assert (s.value("a"), s.value("b")) == (True, False)
+    for letter in ("c", "ab", 1):
+        with pytest.raises(KeyError):
+            s.value(letter)
+        with pytest.raises(KeyError):
+            s[letter]
+    with pytest.raises(KeyError):
+        Scenario({}).value("a")
+
+
 def test_enumerate_scenarios_counts():
     assert len(enumerate_scenarios("ab")) == 4
     assert enumerate_scenarios("") == [Scenario({})]

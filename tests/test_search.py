@@ -17,12 +17,13 @@ from cstnu import (ContingentLink, Drama, LabeledConstraint, Network, Scenario, 
 from cstnu.fixtures import (branching_workflow_text, modification_study,
                             tight_contingent_stnu)
 from cstnu.rational import INF, _least_scale
-from cstnu.semantics import _check_viable, _events, _history, _ScaledStrategy
+from cstnu.semantics import _events, _history, certify_tree
 from cstnu.stn import floored
 from helpers import (REFERENCE_ORIGIN, class_known_times, epsilon_overshoot, fraction_window,
                      greedy_trap, grid_witness, link_chain, naive_events, naive_next_divergence,
                      naive_viable, positions, random_cstn, random_cstn_strategy,
-                     random_consistent_stn, random_stnu, random_stnu_strategy, tick_distance)
+                     random_consistent_stn, random_stnu, random_stnu_strategy, tick_distance,
+                     tree_leaves)
 
 
 def test_consistent_stn_is_controllable():
@@ -229,8 +230,8 @@ def test_greedy_synthesis_enters_309_nodes_on_the_fixture():
                                     for w in sample_situations(net.links)])
 
     def walk(budget):
-        return search._explore(problem, search._earliest_commit(problem), problem.schedules,
-                               (None, search._first), search._merge, budget)
+        return search._explore(problem, search._earliest_commit(problem), problem.leaf,
+                               (None, search._first), problem.join, budget)
 
     with pytest.raises(search._Budget):
         walk(308)
@@ -440,13 +441,15 @@ def test_witness_search_and_masks_agree():
 
 
 def test_bad_witness_is_a_bug(monkeypatch):
+    # A tree that the search built and that fails re-certification is a
+    # bug, not a verdict: here X runs 4 after A, where the network pins 3.
     real = search._synthesize
 
     def corrupted(problem):
-        table = real(problem)
-        for schedule in table.values():
-            schedule["X"] += 1
-        return table
+        tree = real(problem)
+        for leaf in tree_leaves(tree):
+            leaf.committed["X"] += 1
+        return tree
 
     monkeypatch.setattr(search, "_synthesize", corrupted)
     with pytest.raises(RuntimeError, match="re-certification"):
@@ -558,38 +561,37 @@ def test_every_closure_is_on_the_problem_tick(monkeypatch):
 def test_problem_has_one_context_per_distinct_drama_projection():
     # On the fixture at grid 3 the 486 dramas are 162 executions: the
     # dramas of one scenario whose situations agree on the links relevant
-    # in it.  Each class is one context, and greedy synthesis still gives
-    # every drama a schedule of its own.
+    # in it.  Each class is one context, named by its first member, and
+    # the certified table still gives every drama a schedule of its own.
     net = compile_workflow(parse_workflow(branching_workflow_text()))[0]
     dramas = [Drama(s, w) for s in enumerate_scenarios(net.letters)
               for w in sample_situations(net.links)]
     problem = search._Problem(net, dramas)
     assert (len(problem.dctxs), len(dramas)) == (162, 486)
     assert [d.idx for d in problem.dctxs] == list(range(162))
-    position = {drama: i for i, drama in enumerate(dramas)}
-    members = [drama for d in problem.dctxs for drama in d.dramas]
-    assert sorted(members, key=position.__getitem__) == dramas
 
     def relevant_durations(drama):
         relevant = relevant_timepoints(net, drama.scenario)
         return {link.contingent: d for link, d in zip(net.links, drama.situation)
                 if link.activation in relevant and link.contingent in relevant}
 
-    keys, projections = set(), set()
+    def key(drama):
+        return drama.scenario, tuple(sorted(relevant_durations(drama).items()))
+
+    members = {}
+    for drama in dramas:
+        members.setdefault(key(drama), []).append(drama)
+    assert [d.drama for d in problem.dctxs] == [group[0] for group in members.values()]
+    projections = set()
     for d in problem.dctxs:
-        assert d.drama is d.dramas[0]
-        assert [position[m] for m in d.dramas] == sorted(position[m] for m in d.dramas)
         assert {c: Fraction(t, problem.tick) for c, t in d.durations.items()} \
             == relevant_durations(d.drama)
         projection = drama_projection(net, d.drama.scenario, d.drama.situation)
         assert d.relevant == projection.timepoints
-        for m in d.dramas:
-            assert m.scenario == d.drama.scenario
-            assert relevant_durations(m) == relevant_durations(d.drama)
+        for m in members[key(d.drama)]:
             assert drama_projection(net, m.scenario, m.situation) == projection
-        keys.add((d.drama.scenario, tuple(sorted(relevant_durations(d.drama).items()))))
         projections.add(projection)
-    assert len(keys) == 162     # no two contexts hold one execution
+    assert len(members) == 162     # no two contexts hold one execution
     assert len(projections) == 162
     # Each context has its own closure and its own tick durations, which
     # its members share, and the contexts of one scenario share its
@@ -598,10 +600,10 @@ def test_problem_has_one_context_per_distinct_drama_projection():
     assert len({id(d.rows) for d in problem.dctxs}) == 162
     assert len({(d.drama.scenario, tuple(d.durations.items())) for d in problem.dctxs}) == 162
     assert len({id(d.relevant) for d in problem.dctxs}) == 2
-    table = search._synthesize(problem)
+    table = certify_tree(net, dramas, search._synthesize(problem))
     assert len(table) == 486 and set(table) == set(dramas)
     for d in problem.dctxs:
-        for m in d.dramas[1:]:
+        for m in members[key(d.drama)][1:]:
             assert table[m] == table[d.drama] and table[m] is not table[d.drama]
 
 
@@ -623,7 +625,7 @@ def test_search_splits_where_semantics_says_histories_differ(monkeypatch):
             assert len({frozenset(_events(network, *known(d))) for d in dctxs}) == 1
             return found
         t = found
-        groups = [child.dctxs for child in problem.split(node, t)]
+        groups = [child.dctxs for _, child in problem.split(node, t)]
         assert t >= now
         assert sorted(d.idx for g in groups for d in g) == sorted(d.idx for d in dctxs)
         assert len({_history(network, *known(d), t) for d in dctxs}) == 1
@@ -655,31 +657,42 @@ def chained_links():
 
 
 def test_known_times_match_the_activation_walk(monkeypatch):
-    # The known times read off a node's committed times and link events
+    # The known times read off a leaf's committed times and link events
     # equal the reference's: only the class's relevant committed points,
     # and each contingent time its activation's plus the sampled duration.
-    # The fixture and the random CSTNs have points that some scenarios
-    # drop; the chains have links that activate links.
-    real = search._Problem.known_times
+    # They are also the schedule that the certifier gives the class's
+    # first drama.  The fixture and the random CSTNs have points that some
+    # scenarios drop; the chains have links that activate links.
+    real = search._Problem.leaf
     seen = {"calls": 0, "linked": 0, "dropping": 0}
+    known = {}
 
-    def checked(problem, node, i):
-        times = real(problem, node, i)
-        d = node.dctxs[i]
-        assert times == class_known_times(problem, d, node.committed)
-        seen["calls"] += 1
-        seen["linked"] += len(times) > len(node.committed)
-        seen["dropping"] += len(d.relevant) < len(problem.network.timepoints)
-        return times
+    def checked(problem, node):
+        for i, d in enumerate(node.dctxs):
+            times = problem.known_times(node, i)
+            assert times == class_known_times(problem, d, node.committed)
+            known[d.drama] = {p: Fraction(t, problem.tick) for p, t in times.items()}
+            seen["calls"] += 1
+            seen["linked"] += len(times) > len(node.committed)
+            seen["dropping"] += len(d.relevant) < len(problem.network.timepoints)
+        return real(problem, node)
 
-    monkeypatch.setattr(search._Problem, "known_times", checked)
-    check_dc(compile_workflow(parse_workflow(branching_workflow_text()))[0])
-    check_dc(chained_links())
-    check_dc(link_chain(4))
+    def certified(net):
+        known.clear()
+        result = check_dc(net)
+        if result.controllable:
+            for index, schedule in result.strategy.table.items():
+                drama = result.strategy.drama(index)
+                assert drama not in known or known[drama] == schedule
+
+    monkeypatch.setattr(search._Problem, "leaf", checked)
+    certified(compile_workflow(parse_workflow(branching_workflow_text()))[0])
+    certified(chained_links())
+    certified(link_chain(4))
     rng = random.Random(13)
     for _ in range(100):
-        check_dc(random_cstn(rng))
-        check_dc(random_stnu(rng))
+        certified(random_cstn(rng))
+        certified(random_stnu(rng))
     assert seen["calls"] > 500
     assert seen["linked"] > 300
     assert seen["dropping"] > 100
@@ -701,7 +714,7 @@ def test_divergence_matches_naive_next_divergence(monkeypatch):
         else:
             t, groups = expected
             assert Fraction(found, problem.tick) == t
-            children = problem.split(node, found)
+            children = [child for _, child in problem.split(node, found)]
             assert ([[d.idx for d in child.dctxs] for child in children]
                     == [[d.idx for d in group] for group in groups])
             assert all(child.now == found and child.strict for child in children)
@@ -751,13 +764,12 @@ def _corrupted(rng, strategy):
 
 
 def test_certification_viability_matches_is_viable():
-    # check_dc certifies through `_check_viable`, which selects each
-    # scenario's constraints from the network and skips `is_viable`'s
-    # input checks; the per-index reference projects each drama itself
-    # (`drama_projection`).  Both `_check_viable` and `is_viable` must give
-    # the reference's verdict and first violation, on random strategies,
-    # on synthesized ones and on corrupted copies.  The search's classes
-    # hold the points of those projections.
+    # `is_viable`, which selects each scenario's constraints from the
+    # network, must give the verdict and first violation of the per-index
+    # reference, which projects each drama itself (`drama_projection`),
+    # on random strategies, on the ones `check_dc` certified and on
+    # corrupted copies.  The search's classes hold the points of those
+    # projections.
     rng = random.Random(12)
     verdicts = {True: 0, False: 0}
     for i in range(120):
@@ -782,9 +794,8 @@ def test_certification_viability_matches_is_viable():
                     if link.activation in projection.timepoints
                     and link.contingent in projection.timepoints}
         for strategy in strategies:
-            got = _check_viable(net, _ScaledStrategy(strategy))
+            got = is_viable(net, strategy)
             want = naive_viable(net, strategy)
-            assert is_viable(net, strategy) == want
             assert (got.ok, got.index, got.constraint) == (want.ok, want.index, want.constraint)
             verdicts[got.ok] += 1
     assert verdicts[True] > 30 and verdicts[False] > 60

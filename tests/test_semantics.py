@@ -1,5 +1,6 @@
 """Strategies, histories, viability, and the dynamicity checks."""
 
+import copy
 import random
 import re
 from collections import Counter
@@ -15,9 +16,11 @@ from cstnu import (ContingentLink, Drama, LabeledConstraint, Network, Scenario,
                    dr_hst)
 from cstnu import search, semantics
 from cstnu.fixtures import branching_workflow_text
-from cstnu.semantics import _check_viable, _events, _history, _ScaledStrategy
-from helpers import (naive_viable, pairwise_dynamic_star, random_cstn, random_cstn_strategy,
-                     random_stnu, random_stnu_strategy)
+from cstnu.jsonio import loads, network_from_dict
+from cstnu.semantics import TreeFault, TreeSplit, _events, _history, certify_tree
+from helpers import (EPSILON_OVERSHOOT, MIXED_DENOMINATORS, greedy_trap, naive_tree_table,
+                     naive_viable, pairwise_dynamic_star, random_cstn, random_cstn_strategy,
+                     random_stnu, random_stnu_strategy, tree_leaves, tree_nodes)
 
 
 def observation_network():
@@ -85,12 +88,10 @@ def test_viability():
 
 
 def viable_both_ways(net, strategy):
-    """`is_viable`, after checking that `_check_viable`, as `check_dc`'s
-    certification calls it (without the input checks), agrees with it,
-    and that each index's schedule covers exactly the points of its
-    drama's projection, built here with `drama_projection`."""
+    """`is_viable`, after checking that each index's schedule covers
+    exactly the points of its drama's projection, built here with
+    `drama_projection`."""
     result = is_viable(net, strategy)
-    assert _check_viable(net, _ScaledStrategy(strategy)) == result
     for index in strategy.indices():
         drama = strategy.drama(index)
         projection = drama_projection(net, drama.scenario, drama.situation)
@@ -192,15 +193,15 @@ def test_viability_rejects_float_times(monkeypatch):
                                  Scenario({"p": False}): {"Op": Fraction(1), "X": Fraction(5, 2)}})
     with pytest.raises(ValueError, match="not a rational"):
         is_viable(net, strategy)
-    # The same through `check_dc`'s re-certification, given a table with
+    # The same through `check_dc`'s re-certification, given a tree with
     # one float time.
     real = search._synthesize
 
     def floated(problem):
-        table = real(problem)
-        schedule = table[min(table, key=str)]
-        schedule["X"] = float(schedule["X"])
-        return table
+        tree = real(problem)
+        leaf = tree_leaves(tree)[0]
+        leaf.committed["X"] = float(leaf.committed["X"])
+        return tree
 
     monkeypatch.setattr(search, "_synthesize", floated)
     with pytest.raises(ValueError, match="not a rational"):
@@ -586,3 +587,162 @@ def test_dynamic_star_with_simultaneous_events_matches_pairwise():
     assert seen[("link", "obs")] > 50 and seen[("link", "link")] > 50
     assert 20 < seen["dynamic"] < 130
     assert seen["several"] > 20
+
+
+def dc_tree(network, grid=3):
+    """The dramas that `check_dc` samples for `network`, and the decision
+    tree that its search builds for them, or None."""
+    situations = sample_situations(network.links, grid)
+    dramas = [Drama(s, w) for s in enumerate_scenarios(network.letters) for w in situations]
+    problem = search._Problem(network, dramas)
+    if any(d.rows is None for d in problem.dctxs):
+        return dramas, None
+    tree = search._synthesize(problem)
+    if tree is None and len(network.timepoints) <= search.EXHAUSTIVE_POINTS:
+        tree = search._exhaustive_witness(problem, search.candidate_time_grid(network, situations),
+                                          search.EXHAUSTIVE_BUDGET)
+    return dramas, tree
+
+
+def table_verdict(network, table):
+    """`is_viable` and `is_dynamic_star` on a per-drama table."""
+    strategy = Strategy.from_dramas("cstn" if network.kind == "stn" else network.kind,
+                                    table.items())
+    return bool(is_viable(network, strategy)) and bool(is_dynamic_star(network, strategy))
+
+
+def own_commits(node, parent):
+    return sorted(p for p in node.committed if parent is None or p not in parent.committed)
+
+
+def shift_an_own_commit(rng, tree):
+    """A copy of `tree` with one time that a leaf commits itself moved,
+    but still after every split above it: what that leaf's executions
+    run changes, and the tree's shape does not."""
+    tree = copy.deepcopy(tree)
+    leaves = [(node, parent, floor) for node, parent, floor in tree_nodes(tree)
+              if not isinstance(node, TreeSplit) and own_commits(node, parent)]
+    leaf, parent, floor = rng.choice(leaves)
+    point = rng.choice(own_commits(leaf, parent))
+    t = leaf.committed[point] + rng.choice((1, -1, Fraction(1, 2), Fraction(-1, 7), 50))
+    if floor is not None and t <= floor:
+        t = floor + Fraction(1, 3)
+    leaf.committed[point] = t
+    return tree
+
+
+def fixture():
+    return compile_workflow(parse_workflow(branching_workflow_text()))[0]
+
+
+def test_tree_certifier_agrees_with_the_table_checks():
+    # On every tree the DC search builds, and on a copy of each with one
+    # time that a leaf commits itself moved, `certify_tree` gives the
+    # verdict of `is_viable` plus `is_dynamic_star` on the tree's reference
+    # expansion, and a certified table is that expansion.  The fixture at
+    # grids 3-6, the network files with a witness tree, mixed
+    # denominators and epsilon overshoots, and random networks.
+    def read(path):
+        with open(path) as f:
+            return network_from_dict(loads(f.read()))
+
+    cases = [(fixture(), grid) for grid in (3, 4, 5, 6)]
+    cases += [(greedy_trap(), 3), (read(MIXED_DENOMINATORS), 3), (read(EPSILON_OVERSHOOT), 3)]
+    rng = random.Random(41)
+    fractions = (Fraction(1, 3), Fraction(1, 7), Fraction(5, 2))
+    for i in range(60):
+        mixed = fractions if i % 2 else None
+        cases += [(random_cstn(rng, fractions=mixed), 3), (random_stnu(rng, fractions=mixed), 3)]
+    seen = Counter()
+    for network, grid in cases:
+        dramas, tree = dc_tree(network, grid)
+        if tree is None:
+            continue
+        candidates = [(False, tree)]
+        if grid < 5:        # the larger fixture tables take seconds to check
+            candidates.append((True, shift_an_own_commit(rng, tree)))
+        for shifted, candidate in candidates:
+            table = naive_tree_table(network, dramas, candidate)
+            try:
+                assert certify_tree(network, dramas, candidate) == table
+                ok = True
+            except TreeFault as fault:
+                assert str(fault).startswith("not viable: ")
+                ok = False
+            assert ok == table_verdict(network, table)
+            assert ok or shifted
+            seen[shifted, ok] += 1
+            seen["split"] += isinstance(candidate, TreeSplit)
+    assert seen[False, True] > 50 and seen[True, True] > 20 and seen[True, False] > 10, seen
+    assert seen["split"] > 40, seen
+
+
+def fixture_tree():
+    network = fixture()
+    dramas, tree = dc_tree(network)
+    certify_tree(network, dramas, tree)
+    return network, dramas, tree
+
+
+def fault(network, dramas, tree):
+    with pytest.raises(TreeFault) as raised:
+        certify_tree(network, dramas, tree)
+    return str(raised.value)
+
+
+def test_tree_certifier_rejects_a_child_commit_at_the_divergence():
+    # A point that a leaf runs at the divergence of the split above it,
+    # not after it: executions of other branches, with the same history
+    # strictly before then, run it elsewhere.
+    network, dramas, tree = fixture_tree()
+    node, parent, _ = next((node, parent, floor) for node, parent, floor in tree_nodes(tree)
+                           if parent is not None and not isinstance(node, TreeSplit)
+                           and own_commits(node, parent))
+    point = own_commits(node, parent)[0]
+    node.committed[point] = parent.at
+    assert fault(network, dramas, tree) == "%s runs at %s, not after the divergence at %s" % (
+        point, parent.at, parent.at)
+    assert not table_verdict(network, naive_tree_table(network, dramas, tree))
+
+
+def test_tree_certifier_rejects_a_missing_branch():
+    network, dramas, tree = fixture_tree()
+    key, _ = tree.branches[-1]
+    tree.branches = tree.branches[:-1]
+    assert fault(network, dramas, tree).startswith("the split at %s has no branch for "
+                                                   % tree.at)
+    assert naive_tree_table(network, dramas, tree) is None
+
+
+def test_tree_certifier_rejects_two_branches_with_one_key():
+    # The second copy of a branch may hold other times: which one runs is
+    # not decided by the history.
+    network, dramas, tree = fixture_tree()
+    key, child = tree.branches[0]
+    tree.branches += ((key, copy.deepcopy(child)),)
+    assert fault(network, dramas, tree).startswith("two branches of the split at %s share the key "
+                                                   % tree.at)
+
+
+def test_tree_certifier_rejects_a_child_that_changes_its_parents_commit():
+    # Below the root's last branch, the root's first commit runs one later:
+    # the tree below is consistent, but its executions and the other
+    # branches' share no history before it and run it at two times.
+    network, dramas, tree = fixture_tree()
+    point = own_commits(tree, None)[0]
+    _, child = tree.branches[-1]
+    for node, _, _ in tree_nodes(child):
+        node.committed[point] += 1
+    assert fault(network, dramas, tree) == "a node below the split at %s changes the time of %s" % (
+        tree.at, point)
+    assert not table_verdict(network, naive_tree_table(network, dramas, tree))
+
+
+def test_tree_certifier_rejects_a_shifted_time_that_breaks_viability():
+    network, dramas, tree = fixture_tree()
+    leaf = tree_leaves(tree)[0]
+    point = max(leaf.committed, key=leaf.committed.get)
+    leaf.committed[point] += 1000
+    assert fault(network, dramas, tree).startswith("not viable: ")
+    assert not is_viable(network, Strategy.from_dramas(
+        "cstnu", naive_tree_table(network, dramas, tree).items()))
