@@ -75,10 +75,9 @@ def _parse_scenario(text):
         for piece in text.split(","):
             if "=" not in piece:
                 raise _InputError("bad scenario literal %r (want letter=0|1)" % piece)
-            letter, value = piece.split("=", 1)
+            letter, value = (side.strip() for side in piece.split("=", 1))
             if value not in ("0", "1", "true", "false"):
                 raise _InputError("bad truth value %r for %r" % (value, letter))
-            letter = letter.strip()
             if letter in values:
                 raise _InputError("letter %r is given twice in the scenario" % letter)
             values[letter] = value in ("1", "true")

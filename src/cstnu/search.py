@@ -65,27 +65,29 @@ class _DramaCtx:
 class _Node:
     """A node of the decision-tree walk, and the only state the search
     keeps for its path: the information set `dctxs` (the classes of
-    dramas, `_DramaCtx`, in problem order, whose histories agree so far;
-    each class stands for all its members), the times `committed`
-    to it, the time `now` of the last step, and `strict`, set when the
-    node starts at a divergence at `now`, so that nothing more may run at
-    `now`.  Every time is an `int` on the problem's lattice: a count of
-    1/`_Problem.tick`.
+    dramas, `_DramaCtx`, in problem order, whose histories agree so far)
+    and its `ids` (their `idx`), the times `committed` to it, the time
+    `now` of the last step, and `strict`, set when the node starts at a
+    divergence at `now`, so that nothing more may run at `now`.  Every
+    time is an `int` count of 1/`_Problem.tick`.
 
     `events[i]` holds the (time, item) events class `dctxs[i]` has seen on
-    the path, `splits` the times at which the histories of `dctxs`
-    differ, and `bounds` the tightest closure entries over `dctxs` that
-    `_Problem.window` has read, in ticks.  A commit's child shares its
-    parent's `bounds` and shares or extends its `events` and `splits`;
-    each group of a split starts with empty `bounds`."""
+    the path, and `splits` the times at which the histories of `dctxs`
+    differ.  `windows` maps each ready point, in `noncontingent` order, to
+    two lists aligned with `dctxs`: each class's lower and upper bound for
+    it.  `blocked` is set when some other uncommitted point is relevant to
+    some of `dctxs` only.  A commit keeps `ids` and `blocked`, shares or
+    extends `events` and `splits`, and tightens `windows`."""
 
     dctxs: list
+    ids: frozenset
     committed: dict
     now: int
     strict: bool
     events: list
     splits: frozenset
-    bounds: dict
+    windows: dict
+    blocked: bool
 
 
 class _Problem:
@@ -109,7 +111,7 @@ class _Problem:
     `_ORIGIN`: bare integer rows, with no id list or flag of their own.
     Every closure is indexed by `index`, the network's points in their
     (sorted) order and then a row of the origin, which no point name can
-    share, so `_bounds` reads the entries of all classes at one pair of
+    share, so the entries of all classes sit at one pair of
     positions.  A point that a scenario drops is an isolated row and
     column: `INF` off the diagonal.  No `Stn` or `Constraint` is built.
     The network's constraints become one edge table, (source position,
@@ -228,28 +230,59 @@ class _Problem:
 
     def root(self):
         """The node of every class, before anything runs."""
-        return _Node(self.dctxs, {}, 0, False, [()] * len(self.dctxs),
-                     frozenset(), {})
+        return self._information_set(self.dctxs, {}, 0, False, [()] * len(self.dctxs), {})
+
+    def _information_set(self, dctxs, committed, now, strict, events, windows):
+        """The node that starts the information set `dctxs` (the root, or a
+        group of a split) with the `windows` its classes bring; a point
+        ready here but not before is read from the origin and every
+        committed anchor.  Committed points are relevant to all classes."""
+        distinct = {d.relevant for d in dctxs}
+        common = frozenset.intersection(*distinct)
+        origin, anchors = self.index[_ORIGIN], [(self.index[a], t) for a, t in committed.items()]
+        ready = {}
+        for point in self.noncontingent:
+            if point in windows:
+                ready[point] = windows[point]
+            elif point in common and point not in committed:
+                p = self.index[point]
+                ready[point] = lbs, ubs = [], []
+                for d in dctxs:
+                    lb, ub = max(0, -d.rows[p][origin]), INF
+                    for a, t in anchors:
+                        lb, ub = max(lb, t - d.rows[p][a]), min(ub, t + d.rows[a][p])
+                    lbs.append(lb)
+                    ubs.append(ub)
+        blocked = not (frozenset.union(*distinct) - common).isdisjoint(self.noncontingent)
+        return _Node(dctxs, frozenset(d.idx for d in dctxs), committed, now, strict, events,
+                     _diverging(events), ready, blocked)
 
     def advance(self, node, point, t):
         """The child of `node` that runs `point` at `t`.
 
         Each class's events grow by the events of this commit alone
         (`semantics._commit_events`), and only a point that emits something
-        produces events.  No two commits produce the same
-        item, so the histories of the child's classes differ at a time just
-        when the events of some commit on the path differ there: the
-        child's split times are its parent's plus those of this commit.
+        produces events.  No two commits produce the same item, so the
+        histories of the child's classes differ at a time just when the
+        events of some commit on the path differ there: the child's split
+        times are its parent's plus those of this commit.  Each class's
+        window of each other ready point meets the new anchor's.
         """
-        events, splits = node.events, node.splits
+        dctxs, events, splits = node.dctxs, node.events, node.splits
         if point in self.emitted:
             fresh = [_commit_events(self.emitted, d.drama.scenario, d.durations, point, t)
-                     for d in node.dctxs]
+                     for d in dctxs]
             if any(fresh):
                 events = [seen + tuple(produced) for seen, produced in zip(events, fresh)]
                 splits = splits | _diverging(fresh)
-        return _Node(node.dctxs, {**node.committed, point: t}, t, False, events, splits,
-                     node.bounds)
+        a, windows = self.index[point], {}
+        for q, (lbs, ubs) in node.windows.items():
+            if q != point:
+                p = self.index[q]
+                windows[q] = ([max(lb, t - d.rows[p][a]) for lb, d in zip(lbs, dctxs)],
+                              [min(ub, t + d.rows[a][p]) for ub, d in zip(ubs, dctxs)])
+        return _Node(dctxs, node.ids, {**node.committed, point: t}, t, False, events, splits,
+                     windows, node.blocked)
 
     def next_divergence(self, node):
         """Earliest time >= `node.now` at which the histories of
@@ -260,66 +293,35 @@ class _Problem:
         """The children of `node` at its divergence `t`, as (key, child)
         pairs: its classes grouped by `key`, the items of their events at
         `t`, each group a new information set that starts at `t`,
-        strictly.  The groups come in the order of their sorted keys."""
+        strictly, with its classes' windows: a split commits nothing.  The
+        groups come in the order of their sorted keys."""
         groups = {}
-        for d, seen in zip(node.dctxs, node.events):
-            dctxs, events = groups.setdefault(
-                frozenset(item for when, item in seen if when == t), ([], []))
-            dctxs.append(d)
-            events.append(seen)
-        return [(key, _Node(dctxs, node.committed, t, True, events, _diverging(events), {}))
-                for key, (dctxs, events) in sorted(groups.items(), key=lambda g: sorted(g[0]))]
+        for i, seen in enumerate(node.events):
+            groups.setdefault(frozenset(item for when, item in seen if when == t), []).append(i)
+        return [(key, self._information_set(
+                    [node.dctxs[i] for i in members], node.committed, t, True,
+                    [node.events[i] for i in members],
+                    {point: ([lbs[i] for i in members], [ubs[i] for i in members])
+                     for point, (lbs, ubs) in node.windows.items()}))
+                for key, members in sorted(groups.items(), key=lambda g: sorted(g[0]))]
 
     def ready_points(self, node):
-        """Uncommitted non-contingent points of `node`, split into
-        uniformly-relevant (executable) and relevance-blocked ones."""
-        ready, blocked = [], []
-        for point in self.noncontingent:
-            if point in node.committed:
-                continue
-            flags = [point in d.relevant for d in node.dctxs]
-            if not any(flags):
-                continue
-            (ready if all(flags) else blocked).append(point)
-        return ready, blocked
+        """The points of `node` ready to run (`node.windows`), and whether
+        some other point is relevance-blocked (`node.blocked`)."""
+        return list(node.windows), node.blocked
 
     def window(self, node, point):
-        """Shared feasible interval (lb, ub) for `point` across the classes
-        of `node`, given its committed times; `ub` is `INF` when nothing
-        bounds it from above.
+        """Shared feasible interval (lb, ub) in ticks for `point` across the
+        classes of `node`; `ub` is `INF` when nothing bounds it from above.
 
         Uses STN decomposability: any value within the distance-matrix
         window of the committed anchors extends to a full solution of
-        each class's projection.  For the origin and for each committed
-        anchor only the tightest entry over the classes is kept (`_bounds`).
-        Committed times and closure entries are both in ticks, so the
-        bounds are `int` sums and comparisons; no `Fraction` is made.
-        """
-        floor, _ = self._bounds(node, point, _ORIGIN)
-        lb, ub = max(0, -floor), INF
-        for anchor, t in node.committed.items():
-            back, fwd = self._bounds(node, point, anchor)
-            lb = max(lb, t - back)
-            ub = min(ub, t + fwd)
-        return lb, ub
-
-    def _bounds(self, node, point, anchor):
-        """(back, fwd): the least closure entries for anchor - point and
-        for point - anchor over the classes of `node`, in ticks, or `INF`
-        where unbounded.
-
-        Every closure is indexed by `index` and closed on ticks, so the
-        entries are read at one pair of positions and compared as
-        integers.  A class that does not run `anchor` has `INF` there, so
-        it never wins.  The entries depend on the information set alone,
-        so each pair is read once per set and kept in `node.bounds`.
-        """
-        found = node.bounds.get((point, anchor))
-        if found is None:
-            p, a = self.index[point], self.index[anchor]
-            found = node.bounds[(point, anchor)] = (min(d.rows[p][a] for d in node.dctxs),
-                                                    min(d.rows[a][p] for d in node.dctxs))
-        return found
+        each class's projection.  A class's window depends only on its
+        closure and the committed times, and the min over classes and the
+        max over anchors commute, so the shared window is the intersection
+        of the classes' own windows (`node.windows`)."""
+        lbs, ubs = node.windows[point]
+        return max(lbs), min(ubs)
 
 
 def _diverging(per_class):
@@ -344,21 +346,18 @@ class _Budget(Exception):
 def _explore(problem, moves, leaf, fold, join, budget=None, remember=None):
     """Walk the observation-ordered decision trees of `problem`.
 
-    A node (`_Node`) is an information set `dctxs` (classes of dramas
-    whose histories agree so far), the times `committed` to it, the time
-    `now` of the last step, and `strict`.  A node with no point left to
-    run is a leaf, valued `leaf(node)`.  Any other node folds the values of its
-    alternatives, in order: each commit (point, t) proposed by
-    `moves(node, ready, divergence)`, and then the split at the next
-    divergence, if there is one.  `fold` is (initial, step): the node's
-    value starts at `initial`, and `step(value, alternative's value)`
-    returns (value, stop); no later alternative is valued once `stop` is
-    true.  A commit's value is the value of the node it leads to; the walk
-    checks no constraint, so `moves` proposes only the commits worth
-    entering.  A split at t has the value `join(node, t, branches)`,
-    `branches` holding a (key, value) pair per group (`_Problem.split`),
-    or else the first falsy value of a group: a group that fails fails the
-    split.
+    A node (`_Node`) with no point left to run is a leaf, valued
+    `leaf(node)`.  Any other node folds the values of its alternatives, in
+    order: each commit (point, t) proposed by `moves(node, ready,
+    divergence)`, and then the split at the next divergence, if there is
+    one.  `fold` is (initial, step): the node's value starts at `initial`,
+    and `step(value, alternative's value)` returns (value, stop); no later
+    alternative is valued once `stop` is true.  A commit's value is the
+    value of the node it leads to; the walk checks no constraint, so
+    `moves` proposes only the commits worth entering.  A split at t has
+    the value `join(node, t, branches)`, `branches` holding a (key, value)
+    pair per group (`_Problem.split`), or else the first falsy value of a
+    group: a group that fails fails the split.
 
     With a `budget`, every node entered is counted, before the memo is
     looked up, and `_Budget` is raised once the count exceeds the budget.
@@ -390,8 +389,7 @@ def _explore(problem, moves, leaf, fold, join, budget=None, remember=None):
                 raise _Budget()
         key = None
         if remember is not None:
-            key = (frozenset(d.idx for d in node.dctxs),
-                   tuple(sorted(node.committed.items())), node.now, node.strict)
+            key = (node.ids, tuple(sorted(node.committed.items())), node.now, node.strict)
             if key in memo:
                 return memo[key]
         ready, blocked = problem.ready_points(node)
@@ -546,22 +544,23 @@ def _exhaustive_witness(problem, grid, budget):
     """Complete search of grid-valued decision-tree strategies.
 
     Returns the decision tree of the first viable dynamic strategy found,
-    as `_synthesize` does, or None when
-    the space holds none; raises `_Budget` when more than `budget` nodes
-    are entered.  A point is committed only at the grid times inside its
-    window over the information set (`_window_commits`).
+    as `_synthesize` does, or None when the space holds none; raises
+    `_Budget` when more than `budget` nodes are entered.  A point is
+    committed only at the grid times inside its window over the
+    information set (`_window_commits`).
 
     That prunes no viable leaf and admits no violation.  Each drama's
     closure (`rows`) is that of its floored projection with the rigid link
     edges, so it is decomposable (Dechter, Meiri & Pearl, 1991): times for
     some of its points that meet every closure entry between them extend
-    to a solution.  The window meets the entries between the point and
-    the origin and every committed point, in every drama of the set, and
-    the contingent times the commits determine follow from the rigid
-    edges, whose entries make their bounds those of their activations.
-    By induction on the path, the known times of every drama stay
-    extendable, so they violate no constraint, and a leaf is viable (it
-    is still re-certified by the caller).  A time outside the window
+    to a solution.  The argument holds class by class: the set's window is
+    the intersection of its classes' own windows, and each of those meets
+    the entries between the point and the origin and every committed
+    point, and the contingent times the commits determine follow from the
+    rigid edges, whose entries make their bounds those of their
+    activations.  By induction on the path, the known times of every drama
+    stay extendable, so they violate no constraint, and a leaf is viable
+    (it is still re-certified by the caller).  A time outside the window
     leaves some drama's known times without a solution; every leaf below
     holds them, so no leaf below is viable.  The search therefore finds
     the first witness, or None, that a walk of the whole grid would.

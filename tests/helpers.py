@@ -401,6 +401,23 @@ def fraction_window(problem, dctxs, committed, point):
     return lb, ub
 
 
+def naive_ready_points(problem, node):
+    """The uncommitted non-contingent points of `node` relevant to every
+    class (ready) and those relevant to some of its classes only
+    (blocked), by a scan of each class's relevance per point.  Kept as the
+    reference for `search._Problem.ready_points`, which reads the ready
+    points off the node's windows and `blocked` off the node."""
+    ready, blocked = [], []
+    for point in problem.noncontingent:
+        if point in node.committed:
+            continue
+        flags = [point in d.relevant for d in node.dctxs]
+        if not any(flags):
+            continue
+        (ready if all(flags) else blocked).append(point)
+    return ready, blocked
+
+
 def class_known_times(problem, dctx, committed):
     """The known times of class `dctx` of `problem` under `committed`, in
     ticks: the committed times of its relevant points, and each contingent

@@ -249,6 +249,16 @@ def test_project_scenario(capsys, tmp_path, workflow_file):
     assert any("T3" in tp["id"] for tp in payload["timepoints"])
 
 
+def test_scenario_literals_may_have_spaces_around_the_equals_sign(capsys):
+    # Both sides of each literal are stripped before they are checked.
+    want = run(capsys, "project", DEAD_LABEL_WORKFLOW, "--scenario", "a=1,b=0")
+    assert want[0] == 0 and want[2] == ""
+    assert run(capsys, "project", DEAD_LABEL_WORKFLOW, "--scenario", "a = 1, b= 0") == want
+    code, out, err = run(capsys, "project", DEAD_LABEL_WORKFLOW, "--scenario", "a = 2")
+    assert code == 2 and out == ""
+    assert err == "error: bad truth value '2' for 'a'\n"
+
+
 def test_project_requires_arguments(capsys, bad_stnu):
     code, _, err = run(capsys, "project", bad_stnu)
     assert code == 2

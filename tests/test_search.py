@@ -21,9 +21,9 @@ from cstnu.semantics import _events, _history, certify_tree
 from cstnu.stn import floored
 from helpers import (REFERENCE_ORIGIN, class_known_times, epsilon_overshoot, fraction_window,
                      greedy_trap, grid_witness, link_chain, naive_events, naive_next_divergence,
-                     naive_viable, positions, random_cstn, random_cstn_strategy,
-                     random_consistent_stn, random_stnu, random_stnu_strategy, tick_distance,
-                     tree_leaves)
+                     naive_ready_points, naive_viable, positions, random_cstn,
+                     random_cstn_strategy, random_consistent_stn, random_stnu,
+                     random_stnu_strategy, tick_distance, tree_leaves)
 
 
 def test_consistent_stn_is_controllable():
@@ -492,6 +492,74 @@ def test_integer_window_matches_fraction_window(monkeypatch):
         check_dc(random_stnu(rng, fractions=fractions))
     assert seen["calls"] > 1000
     assert seen["mixed"] > 200
+
+
+def test_each_class_keeps_its_own_window_along_the_path(monkeypatch):
+    # Every node that greedy synthesis and the exhaustive witness search
+    # enter holds, for each ready point, each class's own window, equal to
+    # the class's window read from scratch over the origin and every
+    # committed anchor, and its ready points and blocked flag equal a scan
+    # of each class's relevance.  The fixture has points that one scenario
+    # drops, so a split can make a blocked point ready; the greedy trap and
+    # the late observations reach the witness search; the random networks
+    # mix thirds, sevenths and halves.
+    root, advance, split = search._Problem.root, search._Problem.advance, search._Problem.split
+    witness = search._exhaustive_witness
+    searching = []
+    seen = {"nodes": 0, "witness": 0, "windows": 0, "shared": 0, "fresh": 0, "blocked": 0}
+
+    def checked(problem, node):
+        ready, blocked = naive_ready_points(problem, node)
+        assert problem.ready_points(node) == (ready, bool(blocked))
+        assert node.ids == frozenset(d.idx for d in node.dctxs)
+        committed = {p: Fraction(t, problem.tick) for p, t in node.committed.items()}
+        for point, (lbs, ubs) in node.windows.items():
+            assert len(lbs) == len(ubs) == len(node.dctxs)
+            for d, lb, ub in zip(node.dctxs, lbs, ubs):
+                exact = Fraction(lb, problem.tick), INF if ub == INF else Fraction(ub, problem.tick)
+                assert exact == fraction_window(problem, [d], committed, point)
+            seen["windows"] += len(lbs)
+        seen["nodes"] += 1
+        seen["witness"] += bool(searching)
+        seen["shared"] += len(node.dctxs) > 1 and bool(node.committed and node.windows)
+        seen["blocked"] += bool(blocked)
+        return node
+
+    def groups(problem, node, t):
+        children = split(problem, node, t)
+        for _, child in children:
+            checked(problem, child)
+            seen["fresh"] += len(set(child.windows) - set(node.windows))
+        return children
+
+    def searched(*args):
+        searching.append(True)
+        try:
+            return witness(*args)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(search._Problem, "root", lambda problem: checked(problem, root(problem)))
+    monkeypatch.setattr(search._Problem, "advance",
+                        lambda problem, node, point, t: checked(problem,
+                                                                advance(problem, node, point, t)))
+    monkeypatch.setattr(search._Problem, "split", groups)
+    monkeypatch.setattr(search, "_exhaustive_witness", searched)
+    fixture = compile_workflow(parse_workflow(branching_workflow_text()))[0]
+    for grid in (3, 4):
+        assert check_dc(fixture, grid).controllable
+    assert check_dc(greedy_trap()).controllable
+    rng = random.Random(19)
+    for _ in range(8):
+        late = rng.randint(2, 9)
+        check_dc(late_observation(rng.randint(1, late - 1), late, late + rng.randint(0, 8),
+                                  rng.randint(1, 10)))
+    fractions = (Fraction(1, 3), Fraction(1, 7), Fraction(5, 2))
+    for _ in range(100):
+        check_dc(random_cstn(rng, fractions=fractions))
+        check_dc(random_stnu(rng, fractions=fractions))
+    assert (seen["nodes"] > 2500 and seen["witness"] > 900 and seen["windows"] > 40000
+            and seen["shared"] > 1000 and seen["fresh"] > 150 and seen["blocked"] > 200), seen
 
 
 def test_incremental_closures_match_solve():
