@@ -10,23 +10,17 @@ __version__ = "0.1.0"
 
 from .labels import (EMPTY, INCONSISTENT, Label, con, conjoin,
                      enumerate_universe, evaluate, parse_label, sub)
-from .model import (DEFAULT_EPSILON, Constraint, ContingentLink, Cstp, CstpEdge,
-                    CstpError, LabeledConstraint, Network, Report, Stn,
-                    TimePoint, Violation, embed_cstn, embed_cstp, embed_stn,
-                    embed_stnu, strip_labels, to_stn, validate, validate_cstn,
-                    validate_cstnu, validate_stnu)
-from .projection import (Drama, Scenario, drama_projection, enumerate_scenarios,
-                         relevant_timepoints, sample_situations,
-                         scenario_projection, situation_projection)
-from .propagation import (Modification, PreconditionError, PropagationResult,
-                          compose, dominates, label_modification,
-                          propagate_to_fixpoint)
-from .search import (DcResult, candidate_time_grid, check_dc,
-                     tree_strategy_masks, verify_cstn_embedding,
-                     verify_stnu_embedding)
+from .model import (DEFAULT_EPSILON, Constraint, ContingentLink, LabeledConstraint,
+                    Network, Report, Stn, TimePoint, Violation, embed_stn,
+                    strip_labels, to_stn, validate, validate_cstn, validate_cstnu,
+                    validate_stnu)
+from .projection import (Drama, Scenario, enumerate_scenarios, project,
+                         relevant_timepoints, sample_situations)
+from .propagation import PropagationResult, propagate_to_fixpoint
+from .search import DcResult, candidate_time_grid, check_dc
 from .semantics import (DynamicityResult, Strategy, ViabilityResult, dr_hst,
-                        history_label, is_dynamic_cstn, is_dynamic_star,
-                        is_viable, sc_hst, sc_hst_star, sit_hst)
+                        history_label, is_dynamic_star, is_viable, sc_hst,
+                        sc_hst_star, sit_hst)
 from .stn import DistanceMatrix, check_solution, earliest_solution, solve
 from .workflow import (CompilationMap, WorkflowError, WorkflowSpec,
                        compile_workflow, parse_workflow)

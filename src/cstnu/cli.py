@@ -15,7 +15,7 @@ from .jsonio import (_constraint_to_dict, _schedule_to_dict, dumps, loads,
                      network_from_dict, network_to_dict, stn_to_dict,
                      strategy_from_dict, strategy_to_dict)
 from .model import to_stn, validate
-from .projection import DEFAULT_GRID, Scenario, _project, enumerate_scenarios
+from .projection import DEFAULT_GRID, Scenario, enumerate_scenarios, project
 from .propagation import DEFAULT_BUDGET, propagate_to_fixpoint
 from .rational import rational
 from .search import check_dc
@@ -136,7 +136,7 @@ def cmd_project(args):
     try:   # a bad duration, or a scenario or situation that misfits the network
         if situation is not None:
             situation = tuple(rational(d) for d in situation.split(",")) if situation else ()
-        stn = _project(network, scenario, situation)
+        stn = project(network, scenario, situation)
     except ValueError as err:
         raise _InputError(str(err))
     _write(args.output, dumps(stn_to_dict(stn)))

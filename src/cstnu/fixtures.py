@@ -1,9 +1,5 @@
-"""Shared example networks used by the tests, the docs, and the CLI demos."""
-
-from fractions import Fraction
-
-from .labels import EMPTY, Label
-from .model import ContingentLink, LabeledConstraint, Network, TimePoint
+"""The branching-workflow example that the tests, the benchmark and the
+docs share.  The tests' own small networks live in `tests/reference.py`."""
 
 
 def branching_workflow_text():
@@ -40,55 +36,3 @@ flow J1 -> T5 [1,42]
 # deadline over the long branch
 constrain T4.S -> T5.E [136,150]
 """
-
-
-def tight_contingent_stnu():
-    """An uncontrollable STNU: a [1,3] contingent duration squeezed by a
-    hard upper bound of 2 on the same pair."""
-    return Network(
-        timepoints=[TimePoint("A"), TimePoint("C")],
-        constraints=[LabeledConstraint("A", "C", Fraction(3)),
-                     LabeledConstraint("C", "A", Fraction(-1)),
-                     LabeledConstraint("A", "C", Fraction(2))],
-        links=[ContingentLink("A", Fraction(1), Fraction(3), "C")])
-
-
-def modification_pair():
-    """A textbook label-modification instance.
-
-    X sits at least 10 before the observation of p; the target constraint
-    bounds Y - X by 5 under label bcp.  Returns (letter, observation
-    point, observation-side constraint, target constraint).
-    """
-    obs_c = LabeledConstraint("P", "X", Fraction(-10),
-                              Label([("a", True), ("b", True)]))
-    target_c = LabeledConstraint("X", "Y", Fraction(5),
-                                 Label([("b", True), ("c", True), ("p", True)]))
-    return "p", "P", obs_c, target_c
-
-
-def modification_study():
-    """Small instance for comparing strategy sets before and after label
-    modification rewrites the p-dependent constraint.
-
-    Returns (network, constraint_sets, grid): the bare topology, three
-    constraint sets (original, rewritten, derived-only), and the
-    candidate commit times for exhaustive search.  The observation-lead
-    edge (X at least 10 before P) is shared by the first two sets.
-    """
-    network = Network(
-        timepoints=[TimePoint("Oa"), TimePoint("P"), TimePoint("X"), TimePoint("Y")],
-        letters=["a", "p"],
-        observations={"a": "Oa", "p": "P"})
-    lead = LabeledConstraint("P", "X", Fraction(-10), Label([("a", True)]))
-    original = LabeledConstraint("X", "Y", Fraction(5), Label([("p", True)]))
-    derived = LabeledConstraint("X", "Y", Fraction(5), Label([("a", True)]))
-    residual = LabeledConstraint("X", "Y", Fraction(5),
-                                 Label([("a", False), ("p", True)]))
-    sets = (
-        frozenset({lead, original}),
-        frozenset({lead, derived, residual}),
-        frozenset({derived}),
-    )
-    grid = (Fraction(0), Fraction(5), Fraction(10), Fraction(15))
-    return network, sets, grid

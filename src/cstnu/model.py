@@ -1,4 +1,5 @@
-"""Network classes (STN, CSTN, STNU, CSTNU), validation, and embeddings.
+"""Network classes (STN, CSTN, STNU, CSTNU), validation, and the STN
+embedding.
 
 A single `Network` container represents all four kinds; the kind is
 inferred from which parts are populated.  Validators return full
@@ -9,7 +10,7 @@ diagnostic tool.
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .labels import EMPTY, INCONSISTENT, Label, _check_letter, conjoin, sub
+from .labels import EMPTY, Label, _check_letter, sub
 from .rational import rational
 
 DEFAULT_EPSILON = Fraction(1, 1000)
@@ -95,11 +96,12 @@ class Network:
     """A CSTNU; STN/CSTN/STNU are the degenerate kinds.
 
     Immutable after construction.  Structural well-formedness (ids exist,
-    letters are single alphanumeric symbols and declared, bounds are
-    rationals) is enforced here: constraint deltas and link bounds pass
-    through `rational()`, so floats and non-numeric strings raise
-    `ValueError`.  The WD and link conditions are checked by the
-    validators, which report rather than raise.
+    letters are single alphanumeric symbols and declared, labels are
+    `Label`s, constraints are `LabeledConstraint`s, bounds are rationals)
+    is enforced here, each failure a `ValueError` that names the element:
+    constraint deltas and link bounds pass through `rational()`, so floats
+    and non-numeric strings raise it too.  The WD and link conditions are
+    checked by the validators, which report rather than raise.
     """
 
     def __init__(self, timepoints, constraints=(), letters=(), observations=None,
@@ -112,10 +114,18 @@ class Network:
                 raise ValueError("time-point id %r is not a string" % (tp.id,))
             if tp.id in tps:
                 raise ValueError("duplicate time-point id %r" % (tp.id,))
+            if not isinstance(tp.label, Label):
+                raise ValueError("time-point %r has label %r, not a Label" % (tp.id, tp.label))
             tps[tp.id] = tp
         self.timepoints = dict(sorted(tps.items()))
         self.letters = frozenset(map(_check_letter, letters))
         self.observations = dict(sorted((observations or {}).items()))
+        constraints = tuple(constraints)
+        for c in constraints:
+            if not isinstance(c, LabeledConstraint):
+                raise ValueError("constraint %r is not a LabeledConstraint" % (c,))
+            if not isinstance(c.label, Label):
+                raise ValueError("constraint %s has label %r, not a Label" % (c, c.label))
         self.constraints = frozenset(
             c if isinstance(c.delta, Fraction) else replace(c, delta=rational(c.delta))
             for c in constraints)
@@ -130,7 +140,7 @@ class Network:
         for letter, point in self.observations.items():
             if letter not in self.letters:
                 raise ValueError("observation for undeclared letter %r" % (letter,))
-            if point not in self.timepoints:
+            if not isinstance(point, str) or point not in self.timepoints:
                 raise ValueError("observation point %r not a time-point" % (point,))
         if set(self.observations) != self.letters:
             missing = self.letters - set(self.observations)
@@ -325,100 +335,3 @@ def embed_stn(stn):
         timepoints=[TimePoint(t) for t in sorted(stn.timepoints)],
         constraints=[LabeledConstraint(c.source, c.target, c.delta)
                      for c in stn.constraints])
-
-
-@dataclass(frozen=True)
-class CstpEdge:
-    """Interval edge lower <= target - source <= upper."""
-
-    source: str
-    target: str
-    lower: Fraction
-    upper: Fraction
-
-
-@dataclass(frozen=True)
-class Cstp:
-    """A CSTP description: labeled points, observation map, interval edges."""
-
-    timepoints: tuple          # (id, Label) pairs
-    letters: frozenset
-    observations: dict
-    edges: tuple               # CstpEdge
-
-
-class CstpError(ValueError):
-    """A reasonability assumption (A1 or A2) fails for a CSTP."""
-
-
-def embed_cstp(cstp):
-    """Compile a CSTP into a CSTN per the interval-edge construction.
-
-    Each edge a <= Y - X <= b becomes the labeled pair with label
-    L(X) and L(Y) conjoined.  A1 (consistent end-point labels) and A2
-    (observation executed early enough, at least DEFAULT_EPSILON before)
-    are errors, reported with the offending element.
-    """
-    labels = dict(cstp.timepoints)
-    constraints = []
-    for edge in cstp.edges:
-        joint = conjoin(labels[edge.source], labels[edge.target])
-        if joint is INCONSISTENT:
-            raise CstpError(
-                "A1 violation: edge %s -> %s relates points with inconsistent "
-                "labels" % (edge.source, edge.target))
-        constraints.append(LabeledConstraint(edge.source, edge.target,
-                                             rational(edge.upper), joint))
-        constraints.append(LabeledConstraint(edge.target, edge.source,
-                                             -rational(edge.lower), joint))
-    for point, label in labels.items():
-        for letter in sorted(label.letters):
-            obs = cstp.observations[letter]
-            if not sub(label, labels[obs]):
-                raise CstpError(
-                    "A2 violation: label of %r does not subsume the label of "
-                    "the observation point of %r" % (point, letter))
-            ok = any(e.source == obs and e.target == point
-                     and rational(e.lower) >= DEFAULT_EPSILON
-                     for e in cstp.edges)
-            if not ok:
-                raise CstpError(
-                    "A2 violation: no edge placing the observation of %r at "
-                    "least %s before %r" % (letter, DEFAULT_EPSILON, point))
-            constraints.append(LabeledConstraint(point, cstp.observations[letter],
-                                                 -DEFAULT_EPSILON, label))
-    return Network(
-        timepoints=[TimePoint(i, l) for i, l in sorted(labels.items())],
-        constraints=constraints,
-        letters=cstp.letters,
-        observations=cstp.observations)
-
-
-def embed_stnu(network):
-    """Lift an STNU to a CSTNU (constraints get the empty label)."""
-    if network.kind not in ("stn", "stnu"):
-        raise ValueError("embed_stnu expects an STNU, got %s" % network.kind)
-    report = validate_stnu(network)
-    if not report.ok:
-        raise ValueError("invalid STNU:\n%s" % report)
-    return Network(
-        timepoints=[TimePoint(t) for t in sorted(network.timepoints)],
-        constraints=network.constraints,
-        links=network.links,
-        epsilon=network.epsilon)
-
-
-def embed_cstn(network):
-    """View a CSTN as a CSTNU with an empty link set."""
-    if network.links:
-        raise ValueError("embed_cstn expects a network without contingent links")
-    report = validate_cstn(network)
-    if not report.ok:
-        raise ValueError("invalid CSTN:\n%s" % report)
-    return Network(
-        timepoints=list(network.timepoints.values()),
-        constraints=network.constraints,
-        letters=network.letters,
-        observations=network.observations,
-        links=(),
-        epsilon=network.epsilon)

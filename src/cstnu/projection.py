@@ -144,12 +144,14 @@ def _scenario_view(network, scenario):
     return relevant, scenario.as_mapping(), links
 
 
-def _project(network, scenario, situation):
+def project(network, scenario=None, situation=None):
     """The STN of a drama, with either half optional.
 
     Without a scenario, every point and link stays and the constraints
-    are label-erased; with one, what its view (`_scenario_view`) keeps.
-    With a situation, each kept link gets its rigid duration.
+    are label-erased; with one, what its view (`_scenario_view`) keeps: its
+    relevant points and the constraints whose labels hold.  With a
+    situation, each kept link gets its rigid duration.  A scenario or
+    situation that misfits the network is a `ValueError`.
     """
     if situation is not None:
         _check_bounds(network, situation)
@@ -165,19 +167,3 @@ def _project(network, scenario, situation):
             constraints.add(Constraint(link.activation, link.contingent, situation[k]))
             constraints.add(Constraint(link.contingent, link.activation, -situation[k]))
     return Stn(points, frozenset(constraints))
-
-
-def scenario_projection(network, scenario):
-    """STN over the relevant points, keeping constraints whose labels hold."""
-    return _project(network, scenario, None)
-
-
-def situation_projection(network, situation):
-    """STN over all points: original constraints plus rigid link durations."""
-    return _project(network, None, situation)
-
-
-def drama_projection(network, scenario, situation):
-    """STN for a drama: scenario-selected constraints plus rigid durations
-    for the links whose end-points survive the scenario."""
-    return _project(network, scenario, situation)

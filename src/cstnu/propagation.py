@@ -1,5 +1,14 @@
-"""Labeled constraint propagation: composition, observation-aware label
-modification, dominance pruning, and a saturating fixpoint loop.
+"""Labeled constraint propagation: `propagate_to_fixpoint` saturates a
+network's labeled constraints under two rules, with a derivation trace.
+Compose chains (X - W <= d1, l1) and (Y - X <= d2, l2) into
+(Y - W <= d1 + d2, l1 l2).  Label modification turns (Y - X <= v, beta l)
+into (Y - X <= v, alpha beta) when (X - P <= -w, alpha), v <= w, puts X
+before the observation point P of letter l: Y is bound before l is known.
+A derived label takes its letters' observation labels and is dropped on
+a clash, and a value is dropped when a live value of its edge has a bound
+no larger and a subset of its literals.  The rules' reference forms
+(`compose`, `dominates`, `label_modification`) live beside their tests in
+`tests/reference.py`.
 
 Propagation is a one-sided test.  A negative self-loop under the empty
 label, given or derived, refutes the network; saturation without one
@@ -10,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .labels import INCONSISTENT, Label, conjoin, sub
+from .labels import Label
 from .model import LabeledConstraint
 from .rational import _least_scale, _scaled
 
@@ -18,109 +27,6 @@ from .rational import _least_scale, _scaled
 # `cstnu propagate --budget` default.  Generated 34-point workflows need
 # more than 5000 to reach their refutation.
 DEFAULT_BUDGET = 50_000
-
-
-def compose(first, second):
-    """Chain two labeled constraints through their shared middle point.
-
-    (X - W <= d1, l1) and (Y - X <= d2, l2) give (Y - W <= d1 + d2,
-    l1 and l2); None when the labels clash (no scenario triggers both).
-    """
-    if first.target != second.source:
-        raise ValueError("constraints do not chain: %s then %s" % (first, second))
-    joint = conjoin(first.label, second.label)
-    if joint is INCONSISTENT:
-        return None
-    return LabeledConstraint(first.source, second.target,
-                             first.delta + second.delta, joint)
-
-
-def dominates(tighter, looser):
-    """True when `tighter` makes `looser` redundant: same end-points, a
-    bound at least as small, and a label that applies at least as widely."""
-    return (tighter.source == looser.source
-            and tighter.target == looser.target
-            and tighter.delta <= looser.delta
-            and sub(looser.label, tighter.label))
-
-
-class PreconditionError(ValueError):
-    """Label modification was applied to a non-matching constraint pair."""
-
-    def __init__(self, failures):
-        self.failures = tuple(failures)
-        super().__init__("label modification preconditions failed:\n"
-                         + "\n".join("- " + f for f in failures))
-
-
-@dataclass(frozen=True)
-class Modification:
-    """Output of one label-modification step.
-
-    `derived` drops the observed letter from the target constraint's
-    label; `residuals` cover, one negated alpha-literal each, the
-    scenarios where the observation-side label fails.
-    """
-
-    derived: LabeledConstraint
-    residuals: tuple
-    alpha: Label
-    beta: Label
-    gamma: Label
-
-
-def label_modification(letter, obs_point, obs_constraint, target_constraint):
-    """Rewrite a constraint whose label tests `letter` but whose end-point
-    must execute before `letter` is observed.
-
-    The observation-side constraint (X - P <= -w, alpha beta) places X at
-    least w before the observation point P of `letter`; the target
-    constraint (Y - X <= v, beta gamma letter) then binds Y before the
-    outcome is known, so its dependence on `letter` is spurious.  The
-    result keeps the bound with label alpha beta gamma, plus one residual
-    per alpha-literal covering the complementary scenarios.
-    """
-    obs_label = obs_constraint.label
-    target_label = target_constraint.label
-    failures = []
-    if obs_constraint.source != obs_point:
-        failures.append("observation-side constraint does not start at the "
-                        "observation point of %r" % (letter,))
-    if target_constraint.source != obs_constraint.target:
-        failures.append("target constraint does not start at the observation-side "
-                        "constraint's end-point")
-    w = -obs_constraint.delta
-    if w < 0:
-        failures.append("observation-side bound must be non-positive (point precedes "
-                        "the observation)")
-    if target_label.sign(letter) is not True:
-        failures.append("target label must contain %r positively" % (letter,))
-    if letter in obs_label.letters:
-        failures.append("observation-side label must not mention %r" % (letter,))
-    if target_constraint.delta > w:
-        failures.append("target bound %s exceeds the observation lead %s"
-                        % (target_constraint.delta, w))
-    for shared in sorted(obs_label.letters & target_label.letters):
-        if obs_label.sign(shared) != target_label.sign(shared):
-            failures.append("labels disagree on the sign of %r" % (shared,))
-    if failures:
-        raise PreconditionError(failures)
-
-    target_label = target_label.without({letter})
-    shared = obs_label.letters & target_label.letters
-    beta = Label((l, s) for l, s in obs_label.literals if l in shared)
-    alpha = obs_label.without(shared)
-    gamma = target_label.without(shared)
-
-    def bound(label):
-        return LabeledConstraint(target_constraint.source, target_constraint.target,
-                                 target_constraint.delta, label)
-
-    derived = bound(conjoin(alpha, conjoin(beta, gamma)))
-    residuals = tuple(bound(conjoin(Label([(name, not positive), (letter, True)]),
-                                    conjoin(beta, gamma)))
-                      for name, positive in alpha.literals)
-    return Modification(derived, residuals, alpha, beta, gamma)
 
 
 @dataclass
@@ -208,8 +114,9 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
     modification pairs a value (X - P <= -w, obs) that leaves the
     observation point P of letter l with a value (Y - X <= v, target),
     v <= w, where l is positive in target and obs lacks l, and offers
-    repair((obs | target) - {l}): `label_modification`'s derived value.
-    Its residuals are never offered, as none could be admitted: each
+    repair((obs | target) - {l}): the derived value of the rule's
+    reference form (`label_modification` in `tests/reference.py`).  Its
+    residuals are never offered, as none could be admitted: each
     holds target's literals at target's bound, and target is live when
     paired, since the modified value removes it only if obs is a subset
     of target, which leaves no residual.  A sign clash between obs and

@@ -4,8 +4,8 @@ The situation space is discretized (a duration grid per contingent link)
 and strategies are searched as observation-ordered decision trees: the
 same times are committed for every drama of an information set until
 their histories diverge, so the dynamic* property holds by construction.
-One explorer walks these trees; greedy synthesis, the exhaustive witness
-search and the violation-mask enumeration are policies on top of it.
+One explorer walks these trees, and two policies sit on top of it:
+greedy synthesis, and the exhaustive witness search when greedy fails.
 Verdicts are sound, not complete:
 
 * an inconsistent sampled projection refutes controllability outright;
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .labels import evaluate
-from .model import Network, embed_cstn, embed_stnu, validate
+from .model import validate
 from .projection import (DEFAULT_GRID, Drama, _scenario_view, enumerate_scenarios,
                          sample_situations)
 from .rational import INF, _least_scale, _scaled, rational
@@ -31,12 +31,12 @@ from .semantics import (Strategy, TreeFault, TreeLeaf, TreeSplit, _commit_events
                         _emissions, _with_duration, certify_tree)
 from .stn import _close, _insert
 
-# Search bounds; see `check_dc`, `tree_strategy_masks`, `candidate_time_grid`.
+# Search bounds of the two policies, greedy synthesis and the witness
+# search; see `check_dc` and `candidate_time_grid`.
 MAX_LETTERS = 6
 MAX_LINKS = 6
 EXHAUSTIVE_POINTS = 6
 EXHAUSTIVE_BUDGET = 200_000
-MASKS_BUDGET = 2_000_000
 GRID_DEPTH = 3
 GRID_CAP = 24
 
@@ -195,18 +195,6 @@ class _Problem:
     def ticks(self, value):
         """The rational `value`, which must lie on the lattice, in ticks."""
         return _scaled(value, self.tick)
-
-    def known_times(self, node, i):
-        """The times of class `node.dctxs[i]` on the path to `node`: the
-        committed times, and each contingent time its link events name.
-        Every committed point is relevant to every class of the node: it
-        was ready, so relevant to all the classes of the node it was
-        committed at, and a split only narrows those classes."""
-        times = dict(node.committed)
-        for when, (kind, item) in node.events[i]:
-            if kind == "link":
-                times[item[1]] = when
-        return times
 
     def exact(self, t):
         """The tick count `t` as a `Fraction`, made once per problem."""
@@ -478,7 +466,7 @@ def _earliest_commit(problem):
 
 
 def _window_commits(problem, grid):
-    """Moves of the exhaustive searches: every ready point at every time of
+    """Moves of the witness search: every ready point at every time of
     `grid` inside its window (`_Problem.window`), from `now` (after it,
     past a divergence) up to the next divergence, point by point and each
     point's times in increasing order."""
@@ -571,69 +559,6 @@ def _exhaustive_witness(problem, grid, budget):
                     (None, _first_success), problem.join, budget, operator.not_)
 
 
-def tree_strategy_masks(network, constraint_sets, grid):
-    """Achievable violation masks over all grid-valued decision-tree
-    strategies of `network`'s drama set.
-
-    Bit i of a mask is set when the strategy violates some constraint of
-    `constraint_sets[i]` in some drama whose scenario makes its label
-    true.  The full mask set supports questions like "is every strategy
-    viable for set 0 also viable for set 1".  Raises `ValueError` when
-    the network does not validate or a label names a letter the network
-    lacks, and `RuntimeError` when more than MASKS_BUDGET tree nodes are
-    entered.
-
-    The walk is the witness search's (`_window_commits`) over a copy of
-    `network` without its constraints, which no mask reads: there only the
-    origin floor and the rigid link edges bound a non-contingent point, so
-    its window is [0, inf).  A leaf's mask is read off its dramas' known
-    times; each drama ends at one leaf, so a tree's mask is the union of
-    its leaves' masks.
-    """
-    report = validate(network)
-    if not report.ok:
-        raise ValueError("network does not validate:\n%s" % report)
-    free = Network(network.timepoints.values(), letters=network.letters,
-                   observations=network.observations, links=network.links,
-                   epsilon=network.epsilon)
-    scenarios = enumerate_scenarios(network.letters)
-    situations = sample_situations(network.links)
-    dramas = [Drama(s, w) for s in scenarios for w in situations]
-    problem = _Problem(free, dramas,
-                       (*grid, *(c.delta for constraints in constraint_sets for c in constraints)))
-    # Scenario -> per set, the (source, target, delta in ticks) whose labels hold
-    checks = {}
-    for s in scenarios:
-        truth = s.as_mapping()
-        checks[s] = [[(c.source, c.target, problem.ticks(c.delta))
-                      for c in constraints if evaluate(c.label, truth)]
-                     for constraints in constraint_sets]
-
-    def leaf(node):
-        mask = 0
-        for i, d in enumerate(node.dctxs):
-            times = problem.known_times(node, i)
-            for k, constraints in enumerate(checks[d.drama.scenario]):
-                if any(source in times and target in times
-                       and times[target] - times[source] > delta
-                       for source, target, delta in constraints):
-                    mask |= 1 << k
-        return frozenset({mask})
-
-    def join(node, t, branches):
-        masks = frozenset({0})
-        for _, other in branches:
-            masks = frozenset(m | s for m in masks for s in other)
-        return masks
-
-    try:
-        return _explore(problem, _window_commits(problem, grid), leaf,
-                        (frozenset(), lambda masks, other: (masks | other, False)), join,
-                        MASKS_BUDGET, lambda masks: True)
-    except _Budget:
-        raise RuntimeError("budget of %d nodes exhausted" % MASKS_BUDGET) from None
-
-
 @dataclass
 class DcResult:
     verdict: str                    # "controllable" | "not-controllable" | "unknown"
@@ -719,21 +644,3 @@ def check_dc(network, grid=DEFAULT_GRID):
     strategy = Strategy.from_dramas("cstn" if network.kind == "stn" else network.kind,
                                     table.items())
     return DcResult("controllable", strategy=strategy, sample=sample)
-
-
-def verify_cstn_embedding(network):
-    """A CSTN and its link-free lifting get the same verdict."""
-    if network.kind not in ("stn", "cstn"):
-        raise ValueError("expected a network without contingent links")
-    direct = check_dc(network)
-    lifted = check_dc(embed_cstn(network))
-    return direct.verdict == lifted.verdict
-
-
-def verify_stnu_embedding(network):
-    """An STNU and its empty-label lifting get the same verdict."""
-    if network.kind not in ("stn", "stnu"):
-        raise ValueError("expected a network without observation letters")
-    direct = check_dc(network)
-    lifted = check_dc(embed_stnu(network))
-    return direct.verdict == lifted.verdict

@@ -1,5 +1,5 @@
 """Execution-strategy semantics: schedules, histories, viability, and the
-dynamic / dynamic* properties for CSTNs, STNUs, and CSTNUs.
+dynamic* property for CSTNs, STNUs, and CSTNUs.
 
 A strategy is an explicit finite table from its index set (scenarios,
 sampled situations, or sampled dramas) to schedules.  Histories collect
@@ -9,13 +9,15 @@ observation at exactly time t is not part of t's history.
 `is_viable` and `is_dynamic_star` certify a given table.  The DC search
 builds its strategy as a decision tree instead, and `certify_tree`
 certifies that tree once per execution and expands it into the table.
+The paper's direct check of the dynamic property on CSTN strategies,
+`is_dynamic_cstn`, is in `tests/reference.py`, tested against `is_dynamic_star`.
 """
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .labels import Label, con, evaluate
+from .labels import Label, evaluate
 from .model import Constraint, strip_labels
 from .projection import Drama, Scenario, _check_bounds, _check_total, _scenario_view
 from .rational import _least_scale, _scaled, rational
@@ -256,7 +258,7 @@ def is_viable(network, strategy):
     the least violated constraint by `str`, as `stn.check_solution`
     orders them.  A time that is not rational raises `ValueError`.
 
-    Every drama is checked first, in that order, as `drama_projection`
+    Every drama is checked first, in that order, as `projection.project`
     checks it: its situation against the links, then its scenario
     against the letters, each a `ValueError`.  So a bad drama raises
     even when an earlier index is not viable.
@@ -327,26 +329,6 @@ class DynamicityResult:
         if self.ok:
             return "dynamic"
         return "not dynamic: witness %s" % (self.witness,)
-
-
-def is_dynamic_cstn(network, strategy):
-    """Direct check of the dynamic property for CSTN strategies:
-    Con(s1, scHst(X, s2, sigma)) forces equal execution times for X."""
-    if strategy.kind != "cstn":
-        raise ValueError("is_dynamic_cstn expects a CSTN strategy")
-    scenarios = strategy.indices()
-    for s1 in scenarios:
-        label1 = s1.as_label()
-        sched1 = strategy.table[s1]
-        for s2 in scenarios:
-            sched2 = strategy.table[s2]
-            shared = frozenset(sched1) & frozenset(sched2)
-            for point in sorted(shared):
-                history = sc_hst(network, s2, strategy, point)
-                if con(label1, history_label(history)):
-                    if sched1[point] != sched2[point]:
-                        return DynamicityResult(False, (s1, s2, point))
-    return DynamicityResult(True)
 
 
 def is_dynamic_star(network, strategy):

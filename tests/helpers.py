@@ -11,19 +11,18 @@ import os
 import random
 from fractions import Fraction
 
-from cstnu import (Constraint, ContingentLink, Cstp, CstpEdge, Label,
-                   LabeledConstraint, Network, Scenario, Stn, Strategy,
-                   TimePoint, check_solution, conjoin, drama_projection,
-                   enumerate_scenarios, parse_label, relevant_timepoints,
+from cstnu import (Constraint, ContingentLink, Label, LabeledConstraint, Network,
+                   Scenario, Stn, Strategy, TimePoint, check_solution, conjoin,
+                   enumerate_scenarios, parse_label, project, relevant_timepoints,
                    sample_situations)
 from cstnu.jsonio import loads, network_from_dict
 from cstnu.labels import EMPTY, INCONSISTENT, sub
-from cstnu.propagation import (DEFAULT_BUDGET, PreconditionError, PropagationResult,
-                               _Exhausted, _Refuted, compose, dominates,
-                               label_modification)
+from cstnu.propagation import DEFAULT_BUDGET, PropagationResult, _Exhausted, _Refuted
 from cstnu.rational import INF
 from cstnu.search import _ORIGIN, _explore, _first_success
 from cstnu.semantics import DynamicityResult, TreeSplit, ViabilityResult, _history
+from reference import (Cstp, CstpEdge, PreconditionError, compose, dominates,
+                       label_modification)
 
 
 # bench/gen.py's greedy trap with epsilon 1, as a network file: Or,
@@ -324,7 +323,7 @@ def naive_viable(network, strategy):
     checked by `stn.check_solution`.  Kept as the reference for viability."""
     for index in strategy.indices():
         drama = strategy.drama(index)
-        projection = drama_projection(network, drama.scenario, drama.situation)
+        projection = project(network, drama.scenario, drama.situation)
         schedule = strategy.table[index]
         if frozenset(schedule) != projection.timepoints:
             raise ValueError("schedule domain for %s is not the expected point set" % (index,))
@@ -423,8 +422,8 @@ def class_known_times(problem, dctx, committed):
     ticks: the committed times of its relevant points, and each contingent
     time of a link whose two ends are relevant, its activation time plus
     the duration its first drama samples, link after link until a chain is
-    done.  Kept as the reference for `search._Problem.known_times`, which
-    reads the contingent times off the path's events."""
+    done.  Kept as the reference for `reference.known_times`, which reads
+    the contingent times off the path's events."""
     times = {p: t for p, t in committed.items() if p in dctx.relevant}
     links = [(link.activation, link.contingent, problem.ticks(duration))
              for link, duration in zip(problem.network.links, dctx.drama.situation)
@@ -446,8 +445,7 @@ def grid_witness(problem, grid, budget):
     class's projection is built here, from its first drama."""
     grid = sorted(problem.ticks(t) for t in grid)
     checks = [[(c.source, c.target, problem.ticks(c.delta))
-               for c in drama_projection(problem.network, d.drama.scenario,
-                                         d.drama.situation).constraints]
+               for c in project(problem.network, d.drama.scenario, d.drama.situation).constraints]
               for d in problem.dctxs]
 
     def violated(d, committed):

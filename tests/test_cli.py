@@ -12,7 +12,7 @@ import pytest
 import cstnu
 from cstnu import compile_workflow, parse_workflow
 from cstnu.cli import build_parser, main
-from cstnu.fixtures import branching_workflow_text, tight_contingent_stnu
+from cstnu.fixtures import branching_workflow_text
 from cstnu.jsonio import dumps, network_to_dict
 from cstnu.projection import DEFAULT_GRID, sample_situations
 from cstnu.propagation import DEFAULT_BUDGET, propagate_to_fixpoint
@@ -20,6 +20,7 @@ from cstnu.search import check_dc
 from helpers import (DEAD_LABEL_WORKFLOW, EPSILON_OVERSHOOT, GREEDY_TRAP, MIXED_DENOMINATORS,
                      epsilon_overshoot, later_classmates, link_chain, mixed_denominators,
                      shifted_entry)
+from reference import tight_contingent_stnu
 
 
 @pytest.fixture

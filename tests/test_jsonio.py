@@ -7,10 +7,11 @@ import pytest
 
 from cstnu import (Network, Scenario, Strategy, check_dc, cli, compile_workflow,
                    parse_workflow, solve, to_stn)
-from cstnu.fixtures import branching_workflow_text, tight_contingent_stnu
+from cstnu.fixtures import branching_workflow_text
 from cstnu.jsonio import (dumps, loads, network_from_dict, network_to_dict,
                           stn_to_dict, strategy_from_dict, strategy_to_dict)
 from helpers import random_cstn, random_stnu
+from reference import tight_contingent_stnu
 
 
 def test_network_round_trip():

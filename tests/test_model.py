@@ -5,12 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from cstnu import (Constraint, ContingentLink, Cstp, CstpEdge, CstpError,
-                   LabeledConstraint, Network, Stn, TimePoint, embed_cstn,
-                   embed_cstp, embed_stn, embed_stnu, parse_label, strip_labels,
-                   to_stn, validate, validate_cstn, validate_cstnu,
-                   validate_stnu)
+from cstnu import (Constraint, ContingentLink, LabeledConstraint, Network, Stn,
+                   TimePoint, embed_stn, parse_label, strip_labels, to_stn, validate,
+                   validate_cstn, validate_cstnu, validate_stnu)
 from helpers import random_cstn, random_cstp, random_consistent_stn, random_stnu
+from reference import Cstp, CstpEdge, CstpError, embed_cstn, embed_cstp, embed_stnu
 
 
 def small_cstn():
@@ -48,6 +47,28 @@ def test_structural_errors():
     for letter in ("", "!", "ab", " "):   # letters no label can hold
         with pytest.raises(ValueError, match="letter must be a single alphanumeric symbol"):
             Network(timepoints=["A"], letters=[letter], observations={letter: "A"})
+
+
+def test_a_time_point_label_that_is_not_a_label_is_named():
+    with pytest.raises(ValueError, match="^time-point 'A' has label 'a', not a Label$"):
+        Network(timepoints=[TimePoint("A", "a")], letters=["a"], observations={"a": "A"})
+
+
+def test_a_constraint_label_that_is_not_a_label_is_named():
+    with pytest.raises(ValueError, match=r"^constraint \(B - A <= 1, p\) has label 'p', not a Label$"):
+        Network(timepoints=["A", "B"], constraints=[LabeledConstraint("A", "B", 1, "p")],
+                letters=["p"], observations={"p": "A"})
+
+
+def test_an_unlabeled_constraint_is_named():
+    with pytest.raises(ValueError, match=r"^constraint Constraint\(source='A', target='B', "
+                                         r"delta=1\) is not a LabeledConstraint$"):
+        Network(timepoints=["A", "B"], constraints=[Constraint("A", "B", 1)])
+
+
+def test_an_observation_point_that_is_not_an_id_is_named():
+    with pytest.raises(ValueError, match=r"^observation point \['A'\] not a time-point$"):
+        Network(timepoints=["A"], letters=["p"], observations={"p": ["A"]})
 
 
 def test_numbers_are_exact_at_the_boundary():

@@ -7,10 +7,8 @@ from fractions import Fraction
 import pytest
 
 from cstnu import (Constraint, ContingentLink, Drama, LabeledConstraint,
-                   Network, Scenario, TimePoint, drama_projection,
-                   enumerate_scenarios, parse_label, relevant_timepoints,
-                   sample_situations, scenario_projection,
-                   situation_projection)
+                   Network, Scenario, TimePoint, enumerate_scenarios, parse_label,
+                   project, relevant_timepoints, sample_situations)
 from helpers import random_cstn, random_stnu
 
 
@@ -77,7 +75,7 @@ def test_relevant_timepoints_and_scenario_projection():
         net = random_cstn(rng)
         for s in enumerate_scenarios(net.letters):
             relevant = relevant_timepoints(net, s)
-            stn = scenario_projection(net, s)
+            stn = project(net, s)
             assert stn.timepoints == relevant
             values = s.as_mapping()
             expected = {
@@ -90,21 +88,21 @@ def test_relevant_timepoints_and_scenario_projection():
 def test_scenario_must_be_total():
     net = random_cstn(random.Random(1))
     with pytest.raises(ValueError):
-        scenario_projection(net, Scenario({}))
+        project(net, Scenario({}))
 
 
 def test_situation_projection_rigid_durations():
     rng = random.Random(8)
     net = random_stnu(rng)
     lows = tuple(l.lower for l in net.links)
-    stn = situation_projection(net, lows)
+    stn = project(net, situation=lows)
     for link, d in zip(net.links, lows):
         assert Constraint(link.activation, link.contingent, d) in stn.constraints
         assert Constraint(link.contingent, link.activation, -d) in stn.constraints
     with pytest.raises(ValueError):
-        situation_projection(net, tuple(l.upper + 1 for l in net.links))
+        project(net, situation=tuple(l.upper + 1 for l in net.links))
     with pytest.raises(ValueError):
-        situation_projection(net, ())
+        project(net, situation=())
     # A duration that is neither an int nor a Fraction: 2.0 was read as a
     # number, "2" raised TypeError and True was read as 1.
     first = net.links[0]
@@ -112,9 +110,9 @@ def test_situation_projection_rigid_durations():
         message = (r"^duration %s for link \(%s, %s\) is not an int or a Fraction$"
                    % (re.escape(repr(bad)), first.activation, first.contingent))
         with pytest.raises(ValueError, match=message):
-            situation_projection(net, (bad, *lows[1:]))
+            project(net, situation=(bad, *lows[1:]))
         with pytest.raises(ValueError, match=message):
-            drama_projection(net, Scenario({}), (bad, *lows[1:]))
+            project(net, Scenario({}), (bad, *lows[1:]))
 
 
 def test_drama_projection_drops_irrelevant_links():
@@ -128,10 +126,10 @@ def test_drama_projection_drops_irrelevant_links():
             LabeledConstraint("C", "A", -1, parse_label("p"))],
         letters=["p"], observations={"p": "Op"},
         links=[ContingentLink("A", 1, 3, "C")])
-    on = drama_projection(net, Scenario({"p": True}), (Fraction(2),))
+    on = project(net, Scenario({"p": True}), (Fraction(2),))
     assert Constraint("A", "C", 2) in on.constraints
     assert Constraint("C", "A", -2) in on.constraints
-    off = drama_projection(net, Scenario({"p": False}), (Fraction(2),))
+    off = project(net, Scenario({"p": False}), (Fraction(2),))
     assert off.timepoints == frozenset({"Op"})
     assert not any(c.source == "A" or c.target == "A" for c in off.constraints)
 
@@ -141,7 +139,7 @@ def test_situation_projection_is_the_empty_scenario_drama():
     for _ in range(20):
         net = random_stnu(rng)
         for w in sample_situations(net.links):
-            assert drama_projection(net, Scenario({}), w) == situation_projection(net, w)
+            assert project(net, Scenario({}), w) == project(net, situation=w)
 
 
 def test_scenario_projection_is_the_empty_situation_drama():
@@ -149,7 +147,7 @@ def test_scenario_projection_is_the_empty_situation_drama():
     for _ in range(20):
         net = random_cstn(rng)
         for s in enumerate_scenarios(net.letters):
-            assert drama_projection(net, s, ()) == scenario_projection(net, s)
+            assert project(net, s, ()) == project(net, s)
 
 
 def test_drama_is_hashable_index():

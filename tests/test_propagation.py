@@ -10,14 +10,15 @@ from fractions import Fraction
 import pytest
 
 import cstnu
-from cstnu import (LabeledConstraint, Network, PreconditionError, TimePoint,
-                   compile_workflow, compose, dominates, label_modification,
-                   parse_label, parse_workflow, propagate_to_fixpoint, solve, to_stn)
-from cstnu.fixtures import branching_workflow_text, modification_pair
+from cstnu import (LabeledConstraint, Network, TimePoint, compile_workflow, parse_label,
+                   parse_workflow, propagate_to_fixpoint, solve, to_stn)
+from cstnu.fixtures import branching_workflow_text
 from cstnu.jsonio import network_from_dict
 from cstnu.propagation import DEFAULT_BUDGET
 import helpers
 from helpers import DEAD_LABEL_WORKFLOW, naive_propagate, random_consistent_stn, random_cstn
+from reference import (PreconditionError, compose, dominates, label_modification,
+                       modification_pair)
 
 
 def lc(source, target, delta, label="[]"):

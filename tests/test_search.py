@@ -10,12 +10,10 @@ import pytest
 
 import cstnu
 from cstnu import (ContingentLink, Drama, LabeledConstraint, Network, Scenario, TimePoint,
-                   candidate_time_grid, check_dc, compile_workflow, drama_projection,
-                   enumerate_scenarios, is_dynamic_star, is_viable, parse_label,
-                   parse_workflow, relevant_timepoints, sample_situations, search,
-                   tree_strategy_masks, solve, verify_cstn_embedding, verify_stnu_embedding)
-from cstnu.fixtures import (branching_workflow_text, modification_study,
-                            tight_contingent_stnu)
+                   candidate_time_grid, check_dc, compile_workflow, enumerate_scenarios,
+                   is_dynamic_star, is_viable, parse_label, parse_workflow, project,
+                   relevant_timepoints, sample_situations, search, solve)
+from cstnu.fixtures import branching_workflow_text
 from cstnu.rational import INF, _least_scale
 from cstnu.semantics import _events, _history, certify_tree
 from cstnu.stn import floored
@@ -24,6 +22,8 @@ from helpers import (REFERENCE_ORIGIN, class_known_times, epsilon_overshoot, fra
                      naive_ready_points, naive_viable, positions, random_cstn,
                      random_cstn_strategy, random_consistent_stn, random_stnu,
                      random_stnu_strategy, tick_distance, tree_leaves)
+from reference import (known_times, modification_study, tight_contingent_stnu,
+                       tree_strategy_masks, verify_cstn_embedding, verify_stnu_embedding)
 
 
 def test_consistent_stn_is_controllable():
@@ -216,11 +216,11 @@ def test_tree_strategy_masks_structure():
 
 def test_tree_strategy_masks_budget_is_a_runtime_error(monkeypatch):
     for budget in (5, 2215):
-        monkeypatch.setattr(search, "MASKS_BUDGET", budget)
+        monkeypatch.setattr("reference.MASKS_BUDGET", budget)
         with pytest.raises(RuntimeError, match="^budget of %d nodes exhausted$" % budget):
             tree_strategy_masks(*modification_study())
     # the walk enters exactly 2216 nodes
-    monkeypatch.setattr(search, "MASKS_BUDGET", 2216)
+    monkeypatch.setattr("reference.MASKS_BUDGET", 2216)
     assert tree_strategy_masks(*modification_study()) == {0, 3, 7}
 
 
@@ -469,7 +469,7 @@ def test_integer_window_matches_fraction_window(monkeypatch):
 
     def scale(problem, d):
         if id(d) not in scales:
-            projection = drama_projection(problem.network, d.drama.scenario, d.drama.situation)
+            projection = project(problem.network, d.drama.scenario, d.drama.situation)
             scales[id(d)] = d, _least_scale(c.delta for c in projection.constraints)
         return scales[id(d)][1]
 
@@ -578,7 +578,7 @@ def test_incremental_closures_match_solve():
                   for w in sample_situations(net.links)]
         problem = search._Problem(net, dramas)
         for d in problem.dctxs:
-            projection = drama_projection(net, d.drama.scenario, d.drama.situation)
+            projection = project(net, d.drama.scenario, d.drama.situation)
             want = solve(floored(projection, REFERENCE_ORIGIN))
             assert (d.rows is not None) == want.consistent
             flags.add(want.consistent)
@@ -613,8 +613,8 @@ def test_every_closure_is_on_the_problem_tick(monkeypatch):
     for problem in problems:
         at = positions(problem)
         for d in problem.dctxs:
-            want = solve(floored(drama_projection(problem.network, d.drama.scenario,
-                                                  d.drama.situation), REFERENCE_ORIGIN))
+            want = solve(floored(project(problem.network, d.drama.scenario,
+                                         d.drama.situation), REFERENCE_ORIGIN))
             assert want.consistent and d.rows is not None
             for a in want.ids:
                 for b in want.ids:
@@ -654,10 +654,10 @@ def test_problem_has_one_context_per_distinct_drama_projection():
     for d in problem.dctxs:
         assert {c: Fraction(t, problem.tick) for c, t in d.durations.items()} \
             == relevant_durations(d.drama)
-        projection = drama_projection(net, d.drama.scenario, d.drama.situation)
+        projection = project(net, d.drama.scenario, d.drama.situation)
         assert d.relevant == projection.timepoints
         for m in members[key(d.drama)]:
-            assert drama_projection(net, m.scenario, m.situation) == projection
+            assert project(net, m.scenario, m.situation) == projection
         projections.add(projection)
     assert len(members) == 162     # no two contexts hold one execution
     assert len(projections) == 162
@@ -737,7 +737,7 @@ def test_known_times_match_the_activation_walk(monkeypatch):
 
     def checked(problem, node):
         for i, d in enumerate(node.dctxs):
-            times = problem.known_times(node, i)
+            times = known_times(node, i)
             assert times == class_known_times(problem, d, node.committed)
             known[d.drama] = {p: Fraction(t, problem.tick) for p, t in times.items()}
             seen["calls"] += 1
@@ -834,7 +834,7 @@ def _corrupted(rng, strategy):
 def test_certification_viability_matches_is_viable():
     # `is_viable`, which selects each scenario's constraints from the
     # network, must give the verdict and first violation of the per-index
-    # reference, which projects each drama itself (`drama_projection`),
+    # reference, which projects each drama itself (`project`),
     # on random strategies, on the ones `check_dc` certified and on
     # corrupted copies.  The search's classes hold the points of those
     # projections.
@@ -854,7 +854,7 @@ def test_certification_viability_matches_is_viable():
             strategies += [result.strategy, _corrupted(rng, result.strategy)]
         problem = search._Problem(net, dramas)
         for d in problem.dctxs:
-            projection = drama_projection(net, d.drama.scenario, d.drama.situation)
+            projection = project(net, d.drama.scenario, d.drama.situation)
             assert d.relevant == projection.timepoints
             assert {c: Fraction(t, problem.tick) for c, t in d.durations.items()} \
                 == {link.contingent: duration

@@ -10,10 +10,9 @@ import pytest
 
 from cstnu import (ContingentLink, Drama, LabeledConstraint, Network, Scenario,
                    Strategy, TimePoint, check_dc, check_solution, compile_workflow,
-                   drama_projection, enumerate_scenarios, history_label, is_dynamic_cstn,
-                   is_dynamic_star, is_viable, parse_label, parse_workflow,
-                   relevant_timepoints, sample_situations, sc_hst, sc_hst_star, sit_hst,
-                   dr_hst)
+                   enumerate_scenarios, history_label, is_dynamic_star, is_viable,
+                   parse_label, parse_workflow, project, relevant_timepoints,
+                   sample_situations, sc_hst, sc_hst_star, sit_hst, dr_hst)
 from cstnu import search, semantics
 from cstnu.fixtures import branching_workflow_text
 from cstnu.jsonio import loads, network_from_dict
@@ -21,6 +20,7 @@ from cstnu.semantics import TreeFault, TreeSplit, _events, _history, certify_tre
 from helpers import (EPSILON_OVERSHOOT, MIXED_DENOMINATORS, greedy_trap, naive_tree_table,
                      naive_viable, pairwise_dynamic_star, random_cstn, random_cstn_strategy,
                      random_stnu, random_stnu_strategy, tree_leaves, tree_nodes)
+from reference import is_dynamic_cstn
 
 
 def observation_network():
@@ -90,11 +90,11 @@ def test_viability():
 def viable_both_ways(net, strategy):
     """`is_viable`, after checking that each index's schedule covers
     exactly the points of its drama's projection, built here with
-    `drama_projection`."""
+    `project`."""
     result = is_viable(net, strategy)
     for index in strategy.indices():
         drama = strategy.drama(index)
-        projection = drama_projection(net, drama.scenario, drama.situation)
+        projection = project(net, drama.scenario, drama.situation)
         assert frozenset(strategy.table[index]) == projection.timepoints
     return result
 
@@ -168,7 +168,7 @@ def test_integer_viability_is_exact():
                      LabeledConstraint("B", "C", milli), LabeledConstraint("C", "B", 0),
                      LabeledConstraint("A", "D", third + seventh + milli),
                      LabeledConstraint("D", "C", -seventh)])
-    projection = drama_projection(net, Scenario({}), ())
+    projection = project(net, Scenario({}), ())
     nudges = (0, milli, -milli, Fraction(1, 21000), -Fraction(1, 21000))
     rng = random.Random(71)
     outcomes = Counter()
