@@ -4,13 +4,14 @@ embedding.
 A single `Network` container represents all four kinds; the kind is
 inferred from which parts are populated.  Validators return full
 violation reports rather than failing fast, so the CLI can act as a
-diagnostic tool.
+diagnostic tool, and each makes one pass over the constraints plus the
+indexes it builds, so validation is linear in the network's size.
 """
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .labels import EMPTY, Label, _check_letter, sub
+from .labels import EMPTY, Label, _check_letter
 from .rational import rational
 
 DEFAULT_EPSILON = Fraction(1, 1000)
@@ -205,29 +206,49 @@ def to_stn(network):
 
 
 def validate_cstn(network):
-    """Check the CSTN well-definedness conditions WD1, WD2, WD3."""
+    """Check the CSTN well-definedness conditions WD1, WD2, WD3.
+
+    One pass over the constraints plus two indexes: each point's literal
+    set, and the WD2 guards, the (source, target, label) of each
+    constraint into an observation point with delta <= -epsilon, gathered
+    in the same pass.  Only the WD1/WD3 violations found are sorted by
+    their constraint's `str` (stably, so each constraint's WD1 comes before
+    its WD3s); WD2 follows in point order.
+    """
+    literals = {p: frozenset(tp.label.literals) for p, tp in network.timepoints.items()}
+    observations = network.observations
+    observers = frozenset(observations.values())
+    bound = -network.epsilon
+    guards = set()
+    found = []  # (constraint, None for WD1 or the letter for WD3)
+    for c in network.constraints:
+        label = c.label
+        if c.target in observers and c.delta <= bound:
+            guards.add((c.source, c.target, label))
+        has = set(label.literals)
+        if not (literals[c.source] <= has and literals[c.target] <= has):
+            found.append((c, None))
+        # A label's literals come sorted by letter.
+        for letter, _ in label.literals:
+            if not literals[observations[letter]] <= has:
+                found.append((c, letter))
     out = []
-    for c in sorted(network.constraints, key=str):
-        lx = network.label_of(c.source)
-        ly = network.label_of(c.target)
-        if not (sub(c.label, lx) and sub(c.label, ly)):
+    for c, letter in sorted(found, key=lambda item: str(item[0])):
+        if letter is None:
             out.append(Violation(
                 "WD1", "label of %s does not subsume both end-point labels" % (c,)))
-        for letter in sorted(c.label.letters):
-            if not sub(c.label, network.label_of(network.observation_point(letter))):
-                out.append(Violation(
-                    "WD3", "label of %s does not subsume the label of the "
-                    "observation point of %r" % (c, letter)))
+        else:
+            out.append(Violation(
+                "WD3", "label of %s does not subsume the label of the "
+                "observation point of %r" % (c, letter)))
     for tp in network.timepoints.values():
-        for letter in sorted(tp.label.letters):
-            obs = network.observation_point(letter)
-            if not sub(tp.label, network.label_of(obs)):
+        for letter, _ in tp.label.literals:
+            obs = observations[letter]
+            if not literals[obs] <= literals[tp.id]:
                 out.append(Violation(
                     "WD2", "label of %r does not subsume the label of the "
                     "observation point of %r" % (tp.id, letter)))
-            if not any(c.source == tp.id and c.target == obs
-                       and c.delta <= -network.epsilon and c.label == tp.label
-                       for c in network.constraints):
+            if (tp.id, obs, tp.label) not in guards:
                 out.append(Violation(
                     "WD2", "missing (%s - %s <= -%s, %s) constraint" %
                     (obs, tp.id, network.epsilon, tp.label)))
@@ -268,26 +289,41 @@ def depth_first(roots, successors):
     return order, cyclic
 
 
+def _link_name(link):
+    return "(%s, %s, %s, %s)" % (link.activation, link.lower, link.upper, link.contingent)
+
+
 def validate_stnu(network):
-    """Check the contingent-link conditions on the unlabeled part."""
+    """Check the contingent-link conditions on the unlabeled part.
+
+    One pass over the constraints indexes the deltas between each link's
+    two end-points, in both directions; the links are then checked
+    against it.
+    """
     out = []
-    plain = strip_labels(network.constraints)
+    deltas = {}
+    for link in network.links:
+        deltas[link.activation, link.contingent] = set()
+        deltas[link.contingent, link.activation] = set()
+    for c in network.constraints:
+        between = deltas.get((c.source, c.target))
+        if between is not None:
+            between.add(c.delta)
     seen_contingent = set()
     for link in network.links:
-        name = "(%s, %s, %s, %s)" % (link.activation, link.lower, link.upper, link.contingent)
         if link.activation == link.contingent:
-            out.append(Violation("LINK", "link %s has identical end-points" % name))
+            out.append(Violation("LINK", "link %s has identical end-points" % _link_name(link)))
         if not (0 < link.lower < link.upper):
-            out.append(Violation("LINK", "link %s violates 0 < x < y" % name))
+            out.append(Violation("LINK", "link %s violates 0 < x < y" % _link_name(link)))
         if link.contingent in seen_contingent:
             out.append(Violation("LINK", "contingent point %r shared by two links" % (link.contingent,)))
         seen_contingent.add(link.contingent)
-        if Constraint(link.activation, link.contingent, link.upper) not in plain:
+        if link.upper not in deltas[link.activation, link.contingent]:
             out.append(Violation("LINK", "missing constraint %s - %s <= %s" %
                                  (link.contingent, link.activation, link.upper)))
-        if Constraint(link.contingent, link.activation, -link.lower) not in plain:
-            out.append(Violation("LINK", "missing constraint %s - %s <= -%s" %
-                                 (link.activation, link.contingent, link.lower)))
+        if -link.lower not in deltas[link.contingent, link.activation]:
+            out.append(Violation("LINK", "missing constraint %s - %s <= %s" %
+                                 (link.activation, link.contingent, -link.lower)))
     # Chains and trees are allowed; loops in the activation -> contingent
     # graph are not.
     edges = {}
@@ -300,7 +336,11 @@ def validate_stnu(network):
 
 
 def validate_cstnu(network):
-    """Full CSTNU validation: CSTN part, STNU part, and link labeling."""
+    """Full CSTNU validation: CSTN part, STNU part, and link labeling.
+
+    The two parts make one pass over the constraints each, plus their
+    indexes; a link's labeled bounds are looked up in the constraint set.
+    """
     out = list(validate_cstn(network).violations)
     out.extend(validate_stnu(network).violations)
     for link in network.links:

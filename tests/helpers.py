@@ -210,6 +210,34 @@ def random_stnu(rng, max_links=2, extra_points=2, consistent=False, fractions=No
     return Network(timepoints=points, constraints=constraints, links=links)
 
 
+def random_cstnu(rng, max_letters=2, max_links=2):
+    """A well-defined CSTNU: `random_cstn`'s points and constraints plus
+    `random_stnu`'s links (not its constraints).  Both end-points of a
+    link carry one random label, which labels the link's bounds, the
+    observation-before-use edges of the two points, and a constraint from
+    a conditional-part point to the activation where the labels agree."""
+    cstn = random_cstn(rng, max_letters=max_letters)
+    links = random_stnu(rng, max_links=max_links, extra_points=0).links
+    labels = {p: tp.label for p, tp in cstn.timepoints.items()}
+    constraints = set(cstn.constraints)
+    for link in links:
+        label = random_label(rng, sorted(cstn.letters))
+        labels[link.activation] = labels[link.contingent] = label
+        constraints.add(LabeledConstraint(link.activation, link.contingent, link.upper, label))
+        constraints.add(LabeledConstraint(link.contingent, link.activation, -link.lower, label))
+        for point in (link.activation, link.contingent):
+            for letter, _ in label.literals:
+                constraints.add(LabeledConstraint(point, cstn.observations[letter],
+                                                  -cstn.epsilon, label))
+        other = rng.choice(sorted(cstn.timepoints))
+        joint = conjoin(label, labels[other])
+        if joint is not INCONSISTENT:
+            constraints.add(LabeledConstraint(other, link.activation,
+                                              Fraction(rng.randint(0, 15)), joint))
+    return Network([TimePoint(p, l) for p, l in labels.items()], constraints,
+                   cstn.letters, cstn.observations, links, cstn.epsilon)
+
+
 def link_chain(points):
     """An STNU whose contingent links form one chain P0 -> P1 -> ... through
     `points` points; each link lasts between 1 and 2."""

@@ -9,15 +9,21 @@ them.  Nothing in `src/` imports this module.
   and `tree_strategy_masks` tells which strategies violate which sets.
 * Dynamic equals dynamic* on CSTNs: `is_dynamic_cstn` against
   `cstnu.is_dynamic_star`.
+* The validators as the conditions read: `naive_validate_cstn`,
+  `naive_validate_stnu`, `naive_validate_cstnu` and `naive_validate`
+  scan the constraints once per labeled point and letter, and sort them
+  all by `str`; `cstnu.validate` and its three validators must return
+  the same `Report`.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 
-from cstnu import (DEFAULT_EPSILON, INCONSISTENT, ContingentLink, Drama, Label,
-                   LabeledConstraint, Network, TimePoint, check_dc, con, conjoin,
-                   enumerate_scenarios, evaluate, history_label, sample_situations,
-                   sc_hst, search, sub, validate, validate_cstn, validate_stnu)
+from cstnu import (DEFAULT_EPSILON, INCONSISTENT, Constraint, ContingentLink, Drama, Label,
+                   LabeledConstraint, Network, Report, TimePoint, Violation, check_dc, con,
+                   conjoin, enumerate_scenarios, evaluate, history_label, sample_situations,
+                   sc_hst, search, strip_labels, sub, validate, validate_cstn, validate_stnu)
+from cstnu.model import depth_first
 from cstnu.rational import rational
 from cstnu.semantics import DynamicityResult
 
@@ -325,3 +331,94 @@ def modification_study():
     sets = (frozenset({lead, original}), frozenset({lead, derived, residual}),
             frozenset({derived}))
     return network, sets, (Fraction(0), Fraction(5), Fraction(10), Fraction(15))
+
+
+def naive_validate_cstn(network):
+    """Check the CSTN well-definedness conditions WD1, WD2, WD3."""
+    out = []
+    for c in sorted(network.constraints, key=str):
+        lx = network.label_of(c.source)
+        ly = network.label_of(c.target)
+        if not (sub(c.label, lx) and sub(c.label, ly)):
+            out.append(Violation(
+                "WD1", "label of %s does not subsume both end-point labels" % (c,)))
+        for letter in sorted(c.label.letters):
+            if not sub(c.label, network.label_of(network.observation_point(letter))):
+                out.append(Violation(
+                    "WD3", "label of %s does not subsume the label of the "
+                    "observation point of %r" % (c, letter)))
+    for tp in network.timepoints.values():
+        for letter in sorted(tp.label.letters):
+            obs = network.observation_point(letter)
+            if not sub(tp.label, network.label_of(obs)):
+                out.append(Violation(
+                    "WD2", "label of %r does not subsume the label of the "
+                    "observation point of %r" % (tp.id, letter)))
+            if not any(c.source == tp.id and c.target == obs
+                       and c.delta <= -network.epsilon and c.label == tp.label
+                       for c in network.constraints):
+                out.append(Violation(
+                    "WD2", "missing (%s - %s <= -%s, %s) constraint" %
+                    (obs, tp.id, network.epsilon, tp.label)))
+    return Report(tuple(out))
+
+
+def naive_validate_stnu(network):
+    """Check the contingent-link conditions on the unlabeled part."""
+    out = []
+    plain = strip_labels(network.constraints)
+    seen_contingent = set()
+    for link in network.links:
+        name = "(%s, %s, %s, %s)" % (link.activation, link.lower, link.upper, link.contingent)
+        if link.activation == link.contingent:
+            out.append(Violation("LINK", "link %s has identical end-points" % name))
+        if not (0 < link.lower < link.upper):
+            out.append(Violation("LINK", "link %s violates 0 < x < y" % name))
+        if link.contingent in seen_contingent:
+            out.append(Violation("LINK", "contingent point %r shared by two links" % (link.contingent,)))
+        seen_contingent.add(link.contingent)
+        if Constraint(link.activation, link.contingent, link.upper) not in plain:
+            out.append(Violation("LINK", "missing constraint %s - %s <= %s" %
+                                 (link.contingent, link.activation, link.upper)))
+        if Constraint(link.contingent, link.activation, -link.lower) not in plain:
+            out.append(Violation("LINK", "missing constraint %s - %s <= %s" %
+                                 (link.activation, link.contingent, -link.lower)))
+    # Chains and trees are allowed; loops in the activation -> contingent
+    # graph are not.
+    edges = {}
+    for link in network.links:
+        edges.setdefault(link.activation, []).append(link.contingent)
+    _, cyclic = depth_first(sorted(edges), lambda node: edges.get(node, ()))
+    for node in cyclic:
+        out.append(Violation("LINK", "contingent links form a loop through %r" % (node,)))
+    return Report(tuple(out))
+
+
+def naive_validate_cstnu(network):
+    """Full CSTNU validation: CSTN part, STNU part, and link labeling."""
+    out = list(naive_validate_cstn(network).violations)
+    out.extend(naive_validate_stnu(network).violations)
+    for link in network.links:
+        la = network.label_of(link.activation)
+        lc = network.label_of(link.contingent)
+        if la != lc:
+            out.append(Violation(
+                "LINK-LABEL", "link end-points %r and %r carry different labels" %
+                (link.activation, link.contingent)))
+        upper = LabeledConstraint(link.activation, link.contingent, link.upper, la)
+        lower = LabeledConstraint(link.contingent, link.activation, -link.lower, la)
+        for needed in (upper, lower):
+            if needed not in network.constraints:
+                out.append(Violation("LINK-LABEL", "missing labeled bound %s" % (needed,)))
+    return Report(tuple(out))
+
+
+def naive_validate(network):
+    """Dispatch to the validator matching the network's kind."""
+    if network.kind == "cstnu":
+        return naive_validate_cstnu(network)
+    if network.kind == "cstn":
+        return naive_validate_cstn(network)
+    if network.kind == "stnu":
+        return naive_validate_stnu(network)
+    return Report(())

@@ -75,6 +75,15 @@ def test_validate_reports_violations(capsys, tmp_path):
     assert payload["ok"] is False and payload["violations"]
 
 
+def test_validate_names_the_delta_a_negative_lower_bound_needs(capsys, tmp_path):
+    net = cstnu.Network(["A", "B"], links=[cstnu.ContingentLink("A", -2, 3, "B")])
+    path = tmp_path / "negative.json"
+    path.write_text(dumps(network_to_dict(net)))
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 1
+    assert "[LINK] missing constraint A - B <= 2\n" in out and "--" not in out
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "validate", "no-such-file.json")
     assert code == 2 and "error" in err

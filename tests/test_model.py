@@ -1,15 +1,22 @@
 """Network construction, validation, and the lifting constructions."""
 
+import importlib.util
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from cstnu import (Constraint, ContingentLink, LabeledConstraint, Network, Stn,
-                   TimePoint, embed_stn, parse_label, strip_labels, to_stn, validate,
-                   validate_cstn, validate_cstnu, validate_stnu)
-from helpers import random_cstn, random_cstp, random_consistent_stn, random_stnu
-from reference import Cstp, CstpEdge, CstpError, embed_cstn, embed_cstp, embed_stnu
+                   TimePoint, compile_workflow, embed_stn, parse_label, parse_workflow,
+                   strip_labels, to_stn, validate, validate_cstn, validate_cstnu, validate_stnu)
+from helpers import (random_consistent_stn, random_cstn, random_cstnu, random_cstp,
+                     random_label, random_stn, random_stnu)
+from reference import (Cstp, CstpEdge, CstpError, embed_cstn, embed_cstp, embed_stnu,
+                       naive_validate, naive_validate_cstn, naive_validate_cstnu,
+                       naive_validate_stnu)
 
 
 def small_cstn():
@@ -145,8 +152,8 @@ def test_stnu_link_conditions():
 
     missing = Network(timepoints=["A", "C"],
                       links=[ContingentLink("A", 1, 3, "C")])
-    assert len([v for v in validate_stnu(missing).violations
-                if "missing" in v.message]) == 2
+    assert [v.message for v in validate_stnu(missing).violations] == [
+        "missing constraint C - A <= 3", "missing constraint A - C <= -1"]
 
     shared = Network(
         timepoints=["A", "B", "C"],
@@ -241,3 +248,129 @@ def test_random_embeddings_validate():
         assert validate(embed_cstp(random_cstp(rng))).ok
         assert validate(embed_stnu(random_stnu(rng))).ok
         assert validate(embed_cstn(random_cstn(rng))).ok
+
+
+# The validators' messages other than the two missing link bounds, by
+# name: (code, pattern of the whole message).
+MESSAGES = {
+    "WD1": ("WD1", r"label of \(.+\) does not subsume both end-point labels"),
+    "WD2 label": ("WD2", r"label of '\w+' does not subsume the label of the "
+                         r"observation point of '\w'"),
+    "WD2 guard": ("WD2", r"missing \(\w+ - \w+ <= -\S+, \S+\) constraint"),
+    "WD3": ("WD3", r"label of \(.+\) does not subsume the label of the "
+                   r"observation point of '\w'"),
+    "LINK identical": ("LINK", r"link \(.+\) has identical end-points"),
+    "LINK range": ("LINK", r"link \(.+\) violates 0 < x < y"),
+    "LINK shared": ("LINK", r"contingent point '\w+' shared by two links"),
+    "LINK loop": ("LINK", r"contingent links form a loop through '\w+'"),
+    "LINK-LABEL labels": ("LINK-LABEL", r"link end-points '\w+' and '\w+' carry "
+                                        r"different labels"),
+    "LINK-LABEL bound": ("LINK-LABEL", r"missing labeled bound \(.+\)"),
+}
+
+
+def message_kind(network, violation):
+    """Which message `violation` is: a name of MESSAGES, "LINK upper" or
+    "LINK lower" (a missing bound of a link of `network`), or None."""
+    bound = re.fullmatch(r"missing constraint (\w+) - (\w+) <= (\S+)", violation.message)
+    if violation.code == "LINK" and bound:
+        x, y, delta = bound.group(1), bound.group(2), Fraction(bound.group(3))
+        for link in network.links:
+            if (link.contingent, link.activation, link.upper) == (x, y, delta):
+                return "LINK upper"
+            if (link.activation, link.contingent, -link.lower) == (x, y, delta):
+                return "LINK lower"
+        return None
+    for kind, (code, pattern) in MESSAGES.items():
+        if violation.code == code and re.fullmatch(pattern, violation.message):
+            return kind
+    return None
+
+
+def planted(rng, network):
+    """`network` with one to three faults planted at random: a point
+    relabeled, a constraint dropped, re-timed or added under a random
+    label, or a link added between random points with random bounds."""
+    labels = {p: tp.label for p, tp in network.timepoints.items()}
+    points, letters = sorted(labels), sorted(network.letters)
+    constraints = sorted(network.constraints, key=str)
+    links = list(network.links)
+    for _ in range(rng.randint(1, 3)):
+        fault = rng.randrange(5)
+        if fault == 0:
+            labels[rng.choice(points)] = random_label(rng, letters)
+        elif fault == 1 and constraints:
+            constraints.pop(rng.randrange(len(constraints)))
+        elif fault == 2 and constraints:
+            i = rng.randrange(len(constraints))
+            constraints[i] = replace(constraints[i], delta=constraints[i].delta + rng.choice((-1, 1)))
+        elif fault == 3:
+            constraints.append(LabeledConstraint(rng.choice(points), rng.choice(points),
+                                                 Fraction(rng.randint(-5, 5)),
+                                                 random_label(rng, letters)))
+        else:
+            links.append(ContingentLink(rng.choice(points), Fraction(rng.randint(-3, 4)),
+                                        Fraction(rng.randint(-1, 6)), rng.choice(points)))
+    return Network([TimePoint(p, l) for p, l in labels.items()], constraints, letters,
+                   network.observations, links, network.epsilon)
+
+
+def test_validators_match_the_reference_on_planted_faults():
+    rng = random.Random(5)
+    makers = (lambda: embed_stn(random_stn(rng)), lambda: random_cstn(rng, max_letters=3),
+              lambda: random_stnu(rng), lambda: random_cstnu(rng, max_letters=3))
+    pairs = ((validate, naive_validate), (validate_cstn, naive_validate_cstn),
+             (validate_stnu, naive_validate_stnu), (validate_cstnu, naive_validate_cstnu))
+    seen = set()
+    for _ in range(150):
+        for make in makers:
+            network = planted(rng, make())
+            for fast, naive in pairs:
+                assert fast(network) == naive(network), network
+            for violation in naive_validate(network).violations:
+                kind = message_kind(network, violation)
+                assert kind is not None, violation
+                seen.add(kind)
+    assert seen == set(MESSAGES) | {"LINK upper", "LINK lower"}
+
+
+def test_random_cstnu_is_well_defined():
+    rng = random.Random(6)
+    for _ in range(50):
+        network = random_cstnu(rng)
+        assert network.kind == "cstnu" and validate(network).ok
+
+
+class CountingConstraints(frozenset):
+    """A constraint set that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def bench_workflow(n):
+    """`bench/gen.py`'s loose workflow of two splits with n-task arms,
+    compiled."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    text = gen.workflow(random.Random("scale/1"), (2, ((n, n, 1),) * 2), True)
+    return compile_workflow(parse_workflow(text))[0]
+
+
+def test_validation_passes_do_not_grow_with_the_network():
+    passes = {}
+    for n, points in ((1, 24), (10, 96)):
+        for check in (validate, naive_validate):
+            network = bench_workflow(n)
+            assert len(network.timepoints) == points
+            network.constraints = CountingConstraints(network.constraints)
+            assert check(network).ok
+            passes[check, points] = network.constraints.passes
+    assert passes[validate, 24] == passes[validate, 96]
+    # the reference scans once per labeled point and letter
+    assert passes[naive_validate, 24] < passes[naive_validate, 96]
