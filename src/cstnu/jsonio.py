@@ -9,6 +9,10 @@ that is not a rational (a delta of null, a bound of "1/0") is a
 `ValueError` that names the field, never a silent misread.  So is a
 strategy entry's field that the strategy's kind does not hold: a
 "situation" in a "cstn" entry, or a "scenario" in an "stnu" one.
+
+A document repeats few distinct times and labels many times, so each
+reader parses a document through one `_Reader`, which parses each
+distinct text once and hands every repeat the same object.
 """
 
 import json
@@ -83,8 +87,31 @@ def _rational(key, value):
         raise ValueError("field %r: %s" % (key, err)) from None
 
 
-def _label(data):
-    return parse_label(_field(data, "label", str, "[]"))
+class _Reader:
+    """The rationals and labels of one document, each distinct string
+    parsed once (`_rational`, `parse_label`): every repeat gets the same
+    `Fraction` or `Label`.  Only successful parses are kept, so a bad
+    value raises at each element that holds it, and only strings are
+    looked up, as the `bool` true equals the `int` 1."""
+
+    def __init__(self):
+        self._rationals = {}    # text -> Fraction
+        self._labels = {}       # text -> Label
+
+    def rational(self, key, value):
+        if type(value) is not str:
+            return _rational(key, value)
+        parsed = self._rationals.get(value)
+        if parsed is None:
+            parsed = self._rationals[value] = _rational(key, value)
+        return parsed
+
+    def label(self, data):
+        text = _field(data, "label", str, "[]")
+        parsed = self._labels.get(text)
+        if parsed is None:
+            parsed = self._labels[text] = parse_label(text)
+        return parsed
 
 
 def _point(data, key):
@@ -106,18 +133,20 @@ def _observations(data):
 
 def network_from_dict(data):
     data = _object(data)
+    read = _Reader()
     try:
         return Network(
-            timepoints=[TimePoint(tp["id"], _label(tp)) for tp in _items(data, "timepoints", dict)],
+            timepoints=[TimePoint(tp["id"], read.label(tp))
+                        for tp in _items(data, "timepoints", dict)],
             constraints=[LabeledConstraint(_point(c, "from"), _point(c, "to"),
-                                           _rational("delta", c["delta"]), _label(c))
+                                           read.rational("delta", c["delta"]), read.label(c))
                          for c in _items(data, "constraints", dict)],
             letters=_items(data, "letters", str),
             observations=_observations(data),
-            links=[ContingentLink(_point(l, "activation"), _rational("lower", l["lower"]),
-                                  _rational("upper", l["upper"]), _point(l, "contingent"))
+            links=[ContingentLink(_point(l, "activation"), read.rational("lower", l["lower"]),
+                                  read.rational("upper", l["upper"]), _point(l, "contingent"))
                    for l in _items(data, "links", dict)],
-            epsilon=_rational("epsilon", data.get("epsilon", DEFAULT_EPSILON)))
+            epsilon=read.rational("epsilon", data.get("epsilon", DEFAULT_EPSILON)))
     except KeyError as err:
         raise ValueError("missing key %s" % err) from None
 
@@ -161,6 +190,7 @@ def strategy_from_dict(data):
         else:
             kind = "cstn"
     unheld = "situation" if kind == "cstn" else "scenario" if kind == "stnu" else None
+    read = _Reader()
     pairs = []
     for pos, entry in enumerate(entries):
         if unheld in entry:
@@ -170,9 +200,9 @@ def strategy_from_dict(data):
         for letter in scenario:
             _field(scenario, letter, bool, None)
         drama = Drama(Scenario(scenario),
-                      tuple(_rational("situation", d)
+                      tuple(read.rational("situation", d)
                             for d in _field(entry, "situation", list, [])))
-        pairs.append((drama, {point: _rational("schedule", t)
+        pairs.append((drama, {point: read.rational("schedule", t)
                               for point, t in _field(entry, "schedule", dict, {}).items()}))
     return Strategy.from_dramas(kind, pairs)
 

@@ -148,17 +148,26 @@ class Network:
             raise ValueError("letters without observation point: %s" % sorted(missing))
         if len(set(self.observations.values())) != len(self.observations):
             raise ValueError("observation map is not injective")
+        declared = {}       # label -> whether its letters are all declared
         for c in self.constraints:
             if c.source not in self.timepoints or c.target not in self.timepoints:
                 raise ValueError("constraint %s references unknown time-point" % (c,))
-            if not c.label.letters <= self.letters:
+            if not self._declared(c.label, declared):
                 raise ValueError("constraint %s uses undeclared letters" % (c,))
         for tp in self.timepoints.values():
-            if not tp.label.letters <= self.letters:
+            if not self._declared(tp.label, declared):
                 raise ValueError("time-point %r uses undeclared letters" % (tp.id,))
         for link in self.links:
             if link.activation not in self.timepoints or link.contingent not in self.timepoints:
                 raise ValueError("link references unknown time-point")
+
+    def _declared(self, label, declared):
+        """Whether `label` uses declared letters only, looked up in (and
+        added to) `declared`, so each distinct label is checked once."""
+        known = declared.get(label)
+        if known is None:
+            known = declared[label] = label.letters <= self.letters
+        return known
 
     @property
     def kind(self):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .labels import Label
-from .model import LabeledConstraint
+from .model import LabeledConstraint, depth_first
 from .rational import _least_scale, _scaled
 
 # Admitted derivations before `propagate_to_fixpoint` gives up, also the
@@ -46,13 +46,10 @@ class PropagationResult:
         return self.refutation is not None
 
     def explain(self, constraint):
-        """Derivation chain of `constraint`, innermost first."""
-        rule, parents = self.trace[constraint]
-        lines = []
-        for parent in parents:
-            lines.extend(self.explain(parent))
-        lines.append("%s  [%s]" % (constraint, rule))
-        return lines
+        """Derivation of `constraint`: each constraint it rests on once,
+        after the ones it was derived from, and `constraint` last."""
+        order, _ = depth_first((constraint,), lambda c: self.trace[c][1])
+        return ["%s  [%s]" % (c, self.trace[c][0]) for c in order]
 
 
 def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):

@@ -14,7 +14,12 @@ INF = math.inf
 
 
 def rational(value) -> Fraction:
-    """Parse a rational from an int, Fraction, or string ("3/2", "1.5", "7")."""
+    """Parse a rational from an int, Fraction, or string ("3/2", "1.5", "7").
+
+    A plain integer string, ASCII digits after an optional "-", is read by
+    `int`, which skips `Fraction`'s regular expression; every other
+    string, and one that `int` refuses (past its digit limit), goes to
+    `Fraction`, so both paths accept and return the same."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -22,6 +27,12 @@ def rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        digits = value[1:] if value[:1] == "-" else value
+        if digits.isascii() and digits.isdigit():
+            try:
+                return Fraction(int(value))
+            except ValueError:
+                pass
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

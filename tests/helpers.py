@@ -5,6 +5,7 @@ Consistent instances are built from a hidden random solution plus
 non-negative slack, so consistency is guaranteed by construction.
 """
 
+import importlib.util
 import json
 import operator
 import os
@@ -23,6 +24,16 @@ from cstnu.search import _ORIGIN, _explore, _first_success
 from cstnu.semantics import DynamicityResult, TreeSplit, ViabilityResult, _history
 from reference import (Cstp, CstpEdge, PreconditionError, compose, dominates,
                        label_modification)
+
+
+def bench_gen():
+    """`bench/gen.py`, the benchmark's seeded input generators."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "gen.py")
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
 
 
 # bench/gen.py's greedy trap with epsilon 1, as a network file: Or,

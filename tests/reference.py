@@ -14,15 +14,24 @@ them.  Nothing in `src/` imports this module.
   scan the constraints once per labeled point and letter, and sort them
   all by `str`; `cstnu.validate` and its three validators must return
   the same `Report`.
+* The JSON readers as they read before each document had one reader:
+  `naive_rational` sends every string through `Fraction`, and
+  `naive_network_from_dict` and `naive_strategy_from_dict` parse every
+  rational and label where it occurs; `cstnu.rational.rational` and the
+  `cstnu.jsonio` readers must return equal values.
+* A derivation tree as it unfolds: `naive_explain` repeats a shared
+  derivation once per use; `PropagationResult.explain` lists it once.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 
 from cstnu import (DEFAULT_EPSILON, INCONSISTENT, Constraint, ContingentLink, Drama, Label,
-                   LabeledConstraint, Network, Report, TimePoint, Violation, check_dc, con,
-                   conjoin, enumerate_scenarios, evaluate, history_label, sample_situations,
-                   sc_hst, search, strip_labels, sub, validate, validate_cstn, validate_stnu)
+                   LabeledConstraint, Network, Report, Scenario, Strategy, TimePoint,
+                   Violation, check_dc, con, conjoin, enumerate_scenarios, evaluate,
+                   history_label, parse_label, sample_situations, sc_hst, search,
+                   strip_labels, sub, validate, validate_cstn, validate_stnu)
+from cstnu.jsonio import _field, _items, _object, _observations, _point
 from cstnu.model import depth_first
 from cstnu.rational import rational
 from cstnu.semantics import DynamicityResult
@@ -422,3 +431,90 @@ def naive_validate(network):
     if network.kind == "stnu":
         return naive_validate_stnu(network)
     return Report(())
+
+
+def naive_rational(value):
+    """`cstnu.rational.rational` with every string parsed by `Fraction`."""
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError("not a rational: %r" % (value,)) from exc
+    return rational(value)
+
+
+def _naive_rational(key, value):
+    try:
+        return naive_rational(value)
+    except ValueError as err:
+        raise ValueError("field %r: %s" % (key, err)) from None
+
+
+def _naive_label(data):
+    return parse_label(_field(data, "label", str, "[]"))
+
+
+def naive_network_from_dict(data):
+    """`cstnu.jsonio.network_from_dict`, parsing each rational and label
+    where it occurs."""
+    data = _object(data)
+    try:
+        return Network(
+            timepoints=[TimePoint(tp["id"], _naive_label(tp))
+                        for tp in _items(data, "timepoints", dict)],
+            constraints=[LabeledConstraint(_point(c, "from"), _point(c, "to"),
+                                           _naive_rational("delta", c["delta"]),
+                                           _naive_label(c))
+                         for c in _items(data, "constraints", dict)],
+            letters=_items(data, "letters", str),
+            observations=_observations(data),
+            links=[ContingentLink(_point(l, "activation"), _naive_rational("lower", l["lower"]),
+                                  _naive_rational("upper", l["upper"]),
+                                  _point(l, "contingent"))
+                   for l in _items(data, "links", dict)],
+            epsilon=_naive_rational("epsilon", data.get("epsilon", DEFAULT_EPSILON)))
+    except KeyError as err:
+        raise ValueError("missing key %s" % err) from None
+
+
+def naive_strategy_from_dict(data):
+    """`cstnu.jsonio.strategy_from_dict`, parsing each rational where it
+    occurs."""
+    entries = _items(_object(data), "entries", dict)
+    kind = data.get("kind")
+    if kind is None:
+        has_scenario = any("scenario" in e for e in entries)
+        has_situation = any("situation" in e for e in entries)
+        if has_scenario and has_situation:
+            kind = "cstnu"
+        elif has_situation:
+            kind = "stnu"
+        else:
+            kind = "cstn"
+    unheld = "situation" if kind == "cstn" else "scenario" if kind == "stnu" else None
+    pairs = []
+    for pos, entry in enumerate(entries):
+        if unheld in entry:
+            raise ValueError("field %r: entries of kind %r hold no %s (entry %d)"
+                             % (unheld, kind, unheld, pos))
+        scenario = _field(entry, "scenario", dict, {})
+        for letter in scenario:
+            _field(scenario, letter, bool, None)
+        drama = Drama(Scenario(scenario),
+                      tuple(_naive_rational("situation", d)
+                            for d in _field(entry, "situation", list, [])))
+        pairs.append((drama, {point: _naive_rational("schedule", t)
+                              for point, t in _field(entry, "schedule", dict, {}).items()}))
+    return Strategy.from_dramas(kind, pairs)
+
+
+def naive_explain(result, constraint):
+    """The derivation of `constraint` in `result`, a `PropagationResult`,
+    unfolded: each parent's derivation in full, once per use, then
+    `constraint`."""
+    rule, parents = result.trace[constraint]
+    lines = []
+    for parent in parents:
+        lines.extend(naive_explain(result, parent))
+    lines.append("%s  [%s]" % (constraint, rule))
+    return lines

@@ -1,17 +1,22 @@
 """JSON round trips for networks, STNs, and strategies."""
 
+import glob
+import os
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from cstnu import (Network, Scenario, Strategy, check_dc, cli, compile_workflow,
-                   parse_workflow, solve, to_stn)
+from cstnu import (Network, Scenario, Strategy, check_dc, cli, compile_workflow, jsonio,
+                   parse_label, parse_workflow, solve, to_stn)
 from cstnu.fixtures import branching_workflow_text
 from cstnu.jsonio import (dumps, loads, network_from_dict, network_to_dict,
                           stn_to_dict, strategy_from_dict, strategy_to_dict)
-from helpers import random_cstn, random_stnu
-from reference import tight_contingent_stnu
+from cstnu.rational import rational
+from helpers import GREEDY_TRAP, bench_gen, random_cstn, random_stnu
+from reference import (naive_network_from_dict, naive_rational, naive_strategy_from_dict,
+                       tight_contingent_stnu)
 
 
 def test_network_round_trip():
@@ -205,3 +210,105 @@ def test_a_field_of_the_wrong_type_is_an_input_error(tmp_path, capsys):
     assert cli.main(["validate", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "'letters'" in err[0]
+
+
+# Strings that `Fraction` reads and `int` reads otherwise or refuses
+# (signs, spaces, underscores, non-ASCII digits), that both refuse, and
+# integers past `int`'s 4300-digit limit and at it.
+RATIONAL_STRINGS = ["5", "-12", "3/2", "+5", " 5 ", "1_000", "\u0663", "\u00b2", "-0", "007",
+                    "", "-", "--5", "1/0", "1e3", "5.", "0x10", "9" * 4301, "-" + "9" * 4300]
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except ValueError as err:
+        return "ValueError", str(err)
+    return type(value), value
+
+
+@pytest.mark.parametrize("text", RATIONAL_STRINGS, ids=range(len(RATIONAL_STRINGS)))
+def test_rational_reads_a_string_as_fraction_does(text):
+    assert _outcome(rational, text) == _outcome(naive_rational, text)
+
+
+@pytest.fixture(scope="module")
+def documents():
+    """Network documents (`small_nets(1..2)`, `tests/*.json` and the
+    compiled fixture) and the fixture's strategies at grids 3 and 5."""
+    gen = bench_gen()
+    texts = gen.small_nets(1) + gen.small_nets(2)
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(GREEDY_TRAP), "*.json"))):
+        with open(path) as f:
+            texts.append(f.read())
+    fixture = compile_workflow(parse_workflow(branching_workflow_text()))[0]
+    strategies = [strategy_to_dict(check_dc(fixture, grid=grid).strategy) for grid in (3, 5)]
+    return [loads(text) for text in texts] + [network_to_dict(fixture)], strategies
+
+
+def _shared(values):
+    """Whether the equal ones among `values` are one object."""
+    first = {}
+    return all(first.setdefault(value, value) is value for value in values)
+
+
+def test_the_readers_read_what_the_naive_readers_read(documents):
+    networks, strategies = documents
+    for data in networks:
+        network = network_from_dict(data)
+        assert network == naive_network_from_dict(data)
+        rationals = [network.epsilon] + [c.delta for c in network.constraints]
+        rationals += [bound for l in network.links for bound in (l.lower, l.upper)]
+        assert {type(value) for value in rationals} == {Fraction}
+        assert _shared(rationals)
+        assert _shared([c.label for c in network.constraints]
+                       + [tp.label for tp in network.timepoints.values()])
+    for data in strategies:
+        strategy = strategy_from_dict(data)
+        naive = naive_strategy_from_dict(data)
+        assert (strategy.kind, strategy.table) == (naive.kind, naive.table)
+        rationals = [t for schedule in strategy.table.values() for t in schedule.values()]
+        rationals += [d for drama in strategy.table for d in drama.situation]
+        assert {type(value) for value in rationals} == {Fraction}
+        assert _shared(rationals)
+
+
+def _rational_strings(data):
+    """The rational strings of a network or strategy document."""
+    if "entries" in data:
+        return [t for e in data["entries"]
+                for t in e.get("situation", []) + list(e["schedule"].values())]
+    return ([data["epsilon"]] + [c["delta"] for c in data["constraints"]]
+            + [l[bound] for l in data["links"] for bound in ("lower", "upper")])
+
+
+def test_each_distinct_string_is_parsed_once(monkeypatch, documents):
+    """One `Fraction(str)` per distinct string that is not a plain
+    integer, and one `parse_label` per distinct label text, per document."""
+    parsed, labels = [], []
+    new = Fraction.__new__
+
+    def counting_new(cls, numerator=0, *args, **kwargs):
+        if isinstance(numerator, str):
+            parsed.append(numerator)
+        return new(cls, numerator, *args, **kwargs)
+
+    def counting_parse_label(text):
+        labels.append(text)
+        return parse_label(text)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(jsonio, "parse_label", counting_parse_label)
+    networks, strategies = documents
+    for data in networks[::50] + networks[-5:] + strategies:
+        parsed.clear()
+        labels.clear()
+        if "entries" in data:
+            strategy_from_dict(data)
+        else:
+            network_from_dict(data)
+            texts = [c.get("label", "[]") for c in data["timepoints"] + data["constraints"]]
+            assert sorted(labels) == sorted(set(texts))
+        strings = set(_rational_strings(data))
+        assert sorted(parsed) == sorted(s for s in strings if not re.fullmatch("-?[0-9]+", s))
+    assert labels == []     # strategies hold no labels

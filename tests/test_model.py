@@ -1,19 +1,17 @@
 """Network construction, validation, and the lifting constructions."""
 
-import importlib.util
 import random
 import re
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from cstnu import (Constraint, ContingentLink, LabeledConstraint, Network, Stn,
                    TimePoint, compile_workflow, embed_stn, parse_label, parse_workflow,
                    strip_labels, to_stn, validate, validate_cstn, validate_cstnu, validate_stnu)
-from helpers import (random_consistent_stn, random_cstn, random_cstnu, random_cstp,
-                     random_label, random_stn, random_stnu)
+from helpers import (bench_gen, random_consistent_stn, random_cstn, random_cstnu,
+                     random_cstp, random_label, random_stn, random_stnu)
 from reference import (Cstp, CstpEdge, CstpError, embed_cstn, embed_cstp, embed_stnu,
                        naive_validate, naive_validate_cstn, naive_validate_cstnu,
                        naive_validate_stnu)
@@ -354,11 +352,7 @@ class CountingConstraints(frozenset):
 def bench_workflow(n):
     """`bench/gen.py`'s loose workflow of two splits with n-task arms,
     compiled."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("bench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    text = gen.workflow(random.Random("scale/1"), (2, ((n, n, 1),) * 2), True)
+    text = bench_gen().workflow(random.Random("scale/1"), (2, ((n, n, 1),) * 2), True)
     return compile_workflow(parse_workflow(text))[0]
 
 

@@ -14,11 +14,12 @@ from cstnu import (LabeledConstraint, Network, TimePoint, compile_workflow, pars
                    parse_workflow, propagate_to_fixpoint, solve, to_stn)
 from cstnu.fixtures import branching_workflow_text
 from cstnu.jsonio import network_from_dict
-from cstnu.propagation import DEFAULT_BUDGET
+from cstnu.propagation import DEFAULT_BUDGET, PropagationResult
 import helpers
-from helpers import DEAD_LABEL_WORKFLOW, naive_propagate, random_consistent_stn, random_cstn
+from helpers import (DEAD_LABEL_WORKFLOW, bench_gen, naive_propagate, random_consistent_stn,
+                     random_cstn)
 from reference import (PreconditionError, compose, dominates, label_modification,
-                       modification_pair)
+                       modification_pair, naive_explain)
 
 
 def lc(source, target, delta, label="[]"):
@@ -412,3 +413,36 @@ def test_trace_order_does_not_depend_on_string_hashing():
                               check=True, text=True).stdout
                for seed in ("0", "1")]
     assert outputs[0] == outputs[1] and outputs[0].startswith("['(")
+
+
+@pytest.mark.parametrize("splits", [3, 4, None], ids=["tight-3", "tight-4", "dead-labels"])
+def test_explain_lists_each_derivation_once_after_its_parents(splits):
+    """On the dead-label workflow and on `bench/gen.py`'s tight workflows
+    with 3 and 4 one-task splits in a row."""
+    if splits is None:
+        with open(DEAD_LABEL_WORKFLOW) as f:
+            network = network_from_dict(json.load(f))
+    else:
+        text = bench_gen().workflow(random.Random("scale/1"), (2, ((1, 1, 1),) * splits), False)
+        network = compile_workflow(parse_workflow(text))[0]
+    result = propagate_to_fixpoint(network)
+    assert result.refuted
+    unfolded = naive_explain(result, result.refutation)
+    lines = result.explain(result.refutation)
+    assert len(lines) < len(unfolded)
+    assert lines == list(dict.fromkeys(unfolded))
+    line_of = {c: "%s  [%s]" % (c, rule) for c, (rule, _) in result.trace.items()}
+    position = {line: i for i, line in enumerate(lines)}
+    assert lines[-1] == line_of[result.refutation]
+    for c, (_, parents) in result.trace.items():
+        if line_of[c] in position:
+            assert all(position[line_of[p]] < position[line_of[c]] for p in parents)
+
+
+def test_explain_walks_a_derivation_deeper_than_the_recursion_limit():
+    chain = [lc("X%d" % i, "X%d" % (i + 1), 1) for i in range(sys.getrecursionlimit() + 10)]
+    trace = {chain[0]: ("given", ())}
+    for first, second in zip(chain, chain[1:]):
+        trace[second] = ("compose", (first,))
+    lines = PropagationResult(trace).explain(chain[-1])
+    assert lines == ["%s  [%s]" % (c, trace[c][0]) for c in chain]
