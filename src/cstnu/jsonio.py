@@ -88,15 +88,17 @@ def _rational(key, value):
 
 
 class _Reader:
-    """The rationals and labels of one document, each distinct string
-    parsed once (`_rational`, `parse_label`): every repeat gets the same
-    `Fraction` or `Label`.  Only successful parses are kept, so a bad
-    value raises at each element that holds it, and only strings are
-    looked up, as the `bool` true equals the `int` 1."""
+    """The rationals, labels and scenarios of one document, each distinct
+    string or mapping parsed once (`_rational`, `parse_label`, `Scenario`):
+    every repeat gets the same `Fraction`, `Label` or `Scenario`.  Only
+    successful parses are kept, so a bad value raises at each element that
+    holds it, and only strings and checked `bool`s are looked up, as the
+    `bool` true equals the `int` 1."""
 
     def __init__(self):
         self._rationals = {}    # text -> Fraction
         self._labels = {}       # text -> Label
+        self._scenarios = {}    # (letter, bool) pairs -> Scenario
 
     def rational(self, key, value):
         if type(value) is not str:
@@ -111,6 +113,16 @@ class _Reader:
         parsed = self._labels.get(text)
         if parsed is None:
             parsed = self._labels[text] = parse_label(text)
+        return parsed
+
+    def scenario(self, entry):
+        values = _field(entry, "scenario", dict, {})
+        for letter in values:
+            _field(values, letter, bool, None)
+        key = tuple(values.items())
+        parsed = self._scenarios.get(key)
+        if parsed is None:
+            parsed = self._scenarios[key] = Scenario(values)
         return parsed
 
 
@@ -196,10 +208,7 @@ def strategy_from_dict(data):
         if unheld in entry:
             raise ValueError("field %r: entries of kind %r hold no %s (entry %d)"
                              % (unheld, kind, unheld, pos))
-        scenario = _field(entry, "scenario", dict, {})
-        for letter in scenario:
-            _field(scenario, letter, bool, None)
-        drama = Drama(Scenario(scenario),
+        drama = Drama(read.scenario(entry),
                       tuple(read.rational("situation", d)
                             for d in _field(entry, "situation", list, [])))
         pairs.append((drama, {point: read.rational("schedule", t)

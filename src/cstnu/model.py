@@ -10,6 +10,7 @@ indexes it builds, so validation is linear in the network's size.
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from types import MappingProxyType
 
 from .labels import EMPTY, Label, _check_letter
 from .rational import rational
@@ -96,14 +97,22 @@ class Report:
 class Network:
     """A CSTNU; STN/CSTN/STNU are the degenerate kinds.
 
-    Immutable after construction.  Structural well-formedness (ids exist,
-    letters are single alphanumeric symbols and declared, labels are
-    `Label`s, constraints are `LabeledConstraint`s, bounds are rationals)
-    is enforced here, each failure a `ValueError` that names the element:
-    constraint deltas and link bounds pass through `rational()`, so floats
-    and non-numeric strings raise it too.  The WD and link conditions are
-    checked by the validators, which report rather than raise.
+    Immutable after construction, and the freeze is enforced: rebinding or
+    deleting an attribute is an `AttributeError`, and `timepoints` and
+    `observations` are read-only mappings.  Structural well-formedness
+    (ids exist, letters are single alphanumeric symbols and declared,
+    labels are `Label`s, constraints are `LabeledConstraint`s, bounds are
+    rationals) is enforced here, each failure a `ValueError` that names
+    the element: constraint deltas and link bounds pass through
+    `rational()`, so floats and non-numeric strings raise it too.  The WD
+    and link conditions are checked by the validators, which report
+    rather than raise.  As the network cannot change, `validate` keeps its
+    report on it and returns that same `Report` on every later call; the
+    per-kind validators (`validate_cstn`, `validate_stnu`,
+    `validate_cstnu`) keep nothing and make their pass on every call.
     """
+
+    _report = None          # `validate`'s report, once it has run
 
     def __init__(self, timepoints, constraints=(), letters=(), observations=None,
                  links=(), epsilon=DEFAULT_EPSILON):
@@ -118,56 +127,70 @@ class Network:
             if not isinstance(tp.label, Label):
                 raise ValueError("time-point %r has label %r, not a Label" % (tp.id, tp.label))
             tps[tp.id] = tp
-        self.timepoints = dict(sorted(tps.items()))
-        self.letters = frozenset(map(_check_letter, letters))
-        self.observations = dict(sorted((observations or {}).items()))
+        tps = dict(sorted(tps.items()))
+        letters = frozenset(map(_check_letter, letters))
+        observations = dict(sorted((observations or {}).items()))
         constraints = tuple(constraints)
         for c in constraints:
             if not isinstance(c, LabeledConstraint):
                 raise ValueError("constraint %r is not a LabeledConstraint" % (c,))
             if not isinstance(c.label, Label):
                 raise ValueError("constraint %s has label %r, not a Label" % (c, c.label))
-        self.constraints = frozenset(
+        constraints = frozenset(
             c if isinstance(c.delta, Fraction) else replace(c, delta=rational(c.delta))
             for c in constraints)
-        self.links = tuple(
+        links = tuple(
             link if isinstance(link.lower, Fraction) and isinstance(link.upper, Fraction)
             else replace(link, lower=rational(link.lower), upper=rational(link.upper))
             for link in links)
-        self.epsilon = rational(epsilon)
-        if self.epsilon <= 0:
+        epsilon = rational(epsilon)
+        if epsilon <= 0:
             raise ValueError("epsilon must be positive")
 
-        for letter, point in self.observations.items():
-            if letter not in self.letters:
+        for letter, point in observations.items():
+            if letter not in letters:
                 raise ValueError("observation for undeclared letter %r" % (letter,))
-            if not isinstance(point, str) or point not in self.timepoints:
+            if not isinstance(point, str) or point not in tps:
                 raise ValueError("observation point %r not a time-point" % (point,))
-        if set(self.observations) != self.letters:
-            missing = self.letters - set(self.observations)
+        if set(observations) != letters:
+            missing = letters - set(observations)
             raise ValueError("letters without observation point: %s" % sorted(missing))
-        if len(set(self.observations.values())) != len(self.observations):
+        if len(set(observations.values())) != len(observations):
             raise ValueError("observation map is not injective")
         declared = {}       # label -> whether its letters are all declared
-        for c in self.constraints:
-            if c.source not in self.timepoints or c.target not in self.timepoints:
+        for c in constraints:
+            if c.source not in tps or c.target not in tps:
                 raise ValueError("constraint %s references unknown time-point" % (c,))
-            if not self._declared(c.label, declared):
+            if not _declared(c.label, letters, declared):
                 raise ValueError("constraint %s uses undeclared letters" % (c,))
-        for tp in self.timepoints.values():
-            if not self._declared(tp.label, declared):
+        for tp in tps.values():
+            if not _declared(tp.label, letters, declared):
                 raise ValueError("time-point %r uses undeclared letters" % (tp.id,))
-        for link in self.links:
-            if link.activation not in self.timepoints or link.contingent not in self.timepoints:
+        for link in links:
+            if link.activation not in tps or link.contingent not in tps:
                 raise ValueError("link references unknown time-point")
 
-    def _declared(self, label, declared):
-        """Whether `label` uses declared letters only, looked up in (and
-        added to) `declared`, so each distinct label is checked once."""
-        known = declared.get(label)
-        if known is None:
-            known = declared[label] = label.letters <= self.letters
-        return known
+        # Set last: the checks above read the plain dicts, which are faster
+        # to look up in than the read-only views the fields hold.
+        init = object.__setattr__
+        init(self, "timepoints", MappingProxyType(tps))
+        init(self, "letters", letters)
+        init(self, "observations", MappingProxyType(observations))
+        init(self, "constraints", constraints)
+        init(self, "links", links)
+        init(self, "epsilon", epsilon)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Network is immutable: cannot set %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("Network is immutable: cannot delete %r" % (name,))
+
+    def __reduce__(self):
+        # The read-only views do not pickle; `pickle` and `copy` rebuild
+        # the network from its parts instead.
+        return Network, (tuple(self.timepoints.values()), self.constraints, self.letters,
+                         dict(self.observations), self.links, self.epsilon)
 
     @property
     def kind(self):
@@ -202,6 +225,15 @@ class Network:
         return "<Network kind=%s |T|=%d |C|=%d |P|=%d |L|=%d>" % (
             self.kind, len(self.timepoints), len(self.constraints),
             len(self.letters), len(self.links))
+
+
+def _declared(label, letters, declared):
+    """Whether `label` uses `letters` only, looked up in (and added to)
+    `declared`, so each distinct label is checked once."""
+    known = declared.get(label)
+    if known is None:
+        known = declared[label] = label.letters <= letters
+    return known
 
 
 def strip_labels(constraints):
@@ -368,14 +400,18 @@ def validate_cstnu(network):
 
 
 def validate(network):
-    """Dispatch to the validator matching the network's kind."""
-    if network.kind == "cstnu":
-        return validate_cstnu(network)
-    if network.kind == "cstn":
-        return validate_cstn(network)
-    if network.kind == "stnu":
-        return validate_stnu(network)
-    return Report(())
+    """The report of the validator matching the network's kind.  It runs
+    on the first call only: the network keeps the report, and every call
+    returns that same `Report`."""
+    report = network._report
+    if report is None:
+        kind = network.kind
+        report = (validate_cstnu(network) if kind == "cstnu"
+                  else validate_cstn(network) if kind == "cstn"
+                  else validate_stnu(network) if kind == "stnu"
+                  else Report(()))
+        object.__setattr__(network, "_report", report)
+    return report
 
 
 def embed_stn(stn):

@@ -168,6 +168,9 @@ def test_network_fields_of_the_wrong_type_are_named(data, field):
     ({"kind": "cstn", "entries": [{"scenario": ["p"], "schedule": {}}]}, "scenario"),
     ({"kind": "cstn", "entries": [{"scenario": {"p": "false"}, "schedule": {}}]}, "p"),
     ({"kind": "cstn", "entries": [{"scenario": {}, "schedule": ["A", "0"]}]}, "schedule"),
+    # a scenario read before does not excuse the int 1, which equals true
+    ({"kind": "cstn", "entries": [{"scenario": {"p": True}, "schedule": {}},
+                                  {"scenario": {"p": 1}, "schedule": {}}]}, "p"),
 ])
 def test_strategy_fields_of_the_wrong_type_are_named(data, field):
     with pytest.raises(ValueError, match="field '%s': expected" % field):
@@ -271,6 +274,7 @@ def test_the_readers_read_what_the_naive_readers_read(documents):
         rationals += [d for drama in strategy.table for d in drama.situation]
         assert {type(value) for value in rationals} == {Fraction}
         assert _shared(rationals)
+        assert _shared([drama.scenario for drama in strategy.table])
 
 
 def _rational_strings(data):
@@ -284,8 +288,9 @@ def _rational_strings(data):
 
 def test_each_distinct_string_is_parsed_once(monkeypatch, documents):
     """One `Fraction(str)` per distinct string that is not a plain
-    integer, and one `parse_label` per distinct label text, per document."""
-    parsed, labels = [], []
+    integer, one `parse_label` per distinct label text and one `Scenario`
+    per distinct scenario, per document."""
+    parsed, labels, scenarios = [], [], []
     new = Fraction.__new__
 
     def counting_new(cls, numerator=0, *args, **kwargs):
@@ -297,14 +302,22 @@ def test_each_distinct_string_is_parsed_once(monkeypatch, documents):
         labels.append(text)
         return parse_label(text)
 
+    def counting_scenario(values):
+        scenarios.append(values)
+        return Scenario(values)
+
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     monkeypatch.setattr(jsonio, "parse_label", counting_parse_label)
+    monkeypatch.setattr(jsonio, "Scenario", counting_scenario)
     networks, strategies = documents
     for data in networks[::50] + networks[-5:] + strategies:
         parsed.clear()
         labels.clear()
         if "entries" in data:
+            scenarios.clear()
             strategy_from_dict(data)
+            distinct = {tuple(sorted(e["scenario"].items())) for e in data["entries"]}
+            assert len(data["entries"]) > len(distinct) == len(scenarios)
         else:
             network_from_dict(data)
             texts = [c.get("label", "[]") for c in data["timepoints"] + data["constraints"]]

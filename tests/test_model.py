@@ -1,15 +1,20 @@
 """Network construction, validation, and the lifting constructions."""
 
+import pickle
 import random
 import re
+from copy import deepcopy
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from cstnu import (Constraint, ContingentLink, LabeledConstraint, Network, Stn,
-                   TimePoint, compile_workflow, embed_stn, parse_label, parse_workflow,
-                   strip_labels, to_stn, validate, validate_cstn, validate_cstnu, validate_stnu)
+                   TimePoint, check_dc, compile_workflow, embed_stn, model, parse_label,
+                   parse_workflow, strip_labels, to_stn, validate, validate_cstn,
+                   validate_cstnu, validate_stnu)
+from cstnu.fixtures import branching_workflow_text
+from cstnu.jsonio import dumps, loads, network_from_dict, network_to_dict
 from helpers import (bench_gen, random_consistent_stn, random_cstn, random_cstnu,
                      random_cstp, random_label, random_stn, random_stnu)
 from reference import (Cstp, CstpEdge, CstpError, embed_cstn, embed_cstp, embed_stnu,
@@ -356,15 +361,101 @@ def bench_workflow(n):
     return compile_workflow(parse_workflow(text))[0]
 
 
+def rebuilt(network, constraints):
+    """A new network, which no `validate` has seen, of `network`'s parts
+    but with `constraints`."""
+    return Network(network.timepoints.values(), constraints, network.letters,
+                   network.observations, network.links, network.epsilon)
+
+
+def counted(network):
+    """A copy of `network` that no `validate` has seen, whose constraint
+    set counts the passes made over it.  The set is put in past the
+    network's freeze, as only a test may."""
+    copy = rebuilt(network, network.constraints)
+    object.__setattr__(copy, "constraints", CountingConstraints(copy.constraints))
+    return copy
+
+
 def test_validation_passes_do_not_grow_with_the_network():
     passes = {}
     for n, points in ((1, 24), (10, 96)):
         for check in (validate, naive_validate):
-            network = bench_workflow(n)
+            network = counted(bench_workflow(n))
             assert len(network.timepoints) == points
-            network.constraints = CountingConstraints(network.constraints)
             assert check(network).ok
             passes[check, points] = network.constraints.passes
+    assert passes[validate, 24] > 0
     assert passes[validate, 24] == passes[validate, 96]
     # the reference scans once per labeled point and letter
     assert passes[naive_validate, 24] < passes[naive_validate, 96]
+
+
+def fixture_network():
+    return compile_workflow(parse_workflow(branching_workflow_text()))[0]
+
+
+def without_labeled_lower_bound(network):
+    """`network` less the labeled lower bound of its first link."""
+    link = network.links[0]
+    bound = LabeledConstraint(link.contingent, link.activation, -link.lower,
+                              network.label_of(link.activation))
+    assert bound in network.constraints
+    return rebuilt(network, network.constraints - {bound})
+
+
+def test_validate_returns_the_report_it_kept():
+    valid = fixture_network()
+    report = validate(valid)
+    assert report.ok and validate(valid) is report
+    invalid = without_labeled_lower_bound(fixture_network())
+    report = validate(invalid)
+    assert validate(invalid) is report and not report.ok
+    assert "LINK-LABEL" in {v.code for v in report.violations}
+    # the per-kind validator keeps nothing: a fresh pass, the same messages
+    fresh = validate_cstnu(invalid)
+    assert fresh is not report and fresh == report
+    assert [str(v) for v in fresh.violations] == [str(v) for v in report.violations]
+
+
+def test_a_network_cannot_change():
+    network = fixture_network()
+    for name in ("timepoints", "constraints", "letters", "observations", "links", "epsilon",
+                 "kind", "new_field"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(network, name, None)
+    for name in ("timepoints", "constraints", "epsilon", "_report"):
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(network, name)
+    with pytest.raises(TypeError):
+        network.timepoints["X"] = TimePoint("X")
+    with pytest.raises(TypeError):
+        network.observations["z"] = "X"
+    with pytest.raises(AttributeError):
+        network.observations.clear()
+    assert network == fixture_network()
+
+
+def test_compile_validate_and_check_dc_make_one_pass(monkeypatch):
+    passes, one_pass = [], model.validate_cstnu
+
+    def counted_pass(network):
+        passes.append(network)
+        return one_pass(network)
+
+    monkeypatch.setattr(model, "validate_cstnu", counted_pass)
+    network = compile_workflow(parse_workflow(branching_workflow_text()))[0]
+    assert validate(network).ok
+    assert check_dc(network).controllable
+    assert len(passes) == 1 and passes[0] is network
+
+
+def test_a_frozen_network_compares_copies_serializes_and_pickles():
+    network = fixture_network()
+    copy = rebuilt(network, network.constraints)
+    assert copy == network and copy.observations == dict(network.observations)
+    assert network_to_dict(copy) == network_to_dict(network)
+    assert network_from_dict(loads(dumps(network_to_dict(network)))) == network
+    assert copy != without_labeled_lower_bound(network)
+    assert pickle.loads(pickle.dumps(network)) == network
+    assert deepcopy(network) == network
