@@ -48,6 +48,8 @@ class PropagationResult:
     def explain(self, constraint):
         """Derivation of `constraint`: each constraint it rests on once,
         after the ones it was derived from, and `constraint` last."""
+        if constraint not in self.trace:
+            raise ValueError("%s has no derivation in this result" % (constraint,))
         order, _ = depth_first((constraint,), lambda c: self.trace[c][1])
         return ["%s  [%s]" % (c, self.trace[c][0]) for c in order]
 
@@ -82,8 +84,8 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
     modification) with `fresh`, the length of `trace` when the previous
     round started, and the loop ends after a round that leaves `trace` no
     longer.  Each rule picks its pairs from the values live at its start,
-    sorted, skips a value removed before its use, and calls `admit` once
-    per pair.  A removed value is never needed: its dominator composes at
+    sorted, skips a value removed before its use, and offers each pair to
+    `admit`.  A removed value is never needed: its dominator composes at
     least as tightly (a bound no larger, a subset label, a monotone
     `repair`), and meets label modification's preconditions or dominates
     its results.  So refutation and saturation are those of keeping every
@@ -99,6 +101,13 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
     admitted then is dominated by a live value now.  So every round
     admits what composing every live pair would, in the same order, with
     the same `rounds`, refutation and budget cut-off.
+
+    Compose also screens each pair inline with `admit`'s own checks, in
+    its order, and calls `admit` only for a pair that passes them all.
+    This is exact too: a rejected candidate changes nothing but the memos
+    of repaired and dead labels, so skipping its call leaves `trace` and
+    its order, `rounds`, the refutation, saturation, `live` and the budget
+    cut-off as they were.
 
     `repair` adds to a literal set the literals of its letters'
     observation labels and gives None when a letter then has both signs;
@@ -168,19 +177,22 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
             repaired[literals] = joint if len({q for q, _ in joint}) == len(joint) else None
         return repaired[literals]
 
+    def is_dead(literals):
+        """Whether a dead label is a subset of `literals`, memoized."""
+        dead = dead_verdicts.get(literals)
+        if dead is None:
+            dead = dead_verdicts[literals] = any(dead_label <= literals
+                                                 for dead_label in dead_labels)
+        return dead
+
     def admit(source, target, d, literals, rule, first, second):
         """The one gate: reject a label that `repair` rejected (None), a
         vacuous self-loop, a dead label or a dominated value; else admit."""
         if literals is None or (source == target and d >= 0):
             return
         # Negative self-loops stay: label modification may widen one to a refutation.
-        if source != target:
-            dead = dead_verdicts.get(literals)
-            if dead is None:
-                dead = dead_verdicts[literals] = any(dead_label <= literals
-                                                     for dead_label in dead_labels)
-            if dead:
-                return          # only applies in scenarios already known dead
+        if source != target and is_dead(literals):
+            return              # only applies in scenarios already known dead
         if dominated(source, target, d, literals):
             return
         if len(trace) - len(given) >= budget:
@@ -200,16 +212,37 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
             every.setdefault(r[2].source, []).append(r)
             if r[1] >= fresh:
                 new.setdefault(r[2].source, []).append(r)
-        for _, number, first, d1, literals, _ in filter(is_live, firsts):
+        for _, number, first, d1, literals, first_live in firsts:
+            if not first_live:
+                continue
             source = first.source
             seconds = (every if number >= fresh else new).get(first.target, ())
             row = joints.setdefault(literals, {})
-            for _, _, second, d2, second_literals, _ in filter(is_live, seconds):
+            out = live[source]  # never replaced, as `place` only adds to it
+            for _, _, second, d2, second_literals, second_live in seconds:
+                if not second_live:
+                    continue
                 try:
                     joint = row[second_literals]
                 except KeyError:
                     joint = row[second_literals] = repair(literals | second_literals)
-                admit(source, second.target, d1 + d2, joint, "compose", first, second)
+                # `admit`'s checks in its order, inline: only a pair that
+                # passes them all pays for the call.
+                if joint is None:
+                    continue
+                target, d = second.target, d1 + d2
+                if source == target:
+                    if d >= 0:
+                        continue
+                else:
+                    dead = dead_verdicts.get(joint)
+                    if dead or dead is None and is_dead(joint):
+                        continue
+                for _, _, _, old, old_literals, _ in out.get(target, {}).values():
+                    if old <= d and old_literals <= joint:
+                        break
+                else:
+                    admit(source, target, d, joint, "compose", first, second)
 
     def modification_rule(fresh):
         """Label modification over every live pair (`fresh` is unused)."""
@@ -243,7 +276,8 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
     except _Exhausted:
         saturated = False
     return PropagationResult(trace, refutation, saturated, rounds,
-                             frozenset(r[2] for r in records(live)))
+                             frozenset(r[2] for edges in live.values()
+                                       for edge in edges.values() for r in edge.values()))
 
 
 class _Refuted(Exception):

@@ -10,7 +10,9 @@ import json
 import operator
 import os
 import random
+import sys
 from fractions import Fraction
+from unittest import mock
 
 from cstnu import (Constraint, ContingentLink, Label, LabeledConstraint, Network,
                    Scenario, Stn, Strategy, TimePoint, check_solution, conjoin,
@@ -26,14 +28,26 @@ from reference import (Cstp, CstpEdge, PreconditionError, compose, dominates,
                        label_modification)
 
 
+def bench_module(name):
+    """`bench/<name>.py`, loaded from its file as `bench_<name>`."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", name + ".py")
+    spec = importlib.util.spec_from_file_location("bench_" + name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def bench_gen():
     """`bench/gen.py`, the benchmark's seeded input generators."""
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "bench", "gen.py")
-    spec = importlib.util.spec_from_file_location("bench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
+    return bench_module("gen")
+
+
+def bench_workloads():
+    """`bench/workloads.py`, the benchmark's workloads; its own `import gen`
+    and `import checker` get bench/'s modules."""
+    with mock.patch.dict(sys.modules, gen=bench_gen(), checker=bench_module("checker")):
+        return bench_module("workloads")
 
 
 # bench/gen.py's greedy trap with epsilon 1, as a network file: Or,

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -18,8 +19,8 @@ from cstnu.projection import DEFAULT_GRID, sample_situations
 from cstnu.propagation import DEFAULT_BUDGET, propagate_to_fixpoint
 from cstnu.search import check_dc
 from helpers import (DEAD_LABEL_WORKFLOW, EPSILON_OVERSHOOT, GREEDY_TRAP, MIXED_DENOMINATORS,
-                     epsilon_overshoot, later_classmates, link_chain, mixed_denominators,
-                     shifted_entry)
+                     bench_gen, epsilon_overshoot, later_classmates, link_chain,
+                     mixed_denominators, shifted_entry)
 from reference import tight_contingent_stnu
 
 
@@ -459,6 +460,25 @@ def test_propagate_on_the_dead_label_workflow_is_pinned(capsys, tmp_path):
     assert code == 1
     assert hashlib.sha256(out.encode()).hexdigest() == DEAD_LABEL_PROPAGATE_DIGEST
     assert hashlib.sha256(trace.read_text().encode()).hexdigest() == DEAD_LABEL_TRACE_DIGEST
+
+
+# sha256 of `propagate --json` and of the file its `--trace` writes on
+# bench/gen.py's tight workflow with four one-task splits in a row, drawn
+# from random.Random("scale/1"): refuted after 23031 derivations, pinned
+# before compose screened its pairs inline.  The CI step that runs the
+# installed `cstnu propagate` on the workflow checks both against these lines.
+TIGHT_4_PROPAGATE_DIGEST = "715a42b9db7d097e235ac682401ae38bbacb8ff8835ebe8bdae32510314cce2a"
+TIGHT_4_TRACE_DIGEST = "9a22525e224b10d7b22c279f3ae03404cbfc0e665d3a30e6f9c873588aa72cb5"
+
+
+def test_propagate_on_the_tight_4_split_workflow_is_pinned(capsys, tmp_path):
+    text = bench_gen().workflow(random.Random("scale/1"), (2, ((1, 1, 1),) * 4), False)
+    net, trace = tmp_path / "net.json", tmp_path / "trace.json"
+    net.write_text(dumps(network_to_dict(compile_workflow(parse_workflow(text))[0])))
+    code, out, _ = run(capsys, "propagate", "--json", "--trace", str(trace), str(net))
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == TIGHT_4_PROPAGATE_DIGEST
+    assert hashlib.sha256(trace.read_text().encode()).hexdigest() == TIGHT_4_TRACE_DIGEST
 
 
 # sha256 of `check-dc --json` on tests/dead_label_workflow.json, the only

@@ -1,5 +1,6 @@
 """Constraint composition, label modification, and the saturation loop."""
 
+import hashlib
 import json
 import os
 import random
@@ -16,8 +17,8 @@ from cstnu.fixtures import branching_workflow_text
 from cstnu.jsonio import network_from_dict
 from cstnu.propagation import DEFAULT_BUDGET, PropagationResult
 import helpers
-from helpers import (DEAD_LABEL_WORKFLOW, bench_gen, naive_propagate, random_consistent_stn,
-                     random_cstn)
+from helpers import (DEAD_LABEL_WORKFLOW, bench_gen, bench_workloads, naive_propagate,
+                     random_consistent_stn, random_cstn)
 from reference import (PreconditionError, compose, dominates, label_modification,
                        modification_pair, naive_explain)
 
@@ -363,6 +364,32 @@ def test_fixpoint_matches_the_naive_loop():
             assert all(type(c.delta) is Fraction for c in got.constraints)
 
 
+# sha256 over every field of `propagate_to_fixpoint`'s results on the 96
+# inputs of bench/workloads.py's workflow_propagate for seeds 1-3, at
+# budgets that stop some runs mid-compose: each trace in order with its
+# rules and parents, then refutation, saturation, rounds and the sorted
+# live set.  Pinned before compose screened its pairs inline.
+WORKFLOW_PROPAGATE_DIGEST = "331337d9d47e8cac35e6f6d42ad9d2da267a3e0fb00dc555c269bf4cb36cfa7a"
+
+
+def test_results_on_the_workflow_propagate_inputs_are_pinned():
+    workload = bench_workloads().WorkflowPropagate()
+    texts = [text for seed in (1, 2, 3) for text in workload.inputs(seed)]
+    assert len(texts) == 96
+    digest = hashlib.sha256()
+    for text in texts:
+        network = compile_workflow(parse_workflow(text))[0]
+        for budget in (1, 50, 500, DEFAULT_BUDGET):
+            result = propagate_to_fixpoint(network, budget=budget)
+            for c, (rule, parents) in result.trace.items():
+                digest.update(("%s [%s] %s\n" % (c, rule, ", ".join(map(str, parents))))
+                              .encode())
+            digest.update(("%s %s %s\n%s\n" % (result.refutation, result.saturated,
+                                               result.rounds, sorted(map(str, result.live))))
+                          .encode())
+    assert digest.hexdigest() == WORKFLOW_PROPAGATE_DIGEST
+
+
 def outcome(result):
     return (result.refuted, result.saturated,
             any(c.source == c.target and c.delta < 0 for c in result.constraints))
@@ -446,3 +473,12 @@ def test_explain_walks_a_derivation_deeper_than_the_recursion_limit():
         trace[second] = ("compose", (first,))
     lines = PropagationResult(trace).explain(chain[-1])
     assert lines == ["%s  [%s]" % (c, trace[c][0]) for c in chain]
+
+
+def test_explain_refuses_a_constraint_without_a_derivation():
+    result = propagate_to_fixpoint(Network(timepoints=["A", "B"], constraints=[lc("A", "B", 1)]))
+    assert result.explain(lc("A", "B", 1)) == ["%s  [given]" % lc("A", "B", 1)]
+    stranger = lc("B", "A", 2)
+    with pytest.raises(ValueError) as err:
+        result.explain(stranger)
+    assert str(err.value) == "%s has no derivation in this result" % (stranger,)
