@@ -67,25 +67,32 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
     Candidates are judged as integers, deltas times `scale`, the least
     that makes every given delta an integer: every derived delta is a sum
     of given ones, so nothing is rounded; and their labels as literal sets.
-    Only an admitted candidate becomes a `LabeledConstraint`, with delta
-    `Fraction(d, scale)` and one `Label` per distinct literal set.
+    Only an admitted candidate becomes a `LabeledConstraint`, built from
+    parts memoized for the call: one `Fraction(d, scale)` and its text per
+    distinct scaled delta, one `Label` and its text per distinct literal
+    set, and one "(target - source <= " head per edge.
 
     One store holds each edge's live values, keyed by literal set, as
     records [`str` key, admission number, constraint, scaled delta,
-    literal set, live flag].  `place` is the one way into it, for givens
-    and derived values alike: the new value removes (and clears the flag
-    of) the live values it dominates, and a negative self-loop refutes
-    the network under the empty label and makes its label dead under any
-    other.  `trace` keeps every admitted value, so `explain()` works on a
-    removed one; `live` is the final store.  Givens are numbered in `str`
-    order, so no order depends on string hashing.
+    literal set, live flag].  The key of a derived value is its head,
+    delta text and label text joined, which is exactly its `str`; a given
+    keeps the `str` its initial sort computed.  `place` is the one way
+    into the store, for givens and derived values alike: the new value
+    removes (and clears the flag of) the live values it dominates, and a
+    negative self-loop refutes the network under the empty label and
+    makes its label dead under any other.  `trace` keeps every admitted
+    value, so `explain()` works on a removed one; `live` is `trace` minus
+    the removed values (those `place` removed, the givens dominated at
+    the start and the givens after a refuting one), which reuses the
+    hashes `trace` stores.  Givens are numbered in `str` order, so no
+    order depends on string hashing.
 
     A round calls each rule of the table (compose, then label
     modification) with `fresh`, the length of `trace` when the previous
     round started, and the loop ends after a round that leaves `trace` no
     longer.  Each rule picks its pairs from the values live at its start,
-    sorted, skips a value removed before its use, and offers each pair to
-    `admit`.  A removed value is never needed: its dominator composes at
+    sorted, skips a value removed before its use, and judges each pair by
+    `admit`'s checks.  A removed value is never needed: its dominator composes at
     least as tightly (a bound no larger, a subset label, a monotone
     `repair`), and meets label modification's preconditions or dominates
     its results.  So refutation and saturation are those of keeping every
@@ -103,40 +110,40 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
     the same `rounds`, refutation and budget cut-off.
 
     Compose also screens each pair inline with `admit`'s own checks, in
-    its order, and calls `admit` only for a pair that passes them all.
+    its order, and hands only a pair that passes them all to `accept`.
     This is exact too: a rejected candidate changes nothing but the memos
-    of repaired and dead labels, so skipping its call leaves `trace` and
-    its order, `rounds`, the refutation, saturation, `live` and the budget
+    of repaired and dead labels, so skipping it leaves `trace` and its
+    order, `rounds`, the refutation, saturation, `live` and the budget
     cut-off as they were.
 
     `repair` adds to a literal set the literals of its letters'
     observation labels and gives None when a letter then has both signs;
-    it is memoized for the whole call.  `admit` is the one gate: it
-    rejects a label that `repair` rejected, a vacuous self-loop, a dead
-    label (not checked for a negative self-loop) and a dominated value,
-    in that order, and only then charges the budget, records the value in
-    `trace` and places it.  Compose offers the repaired union of its
-    pair's literal sets, from a memo keyed by the two sets.  Label
-    modification pairs a value (X - P <= -w, obs) that leaves the
-    observation point P of letter l with a value (Y - X <= v, target),
-    v <= w, where l is positive in target and obs lacks l, and offers
-    repair((obs | target) - {l}): the derived value of the rule's
-    reference form (`label_modification` in `tests/reference.py`).  Its
-    residuals are never offered, as none could be admitted: each
-    holds target's literals at target's bound, and target is live when
-    paired, since the modified value removes it only if obs is a subset
-    of target, which leaves no residual.  A sign clash between obs and
-    target makes `repair` reject the modified value.  Whether a repaired
-    literal set contains a dead label is memoized as well, and that memo
-    is cleared whenever a dead label is recorded.  This is exact: dead
-    labels are only ever added, so a verdict reached since the last one
-    was added still holds.
+    it is memoized for the whole call.  `admit` is label modification's
+    gate: it rejects a label that `repair` rejected, a vacuous self-loop,
+    a dead label (not checked for a negative self-loop) and a dominated
+    value, in that order, and only then calls `accept`, which charges the
+    budget, records the value in `trace` and places it.  Compose screens
+    the repaired union of its pair's literal sets, from a memo keyed by
+    the two sets.  Label modification pairs a value (X - P <= -w, obs)
+    that leaves the observation point P of letter l with a value
+    (Y - X <= v, target), v <= w, where l is positive in target and obs
+    lacks l, and offers repair((obs | target) - {l}): the derived value
+    of the rule's reference form (`label_modification` in
+    `tests/reference.py`).  Its residuals are never offered, as none
+    could be admitted: each holds target's literals at target's bound,
+    and target is live when paired, since the modified value removes it
+    only if obs is a subset of target, which leaves no residual.  A sign
+    clash between obs and target makes `repair` reject the modified
+    value.  Whether a repaired literal set contains a dead label is
+    memoized as well, and that memo is cleared whenever a dead label is
+    recorded.  This is exact: dead labels are only ever added, so a
+    verdict reached since the last one was added still holds.
     """
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
         raise ValueError("budget must be a non-negative int, not %r" % (budget,))
-    given = sorted(network.constraints, key=str)
-    scale = _least_scale(c.delta for c in given)
-    trace = {c: ("given", ()) for c in given}
+    given = sorted(((str(c), c) for c in network.constraints), key=itemgetter(0))
+    scale = _least_scale(c.delta for _, c in given)
+    trace = {c: ("given", ()) for _, c in given}
     live = {}               # source -> target -> {literal set: record}
     obs_letter = {point: letter for letter, point in network.observations.items()}
     dead_labels = set()     # literal sets of labels whose scenarios admit no schedule
@@ -144,7 +151,10 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
     observed = {q: frozenset(network.label_of(point).literals)
                 for q, point in network.observations.items()}
     repaired = {}           # literal set -> repaired literal set, or None
-    labels = {}             # admitted literal set -> its label
+    labels = {}             # admitted literal set -> (its label, ", <label>)")
+    deltas = {}             # admitted scaled delta -> (its Fraction, its text)
+    heads = {}              # (source, target) -> "(target - source <= "
+    removed = []            # values `place` removed, and givens dominated at the start
     joints = {}             # literal set -> literal set -> repaired conjunction or None
     is_live = itemgetter(5)
 
@@ -154,11 +164,13 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
                 return True
         return False
 
-    def place(c, d, literals, number):
+    def place(key, c, d, literals, number):
         edge = live.setdefault(c.source, {}).setdefault(c.target, {})
         for old in [k for k, r in edge.items() if d <= r[3] and literals <= k]:
-            edge.pop(old)[5] = False
-        edge[literals] = [str(c), number, c, d, literals, True]
+            record = edge.pop(old)
+            record[5] = False
+            removed.append(record[2])
+        edge[literals] = [key, number, c, d, literals, True]
         if c.source == c.target and d < 0:
             if not literals:
                 raise _Refuted(c)
@@ -186,8 +198,9 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
         return dead
 
     def admit(source, target, d, literals, rule, first, second):
-        """The one gate: reject a label that `repair` rejected (None), a
-        vacuous self-loop, a dead label or a dominated value; else admit."""
+        """Label modification's gate: reject a label that `repair` rejected
+        (None), a vacuous self-loop, a dead label or a dominated value;
+        else `accept` it."""
         if literals is None or (source == target and d >= 0):
             return
         # Negative self-loops stay: label modification may widen one to a refutation.
@@ -195,13 +208,27 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
             return              # only applies in scenarios already known dead
         if dominated(source, target, d, literals):
             return
+        accept(source, target, d, literals, rule, first, second)
+
+    def accept(source, target, d, literals, rule, first, second):
+        """Charge the budget for a value that passed `admit`'s checks, build
+        it and its `str` key from memoized parts, trace it and place it."""
         if len(trace) - len(given) >= budget:
             raise _Exhausted()
-        if literals not in labels:
-            labels[literals] = Label(literals)
-        c = LabeledConstraint(source, target, Fraction(d, scale), labels[literals])
+        parts = deltas.get(d)
+        if parts is None:
+            delta = Fraction(d, scale)
+            parts = deltas[d] = delta, str(delta)
+        named = labels.get(literals)
+        if named is None:
+            label = Label(literals)
+            named = labels[literals] = label, ", %s)" % label
+        head = heads.get((source, target))
+        if head is None:
+            head = heads[source, target] = "(%s - %s <= " % (target, source)
+        c = LabeledConstraint(source, target, parts[0], named[0])
         trace[c] = (rule, (first, second))
-        place(c, d, literals, len(trace) - 1)
+        place(head + parts[1] + named[1], c, d, literals, len(trace) - 1)
 
     def compose_rule(fresh):
         """Compose the live pairs with a member admitted as number `fresh` or later."""
@@ -227,7 +254,7 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
                 except KeyError:
                     joint = row[second_literals] = repair(literals | second_literals)
                 # `admit`'s checks in its order, inline: only a pair that
-                # passes them all pays for the call.
+                # passes them all is accepted.
                 if joint is None:
                     continue
                 target, d = second.target, d1 + d2
@@ -242,7 +269,7 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
                     if old <= d and old_literals <= joint:
                         break
                 else:
-                    admit(source, target, d, joint, "compose", first, second)
+                    accept(source, target, d, joint, "compose", first, second)
 
     def modification_rule(fresh):
         """Label modification over every live pair (`fresh` is unused)."""
@@ -260,11 +287,14 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
                       "label-modification", obs_c, target_c)
 
     rounds, start, saturated, refutation = 0, 0, True, None
+    pending = iter(given)   # what is left of it when a given refutes was never placed
     try:
-        for number, c in enumerate(given):
+        for number, (key, c) in enumerate(pending):
             d, literals = _scaled(c.delta, scale), frozenset(c.label.literals)
-            if not dominated(c.source, c.target, d, literals):
-                place(c, d, literals, number)
+            if dominated(c.source, c.target, d, literals):
+                removed.append(c)
+            else:
+                place(key, c, d, literals, number)
         # `fresh` is the length of `trace` when the previous round started;
         # the first round that admits nothing is the last.
         while not rounds or len(trace) > start:
@@ -273,11 +303,12 @@ def propagate_to_fixpoint(network, budget=DEFAULT_BUDGET):
                 rule(fresh)
     except _Refuted as refuted:
         refutation, saturated = refuted.args[0], False
+        removed.extend(c for _, c in pending)
     except _Exhausted:
         saturated = False
+    # A set built from a dict reuses the hashes the dict stores.
     return PropagationResult(trace, refutation, saturated, rounds,
-                             frozenset(r[2] for edges in live.values()
-                                       for edge in edges.values() for r in edge.values()))
+                             frozenset(trace).difference(removed))
 
 
 class _Refuted(Exception):

@@ -11,8 +11,9 @@ from fractions import Fraction
 import pytest
 
 import cstnu
-from cstnu import (LabeledConstraint, Network, TimePoint, compile_workflow, parse_label,
-                   parse_workflow, propagate_to_fixpoint, solve, to_stn)
+from cstnu import (Label, LabeledConstraint, Network, TimePoint, compile_workflow,
+                   parse_label, parse_workflow, propagate_to_fixpoint, propagation, solve,
+                   to_stn)
 from cstnu.fixtures import branching_workflow_text
 from cstnu.jsonio import network_from_dict
 from cstnu.propagation import DEFAULT_BUDGET, PropagationResult
@@ -390,6 +391,99 @@ def test_results_on_the_workflow_propagate_inputs_are_pinned():
     assert digest.hexdigest() == WORKFLOW_PROPAGATE_DIGEST
 
 
+def tight_workflow(splits):
+    """`bench/gen.py`'s tight workflow with `splits` one-task splits in a row."""
+    text = bench_gen().workflow(random.Random("scale/1"), (2, ((1, 1, 1),) * splits), False)
+    return compile_workflow(parse_workflow(text))[0]
+
+
+def test_each_derived_delta_and_literal_set_is_built_once(monkeypatch):
+    made, labels = [], []
+    new = Fraction.__new__
+
+    def counting_new(cls, numerator=0, denominator=None, **kwargs):
+        made.append((numerator, denominator))
+        return new(cls, numerator, denominator, **kwargs)
+
+    def counting_label(literals):
+        labels.append(literals)
+        return Label(literals)
+
+    network = tight_workflow(4)
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(propagation, "Label", counting_label)
+    result = propagate_to_fixpoint(network)
+    monkeypatch.undo()
+    derived = [c for c, (rule, _) in result.trace.items() if rule != "given"]
+    assert result.refuted and len(result.trace) == 23031
+    deltas = {c.delta for c in derived}
+    assert len(made) == len(deltas) < len(derived)
+    assert {Fraction(*args) for args in made} == deltas
+    assert len(labels) == len({c.label for c in derived}) < len(derived)
+    assert {Label(literals) for literals in labels} == {c.label for c in derived}
+
+
+def assert_matches_the_naive_loop(network):
+    got, want = propagate_to_fixpoint(network), naive_propagate(network)
+    assert ((got.refutation, got.saturated, got.rounds, got.live)
+            == (want.refutation, want.saturated, want.rounds, want.live))
+    assert got.trace == want.trace
+    assert derivations(got) == derivations(want)
+    return got
+
+
+# B - C <= 0 composes with four values of D - C into four derived values
+# of D - B, which B - A <= 1 composes with next, in `str` order (-1, -1/2,
+# -2, 3/7), not in their numeric order (-2, -1, -1/2, 3/7).
+MIXED_SIGNS = Network(
+    timepoints=["A", "B", "C", "D", "P", "Q", "R"],
+    constraints=[lc("A", "B", 1), lc("B", "C", 0), lc("C", "D", "-1/2", "p"),
+                 lc("C", "D", -1, "q"), lc("C", "D", "3/7", "r"), lc("C", "D", -2, "!p")],
+    letters=["p", "q", "r"], observations={"p": "P", "q": "Q", "r": "R"})
+
+
+def test_the_trace_lists_each_admission_batch_in_str_order():
+    result = assert_matches_the_naive_loop(MIXED_SIGNS)
+    givens = [c for c, (rule, _) in result.trace.items() if rule == "given"]
+    assert givens == sorted(givens, key=str)
+    seconds = [parents[1] for _, rule, parents in derivations(result)
+               if parents[0] == lc("A", "B", 1) and parents[1].target == "D"]
+    assert len(seconds) == 4
+    assert all(result.trace[second][0] == "compose" for second in seconds)
+    assert seconds == sorted(seconds, key=str) != sorted(seconds, key=lambda c: c.delta)
+
+
+def test_a_given_dominated_by_another_given_is_traced_but_not_live():
+    # In `str` order, B - A <= -2 removes the placed B - A <= -1, and then
+    # dominates B - A <= 1 and B - A <= 2 before they are placed.
+    network = Network(timepoints=["A", "B"],
+                      constraints=[lc("A", "B", d) for d in (2, 1, -1, -2)])
+    result = assert_matches_the_naive_loop(network)
+    assert result.constraints == frozenset(network.constraints)
+    assert result.live == {lc("A", "B", -2)}
+
+
+def test_a_refutation_that_removes_values_is_live_and_they_are_not():
+    # A - B <= -1 and B - A <= -1 compose to B - B <= -2 under [], which
+    # removes the given B - B <= -1 under p as it refutes.
+    network = Network(
+        timepoints=["A", "B", "P"],
+        constraints=[lc("A", "B", -1), lc("B", "A", -1), lc("B", "B", -1, "p")],
+        letters=["p"], observations={"p": "P"})
+    result = assert_matches_the_naive_loop(network)
+    assert result.refutation == lc("B", "B", -2) in result.live
+    assert lc("B", "B", -1, "p") in result.constraints - result.live
+
+
+def test_givens_after_a_refuting_given_are_traced_but_not_live():
+    network = Network(timepoints=["A", "B", "C", "D"],
+                      constraints=[lc("A", "B", 1), lc("B", "B", -1), lc("C", "D", 1)])
+    result = assert_matches_the_naive_loop(network)
+    assert (result.refutation, result.rounds) == (lc("B", "B", -1), 0)
+    assert result.constraints == frozenset(network.constraints)
+    assert result.live == {lc("A", "B", 1), lc("B", "B", -1)}
+
+
 def outcome(result):
     return (result.refuted, result.saturated,
             any(c.source == c.target and c.delta < 0 for c in result.constraints))
@@ -450,8 +544,7 @@ def test_explain_lists_each_derivation_once_after_its_parents(splits):
         with open(DEAD_LABEL_WORKFLOW) as f:
             network = network_from_dict(json.load(f))
     else:
-        text = bench_gen().workflow(random.Random("scale/1"), (2, ((1, 1, 1),) * splits), False)
-        network = compile_workflow(parse_workflow(text))[0]
+        network = tight_workflow(splits)
     result = propagate_to_fixpoint(network)
     assert result.refuted
     unfolded = naive_explain(result, result.refutation)
